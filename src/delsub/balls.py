@@ -22,6 +22,7 @@ __all__ = [
     "TWO_FLIPS",
     "SHIFTED_PAIR",
     "GENERIC",
+    "CASE_TAGS",
     "WITNESS_CONVENTIONS",
     "DEFAULT_WITNESS_CONVENTION",
     "PairClassification",
@@ -46,6 +47,17 @@ ALTERNATING_BLOCK = "ALTERNATING_BLOCK"
 TWO_FLIPS = "TWO_FLIPS"
 SHIFTED_PAIR = "SHIFTED_PAIR"
 GENERIC = "GENERIC"
+
+# structural case of a distinct pair, indexed by (min(d_H, 3), d) with d the
+# number of shared deletions: a single flip always shares one deletion, and
+# no two distinct words share more than two (a count above two, which only a
+# faulty deletion kernel produces, is tagged like d = 0)
+CASE_TAGS: tuple[tuple[str | None, ...], ...] = (
+    (None,) * 3,
+    (SINGLE_FLIP,) * 3,
+    (TWO_FLIPS, RUN_SHIFT, ADJACENT_TRANSPOSITION),
+    (GENERIC, SHIFTED_PAIR, ALTERNATING_BLOCK),
+)
 
 WITNESS_CONVENTIONS = ("pre", "post")
 
@@ -154,10 +166,11 @@ class PairClassification:
 def classify_pair(x: str, y: str) -> PairClassification:
     """Compute (d, s) directly and name the matching structural case.
 
-    The case tag is a function of (d_H, d): distance one is always a single
-    flip; at distance two the pair is an adjacent transposition (d=2), a
-    run shift (d=1), or two isolated flips (d=0); at distance three or more
-    it is an alternating block (d=2), a shifted pair (d=1), or generic.
+    The case tag is CASE_TAGS[min(d_H, 3)][d]: distance one is always a
+    single flip; at distance two the pair is an adjacent transposition
+    (d=2), a run shift (d=1), or two isolated flips (d=0); at distance three
+    or more it is an alternating block (d=2), a shifted pair (d=1), or
+    generic.
     """
     aff = common_affixes(x, y)
     d_h = aff.hamming
@@ -166,29 +179,18 @@ def classify_pair(x: str, y: str) -> PairClassification:
     j1, j2 = aff.first_diff, aff.last_diff
     xw = x[j1 - 1 : j2]
     yw = y[j1 - 1 : j2]
+    case = CASE_TAGS[min(d_h, 3)][d if d <= 2 else 0]
     alpha = beta = None
     shift_len = None
-    if d_h == 1:
-        case = SINGLE_FLIP
+    if case is SINGLE_FLIP:
         alpha = xw
-    elif d_h == 2:
-        if d == 2:
-            case = ADJACENT_TRANSPOSITION
-            alpha = xw[0]
-        elif d == 1:
-            case = RUN_SHIFT
-            shift_len = len(xw) - 1
-            alpha = xw[0] if xw[0] == xw[1] else xw[-1]
-        else:
-            case = TWO_FLIPS
-            alpha, beta = xw[0], xw[-1]
-    else:
-        if d == 2:
-            case = ALTERNATING_BLOCK
-        elif d == 1:
-            case = SHIFTED_PAIR
-        else:
-            case = GENERIC
+    elif case is ADJACENT_TRANSPOSITION:
+        alpha = xw[0]
+    elif case is RUN_SHIFT:
+        shift_len = len(xw) - 1
+        alpha = xw[0] if xw[0] == xw[1] else xw[-1]
+    elif case is TWO_FLIPS:
+        alpha, beta = xw[0], xw[-1]
     return PairClassification(
         d=d,
         s=s,

@@ -14,29 +14,12 @@ import dataclasses
 import io
 import json
 import sys
-from typing import Any
+from typing import Any, Callable
 
 from . import balls, codes, reconstruct, verify, words
 from .verify import DEFAULT_SEED
 
 FORMATS = ("json", "text", "csv")
-
-# verifier target -> name of the verify-module operation that backs it
-VERIFY_TARGETS: dict[str, str] = {
-    "ball-sizes": "verify_ball_sizes",
-    "del-positions": "verify_del_positions",
-    "constrained-deletion": "verify_constrained_deletion",
-    "intersection-bounds": "verify_intersection_bounds",
-    "claim-tables": "verify_claim_tables",
-    "bad-count": "verify_bad_count",
-    "rll": "verify_rll",
-    "code-vt": "verify_code_theorem",
-    "code-inv": "verify_code_theorem",
-    "code-c2n9": "verify_code_theorem",
-    "code-cn21": "verify_code_theorem",
-    "code-cl": "verify_code_theorem",
-    "reconstruction": "verify_reconstruction",
-}
 
 _PARAM_FLAGS = ("a", "m", "P", "a0", "a1", "a2")
 
@@ -123,14 +106,11 @@ def _collect_params(args: argparse.Namespace) -> dict[str, int]:
 
 
 def _code_spec(args: argparse.Namespace, n: int) -> codes.CodeSpec:
+    params = _collect_params(args)
     if getattr(args, "best", False):
-        kwargs: dict[str, int] = {}
-        if args.m is not None:
-            kwargs["m"] = args.m
-        if args.P is not None:
-            kwargs["P"] = args.P
-        return codes.best_coset(args.family, n, **kwargs)
-    return codes.spec(args.family, n, **_collect_params(args))
+        fixed = {name: params[name] for name in ("m", "P") if name in params}
+        return codes.best_coset(args.family, n, **fixed)
+    return codes.spec(args.family, n, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -178,38 +158,48 @@ def _cmd_code_check(args: argparse.Namespace) -> int:
     return 0
 
 
+def _verify_reconstruction(args: argparse.Namespace) -> verify.VerificationReport:
+    if args.family is None:
+        raise ValueError("argument --family: required for target reconstruction")
+    if args.N is None:
+        raise ValueError("argument --N: required for target reconstruction")
+    return verify.verify_reconstruction(
+        _code_spec(args, args.n),
+        args.N,
+        trials=args.trials,
+        seed=args.seed,
+        subset_words=args.subset_words,
+        subset_trials=args.subset_trials,
+    )
+
+
+def _verify_code(theorem_id: str) -> Callable[[argparse.Namespace], verify.VerificationReport]:
+    return lambda args: verify.verify_code_theorem(theorem_id, args.n, jobs=args.jobs)
+
+
+# verifier target -> the call of its verify-module operation; --jobs goes
+# only to the operations that take it
+VERIFY_TARGETS: dict[str, Callable[[argparse.Namespace], verify.VerificationReport]] = {
+    "ball-sizes": lambda args: verify.verify_ball_sizes(args.n),
+    "del-positions": lambda args: verify.verify_del_positions(args.n),
+    "constrained-deletion": lambda args: verify.verify_constrained_deletion(args.n),
+    "intersection-bounds": lambda args: verify.verify_intersection_bounds(
+        args.n, jobs=args.jobs, structured=args.structured
+    ),
+    "claim-tables": lambda args: verify.verify_claim_tables(args.n, jobs=args.jobs),
+    "bad-count": lambda args: verify.verify_bad_count(
+        args.n, jobs=args.jobs, convention=args.convention
+    ),
+    "rll": lambda args: verify.verify_rll(
+        args.n, args.P if args.P is not None else codes.default_period(args.n)
+    ),
+    **{f"code-{theorem_id}": _verify_code(theorem_id) for theorem_id in verify.CODE_CHECKS},
+    "reconstruction": _verify_reconstruction,
+}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    target = args.target
-    if target == "reconstruction":
-        if args.family is None:
-            return _fail("argument --family: required for target reconstruction")
-        if args.N is None:
-            return _fail("argument --N: required for target reconstruction")
-        cs = _code_spec(args, args.n)
-        report = verify.verify_reconstruction(
-            cs,
-            args.N,
-            trials=args.trials,
-            seed=args.seed,
-            subset_words=args.subset_words,
-            subset_trials=args.subset_trials,
-        )
-    elif target.startswith("code-"):
-        report = verify.verify_code_theorem(target[5:], args.n, jobs=args.jobs)
-    elif target == "claim-tables":
-        report = verify.verify_claim_tables(args.n, jobs=args.jobs)
-    elif target == "bad-count":
-        report = verify.verify_bad_count(args.n, jobs=args.jobs, convention=args.convention)
-    elif target == "rll":
-        period = args.P if args.P is not None else codes.default_period(args.n)
-        report = verify.verify_rll(args.n, period, jobs=args.jobs)
-    elif target == "intersection-bounds":
-        report = verify.verify_intersection_bounds(
-            args.n, jobs=args.jobs, structured=args.structured
-        )
-    else:
-        op = getattr(verify, VERIFY_TARGETS[target])
-        report = op(args.n, jobs=args.jobs)
+    report = VERIFY_TARGETS[args.target](args)
     _emit(report.to_dict(include_timing=args.timing), args)
     return 0 if report.status in ("PASS", "SKIPPED") else 1
 

@@ -1,9 +1,15 @@
 """Code families: membership, enumeration, sizing, and best-coset search.
 
-Every family is a conjunction of cheap per-word predicates (syndrome
-residues, run bounds, periodic-window bounds), so membership is O(n) and
-enumeration just filters the ascending integer order of Sigma^n.  Sizes and
-best cosets are computed by exact counting rather than pigeonhole floors.
+Every family is one record in :data:`_FAMILIES`: its parameters in canonical
+order, which of them are fixed (a modulus m or a period P) rather than
+residues, the modulus of each residue parameter, and a key function built once per
+(n, parameters).  The key maps a word to its residue tuple, or to None when
+the word fails the family's structural filter (run bound, periodic-window
+bound).  A code is one coset: its members are the words whose key equals the
+spec's residue parameters, so membership is O(n) and enumeration just
+filters the ascending integer order of Sigma^n.  Each residue parameter
+ranges over [0, modulus - 1], and best-coset search counts every key.  Sizes
+and best cosets are computed by exact counting rather than pigeonhole floors.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ __all__ = [
     "size",
     "redundancy",
     "best_coset",
+    "coset_key",
     "subcode_check",
     "save_code",
     "load_code",
@@ -61,23 +68,106 @@ C2N9 = "c2n9"
 CN21 = "cn21"
 CL = "cl"
 
-# canonical parameter order per family, used for file headers and the
-# lexicographic tie-break of best_coset
-_PARAM_ORDER: dict[str, tuple[str, ...]] = {
-    FULL: (),
-    VT: ("a",),
-    INV: ("a", "m"),
-    VT_MOD: ("a", "m"),
-    EVEN_POS: ("a", "m"),
-    RUN_BOUNDED: (),
-    RLL: ("P",),
-    CP: ("P", "a1", "a2"),
-    C2N9: ("a", "m"),
-    CN21: ("P", "a1", "a2"),
-    CL: ("a0", "a1", "a2"),
+_Key = Callable[[str], "tuple[int, ...] | None"]
+_Layout = tuple[tuple[int, ...], _Key]
+
+
+@dataclass(frozen=True, slots=True)
+class _Family:
+    """One code family.
+
+    ``params`` is the canonical parameter order (file headers, the
+    lexicographic tie-break of best_coset); ``fixed`` names the parameters
+    that are not residues (a modulus m or a period P).  ``layout(n, params)``
+    reads only the fixed parameters and returns the modulus of each residue,
+    in canonical order, together with the key: the word -> residue tuple
+    map, None for a word the structural filter rejects.
+    """
+
+    params: tuple[str, ...]
+    fixed: tuple[str, ...]
+    layout: Callable[[int, dict[str, int]], _Layout]
+
+    @property
+    def residues(self) -> tuple[str, ...]:
+        return tuple(name for name in self.params if name not in self.fixed)
+
+
+def _run_bounded(n: int, p: dict[str, int]) -> _Layout:
+    cap = (n + 1) // 2
+    return (), lambda x: () if run_count(x) <= cap else None
+
+
+def _rll(n: int, p: dict[str, int]) -> _Layout:
+    period = p["P"]
+    return (), lambda x: () if max_le2_periodic_length(x) <= period else None
+
+
+def _vt(n: int, p: dict[str, int]) -> _Layout:
+    mod = 2 * n
+    return (mod,), lambda x: (vt_syndrome(x, 1) % mod,)
+
+
+def _inv(n: int, p: dict[str, int]) -> _Layout:
+    m = p["m"]
+    return (m,), lambda x: (inversion_number(x) % m,)
+
+
+def _vt_mod(n: int, p: dict[str, int]) -> _Layout:
+    m = p["m"]
+    return (m,), lambda x: (vt_syndrome(x, 1) % m,)
+
+
+def _even_pos(n: int, p: dict[str, int]) -> _Layout:
+    m = p["m"]
+    return (m,), lambda x: (sum(x[i] == "1" for i in range(1, n, 2)) % m,)
+
+
+def _c2n9(n: int, p: dict[str, int]) -> _Layout:
+    m, cap = p["m"], (n + 1) // 2
+    return (m,), lambda x: (inversion_number(x) % m,) if run_count(x) <= cap else None
+
+
+def _cp(n: int, p: dict[str, int]) -> _Layout:
+    period = p["P"]
+    mod = 1 + period // 2
+    return (2, mod), lambda x: (
+        (weight(x) % 2, inversion_number(x) % mod)
+        if max_le2_periodic_length(x) <= period
+        else None
+    )
+
+
+def _cn21(n: int, p: dict[str, int]) -> _Layout:
+    period, cap = p["P"], (n + 1) // 2
+    mod = 1 + period // 2
+    return (2, mod), lambda x: (
+        (weight(x) % 2, inversion_number(x) % mod)
+        if max_le2_periodic_length(x) <= period and run_count(x) <= cap
+        else None
+    )
+
+
+def _cl(n: int, p: dict[str, int]) -> _Layout:
+    m1, m2 = 2 * n, 2 * n * n
+    return (4, m1, m2), lambda x: (weight(x) % 4, vt_syndrome(x, 1) % m1, vt_syndrome(x, 2) % m2)
+
+
+_FAMILIES: dict[str, _Family] = {
+    FULL: _Family((), (), lambda n, p: ((), lambda x: ())),
+    VT: _Family(("a",), (), _vt),
+    INV: _Family(("a", "m"), ("m",), _inv),
+    VT_MOD: _Family(("a", "m"), ("m",), _vt_mod),
+    EVEN_POS: _Family(("a", "m"), ("m",), _even_pos),
+    RUN_BOUNDED: _Family((), (), _run_bounded),
+    RLL: _Family(("P",), ("P",), _rll),
+    CP: _Family(("P", "a1", "a2"), ("P",), _cp),
+    C2N9: _Family(("a", "m"), ("m",), _c2n9),
+    CN21: _Family(("P", "a1", "a2"), ("P",), _cn21),
+    CL: _Family(("a0", "a1", "a2"), (), _cl),
 }
 
-FAMILIES = tuple(_PARAM_ORDER)
+FAMILIES = tuple(_FAMILIES)
 
 ENUMERATION_LIMIT = 24
 
@@ -91,37 +181,25 @@ def default_period(n: int) -> int:
 
 
 def _check_params(family: str, n: int, params: dict[str, int]) -> None:
-    order = _PARAM_ORDER.get(family)
-    if order is None:
+    fam = _FAMILIES.get(family)
+    if fam is None:
         raise ValueError(f"unknown family {family!r}")
-    if set(params) != set(order):
+    if set(params) != set(fam.params):
         raise ValueError(
-            f"family {family} takes parameters {order}, got {tuple(params)}"
+            f"family {family} takes parameters {fam.params}, got {tuple(params)}"
         )
     if "m" in params and params["m"] < 2:
         raise ValueError("modulus m must be at least 2")
     if "P" in params:
         # the inversion modulus 1 + P/2 needs an even period; the bare
         # run-length family is well defined for any positive period
-        if family in (CP, CN21) and (params["P"] < 2 or params["P"] % 2):
+        if fam.residues and (params["P"] < 2 or params["P"] % 2):
             raise ValueError("period P must be even and at least 2")
         if params["P"] < 1:
             raise ValueError("period P must be positive")
-    ranges: dict[str, tuple[int, int]] = {}
-    if family == VT:
-        ranges["a"] = (0, 2 * n - 1)
-    elif family in (INV, VT_MOD, EVEN_POS, C2N9):
-        ranges["a"] = (0, params["m"] - 1)
-    elif family in (CP, CN21):
-        ranges["a1"] = (0, 1)
-        ranges["a2"] = (0, params["P"] // 2)
-    elif family == CL:
-        ranges["a0"] = (0, 3)
-        ranges["a1"] = (0, 2 * n - 1)
-        ranges["a2"] = (0, 2 * n * n - 1)
-    for name, (lo, hi) in ranges.items():
-        if not lo <= params[name] <= hi:
-            raise ValueError(f"parameter {name}={params[name]} outside [{lo},{hi}]")
+    for name, mod in zip(fam.residues, fam.layout(n, params)[0]):
+        if not 0 <= params[name] <= mod - 1:
+            raise ValueError(f"parameter {name}={params[name]} outside [0,{mod - 1}]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,7 +221,7 @@ class CodeSpec:
         if len(given) != len(self.params):
             raise ValueError("duplicate parameter names")
         _check_params(self.family, self.n, given)
-        canonical = tuple((k, given[k]) for k in _PARAM_ORDER[self.family])
+        canonical = tuple((k, given[k]) for k in _FAMILIES[self.family].params)
         object.__setattr__(self, "params", canonical)
 
     def param(self, name: str) -> int:
@@ -160,78 +238,28 @@ def spec(family: str, n: int, **params: int) -> CodeSpec:
     return CodeSpec(family, n, tuple(params.items()))
 
 
-def _predicate(cs: CodeSpec) -> Callable[[str], bool]:
-    """Membership test for words already known to have length cs.n."""
-    n = cs.n
-    p = cs.param_dict()
-    fam = cs.family
-    if fam == FULL:
-        return lambda x: True
-    if fam == VT:
-        a, mod = p["a"], 2 * n
-        return lambda x: vt_syndrome(x, 1) % mod == a
-    if fam == INV:
-        a, m = p["a"], p["m"]
-        return lambda x: inversion_number(x) % m == a
-    if fam == VT_MOD:
-        a, m = p["a"], p["m"]
-        return lambda x: vt_syndrome(x, 1) % m == a
-    if fam == EVEN_POS:
-        a, m = p["a"], p["m"]
-        return lambda x: sum(x[i] == "1" for i in range(1, n, 2)) % m == a
-    if fam == RUN_BOUNDED:
-        cap = (n + 1) // 2
-        return lambda x: run_count(x) <= cap
-    if fam == RLL:
-        period = p["P"]
-        return lambda x: max_le2_periodic_length(x) <= period
-    if fam == CP:
-        period, a1, a2 = p["P"], p["a1"], p["a2"]
-        mod = 1 + period // 2
-        return (
-            lambda x: max_le2_periodic_length(x) <= period
-            and weight(x) % 2 == a1
-            and inversion_number(x) % mod == a2
-        )
-    if fam == C2N9:
-        a, m = p["a"], p["m"]
-        cap = (n + 1) // 2
-        return lambda x: run_count(x) <= cap and inversion_number(x) % m == a
-    if fam == CN21:
-        period, a1, a2 = p["P"], p["a1"], p["a2"]
-        mod = 1 + period // 2
-        cap = (n + 1) // 2
-        return (
-            lambda x: max_le2_periodic_length(x) <= period
-            and run_count(x) <= cap
-            and weight(x) % 2 == a1
-            and inversion_number(x) % mod == a2
-        )
-    if fam == CL:
-        a0, a1, a2 = p["a0"], p["a1"], p["a2"]
-        m1, m2 = 2 * n, 2 * n * n
-        return (
-            lambda x: weight(x) % 4 == a0
-            and vt_syndrome(x, 1) % m1 == a1
-            and vt_syndrome(x, 2) % m2 == a2
-        )
-    raise AssertionError(fam)
+def _coset(cs: CodeSpec) -> tuple[_Key, tuple[int, ...]]:
+    """The key of cs's family and the residue tuple cs's members map to."""
+    fam = _FAMILIES[cs.family]
+    params = cs.param_dict()
+    return fam.layout(cs.n, params)[1], tuple(params[name] for name in fam.residues)
 
 
 def contains(cs: CodeSpec, x: str) -> bool:
     if len(x) != cs.n:
         raise ValueError(f"word length {len(x)} does not match spec n={cs.n}")
-    return _predicate(cs)(x)
+    key, wanted = _coset(cs)
+    return key(x) == wanted
 
 
 def members(cs: CodeSpec) -> Iterator[str]:
     """Stream the code in ascending order; capped at the enumeration limit."""
     if cs.n > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration capped at n <= {ENUMERATION_LIMIT}")
-    member = _predicate(cs)
+    key, wanted = _coset(cs)
     for value in range(1 << cs.n):
         x = decode(value, cs.n)
-        if member(x):
+        if key(x) == wanted:
             yield x
 
 
@@ -248,56 +276,26 @@ def redundancy(cs: CodeSpec) -> float:
     return cs.n - math.log2(count)
 
 
-# residue components searched by best_coset: key function and the moduli the
-# free parameters range over; structural constraints stay fixed
-def _coset_layout(
-    family: str, n: int, m: int, period: int
-) -> tuple[Callable[[str], tuple[int, ...] | None], list[tuple[str, int]], dict[str, int]]:
-    cap = (n + 1) // 2
-    if family == VT:
-        return lambda x: (vt_syndrome(x, 1) % (2 * n),), [("a", 2 * n)], {}
-    if family == INV:
-        return lambda x: (inversion_number(x) % m,), [("a", m)], {"m": m}
-    if family == VT_MOD:
-        return lambda x: (vt_syndrome(x, 1) % m,), [("a", m)], {"m": m}
-    if family == EVEN_POS:
-        return (
-            lambda x: (sum(x[i] == "1" for i in range(1, n, 2)) % m,),
-            [("a", m)],
-            {"m": m},
-        )
-    if family == C2N9:
-        return (
-            lambda x: (inversion_number(x) % m,) if run_count(x) <= cap else None,
-            [("a", m)],
-            {"m": m},
-        )
-    if family == CP:
-        mod = 1 + period // 2
-        return (
-            lambda x: (weight(x) % 2, inversion_number(x) % mod)
-            if max_le2_periodic_length(x) <= period
-            else None,
-            [("a1", 2), ("a2", mod)],
-            {"P": period},
-        )
-    if family == CN21:
-        mod = 1 + period // 2
-        return (
-            lambda x: (weight(x) % 2, inversion_number(x) % mod)
-            if max_le2_periodic_length(x) <= period and run_count(x) <= cap
-            else None,
-            [("a1", 2), ("a2", mod)],
-            {"P": period},
-        )
-    if family == CL:
-        m1, m2 = 2 * n, 2 * n * n
-        return (
-            lambda x: (weight(x) % 4, vt_syndrome(x, 1) % m1, vt_syndrome(x, 2) % m2),
-            [("a0", 4), ("a1", m1), ("a2", m2)],
-            {},
-        )
-    raise ValueError(f"family {family} has no residue parameters")
+def coset_key(
+    family: str, n: int, *, m: int = 2, P: int | None = None
+) -> tuple[_Key, Callable[[tuple[int, ...]], CodeSpec]]:
+    """Residue key of a coset search and the map from a key to its coset.
+
+    m fixes the modulus where the family has one; P fixes the period
+    (default the smallest even value >= log2(n) + 3).  Structural families,
+    which have no residue parameters, are rejected.
+    """
+    given = {"m": m, "P": default_period(n) if P is None else P}
+    fam = _FAMILIES.get(family)
+    if fam is None or not fam.residues:
+        raise ValueError(f"family {family} has no residue parameters")
+    fixed = {name: given[name] for name in fam.fixed}
+
+    def coset(key: tuple[int, ...]) -> CodeSpec:
+        return spec(family, n, **fixed, **dict(zip(fam.residues, key)))
+
+    coset(tuple(0 for _ in fam.residues))  # rejects a bad m or P before any scan
+    return fam.layout(n, fixed)[1], coset
 
 
 def best_coset(family: str, n: int, *, m: int = 2, P: int | None = None) -> CodeSpec:
@@ -309,8 +307,7 @@ def best_coset(family: str, n: int, *, m: int = 2, P: int | None = None) -> Code
     """
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"coset search capped at n <= {ENUMERATION_LIMIT}")
-    period = default_period(n) if P is None else P
-    key_of, free, fixed = _coset_layout(family, n, m, period)
+    key_of, coset = coset_key(family, n, m=m, P=P)
     counts: dict[tuple[int, ...], int] = {}
     for value in range(1 << n):
         key = key_of(decode(value, n))
@@ -319,19 +316,17 @@ def best_coset(family: str, n: int, *, m: int = 2, P: int | None = None) -> Code
     best_key = min(
         (key for key in counts),
         key=lambda k: (-counts[k], k),
-        default=tuple(0 for _ in free),
+        default=tuple(0 for _ in _FAMILIES[family].residues),
     )
-    params = dict(fixed)
-    params.update(zip((name for name, _ in free), best_key))
-    return spec(family, n, **params)
+    return coset(best_key)
 
 
 def subcode_check(inner: CodeSpec, outer: CodeSpec) -> bool:
     """True when every member of inner also satisfies outer."""
     if inner.n != outer.n:
         raise ValueError("subcode check needs matching lengths")
-    outer_member = _predicate(outer)
-    return all(outer_member(x) for x in members(inner))
+    key, wanted = _coset(outer)
+    return all(key(x) == wanted for x in members(inner))
 
 
 def _format_header(cs: CodeSpec) -> str:
@@ -350,7 +345,10 @@ def save_code(cs: CodeSpec, out: TextIO, words: Iterable[str] | None = None) -> 
 
 
 def load_code(src: TextIO) -> tuple[CodeSpec, list[str]]:
-    """Parse a code file back into its spec and word list."""
+    """Parse a code file back into its spec and word list.
+
+    Every word must have the header's length and belong to its code.
+    """
     header = src.readline().strip()
     if not header.startswith("# "):
         raise ValueError("missing code file header")
@@ -369,9 +367,14 @@ def load_code(src: TextIO) -> tuple[CodeSpec, list[str]]:
             key, value = item.split("=", 1)
             params[key] = int(value)
     cs = spec(family, n, **params)
+    key, wanted = _coset(cs)
     out = []
     for line in src:
         word = line.strip()
         if word:
-            out.append(parse_word(word))
+            if len(parse_word(word)) != n:
+                raise ValueError(f"word {word} has length {len(word)}, header says n={n}")
+            if key(word) != wanted:
+                raise ValueError(f"word {word} is not a member of {_format_header(cs)[2:]}")
+            out.append(word)
     return cs, out

@@ -117,9 +117,11 @@ def decode(cs: CodeSpec, bundle: ReadBundle) -> DecodeResult:
         if not survivors:
             return DecodeResult(INCONSISTENT, ())
     if survivors is None:
-        candidates = tuple(members(cs))
-    else:
-        candidates = tuple(sorted(x for x in survivors if contains(cs, x)))
+        return _result(tuple(members(cs)))
+    return _result(tuple(sorted(x for x in survivors if contains(cs, x))))
+
+
+def _result(candidates: tuple[str, ...]) -> DecodeResult:
     if not candidates:
         return DecodeResult(INCONSISTENT, ())
     if len(candidates) == 1:
@@ -132,14 +134,7 @@ def decode_by_scan(cs: CodeSpec, bundle: ReadBundle) -> DecodeResult:
     if bundle.n != cs.n:
         raise ValueError(f"bundle length {bundle.n} does not match spec n={cs.n}")
     need = set(bundle.reads)
-    candidates = tuple(
-        x for x in members(cs) if need <= set(ds_ball(x))
-    )
-    if not candidates:
-        return DecodeResult(INCONSISTENT, ())
-    if len(candidates) == 1:
-        return DecodeResult(UNIQUE, candidates)
-    return DecodeResult(AMBIGUOUS, candidates)
+    return _result(tuple(x for x in members(cs) if need <= set(ds_ball(x))))
 
 
 def save_bundle(bundle: ReadBundle, out: TextIO) -> None:

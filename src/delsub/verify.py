@@ -10,20 +10,21 @@ mask tables below make a ball intersection one AND plus a popcount.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import multiprocessing
 import random
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterator, NamedTuple
 
 from . import codes
 from .balls import (
     ADJACENT_TRANSPOSITION,
     ALTERNATING_BLOCK,
+    CASE_TAGS,
     DEFAULT_WITNESS_CONVENTION,
-    GENERIC,
     RUN_SHIFT,
     SHIFTED_PAIR,
     SINGLE_FLIP,
@@ -34,17 +35,12 @@ from .balls import (
 from .codes import CodeSpec
 from .reconstruct import ReadBundle, UNIQUE, collect_reads
 from .reconstruct import decode as decode_reads
-from .words import (
-    decode as to_word,
-)
-from .words import (
-    inversion_number,
-    max_le2_periodic_length,
-    psi,
-    run_count,
-    vt_syndrome,
-    weight,
-)
+from .words import decode as to_word
+from .words import max_le2_periodic_length, psi
+
+# not used here since the code checks take their keys from codes, but
+# perfbench/tracing.py wraps these names in this module to count calls
+from .words import inversion_number, run_count, vt_syndrome, weight  # noqa: F401
 
 __all__ = [
     "DEFAULT_SEED",
@@ -143,60 +139,45 @@ def _has_symbol(v: int, length: int, symbol: int) -> bool:
 # per-length mask tables, shared copy-on-write with forked workers
 
 
+def _sub_masks(n: int) -> list[int]:
+    """Substitution-ball mask of every word of length n."""
+    out = []
+    for x in range(1 << n):
+        m = 1 << x
+        for k in range(n):
+            m |= 1 << (x ^ (1 << k))
+        out.append(m)
+    return out
+
+
 class _Tables:
     __slots__ = ("n", "runs", "dmask", "smask", "prev_smask", "bmask")
 
     def __init__(self, n: int) -> None:
-        size = 1 << n
-        half = 1 << (n - 1)
         self.n = n
-        self.runs = [_runs_int(x, n) for x in range(size)]
-        prev = []
-        for z in range(half):
-            m = 1 << z
-            for k in range(n - 1):
-                m |= 1 << (z ^ (1 << k))
-            prev.append(m)
-        self.prev_smask = prev
-        smask = []
-        dmask = []
-        bmask = []
-        for x in range(size):
-            m = 1 << x
-            for k in range(n):
-                m |= 1 << (x ^ (1 << k))
-            smask.append(m)
-            dm = 0
-            bm = 0
-            for z in {_del_bit(x, k) for k in range(n)}:
+        self.runs = [_runs_int(x, n) for x in range(1 << n)]
+        prev = self.prev_smask = _sub_masks(n - 1)
+        self.smask = _sub_masks(n)
+        dmask = self.dmask = []
+        bmask = self.bmask = []
+        for x in range(1 << n):
+            dm = bm = 0
+            for z in _del_set(x, n):
                 dm |= 1 << z
                 bm |= prev[z]
             dmask.append(dm)
             bmask.append(bm)
-        self.smask = smask
-        self.dmask = dmask
-        self.bmask = bmask
 
 
-_TABLE_CACHE: dict[int, _Tables] = {}
-
-
+@functools.cache
 def _tables(n: int) -> _Tables:
-    if n not in _TABLE_CACHE:
-        _TABLE_CACHE[n] = _Tables(n)
-    return _TABLE_CACHE[n]
+    return _Tables(n)
 
 
-# deletion value per position 1..n, duplicates kept, used by witness scans
-_DELS_CACHE: dict[int, list[tuple[int, ...]]] = {}
-
-
+@functools.cache
 def _dels_by_position(n: int) -> list[tuple[int, ...]]:
-    if n not in _DELS_CACHE:
-        _DELS_CACHE[n] = [
-            tuple(_del_bit(x, n - i) for i in range(1, n + 1)) for x in range(1 << n)
-        ]
-    return _DELS_CACHE[n]
+    """Deletion value per position 1..n, duplicates kept, for witness scans."""
+    return [tuple(_del_bit(x, n - i) for i in range(1, n + 1)) for x in range(1 << n)]
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +272,19 @@ def _ce(
     return out
 
 
+_Fail = Callable[[str, Any, Any], None]
+
+
+def _recorder(ces: list[dict[str, Any]], n: int, x: int, y: int) -> _Fail:
+    """fail(check, expected, observed) records a counterexample for the pair x, y."""
+
+    def fail(check: str, expected: Any, observed: Any) -> None:
+        if len(ces) < _CE_CAP:
+            ces.append(_ce(n, x, y, check, expected, observed))
+
+    return fail
+
+
 # ---------------------------------------------------------------------------
 # task fan-out; partitions depend only on the input, never on jobs
 
@@ -323,7 +317,7 @@ def _row_chunks(n: int, pieces: int = 64) -> list[tuple[int, int]]:
 # simple per-word verifiers
 
 
-def verify_ball_sizes(n: int, *, jobs: int = 1) -> VerificationReport:
+def verify_ball_sizes(n: int) -> VerificationReport:
     """Check |D(x)| = r(x) and |S(x)| = n + 1 for every word of length n."""
     t0 = time.monotonic()
     if n < 1:
@@ -340,7 +334,7 @@ def verify_ball_sizes(n: int, *, jobs: int = 1) -> VerificationReport:
     return _finish("ball-sizes", (n, n), 1 << n, None, None, 0, ces, t0)
 
 
-def verify_del_positions(n: int, *, jobs: int = 1) -> VerificationReport:
+def verify_del_positions(n: int) -> VerificationReport:
     """Deletion balls are run deletions and x(i), x(j) sit j - i apart."""
     t0 = time.monotonic()
     if n < 1:
@@ -369,7 +363,7 @@ def verify_del_positions(n: int, *, jobs: int = 1) -> VerificationReport:
     return _finish("del-positions", (n, n), checked, None, None, 0, ces, t0)
 
 
-def verify_constrained_deletion(n: int, *, jobs: int = 1) -> VerificationReport:
+def verify_constrained_deletion(n: int) -> VerificationReport:
     """At most three deletions of v come within distance one of u.
 
     u goes over all words of length n, v over length n + 1; when exactly
@@ -419,6 +413,9 @@ def _bounds_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
     ces: list[dict[str, Any]] = []
     case_pairs: dict[str, int] = {}
     case_max: dict[str, int] = {}
+    # rows padded with their d = 0 tag up to d = n, the most shared
+    # deletions a dmask built from n deletions can show
+    tags = [row + (row[0],) * (n - 2) for row in (CASE_TAGS[min(h, 3)] for h in range(n + 1))]
     for x in range(lo, hi):
         bx = bm[x]
         sx = sm[x]
@@ -473,12 +470,7 @@ def _bounds_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
                         _ce(n, x, y, "shared deletion witness", to_word(z, n - 1), _bits(d_mask))
                     )
 
-            if dh == 1:
-                case = SINGLE_FLIP
-            elif dh == 2:
-                case = ADJACENT_TRANSPOSITION if d == 2 else (RUN_SHIFT if d == 1 else TWO_FLIPS)
-            else:
-                case = ALTERNATING_BLOCK if d == 2 else (SHIFTED_PAIR if d == 1 else GENERIC)
+            case = tags[dh][d]
             case_pairs[case] = case_pairs.get(case, 0) + 1
             if b > case_max.get(case, -1):
                 case_max[case] = b
@@ -543,46 +535,80 @@ def _bounds_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# structured families: enumeration is canonical, one tuple per unordered pair
+# structured families: enumeration is canonical, one tuple per unordered pair.
+# Each kind is named by its (shared deletions, shared substitutions) class:
+# fam22 adjacent transpositions, fam12f single flips, fam12s run shifts and
+# fam20 alternating windows.  A pair is x = a.wx.b, y = a.wy.b with an m-bit
+# prefix a, where m = params[-1], and a q-bit suffix b.
+
+_FAMILY_KINDS = ("fam22", "fam12f", "fam12s", "fam20")
 
 
-def _iter_family_tasks(kind: str, n: int, piece: int = 1 << 15) -> list[tuple]:
+def _family_params(kind: str, n: int) -> list[tuple[int, ...]]:
+    if kind == "fam22" and n >= 3:
+        return [(m,) for m in range(n - 1)]
+    if kind == "fam12f" and n >= 2:
+        return [(m,) for m in range(n)]
+    if kind == "fam12s" and n >= 3:
+        return [(alpha, ell, m) for alpha in (0, 1) for ell in range(2, n) for m in range(n - ell)]
+    if kind == "fam20" and n >= 3:
+        return [(ell, m) for ell in range(3, n + 1) for m in range(n - ell + 1)]
+    return []
+
+
+def _window(kind: str, params: tuple[int, ...]) -> tuple[int, int, int]:
+    """The differing windows wx, wy and their length."""
+    if kind == "fam22":
+        return 0b01, 0b10, 2
+    if kind == "fam12f":
+        return 0, 1, 1
+    if kind == "fam12s":
+        alpha, ell, _ = params
+        run = _rep(alpha, ell)
+        return (run << 1) | (1 - alpha), ((1 - alpha) << ell) | run, ell + 1
+    ell = params[0]
+    c = 0
+    for i in range(ell):
+        c = (c << 1) | (i & 1)
+    return c, c ^ ((1 << ell) - 1), ell
+
+
+def _structured_pairs(
+    kind: str, n: int, params: tuple[int, ...], lo: int, hi: int
+) -> Iterator[tuple[int, int, int, int, int]]:
+    """Pairs lo..hi of one family window as (a, b, q, x, y)."""
+    wx, wy, width = _window(kind, params)
+    q = n - width - params[-1]
+    for index in range(lo, hi):
+        a, b = index >> q, index & ((1 << q) - 1)
+        yield a, b, q, (((a << width) | wx) << q) | b, (((a << width) | wy) << q) | b
+
+
+def _family_tasks(kind: str, depth: str, n: int, piece: int = 1 << 15) -> list[tuple]:
     tasks: list[tuple] = []
-
-    def sliced(prefix: tuple, total: int) -> None:
+    for params in _family_params(kind, n):
+        total = 1 << (n - _window(kind, params)[2])
         for lo in range(0, total, piece):
-            tasks.append(prefix + (lo, min(lo + piece, total)))
-
-    if kind in ("fam22", "sb22") and n >= 3:
-        for m in range(n - 1):
-            sliced((kind, n, m), 1 << (n - 2))
-    elif kind in ("fam12f", "sb12f") and n >= 2:
-        for m in range(n):
-            sliced((kind, n, m), 1 << (n - 1))
-    elif kind in ("fam12s", "sb12s") and n >= 3:
-        for alpha in (0, 1):
-            for ell in range(2, n):
-                for m in range(n - ell):
-                    sliced((kind, n, alpha, ell, m), 1 << (n - ell - 1))
-    elif kind in ("fam20", "sb20") and n >= 3:
-        for ell in range(3, n + 1):
-            for m in range(n - ell + 1):
-                sliced((kind, n, ell, m), 1 << (n - ell))
+            tasks.append(("structured", kind, depth, n, params, lo, min(lo + piece, total)))
     return tasks
 
 
-def _split_ab(index: int, q: int) -> tuple[int, int]:
-    return index >> q, index & ((1 << q) - 1)
+# ceilings of the structured families, per kind, for both check depths:
+# check name, smallest n checked, ceiling (c1, c0) = c1 * n + c0, the gap k of the
+# equality family (one affix empty, the other n - k runs), and the gap k of
+# the run-sum ceiling r(x) + r(y) + n - k; None where a kind has no such check
+_CEILINGS: dict[str, tuple[str, int, tuple[int, int], int | None, int | None]] = {
+    "fam22": ("transposition", 5, (4, -9), 2, None),
+    "fam12f": ("flip", 4, (3, -5), 1, 1),
+    "fam12s": ("shift", 6, (3, -7), None, 2),
+    "fam20": ("alternating", 0, (2, 8), None, None),
+}
 
 
 # Table of shared-substitution deletion-ball sizes for the transposition and
 # flip families, keyed by the last run of the prefix and the first run of the
-# suffix relative to the window symbol (None marks an empty affix).
-def _table2(la: int | None, fb: int | None, alpha: int, r_sum: int) -> tuple[int, int] | None:
-    key = (
-        None if la is None else ("a" if la == alpha else "c"),
-        None if fb is None else ("a" if fb == alpha else "c"),
-    )
+# suffix relative to the window symbol (see _affix_meta).
+def _table2(key: tuple[str | None, str | None], r_sum: int) -> tuple[int, int] | None:
     table = {
         (None, "a"): (r_sum, r_sum + 1),
         (None, "c"): (r_sum + 1, r_sum),
@@ -624,13 +650,7 @@ def _table3(
     return (3, 3)
 
 
-def _table4(
-    la: int | None, fb: int | None, alpha: int, r_sum: int
-) -> tuple[int, int]:
-    key = (
-        None if la is None else ("a" if la == alpha else "c"),
-        None if fb is None else ("a" if fb == alpha else "c"),
-    )
+def _table4(key: tuple[str | None, str | None], r_sum: int) -> tuple[int, int]:
     table = {
         (None, None): (1, 3),
         (None, "a"): (r_sum, r_sum + 3),
@@ -645,34 +665,58 @@ def _table4(
     return table[key]
 
 
-def _affix_meta(a: int, m: int, b: int, q: int) -> tuple[int, int, int | None, int | None]:
+def _affix_meta(
+    a: int, m: int, b: int, q: int, alpha: int
+) -> tuple[int, int, int | None, int | None, tuple[str | None, str | None]]:
+    """Run counts of prefix a and suffix b, the symbol of each single-run
+    affix, and the edge key of the claim tables: the last prefix bit and the
+    first suffix bit as "a" when equal to alpha, else "c", None when empty."""
     ra = _runs_int(a, m)
     rb = _runs_int(b, q)
     ca = (a & 1) if ra == 1 else None  # any bit of a single run
     cb = ((b >> (q - 1)) & 1) if rb == 1 else None
-    return ra, rb, ca, cb
+    la = None if not m else ("a" if a & 1 == alpha else "c")
+    fb = None if not q else ("a" if (b >> (q - 1)) & 1 == alpha else "c")
+    return ra, rb, ca, cb, (la, fb)
 
 
-def _edge_symbols(a: int, m: int, b: int, q: int) -> tuple[int | None, int | None]:
-    la = (a & 1) if m else None
-    fb = ((b >> (q - 1)) & 1) if q else None
-    return la, fb
+# shared elements outside both terms, by the affix run counts; with both
+# affixes a single run there is one exactly when single_runs_extra holds
+def _extra_count(ra: int, rb: int, single_runs_extra: bool) -> int:
+    if ra == 0 or rb == 0:
+        return 0
+    if ra == 1 and rb == 1:
+        return int(single_runs_extra)
+    return 2 if ra >= 2 and rb >= 2 else 1
+
+
+def _check_regimes(
+    kind: str, n: int, ra: int, rb: int, small: int, total: int, fail: _Fail
+) -> None:
+    """Affixes of at most one run: small; one affix empty: the kind's ceiling,
+    reached exactly when the other has n - eq_gap runs; else one less."""
+    name, min_n, (c1, c0), eq_gap, _ = _CEILINGS[kind]
+    ceiling = c1 * n + c0
+    if ra <= 1 and rb <= 1:
+        if total > small:
+            fail("small-profile ceiling", small, total)
+    elif ra == 0 or rb == 0:
+        if n >= min_n:
+            if total > ceiling:
+                fail(f"{name} ceiling", ceiling, total)
+            if (total == ceiling) != (ra + rb == n - eq_gap):
+                fail(f"{name} equality", ra + rb == n - eq_gap, total)
+    elif n >= min_n and total > ceiling - 1:
+        fail("mixed-profile ceiling", ceiling - 1, total)
 
 
 def _check_transposition_pair(
-    n: int, m: int, a: int, b: int, ces: list[dict[str, Any]]
+    n: int, params: tuple[int, ...], a: int, b: int, q: int, x: int, y: int, fail: _Fail
 ) -> int:
-    q = n - 2 - m
+    (m,) = params
     alpha = 0
-    x = _cat((a, m), (0b01, 2), (b, q))
-    y = _cat((a, m), (0b10, 2), (b, q))
-    ra, rb, ca, cb = _affix_meta(a, m, b, q)
-    la, fb = _edge_symbols(a, m, b, q)
+    ra, rb, ca, cb, edges = _affix_meta(a, m, b, q, alpha)
     r_sum = ra + rb
-
-    def fail(check: str, expected: Any, observed: Any) -> None:
-        if len(ces) < _CE_CAP:
-            ces.append(_ce(n, x, y, check, expected, observed))
 
     s1 = _cat((a, m), (0b00, 2), (b, q))
     s2 = _cat((a, m), (0b11, 2), (b, q))
@@ -691,7 +735,7 @@ def _check_transposition_pair(
     dd2 = _del_set(s2, n)
     if dd1 & dd2:
         fail("deletion term disjoint", 0, len(dd1 & dd2))
-    row = _table2(la, fb, alpha, r_sum)
+    row = _table2(edges, r_sum)
     if row is not None and (len(dd1), len(dd2)) != row:
         fail("deletion term split", row, (len(dd1), len(dd2)))
     d_term = dd1 | dd2
@@ -713,46 +757,24 @@ def _check_transposition_pair(
     if not union <= inter:
         fail("term containment", True, False)
     extra = len(inter) - len(union)
-    if ra == 0 or rb == 0:
-        want_b = 0
-    elif ra == 1 and rb == 1:
-        want_b = 1 if ca == cb else 0
-    elif ra >= 2 and rb >= 2:
-        want_b = 2
-    else:
-        want_b = 1
+    want_b = _extra_count(ra, rb, ca == cb)
     if extra != want_b:
         fail("extra elements", want_b, extra)
 
     total = len(inter)
-    if ra <= 1 and rb <= 1:
-        if total > 2 * n + 1:
-            fail("small-profile ceiling", 2 * n + 1, total)
-    elif ra == 0 or rb == 0:
-        if n >= 5:
-            if total > 4 * n - 9:
-                fail("transposition ceiling", 4 * n - 9, total)
-            if (total == 4 * n - 9) != (r_sum == n - 2):
-                fail("transposition equality", r_sum == n - 2, total)
-    elif n >= 5 and total > 4 * n - 10:
-        fail("mixed-profile ceiling", 4 * n - 10, total)
+    _check_regimes("fam22", n, ra, rb, 2 * n + 1, total, fail)
     return total
 
 
-def _check_flip_pair(n: int, m: int, a: int, b: int, ces: list[dict[str, Any]]) -> int:
-    q = n - 1 - m
+def _check_flip_pair(
+    n: int, params: tuple[int, ...], a: int, b: int, q: int, x: int, y: int, fail: _Fail
+) -> int:
+    (m,) = params
     alpha = 0
-    x = _cat((a, m), (0, 1), (b, q))
-    y = _cat((a, m), (1, 1), (b, q))
-    ra, rb, ca, cb = _affix_meta(a, m, b, q)
-    la, fb = _edge_symbols(a, m, b, q)
+    ra, rb, ca, cb, edges = _affix_meta(a, m, b, q, alpha)
     r_sum = ra + rb
     rx = _runs_int(x, n)
     ry = _runs_int(y, n)
-
-    def fail(check: str, expected: Any, observed: Any) -> None:
-        if len(ces) < _CE_CAP:
-            ces.append(_ce(n, x, y, check, expected, observed))
 
     ab = _cat((a, m), (b, q))
     if {z for z in _sub_set(x, n) if (z ^ y).bit_count() <= 1} != {x, y}:
@@ -763,7 +785,7 @@ def _check_flip_pair(n: int, m: int, a: int, b: int, ces: list[dict[str, Any]]) 
         fail("shared deletion set", 1, len(d1 & d2))
 
     s_term = _sub_set(ab, n - 1)
-    row = _table2(la, fb, alpha, r_sum)
+    row = _table2(edges, r_sum)
     if row is not None and (len(d1), len(d2)) != row:
         fail("deletion ball split", row, (len(d1), len(d2)))
     d_term = d1 | d2
@@ -790,51 +812,26 @@ def _check_flip_pair(n: int, m: int, a: int, b: int, ces: list[dict[str, Any]]) 
     if not union <= inter:
         fail("term containment", True, False)
     extra = len(inter) - len(union)
-    if ra == 0 or rb == 0:
-        want_b = 0
-    elif ra == 1 and rb == 1:
-        want_b = 0 if ca == cb else 1
-    elif ra >= 2 and rb >= 2:
-        want_b = 2
-    else:
-        want_b = 1
+    want_b = _extra_count(ra, rb, ca != cb)
     if extra != want_b:
         fail("extra elements", want_b, extra)
 
     total = len(inter)
-    if ra <= 1 and rb <= 1:
-        if total > n + 3:
-            fail("small-profile ceiling", n + 3, total)
-    elif ra == 0 or rb == 0:
-        if n >= 4:
-            if total > 3 * n - 5:
-                fail("flip ceiling", 3 * n - 5, total)
-            if (total == 3 * n - 5) != (r_sum == n - 1):
-                fail("flip equality", r_sum == n - 1, total)
-    elif n >= 4 and total > 3 * n - 6:
-        fail("mixed-profile ceiling", 3 * n - 6, total)
+    _check_regimes("fam12f", n, ra, rb, n + 3, total, fail)
     if n >= 4 and total > rx + ry + n - 1:
         fail("run-sum ceiling", rx + ry + n - 1, total)
     return total
 
 
 def _check_shift_pair(
-    n: int, alpha: int, ell: int, m: int, a: int, b: int, ces: list[dict[str, Any]]
+    n: int, params: tuple[int, ...], a: int, b: int, q: int, x: int, y: int, fail: _Fail
 ) -> int:
-    q = n - ell - 1 - m
+    alpha, ell, m = params
     beta = 1 - alpha
-    x = _cat((a, m), (_rep(alpha, ell), ell), (beta, 1), (b, q))
-    y = _cat((a, m), (beta, 1), (_rep(alpha, ell), ell), (b, q))
-    ra = _runs_int(a, m)
-    rb = _runs_int(b, q)
-    la, fb = _edge_symbols(a, m, b, q)
+    ra, rb, _, _, edges = _affix_meta(a, m, b, q, alpha)
     r_sum = ra + rb
     rx = _runs_int(x, n)
     ry = _runs_int(y, n)
-
-    def fail(check: str, expected: Any, observed: Any) -> None:
-        if len(ces) < _CE_CAP:
-            ces.append(_ce(n, x, y, check, expected, observed))
 
     s1 = _cat((a, m), (_rep(alpha, ell + 1), ell + 1), (b, q))
     s2 = _cat((a, m), (beta, 1), (_rep(alpha, ell - 1), ell - 1), (beta, 1), (b, q))
@@ -849,7 +846,7 @@ def _check_shift_pair(
     dd2 = _del_set(s2, n)
     if dd1 & dd2:
         fail("deletion term disjoint", 0, len(dd1 & dd2))
-    row = _table4(la, fb, alpha, r_sum)
+    row = _table4(edges, r_sum)
     if (len(dd1), len(dd2)) != row:
         fail("deletion term split", row, (len(dd1), len(dd2)))
     d_term = dd1 | dd2
@@ -899,19 +896,10 @@ def _check_shift_pair(
 
 
 def _check_alternating_pair(
-    n: int, ell: int, m: int, a: int, b: int, ces: list[dict[str, Any]]
+    n: int, params: tuple[int, ...], a: int, b: int, q: int, x: int, y: int, fail: _Fail
 ) -> int:
-    q = n - ell - m
-    c = 0
-    for i in range(ell):
-        c = (c << 1) | (i & 1)
-    cbar = c ^ ((1 << ell) - 1)
-    x = _cat((a, m), (c, ell), (b, q))
-    y = _cat((a, m), (cbar, ell), (b, q))
-
-    def fail(check: str, expected: Any, observed: Any) -> None:
-        if len(ces) < _CE_CAP:
-            ces.append(_ce(n, x, y, check, expected, observed))
+    ell, m = params
+    c = _window("fam20", params)[0]
 
     if any((z ^ y).bit_count() <= 1 for z in _sub_set(x, n)):
         fail("shared substitution set", 0, None)
@@ -937,6 +925,27 @@ def _check_alternating_pair(
     return total
 
 
+def _check_ceilings(
+    kind: str, n: int, params: tuple[int, ...], a: int, b: int, q: int, x: int, y: int,
+    fail: _Fail,
+) -> int:
+    name, min_n, (c1, c0), eq_gap, run_gap = _CEILINGS[kind]
+    total = len(_ds_set(x, n) & _ds_set(y, n))
+    if n < min_n:
+        return total
+    ceiling = c1 * n + c0
+    if total > ceiling:
+        fail(f"{name} ceiling", ceiling, total)
+    if eq_gap is not None:
+        ra, rb, *_ = _affix_meta(a, params[-1], b, q, 0)
+        in_family = (ra == 0 and rb == n - eq_gap) or (ra == n - eq_gap and rb == 0)
+        if (total == ceiling) != in_family:
+            fail(f"{name} equality family", in_family, total)
+    if run_gap is not None and total > _runs_int(x, n) + _runs_int(y, n) + n - run_gap:
+        fail("run-sum ceiling", None, total)
+    return total
+
+
 _FAMILY_CHECKERS: dict[str, Callable[..., int]] = {
     "fam22": _check_transposition_pair,
     "fam12f": _check_flip_pair,
@@ -945,144 +954,31 @@ _FAMILY_CHECKERS: dict[str, Callable[..., int]] = {
 }
 
 
-def _family_chunk(kind: str, n: int, params: tuple[int, ...], lo: int, hi: int) -> dict[str, Any]:
+def _structured_chunk(
+    kind: str, depth: str, n: int, params: tuple[int, ...], lo: int, hi: int
+) -> dict[str, Any]:
+    """Walk pairs lo..hi of one family window.
+
+    depth "full" runs the claim-table checker of the kind; "ceiling" checks
+    only the pair's shared-ball size, counting transposition pairs at the
+    global ceiling 4n - 9 as equality cases.
+    """
     ces: list[dict[str, Any]] = []
-    checker = _FAMILY_CHECKERS[kind]
-    if kind == "fam22":
-        q = n - 2 - params[0]
-    elif kind == "fam12f":
-        q = n - 1 - params[0]
-    elif kind == "fam12s":
-        q = n - params[1] - 1 - params[2]
-    else:
-        q = n - params[0] - params[1]
-    extremal = -1
-    for index in range(lo, hi):
-        if kind == "fam12s":
-            a, b = _split_ab(index, q)
-            total = checker(n, params[0], params[1], params[2], a, b, ces)
-        elif kind == "fam20":
-            a, b = _split_ab(index, q)
-            total = checker(n, params[0], params[1], a, b, ces)
-        else:
-            a, b = _split_ab(index, q)
-            total = checker(n, params[0], a, b, ces)
-        if total > extremal:
-            extremal = total
-    return {"pairs": hi - lo, "extremal": extremal, "eq": 0, "ces": ces}
-
-
-def _fam22_chunk(n: int, m: int, lo: int, hi: int) -> dict[str, Any]:
-    return _family_chunk("fam22", n, (m,), lo, hi)
-
-
-def _fam12f_chunk(n: int, m: int, lo: int, hi: int) -> dict[str, Any]:
-    return _family_chunk("fam12f", n, (m,), lo, hi)
-
-
-def _fam12s_chunk(n: int, alpha: int, ell: int, m: int, lo: int, hi: int) -> dict[str, Any]:
-    return _family_chunk("fam12s", n, (alpha, ell, m), lo, hi)
-
-
-def _fam20_chunk(n: int, ell: int, m: int, lo: int, hi: int) -> dict[str, Any]:
-    return _family_chunk("fam20", n, (ell, m), lo, hi)
-
-
-# structured ceiling sweep shares the enumerations but only checks sizes
-
-
-def _structured_chunk(kind: str, n: int, params: tuple[int, ...], lo: int, hi: int) -> dict[str, Any]:
-    ces: list[dict[str, Any]] = []
-    pairs = 0
     extremal = -1
     eq = 0
-    bound_global = 4 * n - 9 if n >= 6 else None
-
-    def fail(x: int, y: int, check: str, expected: Any, observed: Any) -> None:
-        if len(ces) < _CE_CAP:
-            ces.append(_ce(n, x, y, check, expected, observed))
-
-    if kind == "sb22":
-        (m,) = params
-        q = n - 2 - m
-    elif kind == "sb12f":
-        (m,) = params
-        q = n - 1 - m
-    elif kind == "sb12s":
-        alpha, ell, m = params
-        q = n - ell - 1 - m
-    else:
-        ell, m = params
-        q = n - ell - m
-    for index in range(lo, hi):
-        a, b = _split_ab(index, q)
-        pairs += 1
-        if kind == "sb22":
-            x = _cat((a, m), (0b01, 2), (b, q))
-            y = _cat((a, m), (0b10, 2), (b, q))
-            total = len(_ds_set(x, n) & _ds_set(y, n))
-            if n >= 5:
-                ra = _runs_int(a, m)
-                rb = _runs_int(b, q)
-                if total > 4 * n - 9:
-                    fail(x, y, "transposition ceiling", 4 * n - 9, total)
-                in_family = (ra == 0 and rb == n - 2) or (ra == n - 2 and rb == 0)
-                if (total == 4 * n - 9) != in_family:
-                    fail(x, y, "transposition equality family", in_family, total)
-            if bound_global is not None and total == bound_global:
-                eq += 1
-        elif kind == "sb12f":
-            x = _cat((a, m), (0, 1), (b, q))
-            y = _cat((a, m), (1, 1), (b, q))
-            total = len(_ds_set(x, n) & _ds_set(y, n))
-            if n >= 4:
-                ra = _runs_int(a, m)
-                rb = _runs_int(b, q)
-                if total > 3 * n - 5:
-                    fail(x, y, "flip ceiling", 3 * n - 5, total)
-                in_family = (ra == 0 and rb == n - 1) or (ra == n - 1 and rb == 0)
-                if (total == 3 * n - 5) != in_family:
-                    fail(x, y, "flip equality family", in_family, total)
-                if total > _runs_int(x, n) + _runs_int(y, n) + n - 1:
-                    fail(x, y, "run-sum ceiling", None, total)
-        elif kind == "sb12s":
-            beta = 1 - alpha
-            x = _cat((a, m), (_rep(alpha, ell), ell), (beta, 1), (b, q))
-            y = _cat((a, m), (beta, 1), (_rep(alpha, ell), ell), (b, q))
-            total = len(_ds_set(x, n) & _ds_set(y, n))
-            if n >= 6:
-                if total > 3 * n - 7:
-                    fail(x, y, "shift ceiling", 3 * n - 7, total)
-                if total > _runs_int(x, n) + _runs_int(y, n) + n - 2:
-                    fail(x, y, "run-sum ceiling", None, total)
+    count_eq = depth == "ceiling" and kind == "fam22" and n >= 6
+    checker = _FAMILY_CHECKERS[kind]
+    for a, b, q, x, y in _structured_pairs(kind, n, params, lo, hi):
+        fail = _recorder(ces, n, x, y)
+        if depth == "full":
+            total = checker(n, params, a, b, q, x, y, fail)
         else:
-            c = 0
-            for i in range(ell):
-                c = (c << 1) | (i & 1)
-            x = _cat((a, m), (c, ell), (b, q))
-            y = _cat((a, m), (c ^ ((1 << ell) - 1), ell), (b, q))
-            total = len(_ds_set(x, n) & _ds_set(y, n))
-            if total > 2 * n + 8:
-                fail(x, y, "alternating ceiling", 2 * n + 8, total)
+            total = _check_ceilings(kind, n, params, a, b, q, x, y, fail)
+        if count_eq and total == 4 * n - 9:
+            eq += 1
         if total > extremal:
             extremal = total
-    return {"pairs": pairs, "extremal": extremal, "eq": eq, "ces": ces}
-
-
-def _sb22_chunk(n: int, m: int, lo: int, hi: int) -> dict[str, Any]:
-    return _structured_chunk("sb22", n, (m,), lo, hi)
-
-
-def _sb12f_chunk(n: int, m: int, lo: int, hi: int) -> dict[str, Any]:
-    return _structured_chunk("sb12f", n, (m,), lo, hi)
-
-
-def _sb12s_chunk(n: int, alpha: int, ell: int, m: int, lo: int, hi: int) -> dict[str, Any]:
-    return _structured_chunk("sb12s", n, (alpha, ell, m), lo, hi)
-
-
-def _sb20_chunk(n: int, ell: int, m: int, lo: int, hi: int) -> dict[str, Any]:
-    return _structured_chunk("sb20", n, (ell, m), lo, hi)
+    return {"pairs": hi - lo, "extremal": extremal, "eq": eq, "ces": ces}
 
 
 def verify_intersection_bounds(
@@ -1102,32 +998,25 @@ def verify_intersection_bounds(
     t0 = time.monotonic()
     if n < 1:
         raise ValueError("intersection bounds need n >= 1")
+    mode = "structured" if structured else "exhaustive"
     limit = STRUCTURED_LIMIT if structured else EXHAUSTIVE_LIMIT
     if n > limit:
-        mode = "structured" if structured else "exhaustive"
         raise ValueError(f"{mode} intersection sweep capped at n <= {limit}")
     bound = 4 * n - 9 if n >= 6 else None
+    detail: dict[str, Any] = {"mode": mode}
     if structured:
-        tasks: list[tuple] = []
-        for kind in ("sb22", "sb12f", "sb12s", "sb20"):
-            tasks.extend(_iter_family_tasks(kind, n))
+        tasks = [t for kind in _FAMILY_KINDS for t in _family_tasks(kind, "ceiling", n)]
         if not tasks:
             return _finish(
-                "intersection-bounds", (n, n), 0, bound, None, 0, [], t0,
-                {"mode": "structured"}, skipped=True,
+                "intersection-bounds", (n, n), 0, bound, None, 0, [], t0, detail, skipped=True
             )
         parts = _map_tasks(tasks, jobs)
-        detail: dict[str, Any] = {"mode": "structured"}
     else:
-        if (1 << n) < 2:
-            return _finish(
-                "intersection-bounds", (n, n), 0, bound, None, 0, [], t0,
-                {"mode": "exhaustive"}, skipped=True,
-            )
-        _WORK["tables"] = {n: _tables(n)}
-        tasks = [("bounds", n, lo, hi) for lo, hi in _row_chunks(n)]
-        parts = _map_tasks(tasks, jobs)
-        _WORK.clear()
+        try:
+            _WORK["tables"] = {n: _tables(n)}
+            parts = _map_tasks([("bounds", n, lo, hi) for lo, hi in _row_chunks(n)], jobs)
+        finally:
+            _WORK.clear()
         case_pairs: dict[str, int] = {}
         case_max: dict[str, int] = {}
         for part in parts:
@@ -1136,11 +1025,8 @@ def verify_intersection_bounds(
             for key, val in part["case_max"].items():
                 if val > case_max.get(key, -1):
                     case_max[key] = val
-        detail = {
-            "mode": "exhaustive",
-            "case_pairs": dict(sorted(case_pairs.items())),
-            "case_extremal": dict(sorted(case_max.items())),
-        }
+        detail["case_pairs"] = dict(sorted(case_pairs.items()))
+        detail["case_extremal"] = dict(sorted(case_max.items()))
     pairs = sum(p["pairs"] for p in parts)
     extremal = max((p["extremal"] for p in parts), default=-1)
     eq = sum(p["eq"] for p in parts)
@@ -1252,20 +1138,22 @@ def verify_claim_tables(n_max: int, *, jobs: int = 1) -> VerificationReport:
     if n_max > STRUCTURED_LIMIT:
         raise ValueError(f"claim tables capped at n <= {STRUCTURED_LIMIT}")
     id_top = min(n_max, _IDENTITY_MAX_N)
-    _WORK["tables"] = {n: _tables(n) for n in range(2, id_top + 1)}
     tasks: list[tuple] = []
     for n in range(2, id_top + 1):
         tasks.extend(("idpairs", n, lo, hi) for lo, hi in _row_chunks(n))
     family_counts: dict[str, int] = {}
     for n in range(2, n_max + 1):
-        for kind in ("fam22", "fam12f", "fam12s", "fam20"):
-            fam_tasks = _iter_family_tasks(kind, n)
+        for kind in _FAMILY_KINDS:
+            fam_tasks = _family_tasks(kind, "full", n)
             tasks.extend(fam_tasks)
             family_counts[kind] = family_counts.get(kind, 0) + sum(
                 t[-1] - t[-2] for t in fam_tasks
             )
-    parts = _map_tasks(tasks, jobs)
-    _WORK.clear()
+    try:
+        _WORK["tables"] = {n: _tables(n) for n in range(2, id_top + 1)}
+        parts = _map_tasks(tasks, jobs)
+    finally:
+        _WORK.clear()
     pairs = sum(p["pairs"] for p in parts)
     extremal = max((p["extremal"] for p in parts), default=-1)
     ces = [c for p in parts for c in p["ces"]]
@@ -1401,11 +1289,13 @@ def verify_bad_count(
             "bad-count", (n, n), 0, 6, None, 0, [], t0,
             {"convention": convention}, skipped=True,
         )
-    _WORK["tables"] = {n: _tables(n)}
-    _WORK["dels"] = _dels_by_position(n)
-    _WORK["convention"] = convention
-    parts = _map_tasks([("bad", n, lo, hi) for lo, hi in _row_chunks(n)], jobs)
-    _WORK.clear()
+    try:
+        _WORK["tables"] = {n: _tables(n)}
+        _WORK["dels"] = _dels_by_position(n)
+        _WORK["convention"] = convention
+        parts = _map_tasks([("bad", n, lo, hi) for lo, hi in _row_chunks(n)], jobs)
+    finally:
+        _WORK.clear()
     max_pre = max(p["max_pre"] for p in parts)
     max_post = max(p["max_post"] for p in parts)
     detail = {
@@ -1430,49 +1320,37 @@ def verify_bad_count(
 # code constructions: pairwise ceilings, triple intersections, redundancy
 
 
-# per-construction data: residue key, pairwise ceiling, redundancy test as an
-# exact integer comparison where possible, and the spec parameters of a coset
-CODE_CHECKS = ("vt", "inv", "c2n9", "cn21", "cl")
+class _CodeCheck(NamedTuple):
+    family: str
+    ceiling: Callable[[int], int]  # pairwise ball-intersection ceiling at length n
+    redundancy_bound: Callable[[int], float]
+    # exact integer form of "n - log2(best) <= redundancy_bound(n)" for the
+    # largest coset size best, where the float comparison could round wrongly
+    redundancy_ok: Callable[[int, int], bool]
 
 
-def _code_layout(theorem_id: str, n: int) -> tuple[Callable[[str], tuple[int, ...] | None], int]:
-    cap = (n + 1) // 2
-    if theorem_id == "vt":
-        return lambda w: (vt_syndrome(w, 1) % (2 * n),), 30
-    if theorem_id == "inv":
-        return lambda w: (inversion_number(w) % 2,), 3 * n - 5
-    if theorem_id == "c2n9":
-        return (
-            lambda w: (inversion_number(w) % 2,) if run_count(w) <= cap else None,
-            2 * n + 8,
-        )
-    if theorem_id == "cn21":
-        period = codes.default_period(n)
-        mod = 1 + period // 2
-        return (
-            lambda w: (weight(w) % 2, inversion_number(w) % mod)
-            if max_le2_periodic_length(w) <= period and run_count(w) <= cap
-            else None,
-            n + 20,
-        )
-    if theorem_id == "cl":
-        return (
-            lambda w: (weight(w) % 4, vt_syndrome(w, 1) % (2 * n), vt_syndrome(w, 2) % (2 * n * n)),
-            6,
-        )
-    raise ValueError(f"unknown construction {theorem_id!r}")
-
-
-def _coset_spec(theorem_id: str, n: int, key: tuple[int, ...]) -> CodeSpec:
-    if theorem_id == "vt":
-        return codes.spec(codes.VT, n, a=key[0])
-    if theorem_id == "inv":
-        return codes.spec(codes.INV, n, a=key[0], m=2)
-    if theorem_id == "c2n9":
-        return codes.spec(codes.C2N9, n, a=key[0], m=2)
-    if theorem_id == "cn21":
-        return codes.spec(codes.CN21, n, P=codes.default_period(n), a1=key[0], a2=key[1])
-    return codes.spec(codes.CL, n, a0=key[0], a1=key[1], a2=key[2])
+# one row per construction; its cosets are those of codes.coset_key at the
+# defaults, modulus two and period codes.default_period(n)
+CODE_CHECKS: dict[str, _CodeCheck] = {
+    "vt": _CodeCheck(
+        codes.VT, lambda n: 30, lambda n: math.log2(n) + 1,
+        lambda n, best: best * 2 * n >= 1 << n,
+    ),
+    "inv": _CodeCheck(
+        codes.INV, lambda n: 3 * n - 5, lambda n: 1.0, lambda n, best: best * 2 >= 1 << n,
+    ),
+    "c2n9": _CodeCheck(
+        codes.C2N9, lambda n: 2 * n + 8, lambda n: 2.0, lambda n, best: best * 4 >= 1 << n,
+    ),
+    "cn21": _CodeCheck(
+        codes.CN21, lambda n: n + 20, lambda n: math.log2(math.log2(n)) + 3,
+        lambda n, best: best * 8 * math.log2(n) >= 1 << n,
+    ),
+    "cl": _CodeCheck(
+        codes.CL, lambda n: 6, lambda n: 3 * math.log2(n) + 4,
+        lambda n, best: best * 16 * n ** 3 >= 1 << n,
+    ),
+}
 
 
 def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> VerificationReport:
@@ -1482,18 +1360,20 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
     based families, matching their redundancy targets).  The parity+VT
     construction additionally requires empty triple intersections and that
     every shared pair element is bad, and reports the weaker reading of
-    its redundancy target alongside the exact one.
+    its redundancy target alongside the exact one.  ``jobs`` is accepted
+    but not honoured yet: the sweep always runs in this process.
     """
     t0 = time.monotonic()
     if theorem_id not in CODE_CHECKS:
-        raise ValueError(f"unknown construction {theorem_id!r}; pick one of {CODE_CHECKS}")
+        raise ValueError(f"unknown construction {theorem_id!r}; pick one of {tuple(CODE_CHECKS)}")
     if n < 2:
         raise ValueError("code checks need n >= 2")
     if n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"code checks capped at n <= {EXHAUSTIVE_LIMIT}")
-    key_of, bound = _code_layout(theorem_id, n)
-    tab = _tables(n)
-    bm = tab.bmask
+    check = CODE_CHECKS[theorem_id]
+    key_of, coset_of = codes.coset_key(check.family, n)
+    bound = check.ceiling(n)
+    bm = _tables(n).bmask
     buckets: dict[tuple[int, ...], list[int]] = {}
     for x in range(1 << n):
         key = key_of(to_word(x, n))
@@ -1549,26 +1429,12 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
                             )
     best_key = min(buckets, key=lambda k2: (-len(buckets[k2]), k2))
     best = len(buckets[best_key])
-    coset = _coset_spec(theorem_id, n, best_key)
+    coset = coset_of(best_key)
     if {to_word(v, n) for v in buckets[best_key]} != set(codes.members(coset)):
         ces.append(_ce(n, None, None, "coset membership", str(coset), best_key))
     red = n - math.log2(best)
-    if theorem_id == "vt":
-        red_bound = math.log2(n) + 1
-        red_ok = best * 2 * n >= 1 << n
-    elif theorem_id == "inv":
-        red_bound = 1.0
-        red_ok = best * 2 >= 1 << n
-    elif theorem_id == "c2n9":
-        red_bound = 2.0
-        red_ok = best * 4 >= 1 << n
-    elif theorem_id == "cn21":
-        red_bound = math.log2(math.log2(n)) + 3
-        red_ok = best * 8 * math.log2(n) >= 1 << n
-    else:
-        red_bound = 3 * math.log2(n) + 4
-        red_ok = best * 16 * n ** 3 >= 1 << n
-    if not red_ok:
+    red_bound = check.redundancy_bound(n)
+    if not check.redundancy_ok(n, best):
         ces.append(
             _ce(n, None, None, "redundancy", round(red_bound, 6), round(red, 6))
         )
@@ -1623,7 +1489,7 @@ def _period_scan(w: str) -> int:
     return best
 
 
-def verify_rll(n: int, P: int, *, jobs: int = 1) -> VerificationReport:
+def verify_rll(n: int, P: int) -> VerificationReport:
     """Three routes to the longest short-period window must agree.
 
     The implementation scan, a quadratic two-back extension scan, and the
@@ -1680,7 +1546,6 @@ def verify_reconstruction(
     seed: int = DEFAULT_SEED,
     subset_words: int = 20,
     subset_trials: int = 100,
-    jobs: int = 1,
 ) -> VerificationReport:
     """Decoding distinct reads always returns the transmitted codeword.
 
@@ -1711,40 +1576,23 @@ def verify_reconstruction(
         )
     rng = random.Random(seed)
     ces: list[dict[str, Any]] = []
+
+    def check(w: str, bundle: ReadBundle, label: str) -> None:
+        res = decode_reads(code, bundle)
+        if (res.status != UNIQUE or res.candidates != (w,)) and len(ces) < _CE_CAP:
+            ces.append({"n": n, "x": w, "check": label, "expected": UNIQUE,
+                        "observed": res.status, "candidates": list(res.candidates)})
+
     checked = 0
     for _ in range(trials):
         w = eligible[rng.randrange(len(eligible))]
-        bundle = collect_reads(w, N, seed=rng.randrange(1 << 30))
-        res = decode_reads(code, bundle)
+        check(w, collect_reads(w, N, seed=rng.randrange(1 << 30)), "channel decode")
         checked += 1
-        if (res.status != UNIQUE or res.candidates != (w,)) and len(ces) < _CE_CAP:
-            ces.append(
-                {
-                    "n": n,
-                    "x": w,
-                    "check": "channel decode",
-                    "expected": UNIQUE,
-                    "observed": res.status,
-                    "candidates": list(res.candidates),
-                }
-            )
     for w in eligible[: subset_words]:
         ball = ds_ball(w)
         for _ in range(subset_trials):
-            reads = tuple(sorted(rng.sample(ball, N)))
-            res = decode_reads(code, ReadBundle(n, reads))
+            check(w, ReadBundle(n, tuple(sorted(rng.sample(ball, N)))), "subset decode")
             checked += 1
-            if (res.status != UNIQUE or res.candidates != (w,)) and len(ces) < _CE_CAP:
-                ces.append(
-                    {
-                        "n": n,
-                        "x": w,
-                        "check": "subset decode",
-                        "expected": UNIQUE,
-                        "observed": res.status,
-                        "candidates": list(res.candidates),
-                    }
-                )
     return _finish("reconstruction", (n, n), checked, None, None, 0, ces, t0, detail)
 
 
@@ -1752,12 +1600,5 @@ _TASK_FNS: dict[str, Callable[..., dict[str, Any]]] = {
     "bounds": _bounds_chunk,
     "idpairs": _identity_chunk,
     "bad": _bad_chunk,
-    "fam22": _fam22_chunk,
-    "fam12f": _fam12f_chunk,
-    "fam12s": _fam12s_chunk,
-    "fam20": _fam20_chunk,
-    "sb22": _sb22_chunk,
-    "sb12f": _sb12f_chunk,
-    "sb12s": _sb12s_chunk,
-    "sb20": _sb20_chunk,
+    "structured": _structured_chunk,
 }

@@ -12,17 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = [
-    "RunProfile",
     "AffixDecomposition",
     "parse_word",
     "encode",
     "decode",
     "hamming",
-    "runs",
     "run_count",
     "weight",
     "complement",
-    "reverse",
     "vt_syndrome",
     "inversion_number",
     "psi",
@@ -57,33 +54,8 @@ def hamming(x: str, y: str) -> int:
     return sum(a != b for a, b in zip(x, y))
 
 
-@dataclass(frozen=True, slots=True)
-class RunProfile:
-    """Maximal constant substrings of a word.
-
-    ``boundaries`` lists (start, symbol, length) per run, start 1-indexed;
-    ``run_count`` is r(x).  The empty word has no runs.
-    """
-
-    run_count: int
-    boundaries: tuple[tuple[int, str, int], ...]
-
-
-def runs(x: str) -> RunProfile:
-    """Scan x into its run profile."""
-    if not x:
-        return RunProfile(0, ())
-    out: list[tuple[int, str, int]] = []
-    start = 0
-    for i in range(1, len(x) + 1):
-        if i == len(x) or x[i] != x[start]:
-            out.append((start + 1, x[start], i - start))
-            start = i
-    return RunProfile(len(out), tuple(out))
-
-
 def run_count(x: str) -> int:
-    """r(x) without materializing the boundaries."""
+    """r(x), the number of maximal constant substrings of x."""
     if not x:
         return 0
     return 1 + sum(x[i] != x[i + 1] for i in range(len(x) - 1))
@@ -98,10 +70,6 @@ def complement(x: str) -> str:
 
 
 _FLIP = str.maketrans("01", "10")
-
-
-def reverse(x: str) -> str:
-    return x[::-1]
 
 
 def vt_syndrome(x: str, k: int) -> int:

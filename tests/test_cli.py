@@ -185,11 +185,20 @@ def test_decode_missing_bundle_is_usage_error(tmp_path, capsys):
     assert "--bundle" in err
 
 
-def test_every_verify_target_maps_to_an_operation():
-    for target, op_name in cli.VERIFY_TARGETS.items():
-        assert callable(getattr(verify, op_name)), target
-    backing = set(cli.VERIFY_TARGETS.values())
+def test_every_verify_target_maps_to_an_operation(monkeypatch):
     public_ops = {name for name in verify.__all__ if name.startswith("verify_")}
+    called: list[str] = []
+    for name in public_ops:
+        monkeypatch.setattr(verify, name, lambda *a, _name=name, **k: called.append(_name))
+    parser = cli.build_parser()
+    backing = set()
+    for target, call in cli.VERIFY_TARGETS.items():
+        args = parser.parse_args(["verify", target, "--n", "6", "--family", "vt", "--a", "0",
+                                  "--N", "3"])
+        called.clear()
+        call(args)
+        assert len(called) == 1 and called[0] in public_ops, target
+        backing.add(called[0])
     assert backing == public_ops
 
 

@@ -160,6 +160,12 @@ def test_best_coset_rejects_structural_families():
         best_coset(RLL, 6)
 
 
+def test_best_coset_rejects_bad_modulus_before_scanning():
+    for m in (0, 1):
+        with pytest.raises(ValueError, match="modulus m must be at least 2"):
+            best_coset(INV, 6, m=m)
+
+
 def test_subcode_examples():
     n = 10
     cn21 = best_coset(CN21, n)
@@ -227,3 +233,21 @@ def test_load_code_rejects_bad_header():
         load_code(io.StringIO("0101\n"))
     with pytest.raises(ValueError):
         load_code(io.StringIO("# n=4 params=\n0101\n"))
+
+
+def test_load_code_rejects_word_of_wrong_length():
+    buf = io.StringIO()
+    save_code(spec(VT, 4, a=0), buf, words=["0000", "10010"])
+    buf.seek(0)
+    with pytest.raises(ValueError, match="10010"):
+        load_code(buf)
+
+
+def test_load_code_rejects_non_member():
+    cs = spec(VT, 4, a=0)
+    assert not contains(cs, "1000")
+    buf = io.StringIO()
+    save_code(cs, buf, words=["0000", "1000"])
+    buf.seek(0)
+    with pytest.raises(ValueError, match="1000"):
+        load_code(buf)

@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
-from delsub import codes
+from delsub import codes, verify
 from delsub.balls import ball_intersection, classify_pair, is_bad, witnesses
 from delsub.verify import (
     EXHAUSTIVE_LIMIT,
@@ -251,3 +251,22 @@ def test_report_serialization_shape():
     assert "elapsed" not in payload
     timed = json.loads(report.to_json(include_timing=True))
     assert "elapsed" in timed
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda: verify_intersection_bounds(4),
+        lambda: verify_claim_tables(4),
+        lambda: verify_bad_count(4),
+    ],
+    ids=["intersection-bounds", "claim-tables", "bad-count"],
+)
+def test_shared_work_cleared_when_a_sweep_raises(monkeypatch, sweep):
+    def failing_map(tasks, jobs):
+        raise RuntimeError("task failed")
+
+    monkeypatch.setattr(verify, "_map_tasks", failing_map)
+    with pytest.raises(RuntimeError):
+        sweep()
+    assert verify._WORK == {}
