@@ -38,8 +38,8 @@ from .reconstruct import decode as decode_reads
 from .words import decode as to_word
 from .words import max_le2_periodic_length, psi
 
-# not used here since the code checks take their keys from codes, but
-# perfbench/tracing.py wraps these names in this module to count calls
+# unused here, but perfbench/tracing.py wraps these names in this module to
+# count calls
 from .words import inversion_number, run_count, vt_syndrome, weight  # noqa: F401
 
 __all__ = [
@@ -1324,8 +1324,8 @@ class _CodeCheck(NamedTuple):
     family: str
     ceiling: Callable[[int], int]  # pairwise ball-intersection ceiling at length n
     redundancy_bound: Callable[[int], float]
-    # exact integer form of "n - log2(best) <= redundancy_bound(n)" for the
-    # largest coset size best, where the float comparison could round wrongly
+    # "n - log2(best) <= redundancy_bound(n)" for the largest coset size
+    # best, compared in integers where possible so that rounding cannot flip it
     redundancy_ok: Callable[[int, int], bool]
 
 
