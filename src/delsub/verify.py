@@ -103,17 +103,42 @@ def _sub_set(x: int, n: int) -> set[int]:
     return out
 
 
-def _ds_set(x: int, n: int) -> set[int]:
+def _run_dels(x: int, n: int) -> list[int]:
+    """D(x) as one deletion per run of x: its r(x) distinct values."""
+    out = [x >> 1]
+    starts = (x ^ (x >> 1)) & ((1 << (n - 1)) - 1)
+    while starts:
+        low = starts & -starts
+        k = low.bit_length()  # lowest bit of the next run
+        out.append(((x >> (k + 1)) << k) | (x & ((low << 1) - 1)))
+        starts ^= low
+    return out
+
+
+def _ds_inter(x: int, y: int, n: int) -> set[int]:
+    """B(x) & B(y) as the union of S(u) & S(w) over u in D(x), w in D(y).
+
+    Only deletion pairs within Hamming distance two contribute: all of S(u)
+    when u = w, {u, w} at distance one, and the two mixed words at two.
+    """
     out: set[int] = set()
-    seen: set[int] = set()
-    for k in range(n):
-        z = _del_bit(x, k)
-        if z in seen:
-            continue
-        seen.add(z)
-        out.add(z)
-        for t in range(n - 1):
-            out.add(z ^ (1 << t))
+    dy = _run_dels(y, n)
+    for u in _run_dels(x, n):
+        for w in dy:
+            diff = u ^ w
+            dist = diff.bit_count()
+            if dist > 2:
+                continue
+            if dist == 0:
+                out.add(u)
+                out.update([u ^ (1 << t) for t in range(n - 1)])
+            elif dist == 1:
+                out.add(u)
+                out.add(w)
+            else:
+                low = diff & -diff
+                out.add(u ^ low)
+                out.add(w ^ low)
     return out
 
 
@@ -710,6 +735,20 @@ def _check_regimes(
         fail("mixed-profile ceiling", ceiling - 1, total)
 
 
+def _check_tail(kind: str, n: int, x: int, y: int, total: int, fail: _Fail) -> None:
+    """From the kind's smallest n on: its ceiling when it has no equality
+    family (_check_regimes covers the others), then its run-sum ceiling."""
+    name, min_n, (c1, c0), eq_gap, run_gap = _CEILINGS[kind]
+    if n < min_n:
+        return
+    if eq_gap is None and total > c1 * n + c0:
+        fail(f"{name} ceiling", c1 * n + c0, total)
+    if run_gap is not None:
+        run_sum = _runs_int(x, n) + _runs_int(y, n) + n - run_gap
+        if total > run_sum:
+            fail("run-sum ceiling", run_sum, total)
+
+
 def _check_transposition_pair(
     n: int, params: tuple[int, ...], a: int, b: int, q: int, x: int, y: int, fail: _Fail
 ) -> int:
@@ -752,7 +791,7 @@ def _check_transposition_pair(
     if cols is not None and len(overlap) != col3 + col4:
         fail("overlap size", col3 + col4, len(overlap))
 
-    inter = _ds_set(x, n) & _ds_set(y, n)
+    inter = _ds_inter(x, y, n)
     union = s_term | d_term
     if not union <= inter:
         fail("term containment", True, False)
@@ -807,7 +846,7 @@ def _check_flip_pair(
     if len(overlap) != col3 + col4 - 1:
         fail("overlap size", col3 + col4 - 1, len(overlap))
 
-    inter = _ds_set(x, n) & _ds_set(y, n)
+    inter = _ds_inter(x, y, n)
     union = s_term | d_term
     if not union <= inter:
         fail("term containment", True, False)
@@ -818,8 +857,7 @@ def _check_flip_pair(
 
     total = len(inter)
     _check_regimes("fam12f", n, ra, rb, n + 3, total, fail)
-    if n >= 4 and total > rx + ry + n - 1:
-        fail("run-sum ceiling", rx + ry + n - 1, total)
+    _check_tail("fam12f", n, x, y, total, fail)
     return total
 
 
@@ -877,7 +915,7 @@ def _check_shift_pair(
     if len(overlap) != want1 + 2 or not 3 <= len(overlap) <= 5:
         fail("overlap size", want1 + 2, len(overlap))
 
-    inter = _ds_set(x, n) & _ds_set(y, n)
+    inter = _ds_inter(x, y, n)
     union = s_term | d_term
     if not union <= inter:
         fail("term containment", True, False)
@@ -887,11 +925,7 @@ def _check_shift_pair(
         fail("extra elements", want_b, extra)
 
     total = len(inter)
-    if n >= 6:
-        if total > 3 * n - 7:
-            fail("shift ceiling", 3 * n - 7, total)
-        if total > rx + ry + n - 2:
-            fail("run-sum ceiling", rx + ry + n - 2, total)
+    _check_tail("fam12s", n, x, y, total, fail)
     return total
 
 
@@ -913,15 +947,14 @@ def _check_alternating_pair(
     if len(s_term) != want_s:
         fail("substitution term size", want_s, len(s_term))
 
-    inter = _ds_set(x, n) & _ds_set(y, n)
+    inter = _ds_inter(x, y, n)
     if not s_term <= inter:
         fail("term containment", True, False)
     extra = len(inter) - len(s_term)
     if extra > 8:
         fail("extra elements", "<= 8", extra)
     total = len(inter)
-    if total > 2 * n + 8:
-        fail("alternating ceiling", 2 * n + 8, total)
+    _check_tail("fam20", n, x, y, total, fail)
     return total
 
 
@@ -930,7 +963,7 @@ def _check_ceilings(
     fail: _Fail,
 ) -> int:
     name, min_n, (c1, c0), eq_gap, run_gap = _CEILINGS[kind]
-    total = len(_ds_set(x, n) & _ds_set(y, n))
+    total = len(_ds_inter(x, y, n))
     if n < min_n:
         return total
     ceiling = c1 * n + c0
@@ -993,7 +1026,10 @@ def verify_intersection_bounds(
     with equality exactly on the extremal transposition family (n >= 6),
     and the flip family must peak at 3n - 5 exactly on alternating
     profiles.  Structured mode walks only the transposition, flip, shift,
-    and alternating-window families, which reaches longer words.
+    and alternating-window families, which reaches longer words; each
+    pair's shared ball is built from its close deletion pairs (u, w), one
+    deletion per run of x and of y within Hamming distance two, as the
+    union of S(u) & S(w) (see _ds_inter), never from both full balls.
     """
     t0 = time.monotonic()
     if n < 1:
@@ -1131,6 +1167,9 @@ def verify_claim_tables(n_max: int, *, jobs: int = 1) -> VerificationReport:
     structured families are enumerated up to ``n_max`` and every tabulated
     quantity (term splits, overlap columns, extra-element counts, regime
     ceilings, equality conditions) is recomputed from scratch per pair.
+    There the shared ball is the union of S(u) & S(w) over the close
+    deletion pairs: u and w one deletion per run of x and of y, at Hamming
+    distance at most two (see _ds_inter).
     """
     t0 = time.monotonic()
     if n_max < 2:
@@ -1353,15 +1392,69 @@ CODE_CHECKS: dict[str, _CodeCheck] = {
 }
 
 
+def _code_chunk(theorem_id: str, n: int, key: tuple[int, ...]) -> dict[str, Any]:
+    """Pairwise ceiling of one coset; for cl also bad elements and triples."""
+    members = _WORK["buckets"][key]
+    bm = _WORK["tables"][n].bmask
+    dels = _WORK["dels"]
+    bound = CODE_CHECKS[theorem_id].ceiling(n)
+    ces: list[dict[str, Any]] = []
+    pairs = 0
+    triples = 0
+    extremal = -1
+    eq = 0
+    k = len(members)
+    for i in range(k):
+        x = members[i]
+        bx = bm[x]
+        for j in range(i + 1, k):
+            y = members[j]
+            pairs += 1
+            inter = bx & bm[y]
+            b = inter.bit_count()
+            if b > extremal:
+                extremal = b
+            if b == bound:
+                eq += 1
+            elif b > bound and len(ces) < _CE_CAP:
+                ces.append(_ce(n, x, y, "pairwise ceiling", bound, b))
+            if dels is not None and inter:
+                for z in _bits(inter):
+                    lx = _witness_list(dels[x], z, n)
+                    ly = _witness_list(dels[y], z, n)
+                    if any(
+                        _outside(i2, j2, p1) or _outside(i2, j2, p2)
+                        for i2, p1, _ in lx
+                        for j2, p2, _ in ly
+                    ) and len(ces) < _CE_CAP:
+                        ces.append(
+                            _ce(n, x, y, "shared element must be bad", True, to_word(z, n - 1))
+                        )
+    if theorem_id == "cl" and k >= 3:
+        for i in range(k):
+            for j in range(i + 1, k):
+                common = bm[members[i]] & bm[members[j]]
+                if not common:
+                    continue
+                for t in range(j + 1, k):
+                    triples += 1
+                    if common & bm[members[t]] and len(ces) < _CE_CAP:
+                        ces.append(
+                            _ce(n, members[i], members[j], "triple intersection", 0, 1,
+                                z=to_word(members[t], n))
+                        )
+    return {"pairs": pairs, "triples": triples, "extremal": extremal, "eq": eq, "ces": ces}
+
+
 def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> VerificationReport:
     """Pairwise ball-intersection ceiling and size of one construction.
 
     Every residue class is checked (modulus fixed to two for the inversion
-    based families, matching their redundancy targets).  The parity+VT
-    construction additionally requires empty triple intersections and that
-    every shared pair element is bad, and reports the weaker reading of
-    its redundancy target alongside the exact one.  ``jobs`` is accepted
-    but not honoured yet: the sweep always runs in this process.
+    based families, matching their redundancy targets), one task per
+    coset in sorted key order.  The parity+VT construction additionally
+    requires empty triple intersections and that every shared pair element
+    is bad, and reports the weaker reading of its redundancy target
+    alongside the exact one.
     """
     t0 = time.monotonic()
     if theorem_id not in CODE_CHECKS:
@@ -1372,61 +1465,20 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
         raise ValueError(f"code checks capped at n <= {EXHAUSTIVE_LIMIT}")
     check = CODE_CHECKS[theorem_id]
     key_of, coset_of = codes.coset_key(check.family, n)
-    bound = check.ceiling(n)
-    bm = _tables(n).bmask
     buckets: dict[tuple[int, ...], list[int]] = {}
     for x in range(1 << n):
         key = key_of(to_word(x, n))
         if key is not None:
             buckets.setdefault(key, []).append(x)
-    ces: list[dict[str, Any]] = []
-    pairs = 0
-    triples = 0
-    extremal = -1
-    eq = 0
-    dels = _dels_by_position(n) if theorem_id == "cl" else None
-    for key in sorted(buckets):
-        members = buckets[key]
-        k = len(members)
-        for i in range(k):
-            x = members[i]
-            bx = bm[x]
-            for j in range(i + 1, k):
-                y = members[j]
-                pairs += 1
-                inter = bx & bm[y]
-                b = inter.bit_count()
-                if b > extremal:
-                    extremal = b
-                if b == bound:
-                    eq += 1
-                elif b > bound and len(ces) < _CE_CAP:
-                    ces.append(_ce(n, x, y, "pairwise ceiling", bound, b))
-                if dels is not None and inter:
-                    for z in _bits(inter):
-                        lx = _witness_list(dels[x], z, n)
-                        ly = _witness_list(dels[y], z, n)
-                        if any(
-                            _outside(i2, j2, p1) or _outside(i2, j2, p2)
-                            for i2, p1, _ in lx
-                            for j2, p2, _ in ly
-                        ) and len(ces) < _CE_CAP:
-                            ces.append(
-                                _ce(n, x, y, "shared element must be bad", True, to_word(z, n - 1))
-                            )
-        if theorem_id == "cl" and k >= 3:
-            for i in range(k):
-                for j in range(i + 1, k):
-                    common = bm[members[i]] & bm[members[j]]
-                    if not common:
-                        continue
-                    for t in range(j + 1, k):
-                        triples += 1
-                        if common & bm[members[t]] and len(ces) < _CE_CAP:
-                            ces.append(
-                                _ce(n, members[i], members[j], "triple intersection", 0, 1,
-                                    z=to_word(members[t], n))
-                            )
+    try:
+        _WORK["tables"] = {n: _tables(n)}
+        _WORK["buckets"] = buckets
+        _WORK["dels"] = _dels_by_position(n) if theorem_id == "cl" else None
+        parts = _map_tasks([("code", theorem_id, n, key) for key in sorted(buckets)], jobs)
+    finally:
+        _WORK.clear()
+    extremal = max((p["extremal"] for p in parts), default=-1)
+    ces = [c for p in parts for c in p["ces"]]
     best_key = min(buckets, key=lambda k2: (-len(buckets[k2]), k2))
     best = len(buckets[best_key])
     coset = coset_of(best_key)
@@ -1448,12 +1500,12 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
     if theorem_id == "cn21":
         detail["period"] = codes.default_period(n)
     if theorem_id == "cl":
-        detail["triples_checked"] = triples
+        detail["triples_checked"] = sum(p["triples"] for p in parts)
         detail["alt_redundancy_bound"] = round(math.log2(3 * n) + 4, 6)
         detail["alt_bound_satisfied"] = best * 48 * n >= 1 << n
     return _finish(
-        f"code-{theorem_id}", (n, n), pairs, bound, extremal if extremal >= 0 else None,
-        eq, ces, t0, detail,
+        f"code-{theorem_id}", (n, n), sum(p["pairs"] for p in parts), check.ceiling(n),
+        extremal if extremal >= 0 else None, sum(p["eq"] for p in parts), ces, t0, detail,
     )
 
 
@@ -1601,4 +1653,5 @@ _TASK_FNS: dict[str, Callable[..., dict[str, Any]]] = {
     "idpairs": _identity_chunk,
     "bad": _bad_chunk,
     "structured": _structured_chunk,
+    "code": _code_chunk,
 }

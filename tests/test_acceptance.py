@@ -173,6 +173,8 @@ def test_parallel_reports_are_byte_identical(capsys):
         lambda jobs: verify.verify_intersection_bounds(8, jobs=jobs),
         lambda jobs: verify.verify_bad_count(8, jobs=jobs),
         lambda jobs: verify.verify_claim_tables(9, jobs=jobs),
+        lambda jobs: verify.verify_code_theorem("inv", 9, jobs=jobs),
+        lambda jobs: verify.verify_code_theorem("cl", 9, jobs=jobs),
     ):
         assert call(1).to_json() == call(8).to_json()
     outputs = []

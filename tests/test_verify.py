@@ -8,7 +8,10 @@ from delsub.balls import ball_intersection, classify_pair, is_bad, witnesses
 from delsub.verify import (
     EXHAUSTIVE_LIMIT,
     STRUCTURED_LIMIT,
+    _del_set,
     _dels_by_position,
+    _ds_inter,
+    _run_dels,
     _witness_list,
     verify_bad_count,
     verify_ball_sizes,
@@ -20,6 +23,7 @@ from delsub.verify import (
     verify_reconstruction,
     verify_rll,
 )
+from delsub.words import decode as to_word
 from delsub.words import run_count
 
 
@@ -94,6 +98,48 @@ def test_intersection_bounds_structured_matches_exhaustive_cases():
     expected = max(exhaustive.detail["case_extremal"][c] for c in covered)
     assert structured.extremal_observed == expected
     assert structured.equality_cases == exhaustive.equality_cases
+
+
+def test_run_dels_span_the_deletion_ball():
+    for n in range(1, 13):
+        for x in range(1 << n):
+            dels = _run_dels(x, n)
+            assert len(dels) == len(set(dels))
+            assert set(dels) == _del_set(x, n)
+
+
+def _assert_ds_inter_matches_string_api(x, y, n):
+    got = {to_word(z, n - 1) for z in _ds_inter(x, y, n)}
+    assert got == set(ball_intersection(to_word(x, n), to_word(y, n), "ds")), (n, x, y)
+
+
+def test_ds_inter_matches_string_api_on_all_pairs():
+    for n in range(2, 8):
+        for x, y in combinations(range(1 << n), 2):
+            _assert_ds_inter_matches_string_api(x, y, n)
+
+
+def test_ds_inter_matches_string_api_on_structured_families():
+    for n in range(2, 11):
+        for kind in verify._FAMILY_KINDS:
+            for params in verify._family_params(kind, n):
+                total = 1 << (n - verify._window(kind, params)[2])
+                for _, _, _, x, y in verify._structured_pairs(kind, n, params, 0, total):
+                    _assert_ds_inter_matches_string_api(x, y, n)
+
+
+def test_ds_inter_is_on_the_checked_path(monkeypatch):
+    real = verify._ds_inter
+
+    def drop_one(x, y, n):
+        out = real(x, y, n)
+        if out:
+            out.discard(min(out))
+        return out
+
+    monkeypatch.setattr(verify, "_ds_inter", drop_one)
+    assert verify_claim_tables(8).status == "FAIL"
+    assert verify_intersection_bounds(8, structured=True).status == "FAIL"
 
 
 def test_intersection_bounds_enforces_caps():
@@ -259,8 +305,9 @@ def test_report_serialization_shape():
         lambda: verify_intersection_bounds(4),
         lambda: verify_claim_tables(4),
         lambda: verify_bad_count(4),
+        lambda: verify_code_theorem("inv", 4),
     ],
-    ids=["intersection-bounds", "claim-tables", "bad-count"],
+    ids=["intersection-bounds", "claim-tables", "bad-count", "code-theorem"],
 )
 def test_shared_work_cleared_when_a_sweep_raises(monkeypatch, sweep):
     def failing_map(tasks, jobs):
