@@ -8,12 +8,13 @@ root.  A row is keyed by the git revision of the tree, so running the script
 once against a parent checkout (``--src``) and once against this one leaves
 a before/after pair.  Standard library only; run from anywhere:
 
-    python3 benchmarks/kernels.py [--src PATH/TO/src] [--repeats 5]
+    python3 benchmarks/kernels.py [--src PATH/TO/src]
 
 Each (n, kind) walks up to four evenly spaced windows of 64 pairs for every
-parameter tuple of the family, the same windows at both depths.  The hash
-seed is fixed to 1 (structured timings move with it), so the script re-runs
-itself under PYTHONHASHSEED=1 when started with another seed.
+parameter tuple of the family, the same windows at both depths, five times;
+a row keeps the median and every repeat.  The hash seed is fixed to 1
+(structured timings move with it), so the script re-runs itself under
+PYTHONHASHSEED=1 when started with another seed.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ LENGTHS = (11, 14)
 DEPTHS = ("full", "ceiling")
 WINDOWS = 4
 WINDOW_PAIRS = 64
+REPEATS = 5
 
 
 def _git(src: Path, *args: str) -> str:
@@ -52,7 +54,7 @@ def _windows(verify, kind: str, n: int) -> list[tuple[tuple[int, ...], int, int]
     return out
 
 
-def _measure(verify, repeats: int) -> list[dict]:
+def _measure(verify) -> list[dict]:
     rows = []
     for n in LENGTHS:
         for kind in verify._FAMILY_KINDS:
@@ -60,7 +62,7 @@ def _measure(verify, repeats: int) -> list[dict]:
             pairs = sum(hi - lo for _, lo, hi in windows)
             for depth in DEPTHS:
                 runs = []
-                for _ in range(repeats):
+                for _ in range(REPEATS):
                     t0 = time.perf_counter()
                     for params, lo, hi in windows:
                         verify._structured_chunk(kind, depth, n, params, lo, hi)
@@ -78,12 +80,11 @@ def _measure(verify, repeats: int) -> list[dict]:
     return rows
 
 
-def main(argv: list[str] | None = None) -> int:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="the src/ directory of the checkout to measure")
-    ap.add_argument("--repeats", type=int, default=5)
-    args = ap.parse_args(argv)
+    args = ap.parse_args()
     if os.environ.get("PYTHONHASHSEED") != "1":
         env = dict(os.environ, PYTHONHASHSEED="1")
         return subprocess.run([sys.executable, *sys.argv], env=env).returncode
@@ -102,8 +103,8 @@ def main(argv: list[str] | None = None) -> int:
         "nproc": len(os.sched_getaffinity(0)),
         "machine": f"{platform.system()} {platform.machine()}",
         "hash_seed": 1,
-        "repeats": args.repeats,
-        "timings": _measure(verify, args.repeats),
+        "repeats": REPEATS,
+        "timings": _measure(verify),
     }
     rows = json.loads(OUT.read_text())["rows"] if OUT.exists() else []
     rows = [r for r in rows if r["rev"] != rev] + [row]
