@@ -4,6 +4,8 @@ Every verifier returns a :class:`VerificationReport` whose JSON form is
 byte-identical for a fixed input regardless of ``jobs``: pair ranges are
 partitioned the same way no matter how many workers run, partial results
 merge in partition order, and timing is kept out of the canonical output.
+Each task keeps its first 32 counterexamples, and a report keeps the first 32
+of them all in partition order.
 Words travel through the hot loops as big-endian integers; the per-length
 mask tables below make a ball intersection one AND plus a popcount.
 """
@@ -25,6 +27,7 @@ from .balls import (
     ALTERNATING_BLOCK,
     CASE_TAGS,
     DEFAULT_WITNESS_CONVENTION,
+    GENERIC,
     RUN_SHIFT,
     SHIFTED_PAIR,
     SINGLE_FLIP,
@@ -269,45 +272,58 @@ def _finish(
         bound=bound,
         extremal_observed=extremal,
         equality_cases=eq,
-        counterexamples=ces[:_CE_CAP],
+        counterexamples=ces,
         status=status,
         elapsed=time.monotonic() - t0,
         detail=detail,
     )
 
 
-def _ce(
-    n: int,
-    x: int | None,
-    y: int | None,
-    check: str,
-    expected: Any,
-    observed: Any,
-    **extra: Any,
-) -> dict[str, Any]:
-    out: dict[str, Any] = {"n": n}
-    if x is not None:
-        out["x"] = to_word(x, n)
-    if y is not None:
-        out["y"] = to_word(y, n)
-    out["check"] = check
-    out["expected"] = expected
-    out["observed"] = observed
-    out.update(extra)
-    return out
+class _Word(NamedTuple):
+    """A word given as its value and length, for a counterexample field."""
+
+    value: int
+    length: int
 
 
-_Fail = Callable[[str, Any, Any], None]
+class _Sink:
+    """The first _CE_CAP counterexamples recorded, for words of length n.
 
+    x and y are words of length n and any _Word field is a word too; words
+    are formatted only for the counterexamples kept.
+    """
 
-def _recorder(ces: list[dict[str, Any]], n: int, x: int, y: int) -> _Fail:
-    """fail(check, expected, observed) records a counterexample for the pair x, y."""
+    __slots__ = ("n", "ces")
 
-    def fail(check: str, expected: Any, observed: Any) -> None:
-        if len(ces) < _CE_CAP:
-            ces.append(_ce(n, x, y, check, expected, observed))
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.ces: list[dict[str, Any]] = []
 
-    return fail
+    def add(
+        self,
+        x: int | None,
+        y: int | None,
+        check: str,
+        expected: Any,
+        observed: Any,
+        **extra: Any,
+    ) -> None:
+        if len(self.ces) >= _CE_CAP:
+            return
+        out: dict[str, Any] = {"n": self.n}
+        if x is not None:
+            out["x"] = to_word(x, self.n)
+        if y is not None:
+            out["y"] = to_word(y, self.n)
+        out["check"] = check
+        out["expected"] = expected
+        out["observed"] = observed
+        out.update(extra)
+        self.ces.append({k: to_word(*v) if isinstance(v, _Word) else v for k, v in out.items()})
+
+    def take(self, ces: list[dict[str, Any]]) -> None:
+        """Keep the leading counterexamples of ces that still fit."""
+        self.ces.extend(ces[: _CE_CAP - len(self.ces)])
 
 
 # ---------------------------------------------------------------------------
@@ -317,24 +333,42 @@ def _recorder(ces: list[dict[str, Any]], n: int, x: int, y: int) -> _Fail:
 _WORK: dict[str, Any] = {}
 
 
-def _task_entry(task: tuple) -> dict[str, Any]:
-    return _TASK_FNS[task[0]](*task[1:])
+def _run_task(task: tuple) -> dict[str, Any]:
+    fn, *args = task
+    return fn(*args)
 
 
-def _map_tasks(tasks: list[tuple], jobs: int) -> list[dict[str, Any]]:
-    if jobs <= 1 or len(tasks) <= 1:
-        return [_task_entry(t) for t in tasks]
+def _map_tasks(tasks: list[tuple], jobs: int, **work: Any) -> list[dict[str, Any]]:
+    """Run each task (function, *args), in order, with work installed in _WORK.
+
+    Forked workers inherit _WORK; it is cleared however the tasks end.
+    """
+    _WORK.update(work)
     try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        return [_task_entry(t) for t in tasks]
-    with ctx.Pool(processes=min(jobs, len(tasks))) as pool:
-        return pool.map(_task_entry, tasks, chunksize=1)
+        if jobs <= 1 or len(tasks) <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+            return [_run_task(t) for t in tasks]
+        with multiprocessing.get_context("fork").Pool(processes=min(jobs, len(tasks))) as pool:
+            return pool.map(_run_task, tasks, chunksize=1)
+    finally:
+        _WORK.clear()
 
 
-def _row_chunks(n: int, pieces: int = 64) -> list[tuple[int, int]]:
-    size = 1 << n
-    step = max(1, size // pieces)
+def _merge(parts: list[dict[str, Any]], sink: _Sink) -> tuple[int, int | None, int]:
+    """Pairs, extremal (None when no task saw one) and equality cases of the
+    task results; their counterexamples go to sink in partition order."""
+    for part in parts:
+        sink.take(part["ces"])
+    extremal = max((p["extremal"] for p in parts), default=-1)
+    return (
+        sum(p["pairs"] for p in parts),
+        extremal if extremal >= 0 else None,
+        sum(p["eq"] for p in parts),
+    )
+
+
+def _spans(size: int, pieces: int = 64) -> list[tuple[int, int]]:
+    """At most pieces contiguous ranges covering range(size)."""
+    step = max(1, -(-size // pieces))
     return [(lo, min(lo + step, size)) for lo in range(0, size, step)]
 
 
@@ -347,16 +381,16 @@ def verify_ball_sizes(n: int) -> VerificationReport:
     t0 = time.monotonic()
     if n < 1:
         raise ValueError("ball sizes need n >= 1")
-    ces: list[dict[str, Any]] = []
+    sink = _Sink(n)
     for x in range(1 << n):
         r = _runs_int(x, n)
         dels = _del_set(x, n)
-        if len(dels) != r and len(ces) < _CE_CAP:
-            ces.append(_ce(n, x, None, "deletion ball size", r, len(dels)))
+        if len(dels) != r:
+            sink.add(x, None, "deletion ball size", r, len(dels))
         subs = _sub_set(x, n)
-        if len(subs) != n + 1 and len(ces) < _CE_CAP:
-            ces.append(_ce(n, x, None, "substitution ball size", n + 1, len(subs)))
-    return _finish("ball-sizes", (n, n), 1 << n, None, None, 0, ces, t0)
+        if len(subs) != n + 1:
+            sink.add(x, None, "substitution ball size", n + 1, len(subs))
+    return _finish("ball-sizes", (n, n), 1 << n, None, None, 0, sink.ces, t0)
 
 
 def verify_del_positions(n: int) -> VerificationReport:
@@ -364,7 +398,7 @@ def verify_del_positions(n: int) -> VerificationReport:
     t0 = time.monotonic()
     if n < 1:
         raise ValueError("deletion positions need n >= 1")
-    ces: list[dict[str, Any]] = []
+    sink = _Sink(n)
     checked = 0
     for x in range(1 << n):
         reps = []
@@ -374,18 +408,16 @@ def verify_del_positions(n: int) -> VerificationReport:
             if bit != prev:
                 reps.append(_del_bit(x, n - i))
                 prev = bit
-        if set(reps) != _del_set(x, n) and len(ces) < _CE_CAP:
-            ces.append(_ce(n, x, None, "run deletions span the ball", None, None))
+        if set(reps) != _del_set(x, n):
+            sink.add(x, None, "run deletions span the ball", None, None)
         r = len(reps)
         for i in range(r):
             for j in range(i + 1, r):
                 checked += 1
                 got = (reps[i] ^ reps[j]).bit_count()
-                if got != j - i and len(ces) < _CE_CAP:
-                    ces.append(
-                        _ce(n, x, None, "run deletion distance", j - i, got, i=i + 1, j=j + 1)
-                    )
-    return _finish("del-positions", (n, n), checked, None, None, 0, ces, t0)
+                if got != j - i:
+                    sink.add(x, None, "run deletion distance", j - i, got, i=i + 1, j=j + 1)
+    return _finish("del-positions", (n, n), checked, None, None, 0, sink.ces, t0)
 
 
 def verify_constrained_deletion(n: int) -> VerificationReport:
@@ -397,7 +429,7 @@ def verify_constrained_deletion(n: int) -> VerificationReport:
     t0 = time.monotonic()
     if n < 1:
         raise ValueError("constrained deletion needs n >= 1")
-    ces: list[dict[str, Any]] = []
+    sink = _Sink(n)
     for v in range(1 << (n + 1)):
         reps = sorted(_del_set(v, n + 1))
         for u in range(1 << n):
@@ -408,20 +440,25 @@ def verify_constrained_deletion(n: int) -> VerificationReport:
                     cnt += 1
                     if z == u:
                         has_u = True
-            if cnt > 3 and len(ces) < _CE_CAP:
-                ces.append(_ce(n, u, None, "matching deletions", "<= 3", cnt, v=to_word(v, n + 1)))
-            elif cnt == 3 and not has_u and len(ces) < _CE_CAP:
-                ces.append(
-                    _ce(n, u, None, "three matches include u", True, False, v=to_word(v, n + 1))
-                )
+            if cnt > 3:
+                sink.add(u, None, "matching deletions", "<= 3", cnt, v=_Word(v, n + 1))
+            elif cnt == 3 and not has_u:
+                sink.add(u, None, "three matches include u", True, False, v=_Word(v, n + 1))
     return _finish(
-        "constrained-deletion", (n, n), 1 << (2 * n + 1), None, None, 0, ces, t0
+        "constrained-deletion", (n, n), 1 << (2 * n + 1), None, None, 0, sink.ces, t0
     )
 
 
 # ---------------------------------------------------------------------------
 # exhaustive pair sweep: ceilings, equality families, and the structural
 # characterizations of shared substitutions / shared deletions
+
+
+def _case_rows(n: int) -> list[tuple[str | None, ...]]:
+    """CASE_TAGS row of each Hamming distance 0..n, padded with its d = 0 tag
+    up to d = n, the most shared deletions a dmask built from n deletions can
+    show, so that a faulty deletion kernel is reported instead of raising."""
+    return [row + (row[0],) * (n - 2) for row in (CASE_TAGS[min(h, 3)] for h in range(n + 1))]
 
 
 def _bounds_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
@@ -435,12 +472,10 @@ def _bounds_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
     pairs = 0
     extremal = -1
     eq = 0
-    ces: list[dict[str, Any]] = []
+    sink = _Sink(n)
     case_pairs: dict[str, int] = {}
     case_max: dict[str, int] = {}
-    # rows padded with their d = 0 tag up to d = n, the most shared
-    # deletions a dmask built from n deletions can show
-    tags = [row + (row[0],) * (n - 2) for row in (CASE_TAGS[min(h, 3)] for h in range(n + 1))]
+    tags = _case_rows(n)
     for x in range(lo, hi):
         bx = bm[x]
         sx = sm[x]
@@ -459,16 +494,14 @@ def _bounds_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
 
             # shared substitutions: two below Hamming distance three, none above
             if dh == 1:
-                if s_mask != (1 << x) | (1 << y) and len(ces) < _CE_CAP:
-                    ces.append(_ce(n, x, y, "shared substitutions", "{x, y}", s_mask.bit_count()))
+                if s_mask != (1 << x) | (1 << y):
+                    sink.add(x, y, "shared substitutions", "{x, y}", s_mask.bit_count())
             elif dh == 2:
                 want = (1 << (x ^ (1 << hi_b))) | (1 << (x ^ (1 << lo_b)))
-                if s_mask != want and len(ces) < _CE_CAP:
-                    ces.append(
-                        _ce(n, x, y, "shared substitutions", "one flip each way", s_mask.bit_count())
-                    )
-            elif s_mask and len(ces) < _CE_CAP:
-                ces.append(_ce(n, x, y, "shared substitutions", 0, s_mask.bit_count()))
+                if s_mask != want:
+                    sink.add(x, y, "shared substitutions", "one flip each way", s_mask.bit_count())
+            elif s_mask:
+                sink.add(x, y, "shared substitutions", 0, s_mask.bit_count())
 
             # shared deletions: read off the differing window
             mask_l = (1 << span) - 1
@@ -479,21 +512,19 @@ def _bounds_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
                 shift_a = (wx & low) == (wy >> 1)
                 shift_b = (wy & low) == (wx >> 1)
                 alt_comp = wy == wx ^ mask_l and ((wx ^ (wx >> 1)) & low) == low
-                if (shift_a and shift_b) != alt_comp and len(ces) < _CE_CAP:
-                    ces.append(
-                        _ce(n, x, y, "double shift is alternating complement", alt_comp, (shift_a, shift_b))
+                if (shift_a and shift_b) != alt_comp:
+                    sink.add(
+                        x, y, "double shift is alternating complement", alt_comp, (shift_a, shift_b)
                     )
             else:
                 shift_a = shift_b = alt_comp = False
             want_d = 1 if span == 1 else (2 if alt_comp else (1 if shift_a or shift_b else 0))
-            if d != want_d and len(ces) < _CE_CAP:
-                ces.append(_ce(n, x, y, "shared deletion count", want_d, d))
+            if d != want_d:
+                sink.add(x, y, "shared deletion count", want_d, d)
             if d == 1:
                 z = _del_bit(x, hi_b) if (span == 1 or shift_a) else _del_bit(x, lo_b)
-                if d_mask != 1 << z and len(ces) < _CE_CAP:
-                    ces.append(
-                        _ce(n, x, y, "shared deletion witness", to_word(z, n - 1), _bits(d_mask))
-                    )
+                if d_mask != 1 << z:
+                    sink.add(x, y, "shared deletion witness", _Word(z, n - 1), _bits(d_mask))
 
             case = tags[dh][d]
             case_pairs[case] = case_pairs.get(case, 0) + 1
@@ -504,47 +535,41 @@ def _bounds_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
             if case is SINGLE_FLIP:
                 if n >= 4:
                     ceiling = 3 * n - 5
-                    if b > runs[x] + runs[y] + n - 1 and len(ces) < _CE_CAP:
-                        ces.append(
-                            _ce(n, x, y, "flip run-sum ceiling", runs[x] + runs[y] + n - 1, b)
-                        )
+                    if b > runs[x] + runs[y] + n - 1:
+                        sink.add(x, y, "flip run-sum ceiling", runs[x] + runs[y] + n - 1, b)
                     ra = _runs_int(x >> (hi_b + 1), n - hi_b - 1)
                     rb = _runs_int(x & ((1 << lo_b) - 1), lo_b)
                     in_family = (ra == 0 and rb == n - 1) or (ra == n - 1 and rb == 0)
-                    if (b == ceiling) != in_family and len(ces) < _CE_CAP:
-                        ces.append(_ce(n, x, y, "flip equality family", in_family, b))
+                    if (b == ceiling) != in_family:
+                        sink.add(x, y, "flip equality family", in_family, b)
             elif case is ADJACENT_TRANSPOSITION:
                 if n >= 5:
                     ceiling = 4 * n - 9
                     ra = _runs_int(x >> (hi_b + 1), n - hi_b - 1)
                     rb = _runs_int(x & ((1 << lo_b) - 1), lo_b)
                     in_family = (ra == 0 and rb == n - 2) or (ra == n - 2 and rb == 0)
-                    if (b == ceiling) != in_family and len(ces) < _CE_CAP:
-                        ces.append(_ce(n, x, y, "transposition equality family", in_family, b))
+                    if (b == ceiling) != in_family:
+                        sink.add(x, y, "transposition equality family", in_family, b)
             elif case is RUN_SHIFT:
                 if n >= 6:
                     ceiling = 3 * n - 7
-                    if b > runs[x] + runs[y] + n - 2 and len(ces) < _CE_CAP:
-                        ces.append(
-                            _ce(n, x, y, "shift run-sum ceiling", runs[x] + runs[y] + n - 2, b)
-                        )
+                    if b > runs[x] + runs[y] + n - 2:
+                        sink.add(x, y, "shift run-sum ceiling", runs[x] + runs[y] + n - 2, b)
             elif case is TWO_FLIPS:
                 ceiling = 2 * n + 4
-                if b > runs[x] + runs[y] + 8 and len(ces) < _CE_CAP:
-                    ces.append(
-                        _ce(n, x, y, "two-flip run-sum ceiling", runs[x] + runs[y] + 8, b)
-                    )
+                if b > runs[x] + runs[y] + 8:
+                    sink.add(x, y, "two-flip run-sum ceiling", runs[x] + runs[y] + 8, b)
             elif case is ALTERNATING_BLOCK:
                 ceiling = 2 * n + 8
             elif case is SHIFTED_PAIR:
                 ceiling = n + 20
             else:
                 ceiling = 30
-            if ceiling is not None and b > ceiling and len(ces) < _CE_CAP:
-                ces.append(_ce(n, x, y, f"{case} ceiling", ceiling, b))
+            if ceiling is not None and b > ceiling:
+                sink.add(x, y, f"{case} ceiling", ceiling, b)
             if bound_global is not None:
-                if b > bound_global and len(ces) < _CE_CAP:
-                    ces.append(_ce(n, x, y, "global ceiling", bound_global, b))
+                if b > bound_global:
+                    sink.add(x, y, "global ceiling", bound_global, b)
                 if b == bound_global and case is ADJACENT_TRANSPOSITION:
                     eq += 1
             if b > extremal:
@@ -553,7 +578,7 @@ def _bounds_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
         "pairs": pairs,
         "extremal": extremal,
         "eq": eq,
-        "ces": ces,
+        "ces": sink.ces,
         "case_pairs": case_pairs,
         "case_max": case_max,
     }
@@ -614,7 +639,7 @@ def _family_tasks(kind: str, depth: str, n: int, piece: int = 1 << 15) -> list[t
     for params in _family_params(kind, n):
         total = 1 << (n - _window(kind, params)[2])
         for lo in range(0, total, piece):
-            tasks.append(("structured", kind, depth, n, params, lo, min(lo + piece, total)))
+            tasks.append((_structured_chunk, kind, depth, n, params, lo, min(lo + piece, total)))
     return tasks
 
 
@@ -716,7 +741,7 @@ def _extra_count(ra: int, rb: int, single_runs_extra: bool) -> int:
 
 
 def _check_regimes(
-    kind: str, n: int, ra: int, rb: int, small: int, total: int, fail: _Fail
+    kind: str, n: int, x: int, y: int, ra: int, rb: int, small: int, total: int, sink: _Sink
 ) -> None:
     """Affixes of at most one run: small; one affix empty: the kind's ceiling,
     reached exactly when the other has n - eq_gap runs; else one less."""
@@ -724,33 +749,33 @@ def _check_regimes(
     ceiling = c1 * n + c0
     if ra <= 1 and rb <= 1:
         if total > small:
-            fail("small-profile ceiling", small, total)
+            sink.add(x, y, "small-profile ceiling", small, total)
     elif ra == 0 or rb == 0:
         if n >= min_n:
             if total > ceiling:
-                fail(f"{name} ceiling", ceiling, total)
+                sink.add(x, y, f"{name} ceiling", ceiling, total)
             if (total == ceiling) != (ra + rb == n - eq_gap):
-                fail(f"{name} equality", ra + rb == n - eq_gap, total)
+                sink.add(x, y, f"{name} equality", ra + rb == n - eq_gap, total)
     elif n >= min_n and total > ceiling - 1:
-        fail("mixed-profile ceiling", ceiling - 1, total)
+        sink.add(x, y, "mixed-profile ceiling", ceiling - 1, total)
 
 
-def _check_tail(kind: str, n: int, x: int, y: int, total: int, fail: _Fail) -> None:
+def _check_tail(kind: str, n: int, x: int, y: int, total: int, sink: _Sink) -> None:
     """From the kind's smallest n on: its ceiling when it has no equality
-    family (_check_regimes covers the others), then its run-sum ceiling."""
+    family (the callers check the others), then its run-sum ceiling."""
     name, min_n, (c1, c0), eq_gap, run_gap = _CEILINGS[kind]
     if n < min_n:
         return
     if eq_gap is None and total > c1 * n + c0:
-        fail(f"{name} ceiling", c1 * n + c0, total)
+        sink.add(x, y, f"{name} ceiling", c1 * n + c0, total)
     if run_gap is not None:
         run_sum = _runs_int(x, n) + _runs_int(y, n) + n - run_gap
         if total > run_sum:
-            fail("run-sum ceiling", run_sum, total)
+            sink.add(x, y, "run-sum ceiling", run_sum, total)
 
 
 def _check_transposition_pair(
-    n: int, params: tuple[int, ...], a: int, b: int, q: int, x: int, y: int, fail: _Fail
+    n: int, params: tuple[int, ...], a: int, b: int, q: int, x: int, y: int, sink: _Sink
 ) -> int:
     (m,) = params
     alpha = 0
@@ -761,52 +786,52 @@ def _check_transposition_pair(
     s2 = _cat((a, m), (0b11, 2), (b, q))
     shared_subs = {z for z in _sub_set(x, n) if (z ^ y).bit_count() <= 1}
     if shared_subs != {s1, s2}:
-        fail("shared substitution set", 2, len(shared_subs))
+        sink.add(x, y, "shared substitution set", 2, len(shared_subs))
     d1 = _cat((a, m), (0, 1), (b, q))
     d2 = _cat((a, m), (1, 1), (b, q))
     if _del_set(x, n) & _del_set(y, n) != {d1, d2}:
-        fail("shared deletion set", 2, None)
+        sink.add(x, y, "shared deletion set", 2, None)
 
     s_term = _sub_set(d1, n - 1) | _sub_set(d2, n - 1)
     if len(s_term) != 2 * n - 2:
-        fail("substitution term size", 2 * n - 2, len(s_term))
+        sink.add(x, y, "substitution term size", 2 * n - 2, len(s_term))
     dd1 = _del_set(s1, n)
     dd2 = _del_set(s2, n)
     if dd1 & dd2:
-        fail("deletion term disjoint", 0, len(dd1 & dd2))
+        sink.add(x, y, "deletion term disjoint", 0, len(dd1 & dd2))
     row = _table2(edges, r_sum)
     if row is not None and (len(dd1), len(dd2)) != row:
-        fail("deletion term split", row, (len(dd1), len(dd2)))
+        sink.add(x, y, "deletion term split", row, (len(dd1), len(dd2)))
     d_term = dd1 | dd2
     want_d = 2 * r_sum + 1 if (ra == 0 or rb == 0) else 2 * r_sum
     if row is not None and len(d_term) != want_d:
-        fail("deletion term size", want_d, len(d_term))
+        sink.add(x, y, "deletion term size", want_d, len(d_term))
 
     col3 = len(dd1 & _sub_set(d1, n - 1))
     col4 = len(dd2 & _sub_set(d2, n - 1))
     cols = _table3(ra, rb, ca, cb, alpha)
     if cols is not None and (col3, col4) != cols:
-        fail("overlap columns", cols, (col3, col4))
+        sink.add(x, y, "overlap columns", cols, (col3, col4))
     overlap = d_term & s_term
     if cols is not None and len(overlap) != col3 + col4:
-        fail("overlap size", col3 + col4, len(overlap))
+        sink.add(x, y, "overlap size", col3 + col4, len(overlap))
 
     inter = _ds_inter(x, y, n)
     union = s_term | d_term
     if not union <= inter:
-        fail("term containment", True, False)
+        sink.add(x, y, "term containment", True, False)
     extra = len(inter) - len(union)
     want_b = _extra_count(ra, rb, ca == cb)
     if extra != want_b:
-        fail("extra elements", want_b, extra)
+        sink.add(x, y, "extra elements", want_b, extra)
 
     total = len(inter)
-    _check_regimes("fam22", n, ra, rb, 2 * n + 1, total, fail)
+    _check_regimes("fam22", n, x, y, ra, rb, 2 * n + 1, total, sink)
     return total
 
 
 def _check_flip_pair(
-    n: int, params: tuple[int, ...], a: int, b: int, q: int, x: int, y: int, fail: _Fail
+    n: int, params: tuple[int, ...], a: int, b: int, q: int, x: int, y: int, sink: _Sink
 ) -> int:
     (m,) = params
     alpha = 0
@@ -817,52 +842,52 @@ def _check_flip_pair(
 
     ab = _cat((a, m), (b, q))
     if {z for z in _sub_set(x, n) if (z ^ y).bit_count() <= 1} != {x, y}:
-        fail("shared substitution set", "{x, y}", None)
+        sink.add(x, y, "shared substitution set", "{x, y}", None)
     d1 = _del_set(x, n)
     d2 = _del_set(y, n)
     if d1 & d2 != {ab}:
-        fail("shared deletion set", 1, len(d1 & d2))
+        sink.add(x, y, "shared deletion set", 1, len(d1 & d2))
 
     s_term = _sub_set(ab, n - 1)
     row = _table2(edges, r_sum)
     if row is not None and (len(d1), len(d2)) != row:
-        fail("deletion ball split", row, (len(d1), len(d2)))
+        sink.add(x, y, "deletion ball split", row, (len(d1), len(d2)))
     d_term = d1 | d2
     if len(d_term) != rx + ry - 1:
-        fail("deletion term size", rx + ry - 1, len(d_term))
+        sink.add(x, y, "deletion term size", rx + ry - 1, len(d_term))
     if row is not None:
         want_d = 2 * r_sum if (ra == 0 or rb == 0) else 2 * r_sum - 1
         if len(d_term) != want_d:
-            fail("deletion term regime", want_d, len(d_term))
+            sink.add(x, y, "deletion term regime", want_d, len(d_term))
 
     col3 = len(d1 & s_term)
     col4 = len(d2 & s_term)
     cols = _table3(ra, rb, ca, cb, alpha)
     if cols is not None and (col3, col4) != cols:
-        fail("overlap columns", cols, (col3, col4))
+        sink.add(x, y, "overlap columns", cols, (col3, col4))
     overlap = d_term & s_term
     if (d1 & s_term) & (d2 & s_term) != {ab}:
-        fail("overlap pivot", "{ab}", None)
+        sink.add(x, y, "overlap pivot", "{ab}", None)
     if len(overlap) != col3 + col4 - 1:
-        fail("overlap size", col3 + col4 - 1, len(overlap))
+        sink.add(x, y, "overlap size", col3 + col4 - 1, len(overlap))
 
     inter = _ds_inter(x, y, n)
     union = s_term | d_term
     if not union <= inter:
-        fail("term containment", True, False)
+        sink.add(x, y, "term containment", True, False)
     extra = len(inter) - len(union)
     want_b = _extra_count(ra, rb, ca != cb)
     if extra != want_b:
-        fail("extra elements", want_b, extra)
+        sink.add(x, y, "extra elements", want_b, extra)
 
     total = len(inter)
-    _check_regimes("fam12f", n, ra, rb, n + 3, total, fail)
-    _check_tail("fam12f", n, x, y, total, fail)
+    _check_regimes("fam12f", n, x, y, ra, rb, n + 3, total, sink)
+    _check_tail("fam12f", n, x, y, total, sink)
     return total
 
 
 def _check_shift_pair(
-    n: int, params: tuple[int, ...], a: int, b: int, q: int, x: int, y: int, fail: _Fail
+    n: int, params: tuple[int, ...], a: int, b: int, q: int, x: int, y: int, sink: _Sink
 ) -> int:
     alpha, ell, m = params
     beta = 1 - alpha
@@ -874,108 +899,107 @@ def _check_shift_pair(
     s1 = _cat((a, m), (_rep(alpha, ell + 1), ell + 1), (b, q))
     s2 = _cat((a, m), (beta, 1), (_rep(alpha, ell - 1), ell - 1), (beta, 1), (b, q))
     if {z for z in _sub_set(x, n) if (z ^ y).bit_count() <= 1} != {s1, s2}:
-        fail("shared substitution set", 2, None)
+        sink.add(x, y, "shared substitution set", 2, None)
     mid = _cat((a, m), (_rep(alpha, ell), ell), (b, q))
     if _del_set(x, n) & _del_set(y, n) != {mid}:
-        fail("shared deletion set", 1, None)
+        sink.add(x, y, "shared deletion set", 1, None)
 
     s_term = _sub_set(mid, n - 1)
     dd1 = _del_set(s1, n)
     dd2 = _del_set(s2, n)
     if dd1 & dd2:
-        fail("deletion term disjoint", 0, len(dd1 & dd2))
+        sink.add(x, y, "deletion term disjoint", 0, len(dd1 & dd2))
     row = _table4(edges, r_sum)
     if (len(dd1), len(dd2)) != row:
-        fail("deletion term split", row, (len(dd1), len(dd2)))
+        sink.add(x, y, "deletion term split", row, (len(dd1), len(dd2)))
     d_term = dd1 | dd2
     if len(d_term) != rx + ry:
-        fail("deletion term size", rx + ry, len(d_term))
+        sink.add(x, y, "deletion term size", rx + ry, len(d_term))
     if m == 0 and q == 0:
         want_d = 4
     elif ra == 0 or rb == 0:
         want_d = 2 * r_sum + 3
         if want_d > 2 * n - 2 * ell + 1:
-            fail("deletion term cap", 2 * n - 2 * ell + 1, want_d)
+            sink.add(x, y, "deletion term cap", 2 * n - 2 * ell + 1, want_d)
     else:
         want_d = 2 * r_sum + 2
         if want_d > 2 * n - 2 * ell:
-            fail("deletion term cap", 2 * n - 2 * ell, want_d)
+            sink.add(x, y, "deletion term cap", 2 * n - 2 * ell, want_d)
     if len(d_term) != want_d:
-        fail("deletion term regime", want_d, len(d_term))
+        sink.add(x, y, "deletion term regime", want_d, len(d_term))
 
     e1 = _cat((a, m), (beta, 1), (_rep(alpha, ell - 1), ell - 1), (b, q))
     e2 = _cat((a, m), (_rep(alpha, ell - 1), ell - 1), (beta, 1), (b, q))
     if dd2 & s_term != {e1, e2}:
-        fail("second overlap component", 2, len(dd2 & s_term))
+        sink.add(x, y, "second overlap component", 2, len(dd2 & s_term))
     comp1 = len(dd1 & s_term)
     want1 = 1 + _has_symbol(a, m, beta) + _has_symbol(b, q, beta)
     if comp1 != want1:
-        fail("first overlap component", want1, comp1)
+        sink.add(x, y, "first overlap component", want1, comp1)
     overlap = d_term & s_term
     if len(overlap) != want1 + 2 or not 3 <= len(overlap) <= 5:
-        fail("overlap size", want1 + 2, len(overlap))
+        sink.add(x, y, "overlap size", want1 + 2, len(overlap))
 
     inter = _ds_inter(x, y, n)
     union = s_term | d_term
     if not union <= inter:
-        fail("term containment", True, False)
+        sink.add(x, y, "term containment", True, False)
     extra = len(inter) - len(union)
     want_b = 1 if (_has_symbol(a, m, alpha) and _has_symbol(b, q, alpha)) else 0
     if extra != want_b:
-        fail("extra elements", want_b, extra)
+        sink.add(x, y, "extra elements", want_b, extra)
 
     total = len(inter)
-    _check_tail("fam12s", n, x, y, total, fail)
+    _check_tail("fam12s", n, x, y, total, sink)
     return total
 
 
 def _check_alternating_pair(
-    n: int, params: tuple[int, ...], a: int, b: int, q: int, x: int, y: int, fail: _Fail
+    n: int, params: tuple[int, ...], a: int, b: int, q: int, x: int, y: int, sink: _Sink
 ) -> int:
     ell, m = params
     c = _window("fam20", params)[0]
 
     if any((z ^ y).bit_count() <= 1 for z in _sub_set(x, n)):
-        fail("shared substitution set", 0, None)
+        sink.add(x, y, "shared substitution set", 0, None)
     z1 = _cat((a, m), (c & ((1 << (ell - 1)) - 1), ell - 1), (b, q))
     z2 = _cat((a, m), (c >> 1, ell - 1), (b, q))
     if _del_set(x, n) & _del_set(y, n) != {z1, z2}:
-        fail("shared deletion set", 2, None)
+        sink.add(x, y, "shared deletion set", 2, None)
 
     s_term = _sub_set(z1, n - 1) | _sub_set(z2, n - 1)
     want_s = 2 * n if ell >= 4 else 2 * n - 2
     if len(s_term) != want_s:
-        fail("substitution term size", want_s, len(s_term))
+        sink.add(x, y, "substitution term size", want_s, len(s_term))
 
     inter = _ds_inter(x, y, n)
     if not s_term <= inter:
-        fail("term containment", True, False)
+        sink.add(x, y, "term containment", True, False)
     extra = len(inter) - len(s_term)
     if extra > 8:
-        fail("extra elements", "<= 8", extra)
+        sink.add(x, y, "extra elements", "<= 8", extra)
     total = len(inter)
-    _check_tail("fam20", n, x, y, total, fail)
+    _check_tail("fam20", n, x, y, total, sink)
     return total
 
 
 def _check_ceilings(
     kind: str, n: int, params: tuple[int, ...], a: int, b: int, q: int, x: int, y: int,
-    fail: _Fail,
+    sink: _Sink,
 ) -> int:
-    name, min_n, (c1, c0), eq_gap, run_gap = _CEILINGS[kind]
+    """The kind's ceiling, its equality family where it has one, and then
+    _check_tail."""
+    name, min_n, (c1, c0), eq_gap, _ = _CEILINGS[kind]
     total = len(_ds_inter(x, y, n))
-    if n < min_n:
-        return total
-    ceiling = c1 * n + c0
-    if total > ceiling:
-        fail(f"{name} ceiling", ceiling, total)
-    if eq_gap is not None:
+    if eq_gap is not None and n >= min_n:
+        ceiling = c1 * n + c0
+        if total > ceiling:
+            sink.add(x, y, f"{name} ceiling", ceiling, total)
         ra, rb, *_ = _affix_meta(a, params[-1], b, q, 0)
         in_family = (ra == 0 and rb == n - eq_gap) or (ra == n - eq_gap and rb == 0)
         if (total == ceiling) != in_family:
-            fail(f"{name} equality family", in_family, total)
-    if run_gap is not None and total > _runs_int(x, n) + _runs_int(y, n) + n - run_gap:
-        fail("run-sum ceiling", None, total)
+            sink.add(x, y, f"{name} equality family", in_family, total)
+    _check_tail(kind, n, x, y, total, sink)
     return total
 
 
@@ -996,22 +1020,18 @@ def _structured_chunk(
     only the pair's shared-ball size, counting transposition pairs at the
     global ceiling 4n - 9 as equality cases.
     """
-    ces: list[dict[str, Any]] = []
+    sink = _Sink(n)
     extremal = -1
     eq = 0
     count_eq = depth == "ceiling" and kind == "fam22" and n >= 6
-    checker = _FAMILY_CHECKERS[kind]
+    check = _FAMILY_CHECKERS[kind] if depth == "full" else functools.partial(_check_ceilings, kind)
     for a, b, q, x, y in _structured_pairs(kind, n, params, lo, hi):
-        fail = _recorder(ces, n, x, y)
-        if depth == "full":
-            total = checker(n, params, a, b, q, x, y, fail)
-        else:
-            total = _check_ceilings(kind, n, params, a, b, q, x, y, fail)
+        total = check(n, params, a, b, q, x, y, sink)
         if count_eq and total == 4 * n - 9:
             eq += 1
         if total > extremal:
             extremal = total
-    return {"pairs": hi - lo, "extremal": extremal, "eq": eq, "ces": ces}
+    return {"pairs": hi - lo, "extremal": extremal, "eq": eq, "ces": sink.ces}
 
 
 def verify_intersection_bounds(
@@ -1048,11 +1068,8 @@ def verify_intersection_bounds(
             )
         parts = _map_tasks(tasks, jobs)
     else:
-        try:
-            _WORK["tables"] = {n: _tables(n)}
-            parts = _map_tasks([("bounds", n, lo, hi) for lo, hi in _row_chunks(n)], jobs)
-        finally:
-            _WORK.clear()
+        tasks = [(_bounds_chunk, n, lo, hi) for lo, hi in _spans(1 << n)]
+        parts = _map_tasks(tasks, jobs, tables={n: _tables(n)})
         case_pairs: dict[str, int] = {}
         case_max: dict[str, int] = {}
         for part in parts:
@@ -1063,20 +1080,10 @@ def verify_intersection_bounds(
                     case_max[key] = val
         detail["case_pairs"] = dict(sorted(case_pairs.items()))
         detail["case_extremal"] = dict(sorted(case_max.items()))
-    pairs = sum(p["pairs"] for p in parts)
-    extremal = max((p["extremal"] for p in parts), default=-1)
-    eq = sum(p["eq"] for p in parts)
-    ces = [c for p in parts for c in p["ces"]]
+    sink = _Sink(n)
+    pairs, extremal, eq = _merge(parts, sink)
     return _finish(
-        "intersection-bounds",
-        (n, n),
-        pairs,
-        bound,
-        extremal if extremal >= 0 else None,
-        eq,
-        ces,
-        t0,
-        detail,
+        "intersection-bounds", (n, n), pairs, bound, extremal, eq, sink.ces, t0, detail
     )
 
 
@@ -1095,7 +1102,8 @@ def _identity_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
     size = 1 << n
     pairs = 0
     extremal = -1
-    ces: list[dict[str, Any]] = []
+    sink = _Sink(n)
+    tags = _case_rows(n)
     for x in range(lo, hi):
         bx = bm[x]
         sx = sm[x]
@@ -1106,53 +1114,50 @@ def _identity_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
             b = inter.bit_count()
             if b > extremal:
                 extremal = b
+            d_mask = dx & dm[y]
             s_term = 0
-            for z in _bits(dx & dm[y]):
+            for z in _bits(d_mask):
                 s_term |= prev[z]
             d_term = 0
             for z in _bits(sx & sm[y]):
                 d_term |= dm[z]
             union = s_term | d_term
             if union & ~inter:
-                if len(ces) < _CE_CAP:
-                    ces.append(_ce(n, x, y, "term containment", True, False))
+                sink.add(x, y, "term containment", True, False)
                 continue
             s_sz = s_term.bit_count()
             d_sz = d_term.bit_count()
-            extra = b - (s_term | d_term).bit_count()
+            extra = b - union.bit_count()
 
-            diff = x ^ y
-            dh = diff.bit_count()
-            d = (dx & dm[y]).bit_count()
-            if dh == 2 and d == 0:
-                # two separated flips: deletion side only
-                if d_sz > 2 * n and len(ces) < _CE_CAP:
-                    ces.append(_ce(n, x, y, "deletion term cap", 2 * n, d_sz))
-                if d_sz > runs[x] + runs[y] + 4 and len(ces) < _CE_CAP:
-                    ces.append(
-                        _ce(n, x, y, "deletion term run cap", runs[x] + runs[y] + 4, d_sz)
-                    )
-                if extra > 4 and len(ces) < _CE_CAP:
-                    ces.append(_ce(n, x, y, "extra elements", "<= 4", extra))
-                if b > min(2 * n + 4, runs[x] + runs[y] + 8) and len(ces) < _CE_CAP:
-                    ces.append(_ce(n, x, y, "two-flip ceiling", 2 * n + 4, b))
-            elif dh >= 3 and d == 2:
+            dh = (x ^ y).bit_count()
+            case = tags[dh][d_mask.bit_count()]
+            if case is TWO_FLIPS:
+                # deletion side only
+                if d_sz > 2 * n:
+                    sink.add(x, y, "deletion term cap", 2 * n, d_sz)
+                if d_sz > runs[x] + runs[y] + 4:
+                    sink.add(x, y, "deletion term run cap", runs[x] + runs[y] + 4, d_sz)
+                if extra > 4:
+                    sink.add(x, y, "extra elements", "<= 4", extra)
+                if b > min(2 * n + 4, runs[x] + runs[y] + 8):
+                    sink.add(x, y, "two-flip ceiling", 2 * n + 4, b)
+            elif case is ALTERNATING_BLOCK:
                 want_s = 2 * n if dh >= 4 else 2 * n - 2
-                if s_sz != want_s and len(ces) < _CE_CAP:
-                    ces.append(_ce(n, x, y, "substitution term size", want_s, s_sz))
-                if extra > 8 and len(ces) < _CE_CAP:
-                    ces.append(_ce(n, x, y, "extra elements", "<= 8", extra))
-            elif dh >= 3 and d == 1:
-                if s_sz != n and len(ces) < _CE_CAP:
-                    ces.append(_ce(n, x, y, "substitution term size", n, s_sz))
-                if extra > 20 and len(ces) < _CE_CAP:
-                    ces.append(_ce(n, x, y, "extra elements", "<= 20", extra))
-            elif dh >= 3:
-                if b != extra and len(ces) < _CE_CAP:
-                    ces.append(_ce(n, x, y, "bare intersection", b, extra))
-                if b > 30 and len(ces) < _CE_CAP:
-                    ces.append(_ce(n, x, y, "generic ceiling", 30, b))
-    return {"pairs": pairs, "extremal": extremal, "eq": 0, "ces": ces}
+                if s_sz != want_s:
+                    sink.add(x, y, "substitution term size", want_s, s_sz)
+                if extra > 8:
+                    sink.add(x, y, "extra elements", "<= 8", extra)
+            elif case is SHIFTED_PAIR:
+                if s_sz != n:
+                    sink.add(x, y, "substitution term size", n, s_sz)
+                if extra > 20:
+                    sink.add(x, y, "extra elements", "<= 20", extra)
+            elif case is GENERIC:
+                if b != extra:
+                    sink.add(x, y, "bare intersection", b, extra)
+                if b > 30:
+                    sink.add(x, y, "generic ceiling", 30, b)
+    return {"pairs": pairs, "extremal": extremal, "eq": 0, "ces": sink.ces}
 
 
 _IDENTITY_MAX_N = 10
@@ -1177,9 +1182,9 @@ def verify_claim_tables(n_max: int, *, jobs: int = 1) -> VerificationReport:
     if n_max > STRUCTURED_LIMIT:
         raise ValueError(f"claim tables capped at n <= {STRUCTURED_LIMIT}")
     id_top = min(n_max, _IDENTITY_MAX_N)
-    tasks: list[tuple] = []
-    for n in range(2, id_top + 1):
-        tasks.extend(("idpairs", n, lo, hi) for lo, hi in _row_chunks(n))
+    tasks = [
+        (_identity_chunk, n, lo, hi) for n in range(2, id_top + 1) for lo, hi in _spans(1 << n)
+    ]
     family_counts: dict[str, int] = {}
     for n in range(2, n_max + 1):
         for kind in _FAMILY_KINDS:
@@ -1188,29 +1193,14 @@ def verify_claim_tables(n_max: int, *, jobs: int = 1) -> VerificationReport:
             family_counts[kind] = family_counts.get(kind, 0) + sum(
                 t[-1] - t[-2] for t in fam_tasks
             )
-    try:
-        _WORK["tables"] = {n: _tables(n) for n in range(2, id_top + 1)}
-        parts = _map_tasks(tasks, jobs)
-    finally:
-        _WORK.clear()
-    pairs = sum(p["pairs"] for p in parts)
-    extremal = max((p["extremal"] for p in parts), default=-1)
-    ces = [c for p in parts for c in p["ces"]]
+    parts = _map_tasks(tasks, jobs, tables={n: _tables(n) for n in range(2, id_top + 1)})
+    sink = _Sink(n_max)
+    pairs, extremal, eq = _merge(parts, sink)
     detail = {
         "identity_max_n": id_top,
         "family_pairs": dict(sorted(family_counts.items())),
     }
-    return _finish(
-        "claim-tables",
-        (2, n_max),
-        pairs,
-        None,
-        extremal if extremal >= 0 else None,
-        0,
-        ces,
-        t0,
-        detail,
-    )
+    return _finish("claim-tables", (2, n_max), pairs, None, extremal, eq, sink.ces, t0, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -1250,7 +1240,7 @@ def _bad_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
     max_pre = 0
     max_post = 0
     eq = 0
-    ces: list[dict[str, Any]] = []
+    sink = _Sink(n)
     for x in range(lo, hi):
         dx = dm[x]
         bx = bm[x]
@@ -1267,8 +1257,8 @@ def _bad_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
             bad_pre = 0
             bad_post = 0
             elements = _bits(inter)
-            if len(elements) > 30 and len(ces) < _CE_CAP:
-                ces.append(_ce(n, x, y, "generic ceiling", 30, len(elements)))
+            if len(elements) > 30:
+                sink.add(x, y, "generic ceiling", 30, len(elements))
             for z in elements:
                 lx = _witness_list(wx, z, n)
                 ly = _witness_list(wy, z, n)
@@ -1294,15 +1284,16 @@ def _bad_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
             declared = bad_pre if convention == "pre" else bad_post
             if declared == 6:
                 eq += 1
-            elif declared > 6 and len(ces) < _CE_CAP:
-                ces.append(_ce(n, x, y, "bad element count", 6, declared))
+            elif declared > 6:
+                sink.add(x, y, "bad element count", 6, declared)
+    max_bad = {"pre": max_pre, "post": max_post}
     return {
         "pairs": pairs,
         "seen": seen,
-        "max_pre": max_pre,
-        "max_post": max_post,
+        "max_bad": max_bad,
+        "extremal": max_bad[convention],
         "eq": eq,
-        "ces": ces,
+        "ces": sink.ces,
     }
 
 
@@ -1328,31 +1319,21 @@ def verify_bad_count(
             "bad-count", (n, n), 0, 6, None, 0, [], t0,
             {"convention": convention}, skipped=True,
         )
-    try:
-        _WORK["tables"] = {n: _tables(n)}
-        _WORK["dels"] = _dels_by_position(n)
-        _WORK["convention"] = convention
-        parts = _map_tasks([("bad", n, lo, hi) for lo, hi in _row_chunks(n)], jobs)
-    finally:
-        _WORK.clear()
-    max_pre = max(p["max_pre"] for p in parts)
-    max_post = max(p["max_post"] for p in parts)
+    parts = _map_tasks(
+        [(_bad_chunk, n, lo, hi) for lo, hi in _spans(1 << n)],
+        jobs,
+        tables={n: _tables(n)},
+        dels=_dels_by_position(n),
+        convention=convention,
+    )
+    sink = _Sink(n)
+    pairs, extremal, eq = _merge(parts, sink)
     detail = {
         "convention": convention,
-        "max_bad": {"pre": max_pre, "post": max_post},
+        "max_bad": {c: max(p["max_bad"][c] for p in parts) for c in WITNESS_CONVENTIONS},
         "pairs_with_shared_elements": sum(p["seen"] for p in parts),
     }
-    return _finish(
-        "bad-count",
-        (n, n),
-        sum(p["pairs"] for p in parts),
-        6,
-        max_pre if convention == "pre" else max_post,
-        sum(p["eq"] for p in parts),
-        [c for p in parts for c in p["ces"]],
-        t0,
-        detail,
-    )
+    return _finish("bad-count", (n, n), pairs, 6, extremal, eq, sink.ces, t0, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -1392,66 +1373,65 @@ CODE_CHECKS: dict[str, _CodeCheck] = {
 }
 
 
-def _code_chunk(theorem_id: str, n: int, key: tuple[int, ...]) -> dict[str, Any]:
-    """Pairwise ceiling of one coset; for cl also bad elements and triples."""
-    members = _WORK["buckets"][key]
+def _code_chunk(theorem_id: str, n: int, keys: list[tuple[int, ...]]) -> dict[str, Any]:
+    """Pairwise ceiling of a run of cosets; for cl also bad elements and triples."""
     bm = _WORK["tables"][n].bmask
     dels = _WORK["dels"]
     bound = CODE_CHECKS[theorem_id].ceiling(n)
-    ces: list[dict[str, Any]] = []
+    sink = _Sink(n)
     pairs = 0
     triples = 0
     extremal = -1
     eq = 0
-    k = len(members)
-    for i in range(k):
-        x = members[i]
-        bx = bm[x]
-        for j in range(i + 1, k):
-            y = members[j]
-            pairs += 1
-            inter = bx & bm[y]
-            b = inter.bit_count()
-            if b > extremal:
-                extremal = b
-            if b == bound:
-                eq += 1
-            elif b > bound and len(ces) < _CE_CAP:
-                ces.append(_ce(n, x, y, "pairwise ceiling", bound, b))
-            if dels is not None and inter:
-                for z in _bits(inter):
-                    lx = _witness_list(dels[x], z, n)
-                    ly = _witness_list(dels[y], z, n)
-                    if any(
-                        _outside(i2, j2, p1) or _outside(i2, j2, p2)
-                        for i2, p1, _ in lx
-                        for j2, p2, _ in ly
-                    ) and len(ces) < _CE_CAP:
-                        ces.append(
-                            _ce(n, x, y, "shared element must be bad", True, to_word(z, n - 1))
-                        )
-    if theorem_id == "cl" and k >= 3:
+    for key in keys:
+        members = _WORK["buckets"][key]
+        k = len(members)
         for i in range(k):
+            x = members[i]
+            bx = bm[x]
             for j in range(i + 1, k):
-                common = bm[members[i]] & bm[members[j]]
-                if not common:
-                    continue
-                for t in range(j + 1, k):
-                    triples += 1
-                    if common & bm[members[t]] and len(ces) < _CE_CAP:
-                        ces.append(
-                            _ce(n, members[i], members[j], "triple intersection", 0, 1,
-                                z=to_word(members[t], n))
-                        )
-    return {"pairs": pairs, "triples": triples, "extremal": extremal, "eq": eq, "ces": ces}
+                y = members[j]
+                pairs += 1
+                inter = bx & bm[y]
+                b = inter.bit_count()
+                if b > extremal:
+                    extremal = b
+                if b == bound:
+                    eq += 1
+                elif b > bound:
+                    sink.add(x, y, "pairwise ceiling", bound, b)
+                if dels is not None and inter:
+                    for z in _bits(inter):
+                        lx = _witness_list(dels[x], z, n)
+                        ly = _witness_list(dels[y], z, n)
+                        if any(
+                            _outside(i2, j2, p1) or _outside(i2, j2, p2)
+                            for i2, p1, _ in lx
+                            for j2, p2, _ in ly
+                        ):
+                            sink.add(x, y, "shared element must be bad", True, _Word(z, n - 1))
+        if theorem_id == "cl" and k >= 3:
+            for i in range(k):
+                for j in range(i + 1, k):
+                    common = bm[members[i]] & bm[members[j]]
+                    if not common:
+                        continue
+                    for t in range(j + 1, k):
+                        triples += 1
+                        if common & bm[members[t]]:
+                            sink.add(
+                                members[i], members[j], "triple intersection", 0, 1,
+                                z=_Word(members[t], n),
+                            )
+    return {"pairs": pairs, "triples": triples, "extremal": extremal, "eq": eq, "ces": sink.ces}
 
 
 def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> VerificationReport:
     """Pairwise ball-intersection ceiling and size of one construction.
 
     Every residue class is checked (modulus fixed to two for the inversion
-    based families, matching their redundancy targets), one task per
-    coset in sorted key order.  The parity+VT construction additionally
+    based families, matching their redundancy targets); the sorted coset
+    keys are split into at most 64 runs, one task each.  The parity+VT construction additionally
     requires empty triple intersections and that every shared pair element
     is bad, and reports the weaker reading of its redundancy target
     alongside the exact one.
@@ -1470,26 +1450,25 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
         key = key_of(to_word(x, n))
         if key is not None:
             buckets.setdefault(key, []).append(x)
-    try:
-        _WORK["tables"] = {n: _tables(n)}
-        _WORK["buckets"] = buckets
-        _WORK["dels"] = _dels_by_position(n) if theorem_id == "cl" else None
-        parts = _map_tasks([("code", theorem_id, n, key) for key in sorted(buckets)], jobs)
-    finally:
-        _WORK.clear()
-    extremal = max((p["extremal"] for p in parts), default=-1)
-    ces = [c for p in parts for c in p["ces"]]
+    keys = sorted(buckets)
+    parts = _map_tasks(
+        [(_code_chunk, theorem_id, n, keys[lo:hi]) for lo, hi in _spans(len(keys))],
+        jobs,
+        tables={n: _tables(n)},
+        buckets=buckets,
+        dels=_dels_by_position(n) if theorem_id == "cl" else None,
+    )
+    sink = _Sink(n)
+    pairs, extremal, eq = _merge(parts, sink)
     best_key = min(buckets, key=lambda k2: (-len(buckets[k2]), k2))
     best = len(buckets[best_key])
     coset = coset_of(best_key)
     if {to_word(v, n) for v in buckets[best_key]} != set(codes.members(coset)):
-        ces.append(_ce(n, None, None, "coset membership", str(coset), best_key))
+        sink.add(None, None, "coset membership", str(coset), best_key)
     red = n - math.log2(best)
     red_bound = check.redundancy_bound(n)
     if not check.redundancy_ok(n, best):
-        ces.append(
-            _ce(n, None, None, "redundancy", round(red_bound, 6), round(red, 6))
-        )
+        sink.add(None, None, "redundancy", round(red_bound, 6), round(red, 6))
     detail: dict[str, Any] = {
         "construction": theorem_id,
         "cosets": len(buckets),
@@ -1504,8 +1483,7 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
         detail["alt_redundancy_bound"] = round(math.log2(3 * n) + 4, 6)
         detail["alt_bound_satisfied"] = best * 48 * n >= 1 << n
     return _finish(
-        f"code-{theorem_id}", (n, n), sum(p["pairs"] for p in parts), check.ceiling(n),
-        extremal if extremal >= 0 else None, sum(p["eq"] for p in parts), ces, t0, detail,
+        f"code-{theorem_id}", (n, n), pairs, check.ceiling(n), extremal, eq, sink.ces, t0, detail
     )
 
 
@@ -1557,33 +1535,31 @@ def verify_rll(n: int, P: int) -> VerificationReport:
     if n > 16:
         raise ValueError("window check capped at n <= 16")
     cs = codes.spec(codes.RLL, n, P=P)
-    ces: list[dict[str, Any]] = []
+    sink = _Sink(n)
     count = 0
     for x in range(1 << n):
         w = to_word(x, n)
         impl = max_le2_periodic_length(w)
         scan = _period_scan(w)
         rule = _psi_rule(w)
-        if not impl == scan == rule and len(ces) < _CE_CAP:
-            ces.append(
-                _ce(n, x, None, "window length routes", scan, (impl, rule))
-            )
+        if not impl == scan == rule:
+            sink.add(x, None, "window length routes", scan, (impl, rule))
         member = impl <= P
-        if member != codes.contains(cs, w) and len(ces) < _CE_CAP:
-            ces.append(_ce(n, x, None, "membership", member, not member))
+        if member != codes.contains(cs, w):
+            sink.add(x, None, "membership", member, not member)
         count += member
     threshold = math.ceil(math.log2(n)) + 3 if n >= 2 else 3
     size_checked = n >= 2 and P >= threshold
     bound = 3 * (1 << (n - 2)) if size_checked else None
-    if size_checked and count < bound and len(ces) < _CE_CAP:
-        ces.append(_ce(n, None, None, "member count", f">= {bound}", count))
+    if size_checked and count < bound:
+        sink.add(None, None, "member count", f">= {bound}", count)
     detail = {
         "period": P,
         "members": count,
         "size_bound_checked": size_checked,
         "threshold": threshold,
     }
-    return _finish("rll", (n, n), 1 << n, bound, count, 0, ces, t0, detail)
+    return _finish("rll", (n, n), 1 << n, bound, count, 0, sink.ces, t0, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -1627,13 +1603,12 @@ def verify_reconstruction(
             "reconstruction", (n, n), 0, None, None, 0, [], t0, detail, skipped=True
         )
     rng = random.Random(seed)
-    ces: list[dict[str, Any]] = []
+    sink = _Sink(n)
 
     def check(w: str, bundle: ReadBundle, label: str) -> None:
         res = decode_reads(code, bundle)
-        if (res.status != UNIQUE or res.candidates != (w,)) and len(ces) < _CE_CAP:
-            ces.append({"n": n, "x": w, "check": label, "expected": UNIQUE,
-                        "observed": res.status, "candidates": list(res.candidates)})
+        if res.status != UNIQUE or res.candidates != (w,):
+            sink.add(int(w, 2), None, label, UNIQUE, res.status, candidates=list(res.candidates))
 
     checked = 0
     for _ in range(trials):
@@ -1645,13 +1620,5 @@ def verify_reconstruction(
         for _ in range(subset_trials):
             check(w, ReadBundle(n, tuple(sorted(rng.sample(ball, N)))), "subset decode")
             checked += 1
-    return _finish("reconstruction", (n, n), checked, None, None, 0, ces, t0, detail)
+    return _finish("reconstruction", (n, n), checked, None, None, 0, sink.ces, t0, detail)
 
-
-_TASK_FNS: dict[str, Callable[..., dict[str, Any]]] = {
-    "bounds": _bounds_chunk,
-    "idpairs": _identity_chunk,
-    "bad": _bad_chunk,
-    "structured": _structured_chunk,
-    "code": _code_chunk,
-}

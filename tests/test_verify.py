@@ -300,20 +300,39 @@ def test_report_serialization_shape():
 
 
 @pytest.mark.parametrize(
-    "sweep",
+    "chunk, sweep",
     [
-        lambda: verify_intersection_bounds(4),
-        lambda: verify_claim_tables(4),
-        lambda: verify_bad_count(4),
-        lambda: verify_code_theorem("inv", 4),
+        ("_bounds_chunk", lambda: verify_intersection_bounds(4, jobs=1)),
+        ("_identity_chunk", lambda: verify_claim_tables(4, jobs=1)),
+        ("_bad_chunk", lambda: verify_bad_count(4, jobs=1)),
+        ("_code_chunk", lambda: verify_code_theorem("inv", 4, jobs=1)),
     ],
     ids=["intersection-bounds", "claim-tables", "bad-count", "code-theorem"],
 )
-def test_shared_work_cleared_when_a_sweep_raises(monkeypatch, sweep):
-    def failing_map(tasks, jobs):
+def test_shared_work_cleared_when_a_sweep_raises(monkeypatch, chunk, sweep):
+    seen = []
+
+    def failing_chunk(*args):
+        seen.append(dict(verify._WORK))
         raise RuntimeError("task failed")
 
-    monkeypatch.setattr(verify, "_map_tasks", failing_map)
-    with pytest.raises(RuntimeError):
+    monkeypatch.setattr(verify, chunk, failing_chunk)
+    with pytest.raises(RuntimeError, match="task failed"):
         sweep()
+    assert len(seen) == 1 and 4 in seen[0]["tables"]
     assert verify._WORK == {}
+
+
+def test_ceiling_depth_run_sum_reports_its_bound(monkeypatch):
+    real = verify._runs_int
+    monkeypatch.setattr(
+        verify, "_runs_int", lambda x, n: real(x, n) - 3 if n >= 7 else real(x, n)
+    )
+    monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)  # keep every counterexample
+    report = verify_intersection_bounds(9, structured=True)
+    run_sum = [c for c in report.counterexamples if c["check"] == "run-sum ceiling"]
+    assert run_sum
+    assert all(type(c["expected"]) is int for c in run_sum)
+    # fam12f pair: r(x) + r(y) + n - 1 with both run counts lowered by 3
+    flip = [c for c in run_sum if (c["x"], c["y"]) == ("000000000", "000100000")]
+    assert [c["expected"] for c in flip] == [(1 - 3) + (3 - 3) + 9 - 1]
