@@ -1,10 +1,12 @@
-"""Microseconds per pair of the structured-family checkers.
+"""Microseconds per pair of the claim-table and structured-family checkers.
 
 Times ``verify._structured_chunk(kind, depth, n, params, lo, hi)`` for every
 structured kind at both check depths ("full" runs the claim-table checker,
-"ceiling" the size checks) at n = 11 and n = 14, and writes one row per
-measured source tree to ``BENCH_structured_kernel.json`` at the repository
-root.  A row is keyed by the git revision of the tree, so running the script
+"ceiling" the size checks) at n = 11 and n = 14, and the claim tables'
+identity sweep ``verify._identity_chunk(n, lo, hi)`` over every pair at
+n = 10 (kind "identity", depth "all-pairs"; its mask tables are built before
+timing).  It writes one row per measured source tree to
+``BENCH_structured_kernel.json`` at the repository root.  A row is keyed by the git revision of the tree, so running the script
 once against a parent checkout (``--src``) and once against this one leaves
 a before/after pair.  Standard library only; run from anywhere:
 
@@ -32,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_structured_kernel.json"
 LENGTHS = (11, 14)
+IDENTITY_N = 10
 DEPTHS = ("full", "ceiling")
 WINDOWS = 4
 WINDOW_PAIRS = 64
@@ -54,8 +57,38 @@ def _windows(verify, kind: str, n: int) -> list[tuple[tuple[int, ...], int, int]
     return out
 
 
+def _row(n: int, kind: str, depth: str, pairs: int, runs: list[float]) -> dict:
+    row = {
+        "n": n,
+        "kind": kind,
+        "depth": depth,
+        "pairs": pairs,
+        "us_per_pair": round(statistics.median(runs), 2),
+        "us_per_pair_runs": [round(r, 2) for r in runs],
+    }
+    print(f"n={n} {kind:8} {depth:9} {pairs:6} pairs {row['us_per_pair']:8.2f} us/pair",
+          file=sys.stderr)
+    return row
+
+
+def _measure_identity(verify) -> dict:
+    n = IDENTITY_N
+    size = 1 << n
+    pairs = size * (size - 1) // 2
+    verify._WORK["tables"] = {n: verify._tables(n)}
+    try:
+        runs = []
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            verify._identity_chunk(n, 0, size)
+            runs.append((time.perf_counter() - t0) / pairs * 1e6)
+    finally:
+        verify._WORK.clear()
+    return _row(n, "identity", "all-pairs", pairs, runs)
+
+
 def _measure(verify) -> list[dict]:
-    rows = []
+    rows = [_measure_identity(verify)]
     for n in LENGTHS:
         for kind in verify._FAMILY_KINDS:
             windows = _windows(verify, kind, n)
@@ -67,16 +100,7 @@ def _measure(verify) -> list[dict]:
                     for params, lo, hi in windows:
                         verify._structured_chunk(kind, depth, n, params, lo, hi)
                     runs.append((time.perf_counter() - t0) / pairs * 1e6)
-                rows.append({
-                    "n": n,
-                    "kind": kind,
-                    "depth": depth,
-                    "pairs": pairs,
-                    "us_per_pair": round(statistics.median(runs), 2),
-                    "us_per_pair_runs": [round(r, 2) for r in runs],
-                })
-                print(f"n={n} {kind:6} {depth:7} {pairs:6} pairs "
-                      f"{rows[-1]['us_per_pair']:8.2f} us/pair", file=sys.stderr)
+                rows.append(_row(n, kind, depth, pairs, runs))
     return rows
 
 

@@ -31,6 +31,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _word_arg(text: str) -> str:
     try:
         return words.parse_word(text)
@@ -290,7 +300,7 @@ def build_parser() -> _Parser:
     p.add_argument("target", choices=tuple(VERIFY_TARGETS))
     p.add_argument("--n", type=int, required=True,
                    help="word length (upper end of the range for claim-tables)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
     p.add_argument("--structured", action="store_true",
                    help="intersection-bounds: sweep the structured families only")
     p.add_argument("--convention", choices=balls.WITNESS_CONVENTIONS,

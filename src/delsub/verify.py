@@ -107,26 +107,40 @@ def _sub_set(x: int, n: int) -> set[int]:
 
 
 def _run_dels(x: int, n: int) -> list[int]:
-    """D(x) as one deletion per run of x: its r(x) distinct values."""
-    out = [x >> 1]
-    starts = (x ^ (x >> 1)) & ((1 << (n - 1)) - 1)
+    """D(x) as one deletion per run of x: its r(x) distinct values, last
+    run first.
+
+    Moving the deletion up across a run boundary keeps the bit of x below
+    the boundary in place of the differing bit above it, so each value is
+    the previous one with that boundary bit flipped.
+    """
+    v = x >> 1
+    out = [v]
+    starts = (x ^ v) & ((1 << (n - 1)) - 1)
     while starts:
         low = starts & -starts
-        k = low.bit_length()  # lowest bit of the next run
-        out.append(((x >> (k + 1)) << k) | (x & ((low << 1) - 1)))
+        v ^= low
+        out.append(v)
         starts ^= low
     return out
 
 
-def _ds_inter(x: int, y: int, n: int) -> set[int]:
-    """B(x) & B(y) as the union of S(u) & S(w) over u in D(x), w in D(y).
+@functools.cache
+def _flips(n: int) -> tuple[int, ...]:
+    """The n one-bit masks of a length-n word."""
+    return tuple(1 << t for t in range(n))
+
+
+def _ds_inter(dx: list[int], dy: list[int], n: int) -> set[int]:
+    """B(x) & B(y) from the run deletions dx = _run_dels(x, n) and
+    dy = _run_dels(y, n), as the union of S(u) & S(w) over u in dx, w in dy.
 
     Only deletion pairs within Hamming distance two contribute: all of S(u)
     when u = w, {u, w} at distance one, and the two mixed words at two.
     """
     out: set[int] = set()
-    dy = _run_dels(y, n)
-    for u in _run_dels(x, n):
+    flips = _flips(n - 1)
+    for u in dx:
         for w in dy:
             diff = u ^ w
             dist = diff.bit_count()
@@ -134,7 +148,7 @@ def _ds_inter(x: int, y: int, n: int) -> set[int]:
                 continue
             if dist == 0:
                 out.add(u)
-                out.update([u ^ (1 << t) for t in range(n - 1)])
+                out.update([u ^ f for f in flips])
             elif dist == 1:
                 out.add(u)
                 out.add(w)
@@ -781,6 +795,8 @@ def _check_transposition_pair(
     alpha = 0
     ra, rb, ca, cb, edges = _affix_meta(a, m, b, q, alpha)
     r_sum = ra + rb
+    rdx = _run_dels(x, n)
+    rdy = _run_dels(y, n)
 
     s1 = _cat((a, m), (0b00, 2), (b, q))
     s2 = _cat((a, m), (0b11, 2), (b, q))
@@ -789,14 +805,14 @@ def _check_transposition_pair(
         sink.add(x, y, "shared substitution set", 2, len(shared_subs))
     d1 = _cat((a, m), (0, 1), (b, q))
     d2 = _cat((a, m), (1, 1), (b, q))
-    if _del_set(x, n) & _del_set(y, n) != {d1, d2}:
+    if set(rdx).intersection(rdy) != {d1, d2}:
         sink.add(x, y, "shared deletion set", 2, None)
 
     s_term = _sub_set(d1, n - 1) | _sub_set(d2, n - 1)
     if len(s_term) != 2 * n - 2:
         sink.add(x, y, "substitution term size", 2 * n - 2, len(s_term))
-    dd1 = _del_set(s1, n)
-    dd2 = _del_set(s2, n)
+    dd1 = set(_run_dels(s1, n))
+    dd2 = set(_run_dels(s2, n))
     if dd1 & dd2:
         sink.add(x, y, "deletion term disjoint", 0, len(dd1 & dd2))
     row = _table2(edges, r_sum)
@@ -816,7 +832,7 @@ def _check_transposition_pair(
     if cols is not None and len(overlap) != col3 + col4:
         sink.add(x, y, "overlap size", col3 + col4, len(overlap))
 
-    inter = _ds_inter(x, y, n)
+    inter = _ds_inter(rdx, rdy, n)
     union = s_term | d_term
     if not union <= inter:
         sink.add(x, y, "term containment", True, False)
@@ -843,8 +859,10 @@ def _check_flip_pair(
     ab = _cat((a, m), (b, q))
     if {z for z in _sub_set(x, n) if (z ^ y).bit_count() <= 1} != {x, y}:
         sink.add(x, y, "shared substitution set", "{x, y}", None)
-    d1 = _del_set(x, n)
-    d2 = _del_set(y, n)
+    rdx = _run_dels(x, n)
+    rdy = _run_dels(y, n)
+    d1 = set(rdx)
+    d2 = set(rdy)
     if d1 & d2 != {ab}:
         sink.add(x, y, "shared deletion set", 1, len(d1 & d2))
 
@@ -871,7 +889,7 @@ def _check_flip_pair(
     if len(overlap) != col3 + col4 - 1:
         sink.add(x, y, "overlap size", col3 + col4 - 1, len(overlap))
 
-    inter = _ds_inter(x, y, n)
+    inter = _ds_inter(rdx, rdy, n)
     union = s_term | d_term
     if not union <= inter:
         sink.add(x, y, "term containment", True, False)
@@ -901,12 +919,14 @@ def _check_shift_pair(
     if {z for z in _sub_set(x, n) if (z ^ y).bit_count() <= 1} != {s1, s2}:
         sink.add(x, y, "shared substitution set", 2, None)
     mid = _cat((a, m), (_rep(alpha, ell), ell), (b, q))
-    if _del_set(x, n) & _del_set(y, n) != {mid}:
+    rdx = _run_dels(x, n)
+    rdy = _run_dels(y, n)
+    if set(rdx).intersection(rdy) != {mid}:
         sink.add(x, y, "shared deletion set", 1, None)
 
     s_term = _sub_set(mid, n - 1)
-    dd1 = _del_set(s1, n)
-    dd2 = _del_set(s2, n)
+    dd1 = set(_run_dels(s1, n))
+    dd2 = set(_run_dels(s2, n))
     if dd1 & dd2:
         sink.add(x, y, "deletion term disjoint", 0, len(dd1 & dd2))
     row = _table4(edges, r_sum)
@@ -940,7 +960,7 @@ def _check_shift_pair(
     if len(overlap) != want1 + 2 or not 3 <= len(overlap) <= 5:
         sink.add(x, y, "overlap size", want1 + 2, len(overlap))
 
-    inter = _ds_inter(x, y, n)
+    inter = _ds_inter(rdx, rdy, n)
     union = s_term | d_term
     if not union <= inter:
         sink.add(x, y, "term containment", True, False)
@@ -964,7 +984,9 @@ def _check_alternating_pair(
         sink.add(x, y, "shared substitution set", 0, None)
     z1 = _cat((a, m), (c & ((1 << (ell - 1)) - 1), ell - 1), (b, q))
     z2 = _cat((a, m), (c >> 1, ell - 1), (b, q))
-    if _del_set(x, n) & _del_set(y, n) != {z1, z2}:
+    rdx = _run_dels(x, n)
+    rdy = _run_dels(y, n)
+    if set(rdx).intersection(rdy) != {z1, z2}:
         sink.add(x, y, "shared deletion set", 2, None)
 
     s_term = _sub_set(z1, n - 1) | _sub_set(z2, n - 1)
@@ -972,7 +994,7 @@ def _check_alternating_pair(
     if len(s_term) != want_s:
         sink.add(x, y, "substitution term size", want_s, len(s_term))
 
-    inter = _ds_inter(x, y, n)
+    inter = _ds_inter(rdx, rdy, n)
     if not s_term <= inter:
         sink.add(x, y, "term containment", True, False)
     extra = len(inter) - len(s_term)
@@ -990,7 +1012,7 @@ def _check_ceilings(
     """The kind's ceiling, its equality family where it has one, and then
     _check_tail."""
     name, min_n, (c1, c0), eq_gap, _ = _CEILINGS[kind]
-    total = len(_ds_inter(x, y, n))
+    total = len(_ds_inter(_run_dels(x, n), _run_dels(y, n), n))
     if eq_gap is not None and n >= min_n:
         ceiling = c1 * n + c0
         if total > ceiling:
@@ -1100,7 +1122,6 @@ def _identity_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
     bm = tab.bmask
     prev = tab.prev_smask
     size = 1 << n
-    pairs = 0
     extremal = -1
     sink = _Sink(n)
     tags = _case_rows(n)
@@ -1109,17 +1130,23 @@ def _identity_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
         sx = sm[x]
         dx = dm[x]
         for y in range(x + 1, size):
-            pairs += 1
             inter = bx & bm[y]
             b = inter.bit_count()
             if b > extremal:
                 extremal = b
             d_mask = dx & dm[y]
+            s_mask = sx & sm[y]
+            dh = (x ^ y).bit_count()
+            if not (d_mask or s_mask) and dh >= 3:
+                # generic: both terms empty, so the whole ball is extra
+                if b > 30:
+                    sink.add(x, y, "generic ceiling", 30, b)
+                continue
             s_term = 0
             for z in _bits(d_mask):
                 s_term |= prev[z]
             d_term = 0
-            for z in _bits(sx & sm[y]):
+            for z in _bits(s_mask):
                 d_term |= dm[z]
             union = s_term | d_term
             if union & ~inter:
@@ -1129,7 +1156,6 @@ def _identity_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
             d_sz = d_term.bit_count()
             extra = b - union.bit_count()
 
-            dh = (x ^ y).bit_count()
             case = tags[dh][d_mask.bit_count()]
             if case is TWO_FLIPS:
                 # deletion side only
@@ -1157,6 +1183,8 @@ def _identity_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
                     sink.add(x, y, "bare intersection", b, extra)
                 if b > 30:
                     sink.add(x, y, "generic ceiling", 30, b)
+    # row x pairs with the size - 1 - x words after it
+    pairs = (hi - lo) * (2 * size - lo - hi - 1) // 2
     return {"pairs": pairs, "extremal": extremal, "eq": 0, "ces": sink.ces}
 
 
@@ -1168,13 +1196,19 @@ def verify_claim_tables(n_max: int, *, jobs: int = 1) -> VerificationReport:
 
     All pairs up to length ten are decomposed into substitution term,
     deletion term, overlap, and extra elements, checking containment and
-    the per-class term sizes and caps.  On top of that the four
-    structured families are enumerated up to ``n_max`` and every tabulated
-    quantity (term splits, overlap columns, extra-element counts, regime
-    ceilings, equality conditions) is recomputed from scratch per pair.
-    There the shared ball is the union of S(u) & S(w) over the close
-    deletion pairs: u and w one deletion per run of x and of y, at Hamming
-    distance at most two (see _ds_inter).
+    the per-class term sizes and caps.  A generic pair (Hamming distance
+    at least three, no shared deletion, no shared substitution) has both
+    terms empty, so containment holds, every shared element is extra, and
+    only the generic ceiling 30 can fail; that is all it is checked for.
+    Any other pair, a faulty table's spurious shared deletion or
+    substitution included, gets the full decomposition.  On top of that
+    the four structured families are enumerated up to ``n_max`` and every
+    tabulated quantity (term splits, overlap columns, extra-element counts,
+    regime ceilings, equality conditions) is recomputed from scratch per
+    pair.  There each word's run deletions (_run_dels) are listed once per
+    pair: they give the shared deletions, the deletion terms, and the shared
+    ball as the union of S(u) & S(w) over the close deletion pairs u, w at
+    Hamming distance at most two (see _ds_inter).
     """
     t0 = time.monotonic()
     if n_max < 2:
@@ -1373,6 +1407,12 @@ CODE_CHECKS: dict[str, _CodeCheck] = {
 }
 
 
+# below this many pairs inside the cosets a two-worker fork pool costs about as
+# much as it saves (2 cores: a tie at 347k pairs, 28 % faster at 1.05M); every
+# cl check up to n = 14 stays in one process
+_CODE_FORK_MIN_PAIRS = 1 << 19
+
+
 def _code_chunk(theorem_id: str, n: int, keys: list[tuple[int, ...]]) -> dict[str, Any]:
     """Pairwise ceiling of a run of cosets; for cl also bad elements and triples."""
     bm = _WORK["tables"][n].bmask
@@ -1431,10 +1471,11 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
 
     Every residue class is checked (modulus fixed to two for the inversion
     based families, matching their redundancy targets); the sorted coset
-    keys are split into at most 64 runs, one task each.  The parity+VT construction additionally
-    requires empty triple intersections and that every shared pair element
-    is bad, and reports the weaker reading of its redundancy target
-    alongside the exact one.
+    keys are split into at most 64 runs, one task each, forked over ``jobs``
+    workers only when the cosets hold at least _CODE_FORK_MIN_PAIRS pairs.
+    The parity+VT construction additionally requires empty triple
+    intersections and that every shared pair element is bad, and reports
+    the weaker reading of its redundancy target alongside the exact one.
     """
     t0 = time.monotonic()
     if theorem_id not in CODE_CHECKS:
@@ -1451,9 +1492,10 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
         if key is not None:
             buckets.setdefault(key, []).append(x)
     keys = sorted(buckets)
+    pairs_in_cosets = sum(len(m) * (len(m) - 1) // 2 for m in buckets.values())
     parts = _map_tasks(
         [(_code_chunk, theorem_id, n, keys[lo:hi]) for lo, hi in _spans(len(keys))],
-        jobs,
+        jobs if pairs_in_cosets >= _CODE_FORK_MIN_PAIRS else 1,
         tables={n: _tables(n)},
         buckets=buckets,
         dels=_dels_by_position(n) if theorem_id == "cl" else None,

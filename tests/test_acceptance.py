@@ -168,7 +168,9 @@ def test_window_rule_and_code_size_formulas():
         assert actual >= 2 ** (n - 1)
 
 
-def test_parallel_reports_are_byte_identical(capsys):
+def test_parallel_reports_are_byte_identical(capsys, monkeypatch):
+    # code checks this small stay in one process; force the fork path
+    monkeypatch.setattr(verify, "_CODE_FORK_MIN_PAIRS", 0)
     for call in (
         lambda jobs: verify.verify_intersection_bounds(8, jobs=jobs),
         lambda jobs: verify.verify_bad_count(8, jobs=jobs),

@@ -114,6 +114,15 @@ def test_verify_reconstruction_via_best_coset(capsys):
     assert payload["pairs_checked"] == 20 + 2 * 5
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_verify_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run(capsys, "verify", "code-cl", "--n", "6", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "--jobs" in err
+
+
 def test_verify_jobs_are_byte_identical(capsys):
     _, lone, _ = run(capsys, "verify", "intersection-bounds", "--n", "6", "--jobs", "1")
     _, many, _ = run(capsys, "verify", "intersection-bounds", "--n", "6", "--jobs", "8")

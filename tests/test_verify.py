@@ -109,7 +109,7 @@ def test_run_dels_span_the_deletion_ball():
 
 
 def _assert_ds_inter_matches_string_api(x, y, n):
-    got = {to_word(z, n - 1) for z in _ds_inter(x, y, n)}
+    got = {to_word(z, n - 1) for z in _ds_inter(_run_dels(x, n), _run_dels(y, n), n)}
     assert got == set(ball_intersection(to_word(x, n), to_word(y, n), "ds")), (n, x, y)
 
 
@@ -131,8 +131,8 @@ def test_ds_inter_matches_string_api_on_structured_families():
 def test_ds_inter_is_on_the_checked_path(monkeypatch):
     real = verify._ds_inter
 
-    def drop_one(x, y, n):
-        out = real(x, y, n)
+    def drop_one(dx, dy, n):
+        out = real(dx, dy, n)
         if out:
             out.discard(min(out))
         return out
@@ -161,6 +161,43 @@ def test_claim_tables_pass_small():
 
 def test_claim_tables_skipped_below_two():
     assert verify_claim_tables(1).status == "SKIPPED"
+
+
+# a generic pair at n = 7: Hamming distance 3, no shared deletion
+_GENERIC_X, _GENERIC_Y = 0b0000000, 0b0000111
+
+
+def _claim_tables_with(monkeypatch, corrupt):
+    """verify_claim_tables(7), every counterexample kept, on n = 7 tables
+    that corrupt(tables) has changed."""
+    real = verify._tables
+    tab = verify._Tables(7)
+    corrupt(tab)
+    monkeypatch.setattr(verify, "_tables", lambda n: tab if n == 7 else real(n))
+    monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
+    report = verify_claim_tables(7)
+    x, y = to_word(_GENERIC_X, 7), to_word(_GENERIC_Y, 7)
+    return [c for c in report.counterexamples if (c["n"], c["x"], c["y"]) == (7, x, y)]
+
+
+def test_claim_tables_generic_pair_keeps_its_ceiling(monkeypatch):
+    def share_31(tab):
+        tab.bmask[_GENERIC_X] = tab.bmask[_GENERIC_Y] = (1 << 31) - 1
+
+    ces = _claim_tables_with(monkeypatch, share_31)
+    assert [(c["check"], c["expected"], c["observed"]) for c in ces] == [
+        ("generic ceiling", 30, 31)
+    ]
+
+
+@pytest.mark.parametrize("table, spurious", [("dmask", 0b111111), ("smask", 0b1111111)])
+def test_claim_tables_spurious_shared_term_takes_the_full_path(monkeypatch, table, spurious):
+    def share(tab):
+        for v in (_GENERIC_X, _GENERIC_Y):
+            getattr(tab, table)[v] |= 1 << spurious
+
+    ces = _claim_tables_with(monkeypatch, share)
+    assert [c["check"] for c in ces] == ["term containment"]
 
 
 def test_bad_count_frozen_maxima_n6():
@@ -297,6 +334,14 @@ def test_report_serialization_shape():
     assert "elapsed" not in payload
     timed = json.loads(report.to_json(include_timing=True))
     assert "elapsed" in timed
+
+
+def test_small_code_check_stays_in_process(monkeypatch):
+    def no_pool(*args):
+        raise AssertionError("a fork pool was started")
+
+    monkeypatch.setattr(verify.multiprocessing, "get_context", no_pool)
+    assert verify_code_theorem("cl", 12, jobs=2).status == "PASS"
 
 
 @pytest.mark.parametrize(
