@@ -6,9 +6,10 @@ structured kind at both check depths ("full" runs the claim-table checker,
 identity sweep ``verify._identity_chunk(n, lo, hi)`` over every pair at
 n = 10 (kind "identity", depth "all-pairs"; its mask tables are built before
 timing).  It writes one row per measured source tree to
-``BENCH_structured_kernel.json`` at the repository root.  A row is keyed by the git revision of the tree, so running the script
-once against a parent checkout (``--src``) and once against this one leaves
-a before/after pair.  Standard library only; run from anywhere:
+``BENCH_structured_kernel.json`` at the repository root.  A row is keyed by
+the git revision of the tree, so running the script once against a parent
+checkout (``--src``) and once against this one leaves a before/after pair.
+Standard library only; run from anywhere:
 
     python3 benchmarks/kernels.py [--src PATH/TO/src]
 

@@ -190,6 +190,7 @@ def test_claim_tables_generic_pair_keeps_its_ceiling(monkeypatch):
     ]
 
 
+# a length-6 deletion and a length-7 substitution that neither word has
 @pytest.mark.parametrize("table, spurious", [("dmask", 0b111111), ("smask", 0b1111111)])
 def test_claim_tables_spurious_shared_term_takes_the_full_path(monkeypatch, table, spurious):
     def share(tab):
