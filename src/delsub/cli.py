@@ -31,14 +31,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _word_arg(text: str) -> str:
@@ -309,11 +316,12 @@ def build_parser() -> _Parser:
     p.add_argument("--timing", action="store_true", help="include elapsed seconds")
     _add_code_flags(p, with_best=True)
     p.add_argument("--N", type=int, help="reconstruction: reads per bundle")
-    p.add_argument("--trials", type=int, default=1000, help="reconstruction: channel trials")
+    p.add_argument("--trials", type=_nonnegative_int, default=1000,
+                   help="reconstruction: channel trials")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--subset-words", type=int, default=20,
+    p.add_argument("--subset-words", type=_nonnegative_int, default=20,
                    help="reconstruction: codewords for the subset leg")
-    p.add_argument("--subset-trials", type=int, default=100,
+    p.add_argument("--subset-trials", type=_nonnegative_int, default=100,
                    help="reconstruction: sampled subsets per codeword")
     p.set_defaults(func=_cmd_verify)
 

@@ -1628,6 +1628,8 @@ def verify_reconstruction(
     t0 = time.monotonic()
     if N < 1:
         raise ValueError("reconstruction needs N >= 1")
+    if min(trials, subset_words, subset_trials) < 0:
+        raise ValueError("reconstruction needs nonnegative trials, subset_words and subset_trials")
     n = code.n
     words = list(codes.members(code))
     eligible = [w for w in words if len(ds_ball(w)) >= N]

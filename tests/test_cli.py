@@ -123,6 +123,29 @@ def test_verify_rejects_jobs_below_one(capsys, jobs):
     assert "--jobs" in err
 
 
+@pytest.mark.parametrize("flag", ["--trials", "--subset-words", "--subset-trials"])
+def test_verify_reconstruction_rejects_negative_sizes(capsys, flag):
+    code, out, err = run(
+        capsys, "verify", "reconstruction", "--family", "cl", "--best", "--n", "8",
+        "--N", "7", flag, "-1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"argument {flag}: must be at least 0, got -1" in err
+
+
+def test_verify_reconstruction_accepts_zero_sizes(capsys):
+    code, out, _ = run(
+        capsys, "verify", "reconstruction", "--family", "cl", "--best", "--n", "8",
+        "--N", "7", "--trials", "0", "--subset-words", "0", "--subset-trials", "0",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pairs_checked"] == 0
+    assert payload["detail"]["channel_trials"] == 0
+
+
 def test_verify_jobs_are_byte_identical(capsys):
     _, lone, _ = run(capsys, "verify", "intersection-bounds", "--n", "6", "--jobs", "1")
     _, many, _ = run(capsys, "verify", "intersection-bounds", "--n", "6", "--jobs", "8")

@@ -1,14 +1,17 @@
 import io
+import random
+from itertools import product
 
 import pytest
 
-from delsub.balls import ds_ball
-from delsub.codes import FULL, INV, VT, best_coset, members, spec
+from delsub.balls import ds_ball, preimage_ball
+from delsub.codes import CL, CN21, FULL, INV, VT, best_coset, members, spec
 from delsub.reconstruct import (
     AMBIGUOUS,
     INCONSISTENT,
     UNIQUE,
     BallTooSmallError,
+    DecodeResult,
     ReadBundle,
     channel_sample,
     collect_reads,
@@ -113,6 +116,60 @@ def test_decode_agrees_with_whole_code_scan():
         fast = decode(cs, bundle)
         slow = decode_by_scan(cs, bundle)
         assert fast == slow
+
+
+# reads per bundle at which each family's code is claimed to reconstruct:
+# the ceiling of the case its bound rests on, plus one (false for inv at
+# n = 8..12, so those bundles may decode AMBIGUOUS)
+_THRESHOLD = {
+    CL: lambda n: 7,
+    VT: lambda n: 31,
+    INV: lambda n: 3 * n - 4,
+    CN21: lambda n: n + 21,
+    FULL: lambda n: 4 * n - 8,
+}
+
+
+@pytest.mark.parametrize("family", tuple(_THRESHOLD))
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_decode_matches_scan_on_every_bundle_size(family, n):
+    cs = spec(FULL, n) if family == FULL else best_coset(family, n)
+    code = list(members(cs))
+    rng = random.Random(f"{family}-{n}")
+    for x in rng.sample(code, min(3, len(code))):
+        ball = len(ds_ball(x))
+        for count in (0, 1, 2, 3, min(_THRESHOLD[family](n), ball)):
+            bundle = collect_reads(x, count, seed=rng.randrange(1 << 30))
+            result = decode(cs, bundle)
+            assert result == decode_by_scan(cs, bundle), (x, bundle)
+            assert x in result.candidates
+
+
+@pytest.mark.parametrize("family", tuple(_THRESHOLD))
+@pytest.mark.parametrize("n", [8, 10])
+def test_decode_filters_a_foreign_read_after_the_first_two(family, n):
+    cs = spec(FULL, n) if family == FULL else best_coset(family, n)
+    rng = random.Random(f"foreign-{family}-{n}")
+    words = ["".join(bits) for bits in product("01", repeat=n - 1)]
+    code = list(members(cs))
+    for x in rng.sample(code, min(3, len(code))):
+        reads = collect_reads(x, 5, seed=rng.randrange(1 << 30)).reads
+        pair = set(preimage_ball(reads[0], n)) & set(preimage_ball(reads[1], n))
+        assert x in pair
+        own = set(ds_ball(x))
+        covered = set().union(*(ds_ball(y) for y in pair))
+        # outside every ball the first two reads leave: no survivor is left
+        far = rng.choice([z for z in words if z not in covered])
+        # in another survivor's ball only: that survivor may stay, x may not
+        near = rng.choice(sorted(covered - own))
+        for z, empties in ((far, True), (near, False)):
+            for at in (2, 3, 5):
+                bundle = ReadBundle(n, reads[:at] + (z,) + reads[at:])
+                result = decode(cs, bundle)
+                assert result == decode_by_scan(cs, bundle), (x, bundle)
+                assert x not in result.candidates
+                if empties:
+                    assert result == DecodeResult(INCONSISTENT, ())
 
 
 def test_bundle_roundtrip():

@@ -311,6 +311,13 @@ def test_reconstruction_best_parity_vt_coset():
     assert report.to_json() == again.to_json()
 
 
+@pytest.mark.parametrize("size", ["trials", "subset_words", "subset_trials"])
+def test_reconstruction_rejects_negative_sizes(size):
+    cs = codes.best_coset(codes.CL, 8)
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify_reconstruction(cs, 7, **{size: -1})
+
+
 def test_reconstruction_skips_when_balls_too_small():
     cs = codes.spec(codes.FULL, 2)
     report = verify_reconstruction(cs, 5, trials=10)
