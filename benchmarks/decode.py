@@ -11,7 +11,7 @@ PYTHONHASHSEED=1.  The two source trees are measured in interleaved rounds
 load; the output keeps, per tree, every round and the median.  It writes
 ``BENCH_decode.json`` at the repository root.  Standard library only:
 
-    python3 benchmarks/decode.py --src PATH/TO/PARENT/src [--rounds 7]
+    python3 benchmarks/decode.py --src PATH/TO/PARENT/src [--rounds 9]
 
 The worker also hashes every decode result and the reconstruction report's
 canonical JSON; the script fails if the two trees disagree on either.
@@ -109,7 +109,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=Path,
                     help="the src/ directory of the parent checkout (required)")
-    ap.add_argument("--rounds", type=int, default=7, help="interleaved rounds")
+    ap.add_argument("--rounds", type=int, default=9, help="interleaved rounds")
     ap.add_argument("--worker", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.worker:

@@ -154,10 +154,10 @@ def test_decode_filters_a_foreign_read_after_the_first_two(family, n):
     code = list(members(cs))
     for x in rng.sample(code, min(3, len(code))):
         reads = collect_reads(x, 5, seed=rng.randrange(1 << 30)).reads
-        pair = set(preimage_ball(reads[0], n)) & set(preimage_ball(reads[1], n))
-        assert x in pair
+        first_two = set(preimage_ball(reads[0], n)) & set(preimage_ball(reads[1], n))
+        assert x in first_two
         own = set(ds_ball(x))
-        covered = set().union(*(ds_ball(y) for y in pair))
+        covered = set().union(*(ds_ball(y) for y in first_two))
         # outside every ball the first two reads leave: no survivor is left
         far = rng.choice([z for z in words if z not in covered])
         # in another survivor's ball only: that survivor may stay, x may not
