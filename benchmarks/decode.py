@@ -11,7 +11,7 @@ PYTHONHASHSEED=1.  The two source trees are measured in interleaved rounds
 load; the output keeps, per tree, every round and the median.  It writes
 ``BENCH_decode.json`` at the repository root.  Standard library only:
 
-    python3 benchmarks/decode.py --src PATH/TO/PARENT/src [--rounds 9]
+    python3 benchmarks/decode.py --src PATH/TO/PARENT/src
 
 The worker also hashes every decode result and the reconstruction report's
 canonical JSON; the script fails if the two trees disagree on either.
@@ -34,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_decode.json"
 SEED = 31
 BUNDLES = 100
+ROUNDS = 9
 # (label, family, n, N)
 SETTINGS = (("cl_n12_N7", "cl", 12, 7), ("vt_n14_N31", "vt", 14, 31))
 RECON = {"family": "cl", "n": 10, "N": 7,
@@ -109,7 +110,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=Path,
                     help="the src/ directory of the parent checkout (required)")
-    ap.add_argument("--rounds", type=int, default=9, help="interleaved rounds")
     ap.add_argument("--worker", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.worker:
@@ -117,14 +117,12 @@ def main() -> int:
         return 0
     if args.src is None:
         ap.error("--src is required")
-    if args.rounds < 1:
-        ap.error("--rounds must be at least 1")
     trees = {"parent": args.src.resolve(), "change": (ROOT / "src").resolve()}
     for role, src in trees.items():
         if not (src / "delsub" / "reconstruct.py").is_file():
             ap.error(f"{role} tree {src} holds no delsub package")
     runs: dict[str, list[dict]] = {role: [] for role in trees}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         order = list(trees) if r % 2 == 0 else list(reversed(trees))
         for role in order:
             runs[role].append(_run(trees[role]))
@@ -142,7 +140,7 @@ def main() -> int:
         "nproc": len(os.sched_getaffinity(0)),
         "machine": f"{platform.system()} {platform.machine()}",
         "hash_seed": 1,
-        "rounds": args.rounds,
+        "rounds": ROUNDS,
         "bundles_per_setting": BUNDLES,
         "reconstruction": RECON,
         "trees": {role: {"rev": _rev(src), **_summary(runs[role])}

@@ -17,7 +17,13 @@ import random
 from dataclasses import dataclass
 from typing import TextIO
 
-from .balls import apply_del_sub, ds_ball, preimage_ball, substitution_ball
+from .balls import (
+    apply_del_sub,
+    deletion_ball,
+    ds_ball,
+    preimage_ball,
+    substitution_ball,
+)
 from .codes import CodeSpec, contains, members
 from .words import parse_word
 
@@ -125,7 +131,7 @@ def decode(cs: CodeSpec, bundle: ReadBundle) -> DecodeResult:
     if len(reads) > 1:
         survivors.intersection_update(preimage_ball(reads[1], n))
     if len(reads) > 2 and survivors:
-        dels = [(x, {x[:i] + x[i + 1 :] for i in range(n)}) for x in survivors]
+        dels = [(x, deletion_ball(x)) for x in survivors]
         for z in reads[2:]:
             near = set(substitution_ball(z))
             dels = [(x, d) for x, d in dels if not near.isdisjoint(d)]

@@ -20,6 +20,7 @@ from delsub.reconstruct import (
     load_bundle,
     save_bundle,
 )
+from delsub.verify import CODE_CHECKS
 
 
 def test_channel_sample_lands_in_ball():
@@ -119,15 +120,14 @@ def test_decode_agrees_with_whole_code_scan():
 
 
 # reads per bundle at which each family's code is claimed to reconstruct:
-# the ceiling of the case its bound rests on, plus one (false for inv at
-# n = 8..12, so those bundles may decode AMBIGUOUS)
+# its pairwise ceiling in verify.CODE_CHECKS plus one, and 4n - 9 plus one for
+# the full code (false for inv at n = 8..12, so those bundles may decode
+# AMBIGUOUS)
 _THRESHOLD = {
-    CL: lambda n: 7,
-    VT: lambda n: 31,
-    INV: lambda n: 3 * n - 4,
-    CN21: lambda n: n + 21,
-    FULL: lambda n: 4 * n - 8,
+    family: (lambda n, ceiling=CODE_CHECKS[family].ceiling: ceiling(n) + 1)
+    for family in (CL, VT, INV, CN21)
 }
+_THRESHOLD[FULL] = lambda n: 4 * n - 8
 
 
 @pytest.mark.parametrize("family", tuple(_THRESHOLD))
