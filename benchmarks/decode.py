@@ -1,20 +1,24 @@
-"""Milliseconds per multi-read decode, parent tree against this one.
+"""Milliseconds per multi-read decode and per coset count, parent tree
+against this one.
 
 Times ``reconstruct.decode`` on 100 seeded read bundles in each of two
 settings (cl n = 12 with N = 7 reads, vt n = 14 with N = 31 reads, both on
-the best coset), and the seconds of one
+the best coset), the seconds of one
 ``verify_reconstruction(best_coset("cl", 10), 7, trials=1000,
 subset_words=20, subset_trials=100)`` call, the acceptance test's
-reconstruction leg.  Each measurement runs in a fresh interpreter with
-PYTHONHASHSEED=1.  The two source trees are measured in interleaved rounds
-(the order alternates from round to round), so both see the same machine
-load; the output keeps, per tree, every round and the median.  It writes
-``BENCH_decode.json`` at the repository root.  Standard library only:
+reconstruction leg, and the milliseconds per call (mean of three) of the
+three counting calls of the perfbench ``codes-decode`` workload:
+``best_coset("cl", 16)``, ``best_coset("cn21", 15)`` and
+``size(spec("run_bounded", 16))``.  The two source trees are measured in
+interleaved rounds (``rounds.py``); the output keeps, per tree, every round
+and the median.  It writes ``BENCH_decode.json`` at the repository root.
+Standard library only:
 
     python3 benchmarks/decode.py --src PATH/TO/PARENT/src
 
-The worker also hashes every decode result and the reconstruction report's
-canonical JSON; the script fails if the two trees disagree on either.
+The worker also hashes every decode result, the reconstruction report's
+canonical JSON and the three counting results; the script fails if the two
+trees disagree on any of them.
 """
 
 from __future__ import annotations
@@ -22,16 +26,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-OUT = ROOT / "BENCH_decode.json"
+import rounds
+
+OUT = rounds.ROOT / "BENCH_decode.json"
 SEED = 31
 BUNDLES = 100
 ROUNDS = 9
@@ -39,6 +41,13 @@ ROUNDS = 9
 SETTINGS = (("cl_n12_N7", "cl", 12, 7), ("vt_n14_N31", "vt", 14, 31))
 RECON = {"family": "cl", "n": 10, "N": 7,
          "trials": 1000, "subset_words": 20, "subset_trials": 100}
+# (label, call): the counting calls of the codes-decode workload
+COUNTS = (
+    ("best_coset_cl_16", lambda codes: codes.best_coset("cl", 16)),
+    ("best_coset_cn21_15", lambda codes: codes.best_coset("cn21", 15)),
+    ("size_run_bounded_16", lambda codes: codes.size(codes.spec("run_bounded", 16))),
+)
+COUNT_CALLS = 3
 
 
 def _worker(src: str) -> dict:
@@ -68,42 +77,40 @@ def _worker(src: str) -> dict:
     out["reconstruction_s"] = time.perf_counter() - t0
     digest.update(report.to_json().encode())
     out["status"] = report.status
+    out["count_ms"] = {}
+    for label, call in COUNTS:
+        t0 = time.perf_counter()
+        results = [call(codes) for _ in range(COUNT_CALLS)]
+        out["count_ms"][label] = (time.perf_counter() - t0) / COUNT_CALLS * 1e3
+        digest.update(repr(results).encode())
     out["digest"] = digest.hexdigest()
     return out
 
 
-def _run(src: Path) -> dict:
-    env = dict(os.environ, PYTHONHASHSEED="1")
-    done = subprocess.run(
-        [sys.executable, __file__, "--worker", str(src)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    return json.loads(done.stdout)
-
-
-def _rev(src: Path) -> str:
-    def git(*args: str) -> str:
-        return subprocess.run(["git", "-C", str(src), *args],
-                              capture_output=True, text=True, check=True).stdout.strip()
-
-    try:
-        rev = git("rev-parse", "--short", "HEAD")
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-    if git("status", "--porcelain", "--", "."):
-        rev += "+dirty"
-    return rev
+def _median(runs: list[dict], field: str, key: str | None = None) -> float:
+    return round(statistics.median(r[field][key] if key else r[field] for r in runs), 3)
 
 
 def _summary(runs: list[dict]) -> dict:
-    keys = [label for label, *_ in SETTINGS]
+    decodes = [label for label, *_ in SETTINGS]
+    counts = [label for label, _ in COUNTS]
     return {
-        "decode_ms": {k: round(statistics.median(r["decode_ms"][k] for r in runs), 3)
-                      for k in keys},
-        "reconstruction_s": round(statistics.median(r["reconstruction_s"] for r in runs), 3),
-        "runs": [{"decode_ms": {k: round(r["decode_ms"][k], 3) for k in keys},
-                  "reconstruction_s": round(r["reconstruction_s"], 3)} for r in runs],
+        "decode_ms": {k: _median(runs, "decode_ms", k) for k in decodes},
+        "reconstruction_s": _median(runs, "reconstruction_s"),
+        "count_ms": {k: _median(runs, "count_ms", k) for k in counts},
+        "runs": [{"decode_ms": {k: round(r["decode_ms"][k], 3) for k in decodes},
+                  "reconstruction_s": round(r["reconstruction_s"], 3),
+                  "count_ms": {k: round(r["count_ms"][k], 3) for k in counts}}
+                 for r in runs],
     }
+
+
+def _describe(run: dict) -> str:
+    return " ".join(
+        [f"{k} {v:.2f} ms" for k, v in run["decode_ms"].items()]
+        + [f"reconstruction {run['reconstruction_s']:.2f} s"]
+        + [f"{k} {v:.1f} ms" for k, v in run["count_ms"].items()]
+    )
 
 
 def main() -> int:
@@ -117,33 +124,19 @@ def main() -> int:
         return 0
     if args.src is None:
         ap.error("--src is required")
-    trees = {"parent": args.src.resolve(), "change": (ROOT / "src").resolve()}
+    trees = rounds.trees(args.src)
     for role, src in trees.items():
         if not (src / "delsub" / "reconstruct.py").is_file():
             ap.error(f"{role} tree {src} holds no delsub package")
-    runs: dict[str, list[dict]] = {role: [] for role in trees}
-    for r in range(ROUNDS):
-        order = list(trees) if r % 2 == 0 else list(reversed(trees))
-        for role in order:
-            runs[role].append(_run(trees[role]))
-            last = runs[role][-1]
-            print(f"round {r + 1} {role:6} " + " ".join(
-                f"{k} {v:.2f} ms" for k, v in last["decode_ms"].items())
-                + f" reconstruction {last['reconstruction_s']:.2f} s", file=sys.stderr)
-    digests = {r["digest"] for rs in runs.values() for r in rs}
-    if len(digests) != 1:
-        print("the two trees disagree on a decode result or report", file=sys.stderr)
-        return 1
+    runs = rounds.run_rounds(__file__, trees, ROUNDS, _describe)
     doc = {
         "script": "benchmarks/decode.py",
-        "python": platform.python_version(),
-        "nproc": len(os.sched_getaffinity(0)),
-        "machine": f"{platform.system()} {platform.machine()}",
-        "hash_seed": 1,
+        **rounds.machine(),
         "rounds": ROUNDS,
         "bundles_per_setting": BUNDLES,
         "reconstruction": RECON,
-        "trees": {role: {"rev": _rev(src), **_summary(runs[role])}
+        "count_calls": COUNT_CALLS,
+        "trees": {role: {"rev": rounds.rev(src), **_summary(runs[role])}
                   for role, src in trees.items()},
     }
     OUT.write_text(json.dumps(doc, indent=2) + "\n")

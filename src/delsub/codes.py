@@ -2,21 +2,28 @@
 
 Every family is one record in :data:`_FAMILIES`: its parameters in canonical
 order, which of them are fixed (a modulus m or a period P) rather than
-residues, the modulus of each residue parameter, and a key function built once per
-(n, parameters).  The key maps a word to its residue tuple, or to None when
-the word fails the family's structural filter (run bound, periodic-window
+residues, and two descriptions of the code built once per (n, fixed
+parameters).  The layout gives the modulus of each residue parameter (each
+ranges over [0, modulus - 1]) and a key: the word -> residue tuple map, None
+for a word the family's structural filter rejects (run bound, periodic-window
 bound).  A code is one coset: its members are the words whose key equals the
-spec's residue parameters, so membership is O(n) and enumeration just
-filters the ascending integer order of Sigma^n.  Each residue parameter
-ranges over [0, modulus - 1], and best-coset search counts every key.  Sizes
-and best cosets are computed by exact counting rather than pigeonhole floors.
+spec's residue parameters, so membership and load checks are O(n) string
+tests and enumeration filters the ascending integer order of Sigma^n.
+
+The counter gives the same code as a counting automaton: filters read one
+bit at a time, and the residues follow from weighted bit sums.  Sizes and
+best cosets come from one transfer DP over positions that counts every coset
+of a family at once, exactly, in time polynomial in n rather than 2^n.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TextIO
+from operator import add
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .words import (
     decode,
@@ -70,6 +77,27 @@ CL = "cl"
 
 _Key = Callable[[str], "tuple[int, ...] | None"]
 _Layout = tuple[tuple[int, ...], _Key]
+# a structural test read one bit at a time: its start state and the step
+# (state, bit) -> next state, None once the word is rejected
+_Filter = tuple[Any, Callable[[Any, int], Any]]
+# a weighted bit sum: its modulus and the weight of (1-indexed) position i
+_Sum = tuple[int, Callable[[int], int]]
+
+
+class _Counter(NamedTuple):
+    """The counting automaton of a family at one (n, fixed parameters).
+
+    A word is counted when every filter accepts it; its residues follow from
+    the weighted bit sums (in this order) through ``key``, or are the sums
+    themselves when ``key`` is None.  Inversions enter as sums too:
+    inv(x) = sum of (n - i) over the ones of x, minus C(w, 2) for weight w,
+    so a 0 bit leaves every sum unchanged and a 1 bit shifts them by
+    constants, whatever the family.
+    """
+
+    filters: tuple[_Filter, ...]
+    sums: tuple[_Sum, ...]
+    key: "Callable[[tuple[int, ...]], tuple[int, ...]] | None" = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,16 +109,51 @@ class _Family:
     that are not residues (a modulus m or a period P).  ``layout(n, params)``
     reads only the fixed parameters and returns the modulus of each residue,
     in canonical order, together with the key: the word -> residue tuple
-    map, None for a word the structural filter rejects.
+    map, None for a word the structural filter rejects.  ``counter(n,
+    params)`` is the same code as a counting automaton (sizes, best cosets).
     """
 
     params: tuple[str, ...]
     fixed: tuple[str, ...]
     layout: Callable[[int, dict[str, int]], _Layout]
+    counter: Callable[[int, dict[str, int]], _Counter]
 
     @property
     def residues(self) -> tuple[str, ...]:
         return tuple(name for name in self.params if name not in self.fixed)
+
+
+def _runs_filter(cap: int) -> _Filter:
+    """r(x) <= cap; the state is (last bit, runs so far)."""
+
+    def step(state: tuple[int | None, int], bit: int) -> tuple[int, int] | None:
+        last, runs = state
+        runs += bit != last
+        return (bit, runs) if runs <= cap else None
+
+    return (None, 0), step
+
+
+def _window_filter(period: int) -> _Filter:
+    """max_le2_periodic_length(x) <= period; the state is (bit before the
+    last, last bit, length of the period-<=2 window ending here)."""
+
+    def step(state: tuple[Any, Any, int], bit: int) -> tuple[Any, int, int] | None:
+        before, last, length = state
+        length = length + 1 if before is None or bit == before else 2
+        return (last, bit, length) if length <= period else None
+
+    return (None, None, 0), step
+
+
+def _inversions(n: int, m: int) -> tuple[_Sum, _Sum]:
+    """(sum of n - i over the ones mod m, weight mod 2m): inversions mod m
+    and the weight mod 2 both follow from them."""
+    return (m, lambda i: n - i), (2 * m, lambda i: 1)
+
+
+def _inversion_residue(m: int, reverse_sum: int, w: int) -> int:
+    return (reverse_sum - w * (w - 1) // 2) % m
 
 
 def _run_bounded(n: int, p: dict[str, int]) -> _Layout:
@@ -98,9 +161,17 @@ def _run_bounded(n: int, p: dict[str, int]) -> _Layout:
     return (), lambda x: () if run_count(x) <= cap else None
 
 
+def _run_bounded_counter(n: int, p: dict[str, int]) -> _Counter:
+    return _Counter((_runs_filter((n + 1) // 2),), ())
+
+
 def _rll(n: int, p: dict[str, int]) -> _Layout:
     period = p["P"]
     return (), lambda x: () if max_le2_periodic_length(x) <= period else None
+
+
+def _rll_counter(n: int, p: dict[str, int]) -> _Counter:
+    return _Counter((_window_filter(p["P"]),), ())
 
 
 def _vt(n: int, p: dict[str, int]) -> _Layout:
@@ -108,9 +179,18 @@ def _vt(n: int, p: dict[str, int]) -> _Layout:
     return (mod,), lambda x: (vt_syndrome(x, 1) % mod,)
 
 
+def _vt_counter(n: int, p: dict[str, int]) -> _Counter:
+    return _Counter((), ((2 * n, lambda i: i),))
+
+
 def _inv(n: int, p: dict[str, int]) -> _Layout:
     m = p["m"]
     return (m,), lambda x: (inversion_number(x) % m,)
+
+
+def _inv_counter(n: int, p: dict[str, int]) -> _Counter:
+    m = p["m"]
+    return _Counter((), _inversions(n, m), lambda s: (_inversion_residue(m, *s),))
 
 
 def _vt_mod(n: int, p: dict[str, int]) -> _Layout:
@@ -118,14 +198,30 @@ def _vt_mod(n: int, p: dict[str, int]) -> _Layout:
     return (m,), lambda x: (vt_syndrome(x, 1) % m,)
 
 
+def _vt_mod_counter(n: int, p: dict[str, int]) -> _Counter:
+    return _Counter((), ((p["m"], lambda i: i),))
+
+
 def _even_pos(n: int, p: dict[str, int]) -> _Layout:
     m = p["m"]
     return (m,), lambda x: (sum(x[i] == "1" for i in range(1, n, 2)) % m,)
 
 
+def _even_pos_counter(n: int, p: dict[str, int]) -> _Counter:
+    return _Counter((), ((p["m"], lambda i: 1 - i % 2),))
+
+
 def _c2n9(n: int, p: dict[str, int]) -> _Layout:
     m, cap = p["m"], (n + 1) // 2
     return (m,), lambda x: (inversion_number(x) % m,) if run_count(x) <= cap else None
+
+
+def _c2n9_counter(n: int, p: dict[str, int]) -> _Counter:
+    m = p["m"]
+    return _Counter(
+        (_runs_filter((n + 1) // 2),), _inversions(n, m),
+        lambda s: (_inversion_residue(m, *s),),
+    )
 
 
 def _cp(n: int, p: dict[str, int]) -> _Layout:
@@ -138,6 +234,18 @@ def _cp(n: int, p: dict[str, int]) -> _Layout:
     )
 
 
+def _parity_inversions(n: int, period: int, filters: tuple[_Filter, ...]) -> _Counter:
+    """(weight mod 2, inversions mod 1 + P/2) under the given filters."""
+    mod = 1 + period // 2
+    return _Counter(
+        filters, _inversions(n, mod), lambda s: (s[1] % 2, _inversion_residue(mod, *s))
+    )
+
+
+def _cp_counter(n: int, p: dict[str, int]) -> _Counter:
+    return _parity_inversions(n, p["P"], (_window_filter(p["P"]),))
+
+
 def _cn21(n: int, p: dict[str, int]) -> _Layout:
     period, cap = p["P"], (n + 1) // 2
     mod = 1 + period // 2
@@ -148,23 +256,35 @@ def _cn21(n: int, p: dict[str, int]) -> _Layout:
     )
 
 
+def _cn21_counter(n: int, p: dict[str, int]) -> _Counter:
+    return _parity_inversions(
+        n, p["P"], (_window_filter(p["P"]), _runs_filter((n + 1) // 2))
+    )
+
+
 def _cl(n: int, p: dict[str, int]) -> _Layout:
     m1, m2 = 2 * n, 2 * n * n
     return (4, m1, m2), lambda x: (weight(x) % 4, vt_syndrome(x, 1) % m1, vt_syndrome(x, 2) % m2)
 
 
+def _cl_counter(n: int, p: dict[str, int]) -> _Counter:
+    return _Counter(
+        (), ((4, lambda i: 1), (2 * n, lambda i: i), (2 * n * n, lambda i: i * (i + 1) // 2))
+    )
+
+
 _FAMILIES: dict[str, _Family] = {
-    FULL: _Family((), (), lambda n, p: ((), lambda x: ())),
-    VT: _Family(("a",), (), _vt),
-    INV: _Family(("a", "m"), ("m",), _inv),
-    VT_MOD: _Family(("a", "m"), ("m",), _vt_mod),
-    EVEN_POS: _Family(("a", "m"), ("m",), _even_pos),
-    RUN_BOUNDED: _Family((), (), _run_bounded),
-    RLL: _Family(("P",), ("P",), _rll),
-    CP: _Family(("P", "a1", "a2"), ("P",), _cp),
-    C2N9: _Family(("a", "m"), ("m",), _c2n9),
-    CN21: _Family(("P", "a1", "a2"), ("P",), _cn21),
-    CL: _Family(("a0", "a1", "a2"), (), _cl),
+    FULL: _Family((), (), lambda n, p: ((), lambda x: ()), lambda n, p: _Counter((), ())),
+    VT: _Family(("a",), (), _vt, _vt_counter),
+    INV: _Family(("a", "m"), ("m",), _inv, _inv_counter),
+    VT_MOD: _Family(("a", "m"), ("m",), _vt_mod, _vt_mod_counter),
+    EVEN_POS: _Family(("a", "m"), ("m",), _even_pos, _even_pos_counter),
+    RUN_BOUNDED: _Family((), (), _run_bounded, _run_bounded_counter),
+    RLL: _Family(("P",), ("P",), _rll, _rll_counter),
+    CP: _Family(("P", "a1", "a2"), ("P",), _cp, _cp_counter),
+    C2N9: _Family(("a", "m"), ("m",), _c2n9, _c2n9_counter),
+    CN21: _Family(("P", "a1", "a2"), ("P",), _cn21, _cn21_counter),
+    CL: _Family(("a0", "a1", "a2"), (), _cl, _cl_counter),
 }
 
 FAMILIES = tuple(_FAMILIES)
@@ -263,10 +383,104 @@ def members(cs: CodeSpec) -> Iterator[str]:
             yield x
 
 
+def _key_index(key: tuple[int, ...], moduli: tuple[int, ...]) -> int:
+    """Position of a residue tuple in mixed radix over the residue moduli."""
+    index = 0
+    for value, mod in zip(key, moduli):
+        index = index * mod + value
+    return index
+
+
+def _control(filters: tuple[_Filter, ...]) -> tuple[list[int], list[int]]:
+    """The product of the filters, explored from its start into numbered
+    states (the start is 0): the next state after a 0 bit and after a 1
+    bit, -1 once some filter rejects."""
+    start = tuple(state for state, _ in filters)
+    number = {start: 0}
+    states = [start]
+    nxt: tuple[list[int], list[int]] = ([], [])
+    for state in states:  # grows while it is walked
+        for bit in (0, 1):
+            new = tuple(step(s, bit) for (_, step), s in zip(filters, state))
+            if None in new:
+                nxt[bit].append(-1)
+                continue
+            if new not in number:
+                number[new] = len(states)
+                states.append(new)
+            nxt[bit].append(number[new])
+    return nxt
+
+
+def _plus(a: list[int], b: list[int]) -> list[int]:
+    return list(map(add, a, b))
+
+
+def _shifted(vec: list[int], sources: list[int], row: int, r: int) -> list[int]:
+    """Row k of the result is the row of vec at offset sources[k], rotated
+    right by r."""
+    cut = row - r
+    out: list[int] = []
+    for start in sources:
+        out += vec[start + cut : start + row]
+        out += vec[start : start + cut]
+    return out
+
+
+def _coset_counts(cs: CodeSpec) -> list[int]:
+    """Number of words in every coset of cs's family at cs's n and fixed
+    parameters, indexed by :func:`_key_index` of the residues.
+
+    One transfer DP over positions.  A layer holds, per live control state
+    (:func:`_control`), one flat list of counts over every value of the
+    weighted sums, row-major with the last sum varying fastest.  A 0 bit
+    only moves the control state; a 1 bit at position i also adds each sum's
+    weight at i: the leading sums move whole rows, the last sum rotates
+    each row by slicing.
+    """
+    fam = _FAMILIES[cs.family]
+    params = cs.param_dict()
+    filters, sums, key = fam.counter(cs.n, params)
+    nxt0, nxt1 = _control(filters)
+    mods = [mod for mod, _ in sums]
+    row = mods[-1] if mods else 1
+    cells = math.prod(mods)
+    layer: list[list[int] | None] = [None] * len(nxt0)
+    layer[0] = [1] + [0] * (cells - 1)
+    for i in range(1, cs.n + 1):
+        sources = [0]
+        for mod, w in sums[:-1]:
+            d = w(i)
+            sources = [s * mod + (e - d) % mod for s in sources for e in range(mod)]
+        sources = [s * row for s in sources]
+        r = sums[-1][1](i) % row if sums else 0
+        out: list[list[int] | None] = [None] * len(nxt0)
+        for c, vec in enumerate(layer):
+            if vec is None:
+                continue
+            for to, bit in ((nxt0[c], 0), (nxt1[c], 1)):
+                if to >= 0:
+                    moved = _shifted(vec, sources, row, r) if bit else vec
+                    out[to] = moved if out[to] is None else _plus(out[to], moved)
+        layer = out
+    live = [vec for vec in layer if vec is not None]
+    total = functools.reduce(_plus, live) if live else [0] * cells
+    if key is None:
+        return total
+    moduli = fam.layout(cs.n, params)[0]
+    counts = [0] * math.prod(moduli)
+    for point, count in zip(itertools.product(*map(range, mods)), total):
+        counts[_key_index(key(point), moduli)] += count
+    return counts
+
+
 def size(cs: CodeSpec) -> int:
-    if cs.family == FULL:
-        return 1 << cs.n
-    return sum(1 for _ in members(cs))
+    if cs.family != FULL and cs.n > ENUMERATION_LIMIT:
+        raise ValueError(f"enumeration capped at n <= {ENUMERATION_LIMIT}")
+    fam = _FAMILIES[cs.family]
+    params = cs.param_dict()
+    residues = tuple(params[name] for name in fam.residues)
+    return _coset_counts(cs)[_key_index(residues, fam.layout(cs.n, params)[0])]
 
 
 def redundancy(cs: CodeSpec) -> float:
@@ -277,48 +491,52 @@ def redundancy(cs: CodeSpec) -> float:
 
 
 def coset_key(
-    family: str, n: int, *, m: int = 2, P: int | None = None
+    family: str, n: int, *, m: int | None = None, P: int | None = None
 ) -> tuple[_Key, Callable[[tuple[int, ...]], CodeSpec]]:
     """Residue key of a coset search and the map from a key to its coset.
 
-    m fixes the modulus where the family has one; P fixes the period
-    (default the smallest even value >= log2(n) + 3).  Structural families,
-    which have no residue parameters, are rejected.
+    m fixes the modulus (default 2) and P the period (default the smallest
+    even value >= log2(n) + 3); either is rejected for a family that does
+    not take it.  Structural families, which have no residue parameters,
+    are rejected.
     """
-    given = {"m": m, "P": default_period(n) if P is None else P}
+    values = {"m": 2 if m is None else m, "P": default_period(n) if P is None else P}
     fam = _FAMILIES.get(family)
     if fam is None or not fam.residues:
         raise ValueError(f"family {family} has no residue parameters")
-    fixed = {name: given[name] for name in fam.fixed}
+    for name, value in (("m", m), ("P", P)):
+        if value is not None and name not in fam.fixed:
+            raise ValueError(f"family {family} takes no parameter {name}")
+    fixed = {name: values[name] for name in fam.fixed}
 
     def coset(key: tuple[int, ...]) -> CodeSpec:
         return spec(family, n, **fixed, **dict(zip(fam.residues, key)))
 
-    coset(tuple(0 for _ in fam.residues))  # rejects a bad m or P before any scan
+    coset(tuple(0 for _ in fam.residues))  # rejects a bad m or P before any count
     return fam.layout(n, fixed)[1], coset
 
 
-def best_coset(family: str, n: int, *, m: int = 2, P: int | None = None) -> CodeSpec:
-    """Exhaustively find the largest coset of a residue family.
+def best_coset(
+    family: str, n: int, *, m: int | None = None, P: int | None = None
+) -> CodeSpec:
+    """The largest coset of a residue family, counted by a transfer DP.
 
-    Ties break toward the lexicographically smallest parameter tuple.  m
-    fixes the modulus where the family has one; P fixes the period (default
-    the smallest even value >= log2(n) + 3).
+    Ties break toward the lexicographically smallest parameter tuple; when
+    no word passes the family's filters, the all-zero tuple.  m fixes the
+    modulus (default 2) and P the period (default the smallest even value
+    >= log2(n) + 3); either is rejected for a family that does not take it.
     """
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"coset search capped at n <= {ENUMERATION_LIMIT}")
-    key_of, coset = coset_key(family, n, m=m, P=P)
-    counts: dict[tuple[int, ...], int] = {}
-    for value in range(1 << n):
-        key = key_of(decode(value, n))
-        if key is not None:
-            counts[key] = counts.get(key, 0) + 1
-    best_key = min(
-        (key for key in counts),
-        key=lambda k: (-counts[k], k),
-        default=tuple(0 for _ in _FAMILIES[family].residues),
-    )
-    return coset(best_key)
+    _, coset = coset_key(family, n, m=m, P=P)
+    zero = coset(tuple(0 for _ in _FAMILIES[family].residues))
+    counts = _coset_counts(zero)
+    index = max(range(len(counts)), key=counts.__getitem__)
+    key = []
+    for mod in reversed(_FAMILIES[family].layout(n, zero.param_dict())[0]):
+        index, value = divmod(index, mod)
+        key.append(value)
+    return coset(tuple(reversed(key)))
 
 
 def subcode_check(inner: CodeSpec, outer: CodeSpec) -> bool:

@@ -1473,7 +1473,8 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
     based families, matching their redundancy targets); the sorted coset
     keys are split into at most 64 runs, one task each, forked over ``jobs``
     workers only when the cosets hold at least _CODE_FORK_MIN_PAIRS pairs.
-    The parity+VT construction additionally requires empty triple
+    The largest bucket must have the size the code's counting DP gives its
+    coset.  The parity+VT construction additionally requires empty triple
     intersections and that every shared pair element is bad, and reports
     the weaker reading of its redundancy target alongside the exact one.
     """
@@ -1507,6 +1508,9 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
     coset = coset_of(best_key)
     if {to_word(v, n) for v in buckets[best_key]} != set(codes.members(coset)):
         sink.add(None, None, "coset membership", str(coset), best_key)
+    counted = codes.size(coset)
+    if counted != best:
+        sink.add(None, None, "coset size routes", best, counted)
     red = n - math.log2(best)
     red_bound = check.redundancy_bound(n)
     if not check.redundancy_ok(n, best):
@@ -1566,8 +1570,9 @@ def verify_rll(n: int, P: int) -> VerificationReport:
 
     The implementation scan, a quadratic two-back extension scan, and the
     difference-word run rule are compared on every word of length n, and
-    membership at period P is cross-checked against the code family.  When
-    P is at least ceil(log2 n) + 3 the member count must reach 3 * 2^(n-2).
+    membership at period P is cross-checked against the code family, and
+    the member count against the family's counting DP.  When P is at least
+    ceil(log2 n) + 3 the member count must reach 3 * 2^(n-2).
     """
     t0 = time.monotonic()
     if n < 1:
@@ -1590,6 +1595,9 @@ def verify_rll(n: int, P: int) -> VerificationReport:
         if member != codes.contains(cs, w):
             sink.add(x, None, "membership", member, not member)
         count += member
+    counted = codes.size(cs)
+    if counted != count:
+        sink.add(None, None, "member count routes", count, counted)
     threshold = math.ceil(math.log2(n)) + 3 if n >= 2 else 3
     size_checked = n >= 2 and P >= threshold
     bound = 3 * (1 << (n - 2)) if size_checked else None

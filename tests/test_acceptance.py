@@ -160,12 +160,16 @@ def test_window_rule_and_code_size_formulas():
         period = codes.default_period(n) if n >= 2 else 2
         report = verify.verify_rll(n, period)
         assert report.status == "PASS", report.to_json()
-    for n in range(2, 17):
+    for n in range(2, codes.ENUMERATION_LIMIT + 1):
         cap = (n + 1) // 2
         formula = sum(2 * math.comb(n - 1, i) for i in range(cap))
         actual = codes.size(codes.spec(codes.RUN_BOUNDED, n))
         assert actual == formula
         assert actual >= 2 ** (n - 1)
+    # verify_rll scans to n = 16; the counting DP carries the bound to the cap
+    for n in range(17, codes.ENUMERATION_LIMIT + 1):
+        members = codes.size(codes.spec(codes.RLL, n, P=codes.default_period(n)))
+        assert members >= 3 * 2 ** (n - 2), n
 
 
 def test_parallel_reports_are_byte_identical(capsys, monkeypatch):

@@ -68,6 +68,17 @@ def test_code_rejects_wrong_parameter_set(capsys):
     assert err.count("\n") == 1
 
 
+def test_code_best_rejects_parameters_the_family_lacks(capsys):
+    for argv in (("--family", "vt", "--m", "3"), ("--family", "cl", "--P", "4")):
+        code, out, err = run(capsys, "code", "size", "--n", "6", "--best", *argv)
+        assert code == 2
+        assert out == ""
+        assert "takes no parameter" in err and err.count("\n") == 1
+    code, out, _ = run(capsys, "code", "size", "--family", "inv", "--n", "6", "--best", "--m", "3")
+    assert code == 0
+    assert json.loads(out) == codes.size(codes.best_coset(codes.INV, 6, m=3))
+
+
 def test_malformed_word_is_usage_error(capsys):
     code, _, err = run(capsys, "ball", "--word", "01a")
     assert code == 2

@@ -1,6 +1,6 @@
 import io
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -17,8 +17,10 @@ from delsub.codes import (
     RUN_BOUNDED,
     VT,
     VT_MOD,
+    FAMILIES,
     best_coset,
     contains,
+    coset_key,
     default_period,
     load_code,
     members,
@@ -28,7 +30,8 @@ from delsub.codes import (
     spec,
     subcode_check,
 )
-from delsub.words import vt_syndrome
+from delsub import codes
+from delsub.words import decode, vt_syndrome
 
 
 def test_contains_examples():
@@ -164,6 +167,65 @@ def test_best_coset_rejects_bad_modulus_before_scanning():
     for m in (0, 1):
         with pytest.raises(ValueError, match="modulus m must be at least 2"):
             best_coset(INV, 6, m=m)
+
+
+def test_coset_search_rejects_parameters_the_family_lacks():
+    for family, params in ((VT, {"m": 3}), (CL, {"P": 4}), (CN21, {"m": 2}), (INV, {"P": 6})):
+        name = next(iter(params))
+        with pytest.raises(ValueError, match=f"family {family} takes no parameter {name}"):
+            best_coset(family, 6, **params)
+        with pytest.raises(ValueError, match=f"family {family} takes no parameter {name}"):
+            coset_key(family, 6, **params)
+    assert best_coset(INV, 6, m=3).param("m") == 3
+    assert best_coset(CN21, 8, P=6).param("P") == 6
+
+
+# fixed parameters of the differential test: non-default moduli, several
+# periods, odd ones where the family allows them
+_FIXED = {
+    INV: "m", VT_MOD: "m", EVEN_POS: "m", C2N9: "m", CP: "P", CN21: "P", RLL: "P",
+}
+_FIXED_VALUES = {"m": (2, 3, 5), "P": (2, 4, 6, 8)}
+
+
+def _fixed_params(family):
+    if family == RLL:
+        return [{"P": P} for P in (1, 2, 3, 5, 8)]
+    if family in _FIXED:
+        name = _FIXED[family]
+        return [{name: value} for value in _FIXED_VALUES[name]]
+    return [{}]
+
+
+def _scan_counts(family, n, fixed):
+    """Oracle: words per residue tuple, by the family's string key on every
+    word, in ascending residue order; structural families have the one
+    residue tuple ()."""
+    moduli, key = codes._FAMILIES[family].layout(n, fixed)
+    counts = dict.fromkeys(product(*map(range, moduli)), 0)
+    for value in range(1 << n):
+        k = key(decode(value, n))
+        if k is not None:
+            counts[k] += 1
+    return counts
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_counting_dp_matches_scan(family):
+    residues = codes._FAMILIES[family].residues
+    for n in range(1, 13):
+        for fixed in _fixed_params(family):
+            counts = _scan_counts(family, n, fixed)
+            cosets = {k: spec(family, n, **fixed, **dict(zip(residues, k))) for k in counts}
+            keys = list(counts)
+            assert codes._coset_counts(cosets[keys[0]]) == list(counts.values())
+            best = min(counts, key=lambda k: (-counts[k], k))
+            # a size call counts every coset, so cl (16 n^3 cosets) is sampled
+            sampled = keys if len(keys) <= 256 else keys[:: len(keys) // 64] + [best]
+            for k in sampled:
+                assert size(cosets[k]) == counts[k], (n, fixed, k)
+            if residues:
+                assert best_coset(family, n, **fixed) == cosets[best], (n, fixed)
 
 
 def test_subcode_examples():

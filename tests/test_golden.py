@@ -59,7 +59,8 @@ def _codes() -> dict[str, str]:
     for family in _RESIDUE_FAMILIES:
         for n in range(1, 11):
             for m in (2, 3) if family in _M_FAMILIES else (2,):
-                cs = codes.best_coset(family, n, m=m)
+                fixed = {"m": m} if family in _M_FAMILIES else {}
+                cs = codes.best_coset(family, n, **fixed)
                 out[f"best_coset {family} n={n} m={m}"] = f"{cs.params} size={codes.size(cs)}"
     return out
 

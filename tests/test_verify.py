@@ -287,6 +287,18 @@ def test_code_theorem_rejects_unknown_id():
         verify_code_theorem("fountain", 8)
 
 
+def test_counting_dp_off_by_one_fails_both_cross_checks(monkeypatch):
+    counts = codes._coset_counts
+    monkeypatch.setattr(codes, "_coset_counts", lambda cs: [c + 1 for c in counts(cs)])
+    code = verify_code_theorem("vt", 8)
+    rll = verify_rll(8, 6)
+    assert code.status == rll.status == "FAIL"
+    assert [c["check"] for c in code.counterexamples] == ["coset size routes"]
+    assert code.counterexamples[0]["observed"] == code.counterexamples[0]["expected"] + 1
+    assert [c["check"] for c in rll.counterexamples] == ["member count routes"]
+    assert rll.counterexamples[0]["observed"] == rll.detail["members"] + 1
+
+
 def test_rll_frozen_n10():
     report = verify_rll(10, 8)
     assert report.status == "PASS"
