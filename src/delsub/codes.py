@@ -147,12 +147,12 @@ def _window_filter(period: int) -> _Filter:
 
 
 def _inversions(n: int, m: int) -> tuple[_Sum, _Sum]:
-    """(sum of n - i over the ones mod m, weight mod 2m): inversions mod m
+    """(weight mod 2m, sum of n - i over the ones mod m): inversions mod m
     and the weight mod 2 both follow from them."""
-    return (m, lambda i: n - i), (2 * m, lambda i: 1)
+    return (2 * m, lambda i: 1), (m, lambda i: n - i)
 
 
-def _inversion_residue(m: int, reverse_sum: int, w: int) -> int:
+def _inversion_residue(m: int, w: int, reverse_sum: int) -> int:
     return (reverse_sum - w * (w - 1) // 2) % m
 
 
@@ -238,7 +238,7 @@ def _parity_inversions(n: int, period: int, filters: tuple[_Filter, ...]) -> _Co
     """(weight mod 2, inversions mod 1 + P/2) under the given filters."""
     mod = 1 + period // 2
     return _Counter(
-        filters, _inversions(n, mod), lambda s: (s[1] % 2, _inversion_residue(mod, *s))
+        filters, _inversions(n, mod), lambda s: (s[0] % 2, _inversion_residue(mod, *s))
     )
 
 
@@ -416,13 +416,13 @@ def _plus(a: list[int], b: list[int]) -> list[int]:
     return list(map(add, a, b))
 
 
-def _shifted(vec: list[int], sources: list[int], row: int, r: int) -> list[int]:
-    """Row k of the result is the row of vec at offset sources[k], rotated
-    right by r."""
-    cut = row - r
+def _shifted(vec: list[int], sources: list[int], width: int, r: int) -> list[int]:
+    """Block k of the result is the block of vec at offset sources[k],
+    rotated right by r."""
+    cut = width - r
     out: list[int] = []
     for start in sources:
-        out += vec[start + cut : start + row]
+        out += vec[start + cut : start + width]
         out += vec[start : start + cut]
     return out
 
@@ -432,44 +432,62 @@ def _coset_counts(cs: CodeSpec) -> list[int]:
     parameters, indexed by :func:`_key_index` of the residues.
 
     One transfer DP over positions.  A layer holds, per live control state
-    (:func:`_control`), one flat list of counts over every value of the
-    weighted sums, row-major with the last sum varying fastest.  A 0 bit
-    only moves the control state; a 1 bit at position i also adds each sum's
-    weight at i: the leading sums move whole rows, the last sum rotates
-    each row by slicing.
+    (:func:`_control`), one row per value of the last weighted sum, None
+    until some prefix reaches that value; a row is a flat list of counts
+    over the other sums, row-major.  A 0 bit only moves the control state.
+    A 1 bit at position i also adds each sum's weight at i: the last sum
+    moves whole rows, and inside a row the sum before it rotates every
+    block of its width by slicing while the sums before that move blocks.
+    A layer thus costs a few list operations per reached row; cl's last
+    sum, the order-2 VT sum mod 2n^2, reaches its rows only as its raw
+    range i(i+1)(i+2)/6 grows.
     """
     fam = _FAMILIES[cs.family]
     params = cs.param_dict()
     filters, sums, key = fam.counter(cs.n, params)
     nxt0, nxt1 = _control(filters)
-    mods = [mod for mod, _ in sums]
-    row = mods[-1] if mods else 1
+    *inner, (rows, last) = sums or ((1, lambda i: 0),)
+    mods = [mod for mod, _ in inner]
+    width = mods[-1] if mods else 1
     cells = math.prod(mods)
-    layer: list[list[int] | None] = [None] * len(nxt0)
-    layer[0] = [1] + [0] * (cells - 1)
+    layer: list[list[list[int] | None] | None] = [None] * len(nxt0)
+    layer[0] = [[1] + [0] * (cells - 1)] + [None] * (rows - 1)
     for i in range(1, cs.n + 1):
         sources = [0]
-        for mod, w in sums[:-1]:
+        for mod, w in inner[:-1]:
             d = w(i)
             sources = [s * mod + (e - d) % mod for s in sources for e in range(mod)]
-        sources = [s * row for s in sources]
-        r = sums[-1][1](i) % row if sums else 0
-        out: list[list[int] | None] = [None] * len(nxt0)
-        for c, vec in enumerate(layer):
-            if vec is None:
+        sources = [s * width for s in sources]
+        r = inner[-1][1](i) % width if inner else 0
+        d = last(i) % rows
+        out: list[list[list[int] | None] | None] = [None] * len(nxt0)
+        for c, table in enumerate(layer):
+            if table is None:
                 continue
             for to, bit in ((nxt0[c], 0), (nxt1[c], 1)):
-                if to >= 0:
-                    moved = _shifted(vec, sources, row, r) if bit else vec
-                    out[to] = moved if out[to] is None else _plus(out[to], moved)
+                if to < 0:
+                    continue
+                into = out[to]
+                if into is None:
+                    into = out[to] = [None] * rows
+                for k, vec in enumerate(table):
+                    if vec is None:
+                        continue
+                    if bit:
+                        k = (k + d) % rows
+                        vec = _shifted(vec, sources, width, r) if inner else vec
+                    into[k] = vec if into[k] is None else _plus(into[k], vec)
         layer = out
-    live = [vec for vec in layer if vec is not None]
-    total = functools.reduce(_plus, live) if live else [0] * cells
+    by_last: list[list[int]] = []
+    for k in range(rows):
+        reached = [t[k] for t in layer if t is not None and t[k] is not None]
+        by_last.append(functools.reduce(_plus, reached) if reached else [0] * cells)
+    total = list(itertools.chain.from_iterable(zip(*by_last)))
     if key is None:
         return total
     moduli = fam.layout(cs.n, params)[0]
     counts = [0] * math.prod(moduli)
-    for point, count in zip(itertools.product(*map(range, mods)), total):
+    for point, count in zip(itertools.product(*map(range, [*mods, rows])), total):
         counts[_key_index(key(point), moduli)] += count
     return counts
 
