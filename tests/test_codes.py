@@ -180,21 +180,15 @@ def test_coset_search_rejects_parameters_the_family_lacks():
     assert best_coset(CN21, 8, P=6).param("P") == 6
 
 
-# fixed parameters of the differential test: non-default moduli, several
-# periods, odd ones where the family allows them
-_FIXED = {
-    INV: "m", VT_MOD: "m", EVEN_POS: "m", C2N9: "m", CP: "P", CN21: "P", RLL: "P",
-}
-_FIXED_VALUES = {"m": (2, 3, 5), "P": (2, 4, 6, 8)}
-
-
 def _fixed_params(family):
-    if family == RLL:
-        return [{"P": P} for P in (1, 2, 3, 5, 8)]
-    if family in _FIXED:
-        name = _FIXED[family]
-        return [{name: value} for value in _FIXED_VALUES[name]]
-    return [{}]
+    """Fixed parameters of the differential test: non-default moduli and
+    several periods, odd ones where the family allows them."""
+    fixed = codes._FAMILIES[family].fixed
+    if not fixed:
+        return [{}]
+    (name,) = fixed
+    values = {"m": (2, 3, 5), "P": (1, 2, 3, 5, 8) if family == RLL else (2, 4, 6, 8)}[name]
+    return [{name: value} for value in values]
 
 
 def _scan_counts(family, n, fixed):
@@ -216,16 +210,19 @@ def test_counting_dp_matches_scan(family):
     for n in range(1, 13):
         for fixed in _fixed_params(family):
             counts = _scan_counts(family, n, fixed)
-            cosets = {k: spec(family, n, **fixed, **dict(zip(residues, k))) for k in counts}
             keys = list(counts)
-            assert codes._coset_counts(cosets[keys[0]]) == list(counts.values())
+
+            def coset(k):
+                return spec(family, n, **fixed, **dict(zip(residues, k)))
+
+            assert codes._coset_counts(coset(keys[0])) == list(counts.values())
             best = min(counts, key=lambda k: (-counts[k], k))
             # a size call counts every coset, so cl (16 n^3 cosets) is sampled
             sampled = keys if len(keys) <= 256 else keys[:: len(keys) // 64] + [best]
             for k in sampled:
-                assert size(cosets[k]) == counts[k], (n, fixed, k)
+                assert size(coset(k)) == counts[k], (n, fixed, k)
             if residues:
-                assert best_coset(family, n, **fixed) == cosets[best], (n, fixed)
+                assert best_coset(family, n, **fixed) == coset(best), (n, fixed)
 
 
 def test_subcode_examples():
