@@ -3,10 +3,12 @@ parent tree against this one.
 
 Times ``verify._structured_chunk(kind, depth, n, params, lo, hi)`` for every
 structured kind at both check depths ("full" runs the claim-table checker,
-"ceiling" the size checks) at n = 11 and n = 14, and the claim tables'
-identity sweep ``verify._identity_chunk(n, lo, hi)`` over every pair at
-n = 10 (kind "identity", depth "all-pairs"; its mask tables are built before
-timing).  Each (n, kind) walks up to four evenly spaced windows of 64 pairs
+"ceiling" the size checks) at n = 11 and n = 14, and the two exhaustive
+sweeps over every pair at n = 10: the claim tables' identity sweep
+``verify._identity_chunk(n, lo, hi)`` (kind "identity") and the
+intersection-bounds sweep ``verify._bounds_chunk(n, lo, hi)`` (kind
+"bounds"), both at depth "all-pairs" with their mask tables built before
+timing.  Each (n, kind) walks up to four evenly spaced windows of 64 pairs
 for every parameter tuple of the family, the same windows at both depths.
 The two source trees are measured in interleaved rounds (``rounds.py``), one
 timing per cell per round; the output keeps, per tree, every round and the
@@ -33,7 +35,7 @@ import rounds
 
 OUT = rounds.ROOT / "BENCH_structured_kernel.json"
 LENGTHS = (11, 14)
-IDENTITY_N = 10
+ALL_PAIRS_N = 10
 DEPTHS = ("full", "ceiling")
 WINDOWS = 4
 WINDOW_PAIRS = 64
@@ -56,18 +58,19 @@ def _worker(src: str) -> dict:
 
     digest = hashlib.sha256()
     cells = []
-    n = IDENTITY_N
+    n = ALL_PAIRS_N
     size = 1 << n
+    pairs = size * (size - 1) // 2
     verify._WORK["tables"] = {n: verify._tables(n)}
     try:
-        t0 = time.perf_counter()
-        result = verify._identity_chunk(n, 0, size)
-        seconds = time.perf_counter() - t0
+        for kind, chunk in (("identity", verify._identity_chunk), ("bounds", verify._bounds_chunk)):
+            t0 = time.perf_counter()
+            result = chunk(n, 0, size)
+            seconds = time.perf_counter() - t0
+            digest.update(repr(result).encode())
+            cells.append((n, kind, "all-pairs", pairs, seconds / pairs * 1e6))
     finally:
         verify._WORK.clear()
-    digest.update(repr(result).encode())
-    pairs = size * (size - 1) // 2
-    cells.append((n, "identity", "all-pairs", pairs, seconds / pairs * 1e6))
     for n in LENGTHS:
         for kind in verify._FAMILY_KINDS:
             windows = _windows(verify, kind, n)

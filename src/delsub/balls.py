@@ -6,11 +6,14 @@ good/bad classification of shared ball elements depends on an index
 convention the source material leaves implicit; both are implemented and
 the default was fixed by exhaustive arbitration against the "at most six
 bad sequences" bound (see verify.verify_bad_count and the tests).
+CASE_CEILINGS holds the shared-ball ceiling of each structural case, the one
+table every ceiling check in verify reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .words import common_affixes, hamming
 
@@ -23,6 +26,8 @@ __all__ = [
     "SHIFTED_PAIR",
     "GENERIC",
     "CASE_TAGS",
+    "CaseCeiling",
+    "CASE_CEILINGS",
     "WITNESS_CONVENTIONS",
     "DEFAULT_WITNESS_CONVENTION",
     "PairClassification",
@@ -58,6 +63,49 @@ CASE_TAGS: tuple[tuple[str | None, ...], ...] = (
     (TWO_FLIPS, RUN_SHIFT, ADJACENT_TRANSPOSITION),
     (GENERIC, SHIFTED_PAIR, ALTERNATING_BLOCK),
 )
+
+
+class CaseCeiling(NamedTuple):
+    """Shared-ball ceiling c1 * n + c0 of one structural case from length
+    min_n on; name is its short name in check names.  eq_gap k, where set,
+    names the equality family on which the ceiling is reached: one common
+    affix empty, the other of n - k runs.  run_sum (e1, e0), where set, is a
+    second ceiling r(x) + r(y) + e1 * n + e0."""
+
+    name: str
+    min_n: int
+    c1: int
+    c0: int
+    eq_gap: int | None = None
+    run_sum: tuple[int, int] | None = None
+
+    def ceiling(self, n: int) -> int:
+        return self.c1 * n + self.c0
+
+    def limits(self, n: int) -> tuple[int | None, int | None, int | None]:
+        """(ceiling, n - k, e1 * n + e0) at length n; None where the case
+        lacks the check, and all three below min_n."""
+        if n < self.min_n:
+            return None, None, None
+        eq_runs = None if self.eq_gap is None else n - self.eq_gap
+        run = None if self.run_sum is None else self.run_sum[0] * n + self.run_sum[1]
+        return self.ceiling(n), eq_runs, run
+
+
+# The paper's read thresholds are ceilings plus one: N = 4n - 8, 3n - 4,
+# 2n + 9, n + 21 and 31 from the transposition, flip, alternating, shifted
+# pair and generic rows.  A ceiling c1 * n + c0 with c0 > 0 counts at most
+# c1 * n elements of the substitution and deletion terms plus at most c0
+# extra elements, which is the extra-element cap the claim tables check.
+CASE_CEILINGS: dict[str, CaseCeiling] = {
+    ADJACENT_TRANSPOSITION: CaseCeiling("transposition", 5, 4, -9, eq_gap=2),
+    SINGLE_FLIP: CaseCeiling("flip", 4, 3, -5, eq_gap=1, run_sum=(1, -1)),
+    RUN_SHIFT: CaseCeiling("shift", 6, 3, -7, run_sum=(1, -2)),
+    TWO_FLIPS: CaseCeiling("two-flip", 1, 2, 4, run_sum=(0, 8)),
+    ALTERNATING_BLOCK: CaseCeiling("alternating", 1, 2, 8),
+    SHIFTED_PAIR: CaseCeiling("shifted pair", 1, 1, 20),
+    GENERIC: CaseCeiling("generic", 1, 0, 30),
+}
 
 WITNESS_CONVENTIONS = ("pre", "post")
 

@@ -114,19 +114,13 @@ def _emit(payload: Any, args: argparse.Namespace, text_override: str | None = No
         sys.stdout.write(rendered)
 
 
-def _collect_params(args: argparse.Namespace) -> dict[str, int]:
-    return {
-        name: getattr(args, name)
-        for name in _PARAM_FLAGS
-        if getattr(args, name, None) is not None
-    }
-
-
 def _code_spec(args: argparse.Namespace, n: int) -> codes.CodeSpec:
-    params = _collect_params(args)
+    params = {name: getattr(args, name) for name in _PARAM_FLAGS if getattr(args, name) is not None}
     if getattr(args, "best", False):
-        fixed = {name: params[name] for name in ("m", "P") if name in params}
-        return codes.best_coset(args.family, n, **fixed)
+        residue = next((name for name in params if name not in ("m", "P")), None)
+        if residue is not None:
+            raise ValueError(f"argument --{residue}: --best picks the residues itself")
+        return codes.best_coset(args.family, n, **params)
     return codes.spec(args.family, n, **params)
 
 

@@ -25,6 +25,7 @@ from . import codes
 from .balls import (
     ADJACENT_TRANSPOSITION,
     ALTERNATING_BLOCK,
+    CASE_CEILINGS,
     CASE_TAGS,
     DEFAULT_WITNESS_CONVENTION,
     GENERIC,
@@ -468,11 +469,31 @@ def verify_constrained_deletion(n: int) -> VerificationReport:
 # characterizations of shared substitutions / shared deletions
 
 
-def _case_rows(n: int) -> list[tuple[str | None, ...]]:
-    """CASE_TAGS row of each Hamming distance 0..n, padded with its d = 0 tag
-    up to d = n, the most shared deletions a dmask built from n deletions can
-    show, so that a faulty deletion kernel is reported instead of raising."""
-    return [row + (row[0],) * (n - 2) for row in (CASE_TAGS[min(h, 3)] for h in range(n + 1))]
+def _case_rows(n: int) -> list[list[Any]]:
+    """(case, name, ceiling, equality-family runs, run-sum extra, extra-element
+    cap) at length n of the structural case in each CASE_TAGS cell, indexed
+    by Hamming distance 0..n and shared deletions d.  Each tag row is padded
+    with its d = 0 tag up to d = n, the most shared deletions a dmask built
+    from n deletions can show, so that a faulty deletion kernel is reported
+    instead of raising."""
+    cells = {
+        case: (case, row.name, *row.limits(n), row.c0 if row.c1 > 0 and row.c0 > 0 else None)
+        for case, row in CASE_CEILINGS.items()
+    }
+    return [
+        [cells.get(case) for case in row + (row[0],) * (n - 2)]
+        for row in (CASE_TAGS[min(h, 3)] for h in range(n + 1))
+    ]
+
+
+def _global_ceiling(n: int) -> int | None:
+    """The transposition ceiling, which bounds every pair from n = 6 on."""
+    return CASE_CEILINGS[ADJACENT_TRANSPOSITION].ceiling(n) if n >= 6 else None
+
+
+def _in_family(ra: int, rb: int, runs: int) -> bool:
+    """Equality family: one affix empty, the other of the given run count."""
+    return (ra == 0 and rb == runs) or (ra == runs and rb == 0)
 
 
 def _bounds_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
@@ -482,14 +503,14 @@ def _bounds_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
     sm = tab.smask
     bm = tab.bmask
     size = 1 << n
-    bound_global = 4 * n - 9 if n >= 6 else None
+    bound_global = _global_ceiling(n)
     pairs = 0
     extremal = -1
     eq = 0
     sink = _Sink(n)
     case_pairs: dict[str, int] = {}
     case_max: dict[str, int] = {}
-    tags = _case_rows(n)
+    rows = _case_rows(n)
     for x in range(lo, hi):
         bx = bm[x]
         sx = sm[x]
@@ -540,45 +561,18 @@ def _bounds_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
                 if d_mask != 1 << z:
                     sink.add(x, y, "shared deletion witness", _Word(z, n - 1), _bits(d_mask))
 
-            case = tags[dh][d]
+            case, name, ceiling, eq_runs, run_extra, _ = rows[dh][d]
             case_pairs[case] = case_pairs.get(case, 0) + 1
             if b > case_max.get(case, -1):
                 case_max[case] = b
-
-            ceiling = None
-            if case is SINGLE_FLIP:
-                if n >= 4:
-                    ceiling = 3 * n - 5
-                    if b > runs[x] + runs[y] + n - 1:
-                        sink.add(x, y, "flip run-sum ceiling", runs[x] + runs[y] + n - 1, b)
-                    ra = _runs_int(x >> (hi_b + 1), n - hi_b - 1)
-                    rb = _runs_int(x & ((1 << lo_b) - 1), lo_b)
-                    in_family = (ra == 0 and rb == n - 1) or (ra == n - 1 and rb == 0)
-                    if (b == ceiling) != in_family:
-                        sink.add(x, y, "flip equality family", in_family, b)
-            elif case is ADJACENT_TRANSPOSITION:
-                if n >= 5:
-                    ceiling = 4 * n - 9
-                    ra = _runs_int(x >> (hi_b + 1), n - hi_b - 1)
-                    rb = _runs_int(x & ((1 << lo_b) - 1), lo_b)
-                    in_family = (ra == 0 and rb == n - 2) or (ra == n - 2 and rb == 0)
-                    if (b == ceiling) != in_family:
-                        sink.add(x, y, "transposition equality family", in_family, b)
-            elif case is RUN_SHIFT:
-                if n >= 6:
-                    ceiling = 3 * n - 7
-                    if b > runs[x] + runs[y] + n - 2:
-                        sink.add(x, y, "shift run-sum ceiling", runs[x] + runs[y] + n - 2, b)
-            elif case is TWO_FLIPS:
-                ceiling = 2 * n + 4
-                if b > runs[x] + runs[y] + 8:
-                    sink.add(x, y, "two-flip run-sum ceiling", runs[x] + runs[y] + 8, b)
-            elif case is ALTERNATING_BLOCK:
-                ceiling = 2 * n + 8
-            elif case is SHIFTED_PAIR:
-                ceiling = n + 20
-            else:
-                ceiling = 30
+            if run_extra is not None and b > runs[x] + runs[y] + run_extra:
+                sink.add(x, y, f"{name} run-sum ceiling", runs[x] + runs[y] + run_extra, b)
+            if eq_runs is not None:
+                ra = _runs_int(x >> (hi_b + 1), n - hi_b - 1)
+                rb = _runs_int(x & ((1 << lo_b) - 1), lo_b)
+                in_family = _in_family(ra, rb, eq_runs)
+                if (b == ceiling) != in_family:
+                    sink.add(x, y, f"{name} equality family", in_family, b)
             if ceiling is not None and b > ceiling:
                 sink.add(x, y, f"{case} ceiling", ceiling, b)
             if bound_global is not None:
@@ -605,7 +599,14 @@ def _bounds_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
 # fam20 alternating windows.  A pair is x = a.wx.b, y = a.wy.b with an m-bit
 # prefix a, where m = params[-1], and a q-bit suffix b.
 
-_FAMILY_KINDS = ("fam22", "fam12f", "fam12s", "fam20")
+# the structural case of each family, whose CASE_CEILINGS row it is checked against
+_FAMILY_CASES = {
+    "fam22": ADJACENT_TRANSPOSITION,
+    "fam12f": SINGLE_FLIP,
+    "fam12s": RUN_SHIFT,
+    "fam20": ALTERNATING_BLOCK,
+}
+_FAMILY_KINDS = tuple(_FAMILY_CASES)
 
 
 def _family_params(kind: str, n: int) -> list[tuple[int, ...]]:
@@ -655,18 +656,6 @@ def _family_tasks(kind: str, depth: str, n: int, piece: int = 1 << 15) -> list[t
         for lo in range(0, total, piece):
             tasks.append((_structured_chunk, kind, depth, n, params, lo, min(lo + piece, total)))
     return tasks
-
-
-# ceilings of the structured families, per kind, for both check depths:
-# check name, smallest n checked, ceiling (c1, c0) = c1 * n + c0, the gap k of the
-# equality family (one affix empty, the other n - k runs), and the gap k of
-# the run-sum ceiling r(x) + r(y) + n - k; None where a kind has no such check
-_CEILINGS: dict[str, tuple[str, int, tuple[int, int], int | None, int | None]] = {
-    "fam22": ("transposition", 5, (4, -9), 2, None),
-    "fam12f": ("flip", 4, (3, -5), 1, 1),
-    "fam12s": ("shift", 6, (3, -7), None, 2),
-    "fam20": ("alternating", 0, (2, 8), None, None),
-}
 
 
 # Table of shared-substitution deletion-ball sizes for the transposition and
@@ -758,32 +747,35 @@ def _check_regimes(
     kind: str, n: int, x: int, y: int, ra: int, rb: int, small: int, total: int, sink: _Sink
 ) -> None:
     """Affixes of at most one run: small; one affix empty: the kind's ceiling,
-    reached exactly when the other has n - eq_gap runs; else one less."""
-    name, min_n, (c1, c0), eq_gap, _ = _CEILINGS[kind]
-    ceiling = c1 * n + c0
+    reached exactly on its equality family; else one less."""
+    row = CASE_CEILINGS[_FAMILY_CASES[kind]]
+    ceiling, eq_runs, _ = row.limits(n)
     if ra <= 1 and rb <= 1:
         if total > small:
             sink.add(x, y, "small-profile ceiling", small, total)
+    elif ceiling is None:
+        return
     elif ra == 0 or rb == 0:
-        if n >= min_n:
-            if total > ceiling:
-                sink.add(x, y, f"{name} ceiling", ceiling, total)
-            if (total == ceiling) != (ra + rb == n - eq_gap):
-                sink.add(x, y, f"{name} equality", ra + rb == n - eq_gap, total)
-    elif n >= min_n and total > ceiling - 1:
+        if total > ceiling:
+            sink.add(x, y, f"{row.name} ceiling", ceiling, total)
+        in_family = _in_family(ra, rb, eq_runs)
+        if (total == ceiling) != in_family:
+            sink.add(x, y, f"{row.name} equality", in_family, total)
+    elif total > ceiling - 1:
         sink.add(x, y, "mixed-profile ceiling", ceiling - 1, total)
 
 
 def _check_tail(kind: str, n: int, x: int, y: int, total: int, sink: _Sink) -> None:
     """From the kind's smallest n on: its ceiling when it has no equality
     family (the callers check the others), then its run-sum ceiling."""
-    name, min_n, (c1, c0), eq_gap, run_gap = _CEILINGS[kind]
-    if n < min_n:
+    row = CASE_CEILINGS[_FAMILY_CASES[kind]]
+    ceiling, eq_runs, run_extra = row.limits(n)
+    if ceiling is None:
         return
-    if eq_gap is None and total > c1 * n + c0:
-        sink.add(x, y, f"{name} ceiling", c1 * n + c0, total)
-    if run_gap is not None:
-        run_sum = _runs_int(x, n) + _runs_int(y, n) + n - run_gap
+    if eq_runs is None and total > ceiling:
+        sink.add(x, y, f"{row.name} ceiling", ceiling, total)
+    if run_extra is not None:
+        run_sum = _runs_int(x, n) + _runs_int(y, n) + run_extra
         if total > run_sum:
             sink.add(x, y, "run-sum ceiling", run_sum, total)
 
@@ -998,8 +990,9 @@ def _check_alternating_pair(
     if not s_term <= inter:
         sink.add(x, y, "term containment", True, False)
     extra = len(inter) - len(s_term)
-    if extra > 8:
-        sink.add(x, y, "extra elements", "<= 8", extra)
+    cap = CASE_CEILINGS[ALTERNATING_BLOCK].c0
+    if extra > cap:
+        sink.add(x, y, "extra elements", f"<= {cap}", extra)
     total = len(inter)
     _check_tail("fam20", n, x, y, total, sink)
     return total
@@ -1011,16 +1004,16 @@ def _check_ceilings(
 ) -> int:
     """The kind's ceiling, its equality family where it has one, and then
     _check_tail."""
-    name, min_n, (c1, c0), eq_gap, _ = _CEILINGS[kind]
+    row = CASE_CEILINGS[_FAMILY_CASES[kind]]
+    ceiling, eq_runs, _ = row.limits(n)
     total = len(_ds_inter(_run_dels(x, n), _run_dels(y, n), n))
-    if eq_gap is not None and n >= min_n:
-        ceiling = c1 * n + c0
+    if eq_runs is not None:
         if total > ceiling:
-            sink.add(x, y, f"{name} ceiling", ceiling, total)
+            sink.add(x, y, f"{row.name} ceiling", ceiling, total)
         ra, rb, *_ = _affix_meta(a, params[-1], b, q, 0)
-        in_family = (ra == 0 and rb == n - eq_gap) or (ra == n - eq_gap and rb == 0)
+        in_family = _in_family(ra, rb, eq_runs)
         if (total == ceiling) != in_family:
-            sink.add(x, y, f"{name} equality family", in_family, total)
+            sink.add(x, y, f"{row.name} equality family", in_family, total)
     _check_tail(kind, n, x, y, total, sink)
     return total
 
@@ -1040,16 +1033,16 @@ def _structured_chunk(
 
     depth "full" runs the claim-table checker of the kind; "ceiling" checks
     only the pair's shared-ball size, counting transposition pairs at the
-    global ceiling 4n - 9 as equality cases.
+    global ceiling as equality cases.
     """
     sink = _Sink(n)
     extremal = -1
     eq = 0
-    count_eq = depth == "ceiling" and kind == "fam22" and n >= 6
+    eq_at = _global_ceiling(n) if depth == "ceiling" and kind == "fam22" else None
     check = _FAMILY_CHECKERS[kind] if depth == "full" else functools.partial(_check_ceilings, kind)
     for a, b, q, x, y in _structured_pairs(kind, n, params, lo, hi):
         total = check(n, params, a, b, q, x, y, sink)
-        if count_eq and total == 4 * n - 9:
+        if total == eq_at:
             eq += 1
         if total > extremal:
             extremal = total
@@ -1063,11 +1056,12 @@ def verify_intersection_bounds(
 
     The exhaustive mode sweeps every unordered pair of length-n words:
     shared substitution and deletion sets must match their window
-    characterizations, each of the seven (deletions, substitutions)
-    classes must respect its ceiling, the global ceiling 4n - 9 must hold
-    with equality exactly on the extremal transposition family (n >= 6),
-    and the flip family must peak at 3n - 5 exactly on alternating
-    profiles.  Structured mode walks only the transposition, flip, shift,
+    characterizations, and each of the seven structural cases must respect
+    its row of balls.CASE_CEILINGS: its ceiling, its run-sum ceiling, and
+    for transpositions and flips the equality family on which the ceiling
+    is reached.  The global ceiling, the transposition row from n = 6 on,
+    must hold with equality exactly on the extremal transposition family.
+    Structured mode walks only the transposition, flip, shift,
     and alternating-window families, which reaches longer words; each
     pair's shared ball is built from its close deletion pairs (u, w), one
     deletion per run of x and of y within Hamming distance two, as the
@@ -1080,7 +1074,7 @@ def verify_intersection_bounds(
     limit = STRUCTURED_LIMIT if structured else EXHAUSTIVE_LIMIT
     if n > limit:
         raise ValueError(f"{mode} intersection sweep capped at n <= {limit}")
-    bound = 4 * n - 9 if n >= 6 else None
+    bound = _global_ceiling(n)
     detail: dict[str, Any] = {"mode": mode}
     if structured:
         tasks = [t for kind in _FAMILY_KINDS for t in _family_tasks(kind, "ceiling", n)]
@@ -1124,7 +1118,8 @@ def _identity_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
     size = 1 << n
     extremal = -1
     sink = _Sink(n)
-    tags = _case_rows(n)
+    generic = CASE_CEILINGS[GENERIC].ceiling(n)
+    rows = _case_rows(n)
     for x in range(lo, hi):
         bx = bm[x]
         sx = sm[x]
@@ -1139,8 +1134,8 @@ def _identity_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
             dh = (x ^ y).bit_count()
             if not (d_mask or s_mask) and dh >= 3:
                 # generic: both terms empty, so the whole ball is extra
-                if b > 30:
-                    sink.add(x, y, "generic ceiling", 30, b)
+                if b > generic:
+                    sink.add(x, y, "generic ceiling", generic, b)
                 continue
             s_term = 0
             for z in _bits(d_mask):
@@ -1156,33 +1151,30 @@ def _identity_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
             d_sz = d_term.bit_count()
             extra = b - union.bit_count()
 
-            case = tags[dh][d_mask.bit_count()]
+            case, name, ceiling, _, run_extra, extra_cap = rows[dh][d_mask.bit_count()]
             if case is TWO_FLIPS:
                 # deletion side only
                 if d_sz > 2 * n:
                     sink.add(x, y, "deletion term cap", 2 * n, d_sz)
                 if d_sz > runs[x] + runs[y] + 4:
                     sink.add(x, y, "deletion term run cap", runs[x] + runs[y] + 4, d_sz)
-                if extra > 4:
-                    sink.add(x, y, "extra elements", "<= 4", extra)
-                if b > min(2 * n + 4, runs[x] + runs[y] + 8):
-                    sink.add(x, y, "two-flip ceiling", 2 * n + 4, b)
             elif case is ALTERNATING_BLOCK:
                 want_s = 2 * n if dh >= 4 else 2 * n - 2
                 if s_sz != want_s:
                     sink.add(x, y, "substitution term size", want_s, s_sz)
-                if extra > 8:
-                    sink.add(x, y, "extra elements", "<= 8", extra)
             elif case is SHIFTED_PAIR:
                 if s_sz != n:
                     sink.add(x, y, "substitution term size", n, s_sz)
-                if extra > 20:
-                    sink.add(x, y, "extra elements", "<= 20", extra)
-            elif case is GENERIC:
-                if b != extra:
-                    sink.add(x, y, "bare intersection", b, extra)
-                if b > 30:
-                    sink.add(x, y, "generic ceiling", 30, b)
+            elif case is GENERIC and b != extra:
+                sink.add(x, y, "bare intersection", b, extra)
+            if extra_cap is not None and extra > extra_cap:
+                sink.add(x, y, "extra elements", f"<= {extra_cap}", extra)
+            # the ceilings of the cases without a shared deletion, whose ball
+            # has no substitution term
+            if (case is TWO_FLIPS or case is GENERIC) and b > (
+                ceiling if run_extra is None else min(ceiling, runs[x] + runs[y] + run_extra)
+            ):
+                sink.add(x, y, f"{name} ceiling", ceiling, b)
     # row x pairs with the size - 1 - x words after it
     pairs = (hi - lo) * (2 * size - lo - hi - 1) // 2
     return {"pairs": pairs, "extremal": extremal, "eq": 0, "ces": sink.ces}
@@ -1199,7 +1191,8 @@ def verify_claim_tables(n_max: int, *, jobs: int = 1) -> VerificationReport:
     the per-class term sizes and caps.  A generic pair (Hamming distance
     at least three, no shared deletion, no shared substitution) has both
     terms empty, so containment holds, every shared element is extra, and
-    only the generic ceiling 30 can fail; that is all it is checked for.
+    only the generic ceiling (balls.CASE_CEILINGS) can fail; that is all it
+    is checked for.
     Any other pair, a faulty table's spurious shared deletion or
     substitution included, gets the full decomposition.  On top of that
     the four structured families are enumerated up to ``n_max`` and every
@@ -1275,6 +1268,7 @@ def _bad_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
     max_post = 0
     eq = 0
     sink = _Sink(n)
+    generic = CASE_CEILINGS[GENERIC].ceiling(n)
     for x in range(lo, hi):
         dx = dm[x]
         bx = bm[x]
@@ -1291,8 +1285,8 @@ def _bad_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
             bad_pre = 0
             bad_post = 0
             elements = _bits(inter)
-            if len(elements) > 30:
-                sink.add(x, y, "generic ceiling", 30, len(elements))
+            if len(elements) > generic:
+                sink.add(x, y, "generic ceiling", generic, len(elements))
             for z in elements:
                 lx = _witness_list(wx, z, n)
                 ly = _witness_list(wy, z, n)
@@ -1384,20 +1378,23 @@ class _CodeCheck(NamedTuple):
 
 
 # one row per construction; its cosets are those of codes.coset_key at the
-# defaults, modulus two and period codes.default_period(n)
+# defaults, modulus two and period codes.default_period(n).  Each ceiling but
+# cl's is the CASE_CEILINGS row of the structural case the code rules out.
 CODE_CHECKS: dict[str, _CodeCheck] = {
     "vt": _CodeCheck(
-        codes.VT, lambda n: 30, lambda n: math.log2(n) + 1,
+        codes.VT, CASE_CEILINGS[GENERIC].ceiling, lambda n: math.log2(n) + 1,
         lambda n, best: best * 2 * n >= 1 << n,
     ),
     "inv": _CodeCheck(
-        codes.INV, lambda n: 3 * n - 5, lambda n: 1.0, lambda n, best: best * 2 >= 1 << n,
+        codes.INV, CASE_CEILINGS[SINGLE_FLIP].ceiling, lambda n: 1.0,
+        lambda n, best: best * 2 >= 1 << n,
     ),
     "c2n9": _CodeCheck(
-        codes.C2N9, lambda n: 2 * n + 8, lambda n: 2.0, lambda n, best: best * 4 >= 1 << n,
+        codes.C2N9, CASE_CEILINGS[ALTERNATING_BLOCK].ceiling, lambda n: 2.0,
+        lambda n, best: best * 4 >= 1 << n,
     ),
     "cn21": _CodeCheck(
-        codes.CN21, lambda n: n + 20, lambda n: math.log2(math.log2(n)) + 3,
+        codes.CN21, CASE_CEILINGS[SHIFTED_PAIR].ceiling, lambda n: math.log2(math.log2(n)) + 3,
         lambda n, best: best * 8 * math.log2(n) >= 1 << n,
     ),
     "cl": _CodeCheck(

@@ -79,6 +79,25 @@ def test_code_best_rejects_parameters_the_family_lacks(capsys):
     assert json.loads(out) == codes.size(codes.best_coset(codes.INV, 6, m=3))
 
 
+@pytest.mark.parametrize("command", [
+    ("code", "size", "--family", "vt", "--n", "6", "--a", "3"),
+    ("code", "check", "--family", "cl", "--n", "6", "--a1", "2", "--word", "000000"),
+    ("decode", "--family", "cn21", "--n", "6", "--a2", "1", "--bundle", "BUNDLE"),
+    ("verify", "reconstruction", "--family", "inv", "--n", "6", "--N", "5", "--a", "1"),
+])
+def test_best_rejects_residue_flags(tmp_path, capsys, command):
+    bundle = tmp_path / "reads.txt"
+    run(capsys, "simulate", "--word", "010101", "--N", "3", "--format", "text",
+        "--out", str(bundle))
+    flag = next(arg for arg in command if arg.startswith("--a"))
+    argv = [str(bundle) if arg == "BUNDLE" else arg for arg in command]
+    code, out, err = run(capsys, *argv, "--best")
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}: --best picks the residues itself" in err
+    assert err.count("\n") == 1
+
+
 def test_malformed_word_is_usage_error(capsys):
     code, _, err = run(capsys, "ball", "--word", "01a")
     assert code == 2

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from delsub.balls import ds_ball, preimage_ball
+from delsub.balls import ADJACENT_TRANSPOSITION, CASE_CEILINGS, ds_ball, preimage_ball
 from delsub.codes import CL, CN21, FULL, INV, VT, best_coset, members, spec
 from delsub.reconstruct import (
     AMBIGUOUS,
@@ -120,14 +120,14 @@ def test_decode_agrees_with_whole_code_scan():
 
 
 # reads per bundle at which each family's code is claimed to reconstruct:
-# its pairwise ceiling in verify.CODE_CHECKS plus one, and 4n - 9 plus one for
-# the full code (false for inv at n = 8..12, so those bundles may decode
-# AMBIGUOUS)
+# its pairwise ceiling in verify.CODE_CHECKS plus one, and the transposition
+# ceiling plus one for the full code (false for inv at n = 8..12, so those
+# bundles may decode AMBIGUOUS)
 _THRESHOLD = {
     family: (lambda n, ceiling=CODE_CHECKS[family].ceiling: ceiling(n) + 1)
     for family in (CL, VT, INV, CN21)
 }
-_THRESHOLD[FULL] = lambda n: 4 * n - 8
+_THRESHOLD[FULL] = lambda n: CASE_CEILINGS[ADJACENT_TRANSPOSITION].ceiling(n) + 1
 
 
 @pytest.mark.parametrize("family", tuple(_THRESHOLD))

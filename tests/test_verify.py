@@ -1,11 +1,24 @@
 import json
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
 
 from delsub import codes, verify
-from delsub.balls import ball_intersection, classify_pair, is_bad, witnesses
+from delsub.balls import (
+    ADJACENT_TRANSPOSITION,
+    ALTERNATING_BLOCK,
+    CASE_CEILINGS,
+    GENERIC,
+    SHIFTED_PAIR,
+    SINGLE_FLIP,
+    ball_intersection,
+    classify_pair,
+    is_bad,
+    witnesses,
+)
 from delsub.verify import (
+    CODE_CHECKS,
     EXHAUSTIVE_LIMIT,
     STRUCTURED_LIMIT,
     _del_set,
@@ -98,6 +111,56 @@ def test_intersection_bounds_structured_matches_exhaustive_cases():
     expected = max(exhaustive.detail["case_extremal"][c] for c in covered)
     assert structured.extremal_observed == expected
     assert structured.equality_cases == exhaustive.equality_cases
+
+
+def test_case_ceilings_are_the_paper_thresholds_less_one():
+    thresholds = {
+        ADJACENT_TRANSPOSITION: lambda n: 4 * n - 8,
+        SINGLE_FLIP: lambda n: 3 * n - 4,
+        ALTERNATING_BLOCK: lambda n: 2 * n + 9,
+        SHIFTED_PAIR: lambda n: n + 21,
+        GENERIC: lambda n: 31,
+    }
+    code_cases = {"vt": GENERIC, "inv": SINGLE_FLIP, "c2n9": ALTERNATING_BLOCK, "cn21": SHIFTED_PAIR}
+    assert set(CODE_CHECKS) == {*code_cases, "cl"}
+    for n in range(6, 41):
+        for case, threshold in thresholds.items():
+            assert CASE_CEILINGS[case].ceiling(n) + 1 == threshold(n)
+            assert CASE_CEILINGS[case].limits(n)[0] == CASE_CEILINGS[case].ceiling(n)
+        assert CODE_CHECKS["cl"].ceiling(n) + 1 == 7
+        for theorem, case in code_cases.items():
+            assert CODE_CHECKS[theorem].ceiling(n) == CASE_CEILINGS[case].ceiling(n)
+
+
+def test_intersection_bounds_every_ladder_check_fires(monkeypatch):
+    # n = 8 tables with the run counts of every fifth word lowered by 3 and
+    # three words sharing every length-7 word, so that each run-sum,
+    # equality-family and ceiling check of the exhaustive sweep fails somewhere;
+    # the counts were recorded before the checks read balls.CASE_CEILINGS
+    real = verify._tables
+    tab = verify._Tables(8)
+    for x in range(0, 256, 5):
+        tab.runs[x] -= 3
+    for x in (0b00101101, 0b01010101, 0b11100100):
+        tab.bmask[x] |= (1 << 128) - 1
+    monkeypatch.setattr(verify, "_tables", lambda n: tab if n == 8 else real(n))
+    monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
+    report = verify_intersection_bounds(8)
+    assert Counter(c["check"] for c in report.counterexamples) == {
+        "flip run-sum ceiling": 32,
+        "shift run-sum ceiling": 184,
+        "two-flip run-sum ceiling": 59,
+        "flip equality family": 2,
+        "transposition equality family": 2,
+        "SINGLE_FLIP ceiling": 23,
+        "ADJACENT_TRANSPOSITION ceiling": 15,
+        "RUN_SHIFT ceiling": 7,
+        "TWO_FLIPS ceiling": 53,
+        "ALTERNATING_BLOCK ceiling": 25,
+        "SHIFTED_PAIR ceiling": 20,
+        "GENERIC ceiling": 101,
+        "global ceiling": 588,
+    }
 
 
 def test_run_dels_span_the_deletion_ball():
