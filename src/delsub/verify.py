@@ -609,6 +609,14 @@ _FAMILY_CASES = {
 _FAMILY_KINDS = tuple(_FAMILY_CASES)
 
 
+@functools.cache
+def _family_limits(kind: str, n: int) -> tuple[str, int | None, int | None, int | None]:
+    """(name, ceiling, equality-family runs, run-sum extra) at length n of the
+    CASE_CEILINGS row of the kind's structural case."""
+    row = CASE_CEILINGS[_FAMILY_CASES[kind]]
+    return (row.name, *row.limits(n))
+
+
 def _family_params(kind: str, n: int) -> list[tuple[int, ...]]:
     if kind == "fam22" and n >= 3:
         return [(m,) for m in range(n - 1)]
@@ -748,8 +756,7 @@ def _check_regimes(
 ) -> None:
     """Affixes of at most one run: small; one affix empty: the kind's ceiling,
     reached exactly on its equality family; else one less."""
-    row = CASE_CEILINGS[_FAMILY_CASES[kind]]
-    ceiling, eq_runs, _ = row.limits(n)
+    name, ceiling, eq_runs, _ = _family_limits(kind, n)
     if ra <= 1 and rb <= 1:
         if total > small:
             sink.add(x, y, "small-profile ceiling", small, total)
@@ -757,10 +764,10 @@ def _check_regimes(
         return
     elif ra == 0 or rb == 0:
         if total > ceiling:
-            sink.add(x, y, f"{row.name} ceiling", ceiling, total)
+            sink.add(x, y, f"{name} ceiling", ceiling, total)
         in_family = _in_family(ra, rb, eq_runs)
         if (total == ceiling) != in_family:
-            sink.add(x, y, f"{row.name} equality", in_family, total)
+            sink.add(x, y, f"{name} equality", in_family, total)
     elif total > ceiling - 1:
         sink.add(x, y, "mixed-profile ceiling", ceiling - 1, total)
 
@@ -768,12 +775,11 @@ def _check_regimes(
 def _check_tail(kind: str, n: int, x: int, y: int, total: int, sink: _Sink) -> None:
     """From the kind's smallest n on: its ceiling when it has no equality
     family (the callers check the others), then its run-sum ceiling."""
-    row = CASE_CEILINGS[_FAMILY_CASES[kind]]
-    ceiling, eq_runs, run_extra = row.limits(n)
+    name, ceiling, eq_runs, run_extra = _family_limits(kind, n)
     if ceiling is None:
         return
     if eq_runs is None and total > ceiling:
-        sink.add(x, y, f"{row.name} ceiling", ceiling, total)
+        sink.add(x, y, f"{name} ceiling", ceiling, total)
     if run_extra is not None:
         run_sum = _runs_int(x, n) + _runs_int(y, n) + run_extra
         if total > run_sum:
@@ -1004,16 +1010,15 @@ def _check_ceilings(
 ) -> int:
     """The kind's ceiling, its equality family where it has one, and then
     _check_tail."""
-    row = CASE_CEILINGS[_FAMILY_CASES[kind]]
-    ceiling, eq_runs, _ = row.limits(n)
+    name, ceiling, eq_runs, _ = _family_limits(kind, n)
     total = len(_ds_inter(_run_dels(x, n), _run_dels(y, n), n))
     if eq_runs is not None:
         if total > ceiling:
-            sink.add(x, y, f"{row.name} ceiling", ceiling, total)
+            sink.add(x, y, f"{name} ceiling", ceiling, total)
         ra, rb, *_ = _affix_meta(a, params[-1], b, q, 0)
         in_family = _in_family(ra, rb, eq_runs)
         if (total == ceiling) != in_family:
-            sink.add(x, y, f"{row.name} equality family", in_family, total)
+            sink.add(x, y, f"{name} equality family", in_family, total)
     _check_tail(kind, n, x, y, total, sink)
     return total
 
