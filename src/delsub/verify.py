@@ -599,23 +599,6 @@ def _bounds_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
 # fam20 alternating windows.  A pair is x = a.wx.b, y = a.wy.b with an m-bit
 # prefix a, where m = params[-1], and a q-bit suffix b.
 
-# the structural case of each family, whose CASE_CEILINGS row it is checked against
-_FAMILY_CASES = {
-    "fam22": ADJACENT_TRANSPOSITION,
-    "fam12f": SINGLE_FLIP,
-    "fam12s": RUN_SHIFT,
-    "fam20": ALTERNATING_BLOCK,
-}
-_FAMILY_KINDS = tuple(_FAMILY_CASES)
-
-
-@functools.cache
-def _family_limits(kind: str, n: int) -> tuple[str, int | None, int | None, int | None]:
-    """(name, ceiling, equality-family runs, run-sum extra) at length n of the
-    CASE_CEILINGS row of the kind's structural case."""
-    row = CASE_CEILINGS[_FAMILY_CASES[kind]]
-    return (row.name, *row.limits(n))
-
 
 def _family_params(kind: str, n: int) -> list[tuple[int, ...]]:
     if kind == "fam22" and n >= 3:
@@ -749,6 +732,14 @@ def _extra_count(ra: int, rb: int, single_runs_extra: bool) -> int:
     if ra == 1 and rb == 1:
         return int(single_runs_extra)
     return 2 if ra >= 2 and rb >= 2 else 1
+
+
+@functools.cache
+def _family_limits(kind: str, n: int) -> tuple[str, int | None, int | None, int | None]:
+    """(name, ceiling, equality-family runs, run-sum extra) at length n of the
+    CASE_CEILINGS row of the kind's structural case."""
+    row = CASE_CEILINGS[_PAIR_FAMILIES[kind][0]]
+    return (row.name, *row.limits(n))
 
 
 def _check_regimes(
@@ -1023,12 +1014,15 @@ def _check_ceilings(
     return total
 
 
-_FAMILY_CHECKERS: dict[str, Callable[..., int]] = {
-    "fam22": _check_transposition_pair,
-    "fam12f": _check_flip_pair,
-    "fam12s": _check_shift_pair,
-    "fam20": _check_alternating_pair,
+# per kind: the structural case whose CASE_CEILINGS row it is checked against,
+# and its claim-table checker
+_PAIR_FAMILIES: dict[str, tuple[str, Callable[..., int]]] = {
+    "fam22": (ADJACENT_TRANSPOSITION, _check_transposition_pair),
+    "fam12f": (SINGLE_FLIP, _check_flip_pair),
+    "fam12s": (RUN_SHIFT, _check_shift_pair),
+    "fam20": (ALTERNATING_BLOCK, _check_alternating_pair),
 }
+_FAMILY_KINDS = tuple(_PAIR_FAMILIES)
 
 
 def _structured_chunk(
@@ -1044,7 +1038,7 @@ def _structured_chunk(
     extremal = -1
     eq = 0
     eq_at = _global_ceiling(n) if depth == "ceiling" and kind == "fam22" else None
-    check = _FAMILY_CHECKERS[kind] if depth == "full" else functools.partial(_check_ceilings, kind)
+    check = _PAIR_FAMILIES[kind][1] if depth == "full" else functools.partial(_check_ceilings, kind)
     for a, b, q, x, y in _structured_pairs(kind, n, params, lo, hi):
         total = check(n, params, a, b, q, x, y, sink)
         if total == eq_at:
@@ -1384,7 +1378,7 @@ class _CodeCheck(NamedTuple):
 
 # one row per construction; its cosets are those of codes.coset_key at the
 # defaults, modulus two and period codes.default_period(n).  Each ceiling but
-# cl's is the CASE_CEILINGS row of the structural case the code rules out.
+# cl's is the CASE_CEILINGS ceiling of the structural case named in it.
 CODE_CHECKS: dict[str, _CodeCheck] = {
     "vt": _CodeCheck(
         codes.VT, CASE_CEILINGS[GENERIC].ceiling, lambda n: math.log2(n) + 1,
