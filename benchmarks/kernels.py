@@ -9,10 +9,13 @@ sweeps over every pair at n = 10: the claim tables' identity sweep
 intersection-bounds sweep ``verify._bounds_chunk(n, lo, hi)`` (kind
 "bounds"), both at depth "all-pairs" with their mask tables built before
 timing.  Each (n, kind) walks up to four evenly spaced windows of 64 pairs
-for every parameter tuple of the family, the same windows at both depths.
-The two source trees are measured in interleaved rounds (``rounds.py``), one
-timing per cell per round; the output keeps, per tree, every round and the
-median.  It writes ``BENCH_structured_kernel.json`` at the repository root.
+for every parameter tuple of the family, the same windows at both depths,
+REPEATS times over, so that one timing of the fastest structured cell lasts
+about 0.1 s or more (a single pass of the all-pairs cells already takes
+longer).  The two source trees are measured in interleaved rounds
+(``rounds.py``), one timing per cell per round; the output keeps, per tree,
+every round, the median and the minimum.  It writes
+``BENCH_structured_kernel.json`` at the repository root.
 Standard library only:
 
     python3 benchmarks/kernels.py --src PATH/TO/PARENT/src
@@ -39,6 +42,10 @@ ALL_PAIRS_N = 10
 DEPTHS = ("full", "ceiling")
 WINDOWS = 4
 WINDOW_PAIRS = 64
+# one pass over a structured cell's windows takes 40-75 ms at ceiling depth
+# on a 2-core x86_64 machine, short enough for load to move it by up to 21 %
+# between rounds
+REPEATS = 4
 ROUNDS = 7
 
 
@@ -52,7 +59,7 @@ def _windows(verify, kind: str, n: int) -> list[tuple[tuple[int, ...], int, int]
 
 
 def _worker(src: str) -> dict:
-    """One timing per cell: (n, kind, depth, pairs, us per pair)."""
+    """One timing per cell: (n, kind, depth, pairs timed, us per pair)."""
     sys.path.insert(0, src)
     from delsub import verify
 
@@ -73,7 +80,7 @@ def _worker(src: str) -> dict:
         verify._WORK.clear()
     for n in LENGTHS:
         for kind in verify._FAMILY_KINDS:
-            windows = _windows(verify, kind, n)
+            windows = _windows(verify, kind, n) * REPEATS
             pairs = sum(hi - lo for _, lo, hi in windows)
             for depth in DEPTHS:
                 t0 = time.perf_counter()
@@ -95,6 +102,7 @@ def _summary(runs: list[dict]) -> list[dict]:
             "depth": depth,
             "pairs": pairs,
             "us_per_pair": round(statistics.median(us), 2),
+            "us_per_pair_min": round(min(us), 2),
             "us_per_pair_runs": [round(u, 2) for u in us],
         })
     return rows

@@ -161,21 +161,6 @@ def apply_del_sub(x: str, i: int, sub: int | None) -> str:
     return w[: sub - 1] + flipped + w[sub:]
 
 
-def _merge_join(a: list[str], b: list[str]) -> list[str]:
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            out.append(a[i])
-            i += 1
-            j += 1
-        elif a[i] < b[j]:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
 def ball_intersection(x: str, y: str, kind: str) -> list[str]:
     """Intersection of the kind-balls of two distinct equal-length words."""
     if len(x) != len(y):
@@ -185,7 +170,7 @@ def ball_intersection(x: str, y: str, kind: str) -> list[str]:
     builder = {"del": deletion_ball, "sub": substitution_ball, "ds": ds_ball}.get(kind)
     if builder is None:
         raise ValueError(f"unknown ball kind {kind!r}")
-    return _merge_join(builder(x), builder(y))
+    return sorted(set(builder(x)).intersection(builder(y)))
 
 
 @dataclass(frozen=True, slots=True)

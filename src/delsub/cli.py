@@ -14,7 +14,7 @@ import dataclasses
 import io
 import json
 import sys
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import balls, codes, reconstruct, verify, words
 from .verify import DEFAULT_SEED
@@ -115,8 +115,10 @@ def _emit(payload: Any, args: argparse.Namespace, text_override: str | None = No
 
 
 def _code_spec(args: argparse.Namespace, n: int) -> codes.CodeSpec:
+    if args.family is None:
+        raise ValueError("argument --family: required")
     params = {name: getattr(args, name) for name in _PARAM_FLAGS if getattr(args, name) is not None}
-    if getattr(args, "best", False):
+    if args.best:
         residue = next((name for name in params if name not in ("m", "P")), None)
         if residue is not None:
             raise ValueError(f"argument --{residue}: --best picks the residues itself")
@@ -169,13 +171,23 @@ def _cmd_code_check(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Target(NamedTuple):
+    """A verifier target: the call of its verify-module operation and the
+    target flags (argparse dests, see _TARGET_FLAGS) that the call reads."""
+
+    call: Callable[[argparse.Namespace], verify.VerificationReport]
+    reads: tuple[str, ...] = ()
+
+    def __call__(self, args: argparse.Namespace) -> verify.VerificationReport:
+        return self.call(args)
+
+
 def _verify_reconstruction(args: argparse.Namespace) -> verify.VerificationReport:
-    if args.family is None:
-        raise ValueError("argument --family: required for target reconstruction")
+    spec = _code_spec(args, args.n)
     if args.N is None:
         raise ValueError("argument --N: required for target reconstruction")
     return verify.verify_reconstruction(
-        _code_spec(args, args.n),
+        spec,
         args.N,
         trials=args.trials,
         seed=args.seed,
@@ -184,38 +196,59 @@ def _verify_reconstruction(args: argparse.Namespace) -> verify.VerificationRepor
     )
 
 
-def _verify_code(theorem_id: str) -> Callable[[argparse.Namespace], verify.VerificationReport]:
-    return lambda args: verify.verify_code_theorem(theorem_id, args.n, jobs=args.jobs)
+def _verify_code(theorem_id: str) -> _Target:
+    return _Target(lambda args: verify.verify_code_theorem(theorem_id, args.n, jobs=args.jobs),
+                   ("jobs",))
 
 
-# verifier target -> the call of its verify-module operation; --jobs goes
-# only to the operations that take it
-VERIFY_TARGETS: dict[str, Callable[[argparse.Namespace], verify.VerificationReport]] = {
-    "ball-sizes": lambda args: verify.verify_ball_sizes(args.n),
-    "del-positions": lambda args: verify.verify_del_positions(args.n),
-    "constrained-deletion": lambda args: verify.verify_constrained_deletion(args.n),
-    "intersection-bounds": lambda args: verify.verify_intersection_bounds(
+# the verify flags beyond --n, --timing, --format and --out, with their
+# defaults; the parser leaves them None so that a flag given to a target that
+# does not read it is told apart from one left out
+_TARGET_FLAGS: dict[str, Any] = {
+    "jobs": 1, "structured": False, "convention": balls.DEFAULT_WITNESS_CONVENTION,
+    **dict.fromkeys(("family", *_PARAM_FLAGS, "N"), None), "best": False,
+    "trials": 1000, "seed": DEFAULT_SEED, "subset_words": 20, "subset_trials": 100,
+}
+
+VERIFY_TARGETS: dict[str, _Target] = {
+    "ball-sizes": _Target(lambda args: verify.verify_ball_sizes(args.n)),
+    "del-positions": _Target(lambda args: verify.verify_del_positions(args.n)),
+    "constrained-deletion": _Target(lambda args: verify.verify_constrained_deletion(args.n)),
+    "intersection-bounds": _Target(lambda args: verify.verify_intersection_bounds(
         args.n, jobs=args.jobs, structured=args.structured
+    ), ("jobs", "structured")),
+    "claim-tables": _Target(
+        lambda args: verify.verify_claim_tables(args.n, jobs=args.jobs), ("jobs",)
     ),
-    "claim-tables": lambda args: verify.verify_claim_tables(args.n, jobs=args.jobs),
-    "bad-count": lambda args: verify.verify_bad_count(
+    "bad-count": _Target(lambda args: verify.verify_bad_count(
         args.n, jobs=args.jobs, convention=args.convention
-    ),
-    "rll": lambda args: verify.verify_rll(
+    ), ("jobs", "convention")),
+    "rll": _Target(lambda args: verify.verify_rll(
         args.n, args.P if args.P is not None else codes.default_period(args.n)
-    ),
+    ), ("P",)),
     **{f"code-{theorem_id}": _verify_code(theorem_id) for theorem_id in verify.CODE_CHECKS},
-    "reconstruction": _verify_reconstruction,
+    "reconstruction": _Target(_verify_reconstruction, (
+        "family", *_PARAM_FLAGS, "best", "N", "trials", "seed", "subset_words", "subset_trials"
+    )),
 }
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = VERIFY_TARGETS[args.target](args)
+    target = VERIFY_TARGETS[args.target]
+    for dest, default in _TARGET_FLAGS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif dest not in target.reads:
+            flag = dest.replace("_", "-")
+            return _fail(f"argument --{flag}: target {args.target} does not read it")
+    report = target(args)
     _emit(report.to_dict(include_timing=args.timing), args)
     return 0 if report.status in ("PASS", "SKIPPED") else 1
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if len(args.word) != 1:
+        return _fail(f"argument --word: expected exactly one word, got {len(args.word)}")
     bundle = reconstruct.collect_reads(args.word[0], args.N, args.seed)
     buf = io.StringIO()
     reconstruct.save_bundle(bundle, buf)
@@ -237,8 +270,6 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         return _fail(f"argument --bundle: {exc}")
     if args.n is not None and args.n != bundle.n:
         return _fail(f"argument --n: bundle carries n={bundle.n}, got {args.n}")
-    if args.family is None:
-        return _fail("argument --family: required for decode")
     result = reconstruct.decode(_code_spec(args, bundle.n), bundle)
     _emit({"status": result.status, "candidates": list(result.candidates)}, args)
     return 0
@@ -248,15 +279,14 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 # parser assembly
 
 
-def _add_code_flags(parser: _Parser, with_best: bool = False) -> None:
+def _add_code_flags(parser: _Parser) -> None:
     parser.add_argument("--family", choices=codes.FAMILIES, help="code family")
     for name in _PARAM_FLAGS:
         parser.add_argument(f"--{name}", type=int, help=f"family parameter {name}")
-    if with_best:
-        parser.add_argument(
-            "--best", action="store_true",
-            help="use the family's largest coset instead of explicit parameters",
-        )
+    parser.add_argument(
+        "--best", action="store_true", default=None,
+        help="use the family's largest coset instead of explicit parameters",
+    )
 
 
 def build_parser() -> _Parser:
@@ -292,7 +322,7 @@ def build_parser() -> _Parser:
     ):
         q = code_sub.add_parser(action, parents=[common])
         q.add_argument("--n", type=int, required=True, help="word length")
-        _add_code_flags(q, with_best=True)
+        _add_code_flags(q)
         if needs_word:
             q.add_argument("--word", action="append", required=True, type=_word_arg)
         q.set_defaults(func=handler)
@@ -301,21 +331,20 @@ def build_parser() -> _Parser:
     p.add_argument("target", choices=tuple(VERIFY_TARGETS))
     p.add_argument("--n", type=int, required=True,
                    help="word length (upper end of the range for claim-tables)")
-    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
-    p.add_argument("--structured", action="store_true",
+    p.add_argument("--timing", action="store_true", help="include elapsed seconds")
+    # target flags (_TARGET_FLAGS) default to None here
+    p.add_argument("--jobs", type=_positive_int, help="worker processes")
+    p.add_argument("--structured", action="store_true", default=None,
                    help="intersection-bounds: sweep the structured families only")
     p.add_argument("--convention", choices=balls.WITNESS_CONVENTIONS,
-                   default=balls.DEFAULT_WITNESS_CONVENTION,
                    help="bad-count: flip-index convention")
-    p.add_argument("--timing", action="store_true", help="include elapsed seconds")
-    _add_code_flags(p, with_best=True)
+    _add_code_flags(p)
     p.add_argument("--N", type=int, help="reconstruction: reads per bundle")
-    p.add_argument("--trials", type=_nonnegative_int, default=1000,
-                   help="reconstruction: channel trials")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--subset-words", type=_nonnegative_int, default=20,
+    p.add_argument("--trials", type=_nonnegative_int, help="reconstruction: channel trials")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--subset-words", type=_nonnegative_int,
                    help="reconstruction: codewords for the subset leg")
-    p.add_argument("--subset-trials", type=_nonnegative_int, default=100,
+    p.add_argument("--subset-trials", type=_nonnegative_int,
                    help="reconstruction: sampled subsets per codeword")
     p.set_defaults(func=_cmd_verify)
 
@@ -329,7 +358,7 @@ def build_parser() -> _Parser:
     p.add_argument("--bundle", required=True, metavar="FILE",
                    help="read bundle in the simulate/save_bundle text format")
     p.add_argument("--n", type=int, help="expected word length (cross-checked)")
-    _add_code_flags(p, with_best=True)
+    _add_code_flags(p)
     p.set_defaults(func=_cmd_decode)
 
     return parser

@@ -649,64 +649,39 @@ def _family_tasks(kind: str, depth: str, n: int, piece: int = 1 << 15) -> list[t
     return tasks
 
 
-# Table of shared-substitution deletion-ball sizes for the transposition and
-# flip families, keyed by the last run of the prefix and the first run of the
-# suffix relative to the window symbol (see _affix_meta).
-def _table2(key: tuple[str | None, str | None], r_sum: int) -> tuple[int, int] | None:
-    table = {
-        (None, "a"): (r_sum, r_sum + 1),
-        (None, "c"): (r_sum + 1, r_sum),
-        ("a", "a"): (r_sum - 1, r_sum + 1),
-        ("a", "c"): (r_sum, r_sum),
-        ("a", None): (r_sum, r_sum + 1),
-        ("c", "a"): (r_sum, r_sum),
-        ("c", "c"): (r_sum + 1, r_sum - 1),
-        ("c", None): (r_sum + 1, r_sum),
-    }
-    return table.get(key)
+# Claim table 2: the deletion-term sizes of the transposition and flip
+# families less r(a) + r(b), keyed by the last run of the prefix and the first
+# run of the suffix relative to the window symbol (see _affix_meta).  Table 4
+# is table 2 with the second size two larger, plus the row (1, 3) for two
+# empty affixes, which no transposition or flip pair has.
+_SPLIT_OFFSETS: dict[tuple[str | None, str | None], tuple[int, int]] = {
+    (None, None): (1, 1),
+    (None, "a"): (0, 1),
+    (None, "c"): (1, 0),
+    ("a", "a"): (-1, 1),
+    ("a", "c"): (0, 0),
+    ("a", None): (0, 1),
+    ("c", "a"): (0, 0),
+    ("c", "c"): (1, -1),
+    ("c", None): (1, 0),
+}
 
 
-# Overlap columns |D(.) ∩ S(.)| per run-count regime; the regime rows with a
-# single-run affix split on whether that run matches the window symbol.
 def _table3(
     ra: int, rb: int, ca: int | None, cb: int | None, alpha: int
 ) -> tuple[int, int] | None:
+    """Overlap columns |D(.) ∩ S(.)|: one each, plus one each per nonempty
+    affix, save that a single-run affix adds only to the second column when
+    its symbol is the window symbol alpha and only to the first otherwise;
+    None when both affixes are empty."""
     if ra == 0 and rb == 0:
         return None
-    if ra == 0:
-        if rb == 1:
-            return (1, 2) if cb == alpha else (2, 1)
-        return (2, 2)
-    if rb == 0:
-        if ra == 1:
-            return (1, 2) if ca == alpha else (2, 1)
-        return (2, 2)
-    if ra == 1 and rb == 1:
-        if ca == alpha and cb == alpha:
-            return (1, 3)
-        if ca != alpha and cb != alpha:
-            return (3, 1)
-        return (2, 2)
-    if ra == 1:
-        return (2, 3) if ca == alpha else (3, 2)
-    if rb == 1:
-        return (2, 3) if cb == alpha else (3, 2)
-    return (3, 3)
-
-
-def _table4(key: tuple[str | None, str | None], r_sum: int) -> tuple[int, int]:
-    table = {
-        (None, None): (1, 3),
-        (None, "a"): (r_sum, r_sum + 3),
-        (None, "c"): (r_sum + 1, r_sum + 2),
-        ("a", "a"): (r_sum - 1, r_sum + 3),
-        ("a", "c"): (r_sum, r_sum + 2),
-        ("a", None): (r_sum, r_sum + 3),
-        ("c", "a"): (r_sum, r_sum + 2),
-        ("c", "c"): (r_sum + 1, r_sum + 1),
-        ("c", None): (r_sum + 1, r_sum + 2),
-    }
-    return table[key]
+    col3 = col4 = 1
+    for r, c in ((ra, ca), (rb, cb)):
+        if r:
+            col3 += r != 1 or c != alpha
+            col4 += r != 1 or c == alpha
+    return col3, col4
 
 
 def _affix_meta(
@@ -742,30 +717,39 @@ def _family_limits(kind: str, n: int) -> tuple[str, int | None, int | None, int 
     return (row.name, *row.limits(n))
 
 
+def _check_equality(
+    kind: str, n: int, x: int, y: int, ra: int, rb: int, total: int, label: str, sink: _Sink
+) -> None:
+    """The kind's ceiling, reached exactly on its equality family; label
+    names the equality check."""
+    name, ceiling, eq_runs, _ = _family_limits(kind, n)
+    if total > ceiling:
+        sink.add(x, y, f"{name} ceiling", ceiling, total)
+    in_family = _in_family(ra, rb, eq_runs)
+    if (total == ceiling) != in_family:
+        sink.add(x, y, f"{name} {label}", in_family, total)
+
+
 def _check_regimes(
     kind: str, n: int, x: int, y: int, ra: int, rb: int, small: int, total: int, sink: _Sink
 ) -> None:
-    """Affixes of at most one run: small; one affix empty: the kind's ceiling,
-    reached exactly on its equality family; else one less."""
-    name, ceiling, eq_runs, _ = _family_limits(kind, n)
+    """Affixes of at most one run: small; one affix empty: _check_equality;
+    else one less than the kind's ceiling."""
+    ceiling = _family_limits(kind, n)[1]
     if ra <= 1 and rb <= 1:
         if total > small:
             sink.add(x, y, "small-profile ceiling", small, total)
     elif ceiling is None:
         return
     elif ra == 0 or rb == 0:
-        if total > ceiling:
-            sink.add(x, y, f"{name} ceiling", ceiling, total)
-        in_family = _in_family(ra, rb, eq_runs)
-        if (total == ceiling) != in_family:
-            sink.add(x, y, f"{name} equality", in_family, total)
+        _check_equality(kind, n, x, y, ra, rb, total, "equality", sink)
     elif total > ceiling - 1:
         sink.add(x, y, "mixed-profile ceiling", ceiling - 1, total)
 
 
 def _check_tail(kind: str, n: int, x: int, y: int, total: int, sink: _Sink) -> None:
     """From the kind's smallest n on: its ceiling when it has no equality
-    family (the callers check the others), then its run-sum ceiling."""
+    family (the checkers test the others), then its run-sum ceiling."""
     name, ceiling, eq_runs, run_extra = _family_limits(kind, n)
     if ceiling is None:
         return
@@ -777,15 +761,26 @@ def _check_tail(kind: str, n: int, x: int, y: int, total: int, sink: _Sink) -> N
             sink.add(x, y, "run-sum ceiling", run_sum, total)
 
 
+def _check_terms(
+    x: int, y: int, union: set[int], inter: set[int], want_b: int, sink: _Sink
+) -> None:
+    """The union of the terms lies in the shared ball, which holds want_b
+    elements more."""
+    if not union <= inter:
+        sink.add(x, y, "term containment", True, False)
+    extra = len(inter) - len(union)
+    if extra != want_b:
+        sink.add(x, y, "extra elements", want_b, extra)
+
+
 def _check_transposition_pair(
-    n: int, params: tuple[int, ...], a: int, b: int, q: int, x: int, y: int, sink: _Sink
-) -> int:
+    n: int, params: tuple[int, ...], a: int, b: int, q: int, x: int, y: int,
+    rdx: list[int], rdy: list[int], inter: set[int], sink: _Sink,
+) -> None:
     (m,) = params
     alpha = 0
     ra, rb, ca, cb, edges = _affix_meta(a, m, b, q, alpha)
     r_sum = ra + rb
-    rdx = _run_dels(x, n)
-    rdy = _run_dels(y, n)
 
     s1 = _cat((a, m), (0b00, 2), (b, q))
     s2 = _cat((a, m), (0b11, 2), (b, q))
@@ -804,12 +799,12 @@ def _check_transposition_pair(
     dd2 = set(_run_dels(s2, n))
     if dd1 & dd2:
         sink.add(x, y, "deletion term disjoint", 0, len(dd1 & dd2))
-    row = _table2(edges, r_sum)
-    if row is not None and (len(dd1), len(dd2)) != row:
+    row = tuple(r_sum + o for o in _SPLIT_OFFSETS[edges])
+    if (len(dd1), len(dd2)) != row:
         sink.add(x, y, "deletion term split", row, (len(dd1), len(dd2)))
     d_term = dd1 | dd2
     want_d = 2 * r_sum + 1 if (ra == 0 or rb == 0) else 2 * r_sum
-    if row is not None and len(d_term) != want_d:
+    if len(d_term) != want_d:
         sink.add(x, y, "deletion term size", want_d, len(d_term))
 
     col3 = len(dd1 & _sub_set(d1, n - 1))
@@ -821,23 +816,15 @@ def _check_transposition_pair(
     if cols is not None and len(overlap) != col3 + col4:
         sink.add(x, y, "overlap size", col3 + col4, len(overlap))
 
-    inter = _ds_inter(rdx, rdy, n)
-    union = s_term | d_term
-    if not union <= inter:
-        sink.add(x, y, "term containment", True, False)
-    extra = len(inter) - len(union)
-    want_b = _extra_count(ra, rb, ca == cb)
-    if extra != want_b:
-        sink.add(x, y, "extra elements", want_b, extra)
+    _check_terms(x, y, s_term | d_term, inter, _extra_count(ra, rb, ca == cb), sink)
 
-    total = len(inter)
-    _check_regimes("fam22", n, x, y, ra, rb, 2 * n + 1, total, sink)
-    return total
+    _check_regimes("fam22", n, x, y, ra, rb, 2 * n + 1, len(inter), sink)
 
 
 def _check_flip_pair(
-    n: int, params: tuple[int, ...], a: int, b: int, q: int, x: int, y: int, sink: _Sink
-) -> int:
+    n: int, params: tuple[int, ...], a: int, b: int, q: int, x: int, y: int,
+    rdx: list[int], rdy: list[int], inter: set[int], sink: _Sink,
+) -> None:
     (m,) = params
     alpha = 0
     ra, rb, ca, cb, edges = _affix_meta(a, m, b, q, alpha)
@@ -848,24 +835,21 @@ def _check_flip_pair(
     ab = _cat((a, m), (b, q))
     if {z for z in _sub_set(x, n) if (z ^ y).bit_count() <= 1} != {x, y}:
         sink.add(x, y, "shared substitution set", "{x, y}", None)
-    rdx = _run_dels(x, n)
-    rdy = _run_dels(y, n)
     d1 = set(rdx)
     d2 = set(rdy)
     if d1 & d2 != {ab}:
         sink.add(x, y, "shared deletion set", 1, len(d1 & d2))
 
     s_term = _sub_set(ab, n - 1)
-    row = _table2(edges, r_sum)
-    if row is not None and (len(d1), len(d2)) != row:
+    row = tuple(r_sum + o for o in _SPLIT_OFFSETS[edges])
+    if (len(d1), len(d2)) != row:
         sink.add(x, y, "deletion ball split", row, (len(d1), len(d2)))
     d_term = d1 | d2
     if len(d_term) != rx + ry - 1:
         sink.add(x, y, "deletion term size", rx + ry - 1, len(d_term))
-    if row is not None:
-        want_d = 2 * r_sum if (ra == 0 or rb == 0) else 2 * r_sum - 1
-        if len(d_term) != want_d:
-            sink.add(x, y, "deletion term regime", want_d, len(d_term))
+    want_d = 2 * r_sum if (ra == 0 or rb == 0) else 2 * r_sum - 1
+    if len(d_term) != want_d:
+        sink.add(x, y, "deletion term regime", want_d, len(d_term))
 
     col3 = len(d1 & s_term)
     col4 = len(d2 & s_term)
@@ -878,24 +862,15 @@ def _check_flip_pair(
     if len(overlap) != col3 + col4 - 1:
         sink.add(x, y, "overlap size", col3 + col4 - 1, len(overlap))
 
-    inter = _ds_inter(rdx, rdy, n)
-    union = s_term | d_term
-    if not union <= inter:
-        sink.add(x, y, "term containment", True, False)
-    extra = len(inter) - len(union)
-    want_b = _extra_count(ra, rb, ca != cb)
-    if extra != want_b:
-        sink.add(x, y, "extra elements", want_b, extra)
+    _check_terms(x, y, s_term | d_term, inter, _extra_count(ra, rb, ca != cb), sink)
 
-    total = len(inter)
-    _check_regimes("fam12f", n, x, y, ra, rb, n + 3, total, sink)
-    _check_tail("fam12f", n, x, y, total, sink)
-    return total
+    _check_regimes("fam12f", n, x, y, ra, rb, n + 3, len(inter), sink)
 
 
 def _check_shift_pair(
-    n: int, params: tuple[int, ...], a: int, b: int, q: int, x: int, y: int, sink: _Sink
-) -> int:
+    n: int, params: tuple[int, ...], a: int, b: int, q: int, x: int, y: int,
+    rdx: list[int], rdy: list[int], inter: set[int], sink: _Sink,
+) -> None:
     alpha, ell, m = params
     beta = 1 - alpha
     ra, rb, _, _, edges = _affix_meta(a, m, b, q, alpha)
@@ -908,8 +883,6 @@ def _check_shift_pair(
     if {z for z in _sub_set(x, n) if (z ^ y).bit_count() <= 1} != {s1, s2}:
         sink.add(x, y, "shared substitution set", 2, None)
     mid = _cat((a, m), (_rep(alpha, ell), ell), (b, q))
-    rdx = _run_dels(x, n)
-    rdy = _run_dels(y, n)
     if set(rdx).intersection(rdy) != {mid}:
         sink.add(x, y, "shared deletion set", 1, None)
 
@@ -918,7 +891,8 @@ def _check_shift_pair(
     dd2 = set(_run_dels(s2, n))
     if dd1 & dd2:
         sink.add(x, y, "deletion term disjoint", 0, len(dd1 & dd2))
-    row = _table4(edges, r_sum)
+    o1, o2 = _SPLIT_OFFSETS[edges]
+    row = (r_sum + o1, r_sum + o2 + 2)
     if (len(dd1), len(dd2)) != row:
         sink.add(x, y, "deletion term split", row, (len(dd1), len(dd2)))
     d_term = dd1 | dd2
@@ -949,23 +923,14 @@ def _check_shift_pair(
     if len(overlap) != want1 + 2 or not 3 <= len(overlap) <= 5:
         sink.add(x, y, "overlap size", want1 + 2, len(overlap))
 
-    inter = _ds_inter(rdx, rdy, n)
-    union = s_term | d_term
-    if not union <= inter:
-        sink.add(x, y, "term containment", True, False)
-    extra = len(inter) - len(union)
     want_b = 1 if (_has_symbol(a, m, alpha) and _has_symbol(b, q, alpha)) else 0
-    if extra != want_b:
-        sink.add(x, y, "extra elements", want_b, extra)
-
-    total = len(inter)
-    _check_tail("fam12s", n, x, y, total, sink)
-    return total
+    _check_terms(x, y, s_term | d_term, inter, want_b, sink)
 
 
 def _check_alternating_pair(
-    n: int, params: tuple[int, ...], a: int, b: int, q: int, x: int, y: int, sink: _Sink
-) -> int:
+    n: int, params: tuple[int, ...], a: int, b: int, q: int, x: int, y: int,
+    rdx: list[int], rdy: list[int], inter: set[int], sink: _Sink,
+) -> None:
     ell, m = params
     c = _window("fam20", params)[0]
 
@@ -973,8 +938,6 @@ def _check_alternating_pair(
         sink.add(x, y, "shared substitution set", 0, None)
     z1 = _cat((a, m), (c & ((1 << (ell - 1)) - 1), ell - 1), (b, q))
     z2 = _cat((a, m), (c >> 1, ell - 1), (b, q))
-    rdx = _run_dels(x, n)
-    rdy = _run_dels(y, n)
     if set(rdx).intersection(rdy) != {z1, z2}:
         sink.add(x, y, "shared deletion set", 2, None)
 
@@ -983,40 +946,27 @@ def _check_alternating_pair(
     if len(s_term) != want_s:
         sink.add(x, y, "substitution term size", want_s, len(s_term))
 
-    inter = _ds_inter(rdx, rdy, n)
     if not s_term <= inter:
         sink.add(x, y, "term containment", True, False)
     extra = len(inter) - len(s_term)
     cap = CASE_CEILINGS[ALTERNATING_BLOCK].c0
     if extra > cap:
         sink.add(x, y, "extra elements", f"<= {cap}", extra)
-    total = len(inter)
-    _check_tail("fam20", n, x, y, total, sink)
-    return total
 
 
 def _check_ceilings(
     kind: str, n: int, params: tuple[int, ...], a: int, b: int, q: int, x: int, y: int,
-    sink: _Sink,
-) -> int:
-    """The kind's ceiling, its equality family where it has one, and then
-    _check_tail."""
-    name, ceiling, eq_runs, _ = _family_limits(kind, n)
-    total = len(_ds_inter(_run_dels(x, n), _run_dels(y, n), n))
-    if eq_runs is not None:
-        if total > ceiling:
-            sink.add(x, y, f"{name} ceiling", ceiling, total)
-        ra, rb, *_ = _affix_meta(a, params[-1], b, q, 0)
-        in_family = _in_family(ra, rb, eq_runs)
-        if (total == ceiling) != in_family:
-            sink.add(x, y, f"{name} equality family", in_family, total)
-    _check_tail(kind, n, x, y, total, sink)
-    return total
+    rdx: list[int], rdy: list[int], inter: set[int], sink: _Sink,
+) -> None:
+    """_check_equality where the kind has an equality family."""
+    if _family_limits(kind, n)[2] is not None:
+        ra, rb = _runs_int(a, params[-1]), _runs_int(b, q)
+        _check_equality(kind, n, x, y, ra, rb, len(inter), "equality family", sink)
 
 
 # per kind: the structural case whose CASE_CEILINGS row it is checked against,
-# and its claim-table checker
-_PAIR_FAMILIES: dict[str, tuple[str, Callable[..., int]]] = {
+# and its claim-table checker, which _structured_chunk calls with the pair
+_PAIR_FAMILIES: dict[str, tuple[str, Callable[..., None]]] = {
     "fam22": (ADJACENT_TRANSPOSITION, _check_transposition_pair),
     "fam12f": (SINGLE_FLIP, _check_flip_pair),
     "fam12s": (RUN_SHIFT, _check_shift_pair),
@@ -1030,9 +980,12 @@ def _structured_chunk(
 ) -> dict[str, Any]:
     """Walk pairs lo..hi of one family window.
 
-    depth "full" runs the claim-table checker of the kind; "ceiling" checks
-    only the pair's shared-ball size, counting transposition pairs at the
-    global ceiling as equality cases.
+    Each pair's run deletions rdx = _run_dels(x, n), rdy = _run_dels(y, n)
+    and shared ball _ds_inter(rdx, rdy, n) are built here and nowhere else,
+    and handed with the pair to the check of the depth: the kind's
+    claim-table checker at "full", _check_ceilings at "ceiling".  Both
+    depths end each pair with _check_tail; at "ceiling", transposition pairs
+    at the global ceiling count as equality cases.
     """
     sink = _Sink(n)
     extremal = -1
@@ -1040,7 +993,12 @@ def _structured_chunk(
     eq_at = _global_ceiling(n) if depth == "ceiling" and kind == "fam22" else None
     check = _PAIR_FAMILIES[kind][1] if depth == "full" else functools.partial(_check_ceilings, kind)
     for a, b, q, x, y in _structured_pairs(kind, n, params, lo, hi):
-        total = check(n, params, a, b, q, x, y, sink)
+        rdx = _run_dels(x, n)
+        rdy = _run_dels(y, n)
+        inter = _ds_inter(rdx, rdy, n)
+        check(n, params, a, b, q, x, y, rdx, rdy, inter, sink)
+        total = len(inter)
+        _check_tail(kind, n, x, y, total, sink)
         if total == eq_at:
             eq += 1
         if total > extremal:
@@ -1197,10 +1155,8 @@ def verify_claim_tables(n_max: int, *, jobs: int = 1) -> VerificationReport:
     the four structured families are enumerated up to ``n_max`` and every
     tabulated quantity (term splits, overlap columns, extra-element counts,
     regime ceilings, equality conditions) is recomputed from scratch per
-    pair.  There each word's run deletions (_run_dels) are listed once per
-    pair: they give the shared deletions, the deletion terms, and the shared
-    ball as the union of S(u) & S(w) over the close deletion pairs u, w at
-    Hamming distance at most two (see _ds_inter).
+    pair, against the run deletions of both words and the shared ball that
+    the structured walk builds once per pair (see _structured_chunk).
     """
     t0 = time.monotonic()
     if n_max < 2:

@@ -182,6 +182,61 @@ def test_verify_jobs_are_byte_identical(capsys):
     assert lone == many
 
 
+# per verify target, a flag that the target does not read
+_UNREAD_FLAG = {
+    "ball-sizes": ["--jobs", "2"],
+    "del-positions": ["--seed", "5"],
+    "constrained-deletion": ["--structured"],
+    "intersection-bounds": ["--convention", "post"],
+    "claim-tables": ["--structured"],
+    "bad-count": ["--N", "3"],
+    "rll": ["--jobs", "2"],
+    "code-vt": ["--P", "4"],
+    "code-inv": ["--family", "vt"],
+    "code-c2n9": ["--trials", "7"],
+    "code-cn21": ["--best"],
+    "code-cl": ["--a", "1"],
+    "reconstruction": ["--jobs", "2"],
+}
+
+
+def test_unread_flag_table_covers_every_target():
+    assert set(_UNREAD_FLAG) == set(cli.VERIFY_TARGETS)
+
+
+@pytest.mark.parametrize("target", sorted(_UNREAD_FLAG))
+def test_verify_rejects_a_flag_its_target_does_not_read(capsys, target):
+    extra = []
+    if target == "reconstruction":
+        extra = ["--family", "cl", "--best", "--N", "7", "--trials", "0",
+                 "--subset-words", "0", "--subset-trials", "0"]
+    flag = _UNREAD_FLAG[target]
+    code, out, err = run(capsys, "verify", target, "--n", "6", *extra, *flag)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"argument {flag[0]}: target {target} does not read it" in err
+
+
+def test_simulate_rejects_a_second_word(capsys):
+    code, out, err = run(capsys, "simulate", "--word", "0101100010", "--word", "111",
+                         "--N", "3")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "argument --word: expected exactly one word, got 2" in err
+
+
+@pytest.mark.parametrize("action", ["list", "size", "check"])
+def test_code_without_family_names_the_flag(capsys, action):
+    word = ["--word", "010101"] if action == "check" else []
+    code, out, err = run(capsys, "code", action, "--n", "6", *word)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "argument --family: required" in err
+
+
 def test_text_format_renders_lines(capsys):
     code, out, _ = run(capsys, "ball", "--word", "010", "--format", "text")
     assert code == 0

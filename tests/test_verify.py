@@ -205,6 +205,42 @@ def test_ds_inter_is_on_the_checked_path(monkeypatch):
     assert verify_intersection_bounds(8, structured=True).status == "FAIL"
 
 
+def test_structured_checks_fire_at_both_depths(monkeypatch):
+    # one foreign word, all ones or all ones but the last bit, added to every
+    # structured shared ball; the counts were recorded before the structured
+    # walk built each pair's ball once for its checker
+    real = verify._ds_inter
+
+    def add_one(dx, dy, n):
+        out = real(dx, dy, n)
+        out.add(((1 << (n - 1)) - 1) ^ (dx[0] & 1))
+        return out
+
+    monkeypatch.setattr(verify, "_ds_inter", add_one)
+    monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
+    full = verify_claim_tables(8)
+    assert Counter(c["check"] for c in full.counterexamples) == {
+        "extra elements": 3080,
+        "mixed-profile ceiling": 112,
+        "flip ceiling": 16,
+        "flip equality": 16,
+        "transposition ceiling": 12,
+        "transposition equality": 12,
+        "shift ceiling": 37,
+        "run-sum ceiling": 19,
+    }
+    ceiling = verify_intersection_bounds(9, structured=True)
+    assert Counter(c["check"] for c in ceiling.counterexamples) == {
+        "transposition ceiling": 4,
+        "transposition equality family": 28,
+        "flip ceiling": 4,
+        "flip equality family": 32,
+        "shift ceiling": 16,
+        "run-sum ceiling": 15,
+        "alternating ceiling": 4,
+    }
+
+
 def test_intersection_bounds_enforces_caps():
     with pytest.raises(ValueError):
         verify_intersection_bounds(EXHAUSTIVE_LIMIT + 1)
