@@ -7,12 +7,15 @@ structured kind at both check depths ("full" runs the claim-table checker,
 sweeps over every pair at n = 10: the claim tables' identity sweep
 ``verify._identity_chunk(n, lo, hi)`` (kind "identity") and the
 intersection-bounds sweep ``verify._bounds_chunk(n, lo, hi)`` (kind
-"bounds"), both at depth "all-pairs" with their mask tables built before
-timing.  Each (n, kind) walks up to four evenly spaced windows of 64 pairs
-for every parameter tuple of the family, the same windows at both depths,
-REPEATS times over, so that one timing of the fastest structured cell lasts
-about 0.1 s or more (a single pass of the all-pairs cells already takes
-longer).  The two source trees are measured in interleaved rounds
+"bounds"), both at depth "all-pairs".  The worker fills the mask-table
+cache ``verify._tables(n)`` before timing and the two chunks read it
+themselves, so both trees must have chunks that read that cache (trees that
+handed the tables to their chunks through a module global cannot be
+measured).  Each (n, kind) walks up to four evenly spaced windows of 64
+pairs for every parameter tuple of the family, the same windows at both
+depths, REPEATS times over, so that one timing of the fastest structured
+cell lasts about 0.1 s or more (a single pass of the all-pairs cells already
+takes longer).  The two source trees are measured in interleaved rounds
 (``rounds.py``), one timing per cell per round; the output keeps, per tree,
 every round, the median and the minimum.  It writes
 ``BENCH_structured_kernel.json`` at the repository root.
@@ -68,16 +71,13 @@ def _worker(src: str) -> dict:
     n = ALL_PAIRS_N
     size = 1 << n
     pairs = size * (size - 1) // 2
-    verify._WORK["tables"] = {n: verify._tables(n)}
-    try:
-        for kind, chunk in (("identity", verify._identity_chunk), ("bounds", verify._bounds_chunk)):
-            t0 = time.perf_counter()
-            result = chunk(n, 0, size)
-            seconds = time.perf_counter() - t0
-            digest.update(repr(result).encode())
-            cells.append((n, kind, "all-pairs", pairs, seconds / pairs * 1e6))
-    finally:
-        verify._WORK.clear()
+    verify._tables(n)
+    for kind, chunk in (("identity", verify._identity_chunk), ("bounds", verify._bounds_chunk)):
+        t0 = time.perf_counter()
+        result = chunk(n, 0, size)
+        seconds = time.perf_counter() - t0
+        digest.update(repr(result).encode())
+        cells.append((n, kind, "all-pairs", pairs, seconds / pairs * 1e6))
     for n in LENGTHS:
         for kind in verify._FAMILY_KINDS:
             windows = _windows(verify, kind, n) * REPEATS

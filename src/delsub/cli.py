@@ -108,8 +108,11 @@ def _emit(payload: Any, args: argparse.Namespace, text_override: str | None = No
     else:
         rendered = _render_csv(payload)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            raise ValueError(f"argument --out: {exc}") from None
     else:
         sys.stdout.write(rendered)
 
@@ -172,73 +175,65 @@ def _cmd_code_check(args: argparse.Namespace) -> int:
 
 
 class _Target(NamedTuple):
-    """A verifier target: the call of its verify-module operation and the
-    target flags (argparse dests, see _TARGET_FLAGS) that the call reads."""
+    """A verifier target: the name of its verify-module operation, looked up
+    per call, and the target flags (see _TARGET_FLAGS) it reads.  Keywords
+    are passed on by name only when given, so their defaults are the
+    operation's own; inputs feed positional(args), the positional arguments."""
 
-    call: Callable[[argparse.Namespace], verify.VerificationReport]
-    reads: tuple[str, ...] = ()
+    operation: str
+    keywords: tuple[str, ...] = ()
+    positional: Callable[[argparse.Namespace], tuple] = lambda args: (args.n,)
+    inputs: tuple[str, ...] = ()
 
     def __call__(self, args: argparse.Namespace) -> verify.VerificationReport:
-        return self.call(args)
+        given = {k: getattr(args, k) for k in self.keywords if getattr(args, k) is not None}
+        return getattr(verify, self.operation)(*self.positional(args), **given)
 
 
-def _verify_reconstruction(args: argparse.Namespace) -> verify.VerificationReport:
+def _reconstruction_inputs(args: argparse.Namespace) -> tuple[codes.CodeSpec, int]:
     spec = _code_spec(args, args.n)
     if args.N is None:
         raise ValueError("argument --N: required for target reconstruction")
-    return verify.verify_reconstruction(
-        spec,
-        args.N,
-        trials=args.trials,
-        seed=args.seed,
-        subset_words=args.subset_words,
-        subset_trials=args.subset_trials,
-    )
+    return spec, args.N
 
 
-def _verify_code(theorem_id: str) -> _Target:
-    return _Target(lambda args: verify.verify_code_theorem(theorem_id, args.n, jobs=args.jobs),
-                   ("jobs",))
+def _rll_inputs(args: argparse.Namespace) -> tuple[int, int]:
+    return args.n, args.P if args.P is not None else codes.default_period(args.n)
 
 
-# the verify flags beyond --n, --timing, --format and --out, with their
-# defaults; the parser leaves them None so that a flag given to a target that
-# does not read it is told apart from one left out
-_TARGET_FLAGS: dict[str, Any] = {
-    "jobs": 1, "structured": False, "convention": balls.DEFAULT_WITNESS_CONVENTION,
-    **dict.fromkeys(("family", *_PARAM_FLAGS, "N"), None), "best": False,
-    "trials": 1000, "seed": DEFAULT_SEED, "subset_words": 20, "subset_trials": 100,
-}
+# the verify flags beyond --n, --timing, --format and --out; the parser leaves
+# them None so that a flag given to a target that does not read it is told
+# apart from one left out
+_TARGET_FLAGS = (
+    "jobs", "structured", "convention", "family", *_PARAM_FLAGS, "best", "N",
+    "trials", "seed", "subset_words", "subset_trials",
+)
 
 VERIFY_TARGETS: dict[str, _Target] = {
-    "ball-sizes": _Target(lambda args: verify.verify_ball_sizes(args.n)),
-    "del-positions": _Target(lambda args: verify.verify_del_positions(args.n)),
-    "constrained-deletion": _Target(lambda args: verify.verify_constrained_deletion(args.n)),
-    "intersection-bounds": _Target(lambda args: verify.verify_intersection_bounds(
-        args.n, jobs=args.jobs, structured=args.structured
-    ), ("jobs", "structured")),
-    "claim-tables": _Target(
-        lambda args: verify.verify_claim_tables(args.n, jobs=args.jobs), ("jobs",)
+    "ball-sizes": _Target("verify_ball_sizes"),
+    "del-positions": _Target("verify_del_positions"),
+    "constrained-deletion": _Target("verify_constrained_deletion"),
+    "intersection-bounds": _Target("verify_intersection_bounds", ("jobs", "structured")),
+    "claim-tables": _Target("verify_claim_tables", ("jobs",)),
+    "bad-count": _Target("verify_bad_count", ("jobs", "convention")),
+    "rll": _Target("verify_rll", (), _rll_inputs, ("P",)),
+    **{
+        f"code-{theorem_id}": _Target(
+            "verify_code_theorem", ("jobs",), lambda args, t=theorem_id: (t, args.n)
+        )
+        for theorem_id in verify.CODE_CHECKS
+    },
+    "reconstruction": _Target(
+        "verify_reconstruction", ("trials", "seed", "subset_words", "subset_trials"),
+        _reconstruction_inputs, ("family", *_PARAM_FLAGS, "best", "N"),
     ),
-    "bad-count": _Target(lambda args: verify.verify_bad_count(
-        args.n, jobs=args.jobs, convention=args.convention
-    ), ("jobs", "convention")),
-    "rll": _Target(lambda args: verify.verify_rll(
-        args.n, args.P if args.P is not None else codes.default_period(args.n)
-    ), ("P",)),
-    **{f"code-{theorem_id}": _verify_code(theorem_id) for theorem_id in verify.CODE_CHECKS},
-    "reconstruction": _Target(_verify_reconstruction, (
-        "family", *_PARAM_FLAGS, "best", "N", "trials", "seed", "subset_words", "subset_trials"
-    )),
 }
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     target = VERIFY_TARGETS[args.target]
-    for dest, default in _TARGET_FLAGS.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-        elif dest not in target.reads:
+    for dest in _TARGET_FLAGS:
+        if getattr(args, dest) is not None and dest not in target.keywords + target.inputs:
             flag = dest.replace("_", "-")
             return _fail(f"argument --{flag}: target {args.target} does not read it")
     report = target(args)

@@ -29,7 +29,7 @@ from .words import (
     decode,
     inversion_number,
     max_le2_periodic_length,
-    parse_word,
+    read_word_file,
     run_count,
     vt_syndrome,
     weight,
@@ -585,32 +585,20 @@ def load_code(src: TextIO) -> tuple[CodeSpec, list[str]]:
 
     Every word must have the header's length and belong to its code.
     """
-    header = src.readline().strip()
-    if not header.startswith("# "):
-        raise ValueError("missing code file header")
-    fields = dict(
-        item.split("=", 1) for item in header[2:].split(" ") if "=" in item
-    )
-    try:
-        family = fields["family"]
-        n = int(fields["n"])
-        raw = fields.get("params", "")
-    except KeyError as missing:
-        raise ValueError(f"header lacks {missing} field") from None
+    fields, words = read_word_file(src, "code file", ("family", "n"))
     params = {}
-    if raw:
-        for item in raw.split(","):
-            key, value = item.split("=", 1)
-            params[key] = int(value)
-    cs = spec(family, n, **params)
+    raw = fields.get("params", "")
+    for item in raw.split(",") if raw else ():
+        if "=" not in item:
+            raise ValueError(f"params item {item!r} lacks '='")
+        key, value = item.split("=", 1)
+        params[key] = int(value)
+    n = int(fields["n"])
+    cs = spec(fields["family"], n, **params)
     key, wanted = _coset(cs)
-    out = []
-    for line in src:
-        word = line.strip()
-        if word:
-            if len(parse_word(word)) != n:
-                raise ValueError(f"word {word} has length {len(word)}, header says n={n}")
-            if key(word) != wanted:
-                raise ValueError(f"word {word} is not a member of {_format_header(cs)[2:]}")
-            out.append(word)
-    return cs, out
+    for word in words:
+        if len(word) != n:
+            raise ValueError(f"word {word} has length {len(word)}, header says n={n}")
+        if key(word) != wanted:
+            raise ValueError(f"word {word} is not a member of {_format_header(cs)[2:]}")
+    return cs, words

@@ -25,7 +25,7 @@ from .balls import (
     substitution_ball,
 )
 from .codes import CodeSpec, contains, members
-from .words import parse_word
+from .words import read_word_file
 
 __all__ = [
     "UNIQUE",
@@ -67,6 +67,8 @@ class ReadBundle:
     reads: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"bundle length n={self.n} must be at least 1")
         if any(len(z) != self.n - 1 for z in self.reads):
             raise ValueError("every read must have length n-1")
         if len(set(self.reads)) != len(self.reads):
@@ -164,22 +166,8 @@ def save_bundle(bundle: ReadBundle, out: TextIO) -> None:
 
 
 def load_bundle(src: TextIO) -> ReadBundle:
-    header = src.readline().strip()
-    if not header.startswith("# "):
-        raise ValueError("missing read bundle header")
-    fields = dict(
-        item.split("=", 1) for item in header[2:].split(" ") if "=" in item
-    )
-    try:
-        n = int(fields["n"])
-        count = int(fields["N"])
-    except KeyError as missing:
-        raise ValueError(f"header lacks {missing} field") from None
-    reads = []
-    for line in src:
-        word = line.strip()
-        if word:
-            reads.append(parse_word(word))
+    fields, reads = read_word_file(src, "read bundle", ("n", "N"))
+    count = int(fields["N"])
     if len(reads) != count:
         raise ValueError(f"header promises {count} reads, file has {len(reads)}")
-    return ReadBundle(n=n, reads=tuple(reads))
+    return ReadBundle(n=int(fields["n"]), reads=tuple(reads))

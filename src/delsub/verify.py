@@ -5,7 +5,10 @@ byte-identical for a fixed input regardless of ``jobs``: pair ranges are
 partitioned the same way no matter how many workers run, partial results
 merge in partition order, and timing is kept out of the canonical output.
 Each task keeps its first 32 counterexamples, and a report keeps the first 32
-of them all in partition order.
+of them all in partition order.  A task is a plain (function, *args) tuple
+that carries all of its per-call inputs; the per-length caches _tables(n) and
+_dels_by_position(n) are read by the task functions themselves, and each
+verifier fills them before it forks, so workers inherit them copy-on-write.
 Words travel through the hot loops as big-endian integers; the per-length
 mask tables below make a ball intersection one AND plus a popcount.
 """
@@ -71,6 +74,9 @@ EXHAUSTIVE_LIMIT = 14
 STRUCTURED_LIMIT = 20
 
 _CE_CAP = 32
+# tasks per all-pairs sweep or code check, and pairs per structured task
+_SPAN_PIECES = 64
+_FAMILY_PIECE = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -345,27 +351,21 @@ class _Sink:
 # task fan-out; partitions depend only on the input, never on jobs
 
 
-_WORK: dict[str, Any] = {}
-
-
 def _run_task(task: tuple) -> dict[str, Any]:
     fn, *args = task
     return fn(*args)
 
 
-def _map_tasks(tasks: list[tuple], jobs: int, **work: Any) -> list[dict[str, Any]]:
-    """Run each task (function, *args), in order, with work installed in _WORK.
+def _map_tasks(tasks: list[tuple], jobs: int) -> list[dict[str, Any]]:
+    """Run each task (function, *args), in order, over up to jobs forked workers.
 
-    Forked workers inherit _WORK; it is cleared however the tasks end.
+    Tasks carry their inputs; the per-length caches they read must be filled
+    by the caller before this forks, so that workers inherit them.
     """
-    _WORK.update(work)
-    try:
-        if jobs <= 1 or len(tasks) <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-            return [_run_task(t) for t in tasks]
-        with multiprocessing.get_context("fork").Pool(processes=min(jobs, len(tasks))) as pool:
-            return pool.map(_run_task, tasks, chunksize=1)
-    finally:
-        _WORK.clear()
+    if jobs <= 1 or len(tasks) <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_run_task(t) for t in tasks]
+    with multiprocessing.get_context("fork").Pool(processes=min(jobs, len(tasks))) as pool:
+        return pool.map(_run_task, tasks, chunksize=1)
 
 
 def _merge(parts: list[dict[str, Any]], sink: _Sink) -> tuple[int, int | None, int]:
@@ -381,9 +381,9 @@ def _merge(parts: list[dict[str, Any]], sink: _Sink) -> tuple[int, int | None, i
     )
 
 
-def _spans(size: int, pieces: int = 64) -> list[tuple[int, int]]:
-    """At most pieces contiguous ranges covering range(size)."""
-    step = max(1, -(-size // pieces))
+def _spans(size: int) -> list[tuple[int, int]]:
+    """At most _SPAN_PIECES contiguous ranges covering range(size)."""
+    step = max(1, -(-size // _SPAN_PIECES))
     return [(lo, min(lo + step, size)) for lo in range(0, size, step)]
 
 
@@ -497,7 +497,7 @@ def _in_family(ra: int, rb: int, runs: int) -> bool:
 
 
 def _bounds_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
-    tab: _Tables = _WORK["tables"][n]
+    tab = _tables(n)
     runs = tab.runs
     dm = tab.dmask
     sm = tab.smask
@@ -640,12 +640,13 @@ def _structured_pairs(
         yield a, b, q, (((a << width) | wx) << q) | b, (((a << width) | wy) << q) | b
 
 
-def _family_tasks(kind: str, depth: str, n: int, piece: int = 1 << 15) -> list[tuple]:
+def _family_tasks(kind: str, depth: str, n: int) -> list[tuple]:
     tasks: list[tuple] = []
     for params in _family_params(kind, n):
         total = 1 << (n - _window(kind, params)[2])
-        for lo in range(0, total, piece):
-            tasks.append((_structured_chunk, kind, depth, n, params, lo, min(lo + piece, total)))
+        for lo in range(0, total, _FAMILY_PIECE):
+            hi = min(lo + _FAMILY_PIECE, total)
+            tasks.append((_structured_chunk, kind, depth, n, params, lo, hi))
     return tasks
 
 
@@ -1041,8 +1042,8 @@ def verify_intersection_bounds(
             )
         parts = _map_tasks(tasks, jobs)
     else:
-        tasks = [(_bounds_chunk, n, lo, hi) for lo, hi in _spans(1 << n)]
-        parts = _map_tasks(tasks, jobs, tables={n: _tables(n)})
+        _tables(n)
+        parts = _map_tasks([(_bounds_chunk, n, lo, hi) for lo, hi in _spans(1 << n)], jobs)
         case_pairs: dict[str, int] = {}
         case_max: dict[str, int] = {}
         for part in parts:
@@ -1066,7 +1067,7 @@ def verify_intersection_bounds(
 
 
 def _identity_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
-    tab: _Tables = _WORK["tables"][n]
+    tab = _tables(n)
     runs = tab.runs
     dm = tab.dmask
     sm = tab.smask
@@ -1175,7 +1176,9 @@ def verify_claim_tables(n_max: int, *, jobs: int = 1) -> VerificationReport:
             family_counts[kind] = family_counts.get(kind, 0) + sum(
                 t[-1] - t[-2] for t in fam_tasks
             )
-    parts = _map_tasks(tasks, jobs, tables={n: _tables(n) for n in range(2, id_top + 1)})
+    for n in range(2, id_top + 1):
+        _tables(n)
+    parts = _map_tasks(tasks, jobs)
     sink = _Sink(n_max)
     pairs, extremal, eq = _merge(parts, sink)
     detail = {
@@ -1210,10 +1213,26 @@ def _outside(i: int, j: int, pos: int | None) -> bool:
     return (pos < i and pos < j) or (pos > i and pos > j)
 
 
-def _bad_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
-    tab: _Tables = _WORK["tables"][n]
-    dels = _WORK["dels"]
-    convention = _WORK["convention"]
+def _good(wx: tuple[int, ...], wy: tuple[int, ...], z: int, n: int) -> tuple[bool, bool]:
+    """Whether shared element z of x and y, whose deletions by position are
+    wx and wy (_dels_by_position), is good under "pre" and under "post":
+    some witness pair places a flip strictly outside its deletion interval."""
+    ly = _witness_list(wy, z, n)
+    good_pre = good_post = False
+    for i, pre_i, post_i in _witness_list(wx, z, n):
+        for j, pre_j, post_j in ly:
+            if not good_pre and (_outside(i, j, pre_i) or _outside(i, j, pre_j)):
+                good_pre = True
+            if not good_post and (_outside(i, j, post_i) or _outside(i, j, post_j)):
+                good_post = True
+        if good_pre and good_post:
+            break
+    return good_pre, good_post
+
+
+def _bad_chunk(convention: str, n: int, lo: int, hi: int) -> dict[str, Any]:
+    tab = _tables(n)
+    dels = _dels_by_position(n)
     dm = tab.dmask
     bm = tab.bmask
     size = 1 << n
@@ -1243,21 +1262,7 @@ def _bad_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
             if len(elements) > generic:
                 sink.add(x, y, "generic ceiling", generic, len(elements))
             for z in elements:
-                lx = _witness_list(wx, z, n)
-                ly = _witness_list(wy, z, n)
-                good_pre = good_post = False
-                for i, pre_i, post_i in lx:
-                    for j, pre_j, post_j in ly:
-                        if not good_pre and (
-                            _outside(i, j, pre_i) or _outside(i, j, pre_j)
-                        ):
-                            good_pre = True
-                        if not good_post and (
-                            _outside(i, j, post_i) or _outside(i, j, post_j)
-                        ):
-                            good_post = True
-                    if good_pre and good_post:
-                        break
+                good_pre, good_post = _good(wx, wy, z, n)
                 bad_pre += not good_pre
                 bad_post += not good_post
             if bad_pre > max_pre:
@@ -1302,13 +1307,9 @@ def verify_bad_count(
             "bad-count", (n, n), 0, 6, None, 0, [], t0,
             {"convention": convention}, skipped=True,
         )
-    parts = _map_tasks(
-        [(_bad_chunk, n, lo, hi) for lo, hi in _spans(1 << n)],
-        jobs,
-        tables={n: _tables(n)},
-        dels=_dels_by_position(n),
-        convention=convention,
-    )
+    _tables(n)
+    _dels_by_position(n)
+    parts = _map_tasks([(_bad_chunk, convention, n, lo, hi) for lo, hi in _spans(1 << n)], jobs)
     sink = _Sink(n)
     pairs, extremal, eq = _merge(parts, sink)
     detail = {
@@ -1365,18 +1366,19 @@ CODE_CHECKS: dict[str, _CodeCheck] = {
 _CODE_FORK_MIN_PAIRS = 1 << 19
 
 
-def _code_chunk(theorem_id: str, n: int, keys: list[tuple[int, ...]]) -> dict[str, Any]:
-    """Pairwise ceiling of a run of cosets; for cl also bad elements and triples."""
-    bm = _WORK["tables"][n].bmask
-    dels = _WORK["dels"]
+def _code_chunk(theorem_id: str, n: int, cosets: list[list[int]]) -> dict[str, Any]:
+    """Pairwise ceiling of a run of cosets, each given as its members; for cl
+    also bad elements and triples."""
+    bm = _tables(n).bmask
+    dels = _dels_by_position(n) if theorem_id == "cl" else None
+    side = WITNESS_CONVENTIONS.index(DEFAULT_WITNESS_CONVENTION)
     bound = CODE_CHECKS[theorem_id].ceiling(n)
     sink = _Sink(n)
     pairs = 0
     triples = 0
     extremal = -1
     eq = 0
-    for key in keys:
-        members = _WORK["buckets"][key]
+    for members in cosets:
         k = len(members)
         for i in range(k):
             x = members[i]
@@ -1394,13 +1396,7 @@ def _code_chunk(theorem_id: str, n: int, keys: list[tuple[int, ...]]) -> dict[st
                     sink.add(x, y, "pairwise ceiling", bound, b)
                 if dels is not None and inter:
                     for z in _bits(inter):
-                        lx = _witness_list(dels[x], z, n)
-                        ly = _witness_list(dels[y], z, n)
-                        if any(
-                            _outside(i2, j2, p1) or _outside(i2, j2, p2)
-                            for i2, p1, _ in lx
-                            for j2, p2, _ in ly
-                        ):
+                        if _good(dels[x], dels[y], z, n)[side]:
                             sink.add(x, y, "shared element must be bad", True, _Word(z, n - 1))
         if theorem_id == "cl" and k >= 3:
             for i in range(k):
@@ -1446,12 +1442,13 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
             buckets.setdefault(key, []).append(x)
     keys = sorted(buckets)
     pairs_in_cosets = sum(len(m) * (len(m) - 1) // 2 for m in buckets.values())
+    _tables(n)
+    if theorem_id == "cl":
+        _dels_by_position(n)
     parts = _map_tasks(
-        [(_code_chunk, theorem_id, n, keys[lo:hi]) for lo, hi in _spans(len(keys))],
+        [(_code_chunk, theorem_id, n, [buckets[k] for k in keys[lo:hi]])
+         for lo, hi in _spans(len(keys))],
         jobs if pairs_in_cosets >= _CODE_FORK_MIN_PAIRS else 1,
-        tables={n: _tables(n)},
-        buckets=buckets,
-        dels=_dels_by_position(n) if theorem_id == "cl" else None,
     )
     sink = _Sink(n)
     pairs, extremal, eq = _merge(parts, sink)

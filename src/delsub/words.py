@@ -10,10 +10,12 @@ lexicographically is the same as sorting by the big-endian integer value
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TextIO
 
 __all__ = [
     "AffixDecomposition",
     "parse_word",
+    "read_word_file",
     "encode",
     "decode",
     "hamming",
@@ -34,6 +36,33 @@ def parse_word(text: str) -> str:
     if any(c not in "01" for c in text):
         raise ValueError(f"not a binary word: {text!r}")
     return text
+
+
+def read_word_file(
+    src: TextIO, what: str, required: tuple[str, ...]
+) -> tuple[dict[str, str], list[str]]:
+    """Read a "# key=value ..." header line, then one word per non-blank line.
+
+    Returns the header fields and the words in file order.  A missing
+    header or required field, a non-binary line and a repeated word raise
+    ValueError; what names the kind of file in the first message.
+    """
+    header = src.readline().strip()
+    if not header.startswith("# "):
+        raise ValueError(f"missing {what} header")
+    fields = dict(item.split("=", 1) for item in header[2:].split(" ") if "=" in item)
+    for key in required:
+        if key not in fields:
+            raise ValueError(f"header lacks {key!r} field")
+    out: dict[str, None] = {}
+    for line in src:
+        word = parse_word(line.strip())
+        if not word:
+            continue
+        if word in out:
+            raise ValueError(f"word {word} is listed twice")
+        out[word] = None
+    return fields, list(out)
 
 
 def encode(x: str) -> int:

@@ -262,6 +262,20 @@ def test_out_writes_file_and_keeps_stdout_quiet(tmp_path, capsys):
     assert json.loads(target.read_text()) == ["00", "01", "10", "11"]
 
 
+@pytest.mark.parametrize(
+    "command", [["ball", "--word", "0101"], ["verify", "ball-sizes", "--n", "3"]],
+    ids=["ball", "verify"],
+)
+def test_out_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys, command):
+    missing = tmp_path / "no-such-dir" / "x"
+    code, out, err = run(capsys, *command, "--out", str(missing))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("delsub: error: argument --out: ")
+    assert "no-such-dir" in err
+
+
 def test_simulate_decode_roundtrip(tmp_path, capsys):
     bundle = tmp_path / "reads.txt"
     word = "0110100110"

@@ -294,6 +294,19 @@ def test_load_code_rejects_bad_header():
         load_code(io.StringIO("# n=4 params=\n0101\n"))
 
 
+def test_load_code_rejects_a_repeated_word():
+    buf = io.StringIO()
+    save_code(spec(VT, 4, a=0), buf, words=["0000", "1011", "0000"])
+    buf.seek(0)
+    with pytest.raises(ValueError, match="word 0000 is listed twice"):
+        load_code(buf)
+
+
+def test_load_code_rejects_a_params_item_without_equals():
+    with pytest.raises(ValueError, match="params item 'm' lacks '='"):
+        load_code(io.StringIO("# family=inv n=5 params=a=1,m\n"))
+
+
 def test_load_code_rejects_word_of_wrong_length():
     buf = io.StringIO()
     save_code(spec(VT, 4, a=0), buf, words=["0000", "10010"])

@@ -186,3 +186,13 @@ def test_load_bundle_rejects_bad_files():
         load_bundle(io.StringIO("0101\n"))
     with pytest.raises(ValueError):
         load_bundle(io.StringIO("# n=4 N=2\n010\n"))
+
+
+def test_load_bundle_rejects_a_length_below_one():
+    with pytest.raises(ValueError, match="n=-5"):
+        load_bundle(io.StringIO("# n=-5 N=0\n"))
+
+
+def test_load_bundle_rejects_a_repeated_read():
+    with pytest.raises(ValueError, match="word 010 is listed twice"):
+        load_bundle(io.StringIO("# n=4 N=2\n010\n010\n"))

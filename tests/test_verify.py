@@ -14,6 +14,7 @@ from delsub.balls import (
     SINGLE_FLIP,
     ball_intersection,
     classify_pair,
+    deletion_ball,
     is_bad,
     witnesses,
 )
@@ -24,6 +25,7 @@ from delsub.verify import (
     _del_set,
     _dels_by_position,
     _ds_inter,
+    _good,
     _run_dels,
     _witness_list,
     verify_bad_count,
@@ -347,6 +349,17 @@ def test_bad_count_agrees_with_is_bad_on_sample_pair():
         assert direct <= 6
 
 
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_good_agrees_with_is_bad_on_every_generic_pair(n):
+    dels = _dels_by_position(n)
+    for x, y in combinations(all_words(n), 2):
+        if sum(a != b for a, b in zip(x, y)) < 3 or set(deletion_ball(x)) & set(deletion_ball(y)):
+            continue
+        for z in ball_intersection(x, y, "ds"):
+            want = tuple(not is_bad(x, y, z, convention=c) for c in ("pre", "post"))
+            assert _good(dels[int(x, 2)], dels[int(y, 2)], int(z, 2), n) == want, (x, y, z)
+
+
 def test_code_theorem_vt_frozen_n8():
     report = verify_code_theorem("vt", 8)
     assert report.status == "PASS"
@@ -473,18 +486,17 @@ def test_small_code_check_stays_in_process(monkeypatch):
     ],
     ids=["intersection-bounds", "claim-tables", "bad-count", "code-theorem"],
 )
-def test_shared_work_cleared_when_a_sweep_raises(monkeypatch, chunk, sweep):
-    seen = []
+def test_failing_chunk_raises_to_the_caller(monkeypatch, chunk, sweep):
+    calls = []
 
     def failing_chunk(*args):
-        seen.append(dict(verify._WORK))
+        calls.append(args)
         raise RuntimeError("task failed")
 
     monkeypatch.setattr(verify, chunk, failing_chunk)
     with pytest.raises(RuntimeError, match="task failed"):
         sweep()
-    assert len(seen) == 1 and 4 in seen[0]["tables"]
-    assert verify._WORK == {}
+    assert len(calls) == 1
 
 
 def test_ceiling_depth_run_sum_reports_its_bound(monkeypatch):
