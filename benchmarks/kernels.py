@@ -8,10 +8,14 @@ sweeps over every pair at n = 10: the claim tables' identity sweep
 ``verify._identity_chunk(n, lo, hi)`` (kind "identity") and the
 intersection-bounds sweep ``verify._bounds_chunk(n, lo, hi)`` (kind
 "bounds"), both at depth "all-pairs".  The worker fills the mask-table
-cache ``verify._tables(n)`` before timing and the two chunks read it
-themselves, so both trees must have chunks that read that cache (trees that
-handed the tables to their chunks through a module global cannot be
-measured).  Each (n, kind) walks up to four evenly spaced windows of 64
+cache ``verify._tables(n)``, and its column masks where the tree has them,
+before timing, and the two chunks read it themselves, so both trees must
+have chunks that read that cache (trees that handed the tables to their
+chunks through a module global cannot be measured).  Each all-pairs cell
+also records, from a separate untimed pass that wraps
+``verify._walk_mask``, how many pairs the row walk sent through the
+per-pair checks and how many it counted in bulk; a tree without a row walk
+walks every pair.  Each (n, kind) walks up to four evenly spaced windows of 64
 pairs for every parameter tuple of the family, the same windows at both
 depths, REPEATS times over, so that one timing of the fastest structured
 cell lasts about 0.1 s or more (a single pass of the all-pairs cells already
@@ -23,8 +27,8 @@ Standard library only:
 
     python3 benchmarks/kernels.py --src PATH/TO/PARENT/src
 
-The worker also hashes every chunk result; the script fails if the two trees
-disagree on one.
+The worker also hashes every chunk result, with dict keys sorted as the
+reports sort them; the script fails if the two trees disagree on one.
 """
 
 from __future__ import annotations
@@ -61,8 +65,30 @@ def _windows(verify, kind: str, n: int) -> list[tuple[tuple[int, ...], int, int]
     return out
 
 
+def _walked_pairs(verify, chunk, n: int, pairs: int) -> int:
+    """The pairs chunk(n, 0, 2^n) sends through its per-pair checks."""
+    walk_mask = getattr(verify, "_walk_mask", None)
+    if walk_mask is None:
+        return pairs
+    walked = 0
+
+    def counted(*args):
+        nonlocal walked
+        mask = walk_mask(*args)
+        walked += mask.bit_count()
+        return mask
+
+    verify._walk_mask = counted
+    try:
+        chunk(n, 0, 1 << n)
+    finally:
+        verify._walk_mask = walk_mask
+    return walked
+
+
 def _worker(src: str) -> dict:
-    """One timing per cell: (n, kind, depth, pairs timed, us per pair)."""
+    """One timing per cell: (n, kind, depth, pairs timed, pairs walked one
+    by one, us per pair)."""
     sys.path.insert(0, src)
     from delsub import verify
 
@@ -71,13 +97,16 @@ def _worker(src: str) -> dict:
     n = ALL_PAIRS_N
     size = 1 << n
     pairs = size * (size - 1) // 2
-    verify._tables(n)
+    tab = verify._tables(n)
+    if hasattr(tab, "columns"):
+        tab.columns()
     for kind, chunk in (("identity", verify._identity_chunk), ("bounds", verify._bounds_chunk)):
         t0 = time.perf_counter()
         result = chunk(n, 0, size)
         seconds = time.perf_counter() - t0
-        digest.update(repr(result).encode())
-        cells.append((n, kind, "all-pairs", pairs, seconds / pairs * 1e6))
+        digest.update(json.dumps(result, sort_keys=True).encode())
+        walked = _walked_pairs(verify, chunk, n, pairs)
+        cells.append((n, kind, "all-pairs", pairs, walked, seconds / pairs * 1e6))
     for n in LENGTHS:
         for kind in verify._FAMILY_KINDS:
             windows = _windows(verify, kind, n) * REPEATS
@@ -87,29 +116,28 @@ def _worker(src: str) -> dict:
                 results = [verify._structured_chunk(kind, depth, n, params, lo, hi)
                            for params, lo, hi in windows]
                 seconds = time.perf_counter() - t0
-                digest.update(repr(results).encode())
-                cells.append((n, kind, depth, pairs, seconds / pairs * 1e6))
+                digest.update(json.dumps(results, sort_keys=True).encode())
+                cells.append((n, kind, depth, pairs, pairs, seconds / pairs * 1e6))
     return {"cells": cells, "digest": digest.hexdigest()}
 
 
 def _summary(runs: list[dict]) -> list[dict]:
     rows = []
-    for i, (n, kind, depth, pairs, _) in enumerate(runs[0]["cells"]):
-        us = [run["cells"][i][4] for run in runs]
-        rows.append({
-            "n": n,
-            "kind": kind,
-            "depth": depth,
-            "pairs": pairs,
-            "us_per_pair": round(statistics.median(us), 2),
-            "us_per_pair_min": round(min(us), 2),
-            "us_per_pair_runs": [round(u, 2) for u in us],
-        })
+    for i, (n, kind, depth, pairs, walked, _) in enumerate(runs[0]["cells"]):
+        us = [run["cells"][i][5] for run in runs]
+        row = {"n": n, "kind": kind, "depth": depth, "pairs": pairs}
+        if depth == "all-pairs":
+            row["walked_pairs"] = walked
+            row["bulk_pairs"] = pairs - walked
+        row["us_per_pair"] = round(statistics.median(us), 2)
+        row["us_per_pair_min"] = round(min(us), 2)
+        row["us_per_pair_runs"] = [round(u, 2) for u in us]
+        rows.append(row)
     return rows
 
 
 def _describe(run: dict) -> str:
-    total = sum(pairs * us for *_, pairs, us in run["cells"]) / 1e6
+    total = sum(pairs * us for _, _, _, pairs, _, us in run["cells"]) / 1e6
     return f"{len(run['cells'])} cells, {total:.2f} s timed"
 
 

@@ -28,6 +28,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, TextIO
 from .words import (
     decode,
     inversion_number,
+    key_values,
     max_le2_periodic_length,
     read_word_file,
     run_count,
@@ -586,13 +587,9 @@ def load_code(src: TextIO) -> tuple[CodeSpec, list[str]]:
     Every word must have the header's length and belong to its code.
     """
     fields, words = read_word_file(src, "code file", ("family", "n"))
-    params = {}
     raw = fields.get("params", "")
-    for item in raw.split(",") if raw else ():
-        if "=" not in item:
-            raise ValueError(f"params item {item!r} lacks '='")
-        key, value = item.split("=", 1)
-        params[key] = int(value)
+    items = key_values(raw.split(",") if raw else [], "params item")
+    params = {key: int(value) for key, value in items.items()}
     n = int(fields["n"])
     cs = spec(fields["family"], n, **params)
     key, wanted = _coset(cs)

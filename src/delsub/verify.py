@@ -6,11 +6,22 @@ partitioned the same way no matter how many workers run, partial results
 merge in partition order, and timing is kept out of the canonical output.
 Each task keeps its first 32 counterexamples, and a report keeps the first 32
 of them all in partition order.  A task is a plain (function, *args) tuple
-that carries all of its per-call inputs; the per-length caches _tables(n) and
-_dels_by_position(n) are read by the task functions themselves, and each
-verifier fills them before it forks, so workers inherit them copy-on-write.
+that carries all of its per-call inputs; the per-length caches _tables(n),
+with its column masks, and _dels_by_position(n) are read by the task
+functions themselves, and each verifier fills them before it forks, so
+workers inherit them copy-on-write.
 Words travel through the hot loops as big-endian integers; the per-length
-mask tables below make a ball intersection one AND plus a popcount.
+mask tables below make a ball intersection one AND plus a popcount.  The
+all-pairs sweeps of intersection bounds and claim tables go row by row (see
+_row_walk): the close pairs of a word x, those within Hamming distance two,
+with a shifted window, sharing a deletion or substitution per the tables,
+or sharing more than the generic ceiling, go through the per-pair checks
+one by one.  Each other pair is generic with a size the checks accept, so
+they would record nothing for it; it is counted in bulk, and its size
+folded into the maxima, from bit-sliced counts over the tables' column
+masks.  Distance and window do not read the tables, and the other terms
+read the same tables as the checks, so a faulty table cannot hide a pair
+on which a check would fire.
 """
 
 from __future__ import annotations
@@ -199,8 +210,43 @@ def _sub_masks(n: int) -> list[int]:
     return out
 
 
+def _columns(rows: list[int]) -> list[int]:
+    """Column z of the bit matrix whose row y is rows[y]: the mask of the y
+    whose row holds z."""
+    width = max(rows).bit_length()
+    members: list[list[int]] = [[] for _ in range(width)]
+    for y, row in enumerate(rows):
+        for z in _bits(row):
+            members[z].append(y)
+    out = []
+    for ys in members:
+        buf = bytearray((len(rows) + 7) >> 3)
+        for y in ys:
+            buf[y >> 3] |= 1 << (y & 7)
+        out.append(int.from_bytes(buf, "little"))
+    return out
+
+
+class _Columns(NamedTuple):
+    """Per element z, the mask of the words whose dmask, smask or bmask row
+    holds z."""
+
+    dmask: list[int]
+    smask: list[int]
+    bmask: list[int]
+
+
 class _Tables:
-    __slots__ = ("n", "runs", "dmask", "smask", "prev_smask", "bmask")
+    """Per word x of length n: its run count, and as masks over words its
+    deletion ball D(x), substitution ball S(x) and ds-ball B(x); prev_smask
+    holds S(z) for the words z of length n - 1.
+
+    The column masks of the row walk (see _row_walk) are built from these
+    rows on the first call of columns(), never here: code checks read the
+    rows only.  A test that corrupts a row must do so before that call.
+    """
+
+    __slots__ = ("n", "runs", "dmask", "smask", "prev_smask", "bmask", "_cols")
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -216,6 +262,14 @@ class _Tables:
                 bm |= prev[z]
             dmask.append(dm)
             bmask.append(bm)
+        self._cols: _Columns | None = None
+
+    def columns(self) -> _Columns:
+        if self._cols is None:
+            self._cols = _Columns(
+                _columns(self.dmask), _columns(self.smask), _columns(self.bmask)
+            )
+        return self._cols
 
 
 @functools.cache
@@ -496,13 +550,143 @@ def _in_family(ra: int, rb: int, runs: int) -> bool:
     return (ra == 0 and rb == runs) or (ra == runs and rb == 0)
 
 
+# ---------------------------------------------------------------------------
+# row walk of the all-pairs sweeps: the close pairs of a row x go through the
+# per-pair body one by one, its generic pairs are counted in bulk
+
+
+@functools.cache
+def _near_flips(n: int) -> tuple[int, ...]:
+    """The masks of one or two bits of a length-n word."""
+    return tuple((1 << i) | (1 << j) for j in range(n) for i in range(j + 1))
+
+
+def _shift_partners(x: int, n: int) -> Iterator[int]:
+    """The y whose window differing from x, of two bits or more, is x's
+    window shifted one step, either way: shift_a or shift_b in
+    _bounds_chunk.  An alternating window's complement (alt_comp) is both
+    shifts.  Some y come twice.
+
+    With shift_a on the window lo..hi, bit i of x ^ y above lo is bit i of x
+    against bit i - 1, bit lo is set, and bit hi must be set too; shift_b
+    mirrors that.
+    """
+    up = x ^ (x << 1)
+    down = x ^ (x >> 1)
+    for hi in range(1, n):
+        if up >> hi & 1:
+            for lo in range(hi):
+                yield x ^ (up & ((2 << hi) - (2 << lo))) ^ (1 << lo)
+    for lo in range(n - 1):
+        if down >> lo & 1:
+            for hi in range(lo + 1, n):
+                yield x ^ (down & ((1 << hi) - (1 << lo))) ^ (1 << hi)
+
+
+def _count_planes(columns: list[int], row: int) -> list[int]:
+    """The sum over z in row of columns[z], bit-sliced: plane k holds bit k
+    of every word's count.  No count exceeds the bits in row, so that many
+    planes never overflow."""
+    planes = [0] * row.bit_count().bit_length()
+    for z in _bits(row):
+        carry = columns[z]
+        k = 0
+        while carry:
+            plane = planes[k]
+            planes[k] = plane ^ carry
+            carry &= plane
+            k += 1
+    return planes
+
+
+def _count_above(planes: list[int], limit: int) -> int:
+    """The mask of the words whose bit-sliced count exceeds limit >= 0."""
+    if limit >> len(planes):
+        return 0
+    above = 0
+    tie = -1
+    for k in range(len(planes) - 1, -1, -1):
+        if limit >> k & 1:
+            tie &= planes[k]
+        else:
+            above |= tie & planes[k]
+            tie &= ~planes[k]
+    return above
+
+
+def _count_max(planes: list[int], words: int) -> int:
+    """The largest bit-sliced count over the nonempty mask words."""
+    best = 0
+    for k in range(len(planes) - 1, -1, -1):
+        hit = words & planes[k]
+        if hit:
+            words = hit
+            best |= 1 << k
+    return best
+
+
+def _walk_mask(tab: _Tables, x: int, planes: list[int], limit: int, windows: bool) -> int:
+    """The y > x that the row walk of x sends through the per-pair body.
+
+    These are the y within Hamming distance two of x, with windows the
+    shift partners of x (_shift_partners), the y that share a deletion or a
+    substitution with x according to the tables, and the y whose shared
+    ball, counted in planes, holds more than limit elements.  The first two
+    terms do not read the tables, so a faulty table cannot hide a pair that
+    its window or distance alone would flag.
+    """
+    n = tab.n
+    cols = tab.columns()
+    near = bytearray((len(tab.runs) + 7) >> 3)
+    for f in _near_flips(n):
+        y = x ^ f
+        near[y >> 3] |= 1 << (y & 7)
+    if windows:
+        for y in _shift_partners(x, n):
+            near[y >> 3] |= 1 << (y & 7)
+    walk = int.from_bytes(near, "little") | _count_above(planes, limit)
+    for z in _bits(tab.dmask[x]):
+        walk |= cols.dmask[z]
+    for z in _bits(tab.smask[x]):
+        walk |= cols.smask[z]
+    return walk & -(2 << x)
+
+
+def _row_walk(
+    tab: _Tables, lo: int, hi: int, limit: int, windows: bool
+) -> Iterator[tuple[int, int, int, int]]:
+    """Per row x in lo..hi: x, the mask of the y > x to walk (_walk_mask),
+    the number of the other y > x, and the largest shared-ball size among
+    those (-1 when there are none).
+
+    Each other y is at Hamming distance three or more, shares no deletion
+    and no substitution with x, shares at most limit elements with it and,
+    with windows, is no shift partner of x.
+    """
+    bm = tab.bmask
+    col_b = tab.columns().bmask
+    full = (1 << len(bm)) - 1
+    for x in range(lo, hi):
+        planes = _count_planes(col_b, bm[x])
+        walk = _walk_mask(tab, x, planes, limit, windows)
+        rest = (full & -(2 << x)) & ~walk
+        yield x, walk, rest.bit_count(), _count_max(planes, rest) if rest else -1
+
+
 def _bounds_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
+    """The exhaustive intersection-bounds checks on the pairs of rows lo..hi.
+
+    A pair the row walk leaves out is generic with d = 0 = want_d, and the
+    generic case has neither a run-sum ceiling nor an equality family; its
+    size is at most the generic ceiling and the global one.  The per-pair
+    body records nothing for it, so those pairs only add to the pair counts
+    and the maxima.
+    """
     tab = _tables(n)
     runs = tab.runs
     dm = tab.dmask
     sm = tab.smask
     bm = tab.bmask
-    size = 1 << n
     bound_global = _global_ceiling(n)
     pairs = 0
     extremal = -1
@@ -511,11 +695,21 @@ def _bounds_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
     case_pairs: dict[str, int] = {}
     case_max: dict[str, int] = {}
     rows = _case_rows(n)
-    for x in range(lo, hi):
+    limit = CASE_CEILINGS[GENERIC].ceiling(n)
+    if bound_global is not None:
+        limit = min(limit, bound_global)
+    for x, walk, bulk, bulk_max in _row_walk(tab, lo, hi, limit, True):
+        if bulk:
+            pairs += bulk
+            case_pairs[GENERIC] = case_pairs.get(GENERIC, 0) + bulk
+            if bulk_max > case_max.get(GENERIC, -1):
+                case_max[GENERIC] = bulk_max
+            if bulk_max > extremal:
+                extremal = bulk_max
         bx = bm[x]
         sx = sm[x]
         dx = dm[x]
-        for y in range(x + 1, size):
+        for y in _bits(walk):
             pairs += 1
             diff = x ^ y
             dh = diff.bit_count()
@@ -1019,6 +1213,10 @@ def verify_intersection_bounds(
     for transpositions and flips the equality family on which the ceiling
     is reached.  The global ceiling, the transposition row from n = 6 on,
     must hold with equality exactly on the extremal transposition family.
+    Only the close pairs of each word go through these checks one by one
+    (_walk_mask); every other pair is generic, shares no deletion, and
+    stays within the generic and global ceilings, so none of the checks can
+    fire on it, and it is counted into the generic case in bulk.
     Structured mode walks only the transposition, flip, shift,
     and alternating-window families, which reaches longer words; each
     pair's shared ball is built from its close deletion pairs (u, w), one
@@ -1042,7 +1240,7 @@ def verify_intersection_bounds(
             )
         parts = _map_tasks(tasks, jobs)
     else:
-        _tables(n)
+        _tables(n).columns()
         parts = _map_tasks([(_bounds_chunk, n, lo, hi) for lo, hi in _spans(1 << n)], jobs)
         case_pairs: dict[str, int] = {}
         case_max: dict[str, int] = {}
@@ -1067,6 +1265,12 @@ def verify_intersection_bounds(
 
 
 def _identity_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
+    """The size accounting of the pairs of rows lo..hi.
+
+    A pair the row walk leaves out is generic and within the generic
+    ceiling, so the per-pair body would only fold its size into the
+    extremal.
+    """
     tab = _tables(n)
     runs = tab.runs
     dm = tab.dmask
@@ -1078,11 +1282,13 @@ def _identity_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
     sink = _Sink(n)
     generic = CASE_CEILINGS[GENERIC].ceiling(n)
     rows = _case_rows(n)
-    for x in range(lo, hi):
+    for x, walk, _, bulk_max in _row_walk(tab, lo, hi, generic, False):
+        if bulk_max > extremal:
+            extremal = bulk_max
         bx = bm[x]
         sx = sm[x]
         dx = dm[x]
-        for y in range(x + 1, size):
+        for y in _bits(walk):
             inter = bx & bm[y]
             b = inter.bit_count()
             if b > extremal:
@@ -1150,7 +1356,8 @@ def verify_claim_tables(n_max: int, *, jobs: int = 1) -> VerificationReport:
     at least three, no shared deletion, no shared substitution) has both
     terms empty, so containment holds, every shared element is extra, and
     only the generic ceiling (balls.CASE_CEILINGS) can fail; that is all it
-    is checked for.
+    is checked for.  A generic pair within that ceiling is not visited at
+    all: the row walk (_row_walk) folds its size into the extremal in bulk.
     Any other pair, a faulty table's spurious shared deletion or
     substitution included, gets the full decomposition.  On top of that
     the four structured families are enumerated up to ``n_max`` and every
@@ -1177,7 +1384,7 @@ def verify_claim_tables(n_max: int, *, jobs: int = 1) -> VerificationReport:
                 t[-1] - t[-2] for t in fam_tasks
             )
     for n in range(2, id_top + 1):
-        _tables(n)
+        _tables(n).columns()
     parts = _map_tasks(tasks, jobs)
     sink = _Sink(n_max)
     pairs, extremal, eq = _merge(parts, sink)

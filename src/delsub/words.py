@@ -10,11 +10,12 @@ lexicographically is the same as sorting by the big-endian integer value
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TextIO
+from typing import Iterable, TextIO
 
 __all__ = [
     "AffixDecomposition",
     "parse_word",
+    "key_values",
     "read_word_file",
     "encode",
     "decode",
@@ -38,19 +39,34 @@ def parse_word(text: str) -> str:
     return text
 
 
+def key_values(items: Iterable[str], what: str) -> dict[str, str]:
+    """The "key=value" items as a dict.  An item without "=" and a key given
+    twice raise ValueError naming it; what names the kind of item."""
+    out: dict[str, str] = {}
+    for item in items:
+        if "=" not in item:
+            raise ValueError(f"{what} {item!r} lacks '='")
+        key, value = item.split("=", 1)
+        if key in out:
+            raise ValueError(f"{what} {key!r} is given twice")
+        out[key] = value
+    return out
+
+
 def read_word_file(
     src: TextIO, what: str, required: tuple[str, ...]
 ) -> tuple[dict[str, str], list[str]]:
     """Read a "# key=value ..." header line, then one word per non-blank line.
 
     Returns the header fields and the words in file order.  A missing
-    header or required field, a non-binary line and a repeated word raise
-    ValueError; what names the kind of file in the first message.
+    header or required field, a field given twice, a non-binary line and a
+    repeated word raise ValueError; what names the kind of file in the
+    first message.
     """
     header = src.readline().strip()
     if not header.startswith("# "):
         raise ValueError(f"missing {what} header")
-    fields = dict(item.split("=", 1) for item in header[2:].split(" ") if "=" in item)
+    fields = key_values([item for item in header[2:].split(" ") if "=" in item], "header field")
     for key in required:
         if key not in fields:
             raise ValueError(f"header lacks {key!r} field")

@@ -309,6 +309,15 @@ def test_decode_rejects_length_mismatch(tmp_path, capsys):
     assert "--n" in err
 
 
+def test_decode_rejects_a_repeated_header_field(tmp_path, capsys):
+    bundle = tmp_path / "reads.txt"
+    bundle.write_text("# n=5 N=1 n=6\n0101\n")
+    code, out, err = run(capsys, "decode", "--bundle", str(bundle), "--family", "full")
+    assert code == 2
+    assert out == ""
+    assert err == "delsub: error: header field 'n' is given twice\n"
+
+
 def test_decode_missing_bundle_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "decode", "--bundle", str(tmp_path / "nope.txt"),
                        "--family", "full")

@@ -307,6 +307,18 @@ def test_load_code_rejects_a_params_item_without_equals():
         load_code(io.StringIO("# family=inv n=5 params=a=1,m\n"))
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("# family=inv n=5 params=a=0,a=1,m=3\n", "params item 'a' is given twice"),
+        ("# family=vt n=4 n=5 params=a=0\n", "header field 'n' is given twice"),
+    ],
+)
+def test_load_code_rejects_a_repeated_key(header, message):
+    with pytest.raises(ValueError, match=message):
+        load_code(io.StringIO(header))
+
+
 def test_load_code_rejects_word_of_wrong_length():
     buf = io.StringIO()
     save_code(spec(VT, 4, a=0), buf, words=["0000", "10010"])

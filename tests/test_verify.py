@@ -165,6 +165,101 @@ def test_intersection_bounds_every_ladder_check_fires(monkeypatch):
     }
 
 
+def _window_shift(x, y):
+    """Whether shift_a, shift_b or alt_comp of _bounds_chunk's per-pair body
+    holds for x != y, by that body's window test."""
+    diff = x ^ y
+    hi_b = diff.bit_length() - 1
+    lo_b = (diff & -diff).bit_length() - 1
+    span = hi_b - lo_b + 1
+    if span < 2:
+        return False
+    mask_l = (1 << span) - 1
+    wx = (x >> lo_b) & mask_l
+    wy = (y >> lo_b) & mask_l
+    low = (1 << (span - 1)) - 1
+    shift_a = (wx & low) == (wy >> 1)
+    shift_b = (wy & low) == (wx >> 1)
+    alt_comp = wy == wx ^ mask_l and ((wx ^ (wx >> 1)) & low) == low
+    return shift_a or shift_b or alt_comp
+
+
+def test_shift_partners_are_the_window_shifts():
+    # the row walk skips a pair only when the enumeration leaves it out, so
+    # the enumeration must hold every pair the body's window test flags
+    for n in range(1, 10):
+        for x in range(1 << n):
+            want = {y for y in range(1 << n) if y != x and _window_shift(x, y)}
+            assert set(verify._shift_partners(x, n)) == want, (n, x)
+
+
+def test_generic_row_is_a_plain_ceiling():
+    # the row walk counts generic pairs within the ceiling in bulk, which is
+    # exact only while the generic row has no run-sum or equality check
+    assert CASE_CEILINGS[GENERIC].eq_gap is None
+    assert CASE_CEILINGS[GENERIC].run_sum is None
+
+
+def _lower_runs_and_widen_balls(tab):
+    # the ladder test's faults, plus a generic pair sharing 27 elements:
+    # above the global ceiling 23, within the generic one
+    for x in range(0, 256, 5):
+        tab.runs[x] -= 3
+    for x in (0b00101101, 0b01010101, 0b11100100):
+        tab.bmask[x] |= (1 << 128) - 1
+    tab.bmask[0b00000000] = tab.bmask[0b00000111] = (1 << 27) - 1
+
+
+def _add_bit(table, every, bit):
+    def corrupt(tab):
+        rows = getattr(tab, table)
+        for x in range(0, 256, every):
+            rows[x] |= 1 << bit
+    return corrupt
+
+
+def _drop_bits(table, every, keep):
+    def corrupt(tab):
+        rows = getattr(tab, table)
+        for x in range(1, 256, every):
+            rows[x] &= keep(rows[x])
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda tab: None,
+        _lower_runs_and_widen_balls,
+        _add_bit("dmask", 7, 0b1011001),
+        _add_bit("smask", 7, 0b10110010),
+        _drop_bits("smask", 5, lambda row: 0),
+        _drop_bits("dmask", 3, lambda row: row - 1),
+    ],
+    ids=["sound", "runs-and-balls", "spurious-dmask", "spurious-smask", "dropped-smask",
+         "dropped-dmask"],
+)
+def test_row_walk_matches_the_every_pair_sweep(monkeypatch, corrupt):
+    # walking every later word is the every-pair sweep; the row walk must
+    # give the same chunk results on sound and faulty n = 8 tables
+    real = verify._tables
+    tab = verify._Tables(8)
+    corrupt(tab)
+    monkeypatch.setattr(verify, "_tables", lambda n: tab if n == 8 else real(n))
+    monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
+
+    def chunks():
+        return [chunk(8, lo, hi) for chunk in (verify._bounds_chunk, verify._identity_chunk)
+                for lo, hi in verify._spans(256)]
+
+    walked = chunks()
+    monkeypatch.setattr(
+        verify, "_walk_mask",
+        lambda tab, x, planes, limit, windows: ((1 << len(tab.runs)) - 1) & -(2 << x),
+    )
+    assert chunks() == walked
+
+
 def test_run_dels_span_the_deletion_ball():
     for n in range(1, 13):
         for x in range(1 << n):
