@@ -129,30 +129,34 @@ def _code_spec(args: argparse.Namespace, n: int) -> codes.CodeSpec:
     return codes.spec(args.family, n, **params)
 
 
+def _words(args: argparse.Namespace, count: int) -> list[str]:
+    if len(args.word) != count:
+        wanted = ("one word", "two words")[count - 1]
+        raise ValueError(f"argument --word: expected exactly {wanted}, got {len(args.word)}")
+    return args.word
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
 def _cmd_ball(args: argparse.Namespace) -> int:
-    if len(args.word) != 1:
-        return _fail(f"argument --word: expected exactly one word, got {len(args.word)}")
-    _emit(balls.ds_ball(args.word[0]) if args.kind == "ds"
-          else balls.deletion_ball(args.word[0]) if args.kind == "del"
-          else balls.substitution_ball(args.word[0]), args)
+    (x,) = _words(args, 1)
+    _emit(balls.ds_ball(x) if args.kind == "ds"
+          else balls.deletion_ball(x) if args.kind == "del"
+          else balls.substitution_ball(x), args)
     return 0
 
 
 def _cmd_intersect(args: argparse.Namespace) -> int:
-    if len(args.word) != 2:
-        return _fail(f"argument --word: expected exactly two words, got {len(args.word)}")
-    _emit(balls.ball_intersection(args.word[0], args.word[1], args.kind), args)
+    x, y = _words(args, 2)
+    _emit(balls.ball_intersection(x, y, args.kind), args)
     return 0
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    if len(args.word) != 2:
-        return _fail(f"argument --word: expected exactly two words, got {len(args.word)}")
-    _emit(dataclasses.asdict(balls.classify_pair(args.word[0], args.word[1])), args)
+    x, y = _words(args, 2)
+    _emit(dataclasses.asdict(balls.classify_pair(x, y)), args)
     return 0
 
 
@@ -167,9 +171,8 @@ def _cmd_code_size(args: argparse.Namespace) -> int:
 
 
 def _cmd_code_check(args: argparse.Namespace) -> int:
-    if len(args.word) != 1:
-        return _fail(f"argument --word: expected exactly one word, got {len(args.word)}")
-    member = codes.contains(_code_spec(args, args.n), args.word[0])
+    (x,) = _words(args, 1)
+    member = codes.contains(_code_spec(args, args.n), x)
     _emit(member, args, text_override=f"{member}\n")
     return 0
 
@@ -242,9 +245,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if len(args.word) != 1:
-        return _fail(f"argument --word: expected exactly one word, got {len(args.word)}")
-    bundle = reconstruct.collect_reads(args.word[0], args.N, args.seed)
+    (x,) = _words(args, 1)
+    bundle = reconstruct.collect_reads(x, args.N, args.seed)
     buf = io.StringIO()
     reconstruct.save_bundle(bundle, buf)
     payload = {

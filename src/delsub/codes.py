@@ -7,8 +7,8 @@ parameters).  The layout gives the modulus of each residue parameter (each
 ranges over [0, modulus - 1]) and a key: the word -> residue tuple map, None
 for a word the family's structural filter rejects (run bound, periodic-window
 bound).  A code is one coset: its members are the words whose key equals the
-spec's residue parameters, so membership and load checks are O(n) string
-tests and enumeration filters the ascending integer order of Sigma^n.
+spec's residue parameters, so a membership check is an O(n) string test
+and enumeration filters the ascending integer order of Sigma^n.
 
 The counter gives the same code as a counting automaton: filters read one
 bit at a time, and the residues follow from weighted bit sums.  Sizes and
@@ -23,14 +23,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import add
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, TextIO
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .words import (
     decode,
     inversion_number,
-    key_values,
     max_le2_periodic_length,
-    read_word_file,
     run_count,
     vt_syndrome,
     weight,
@@ -60,8 +58,6 @@ __all__ = [
     "best_coset",
     "coset_key",
     "subcode_check",
-    "save_code",
-    "load_code",
 ]
 
 FULL = "full"
@@ -105,7 +101,7 @@ class _Counter(NamedTuple):
 class _Family:
     """One code family.
 
-    ``params`` is the canonical parameter order (file headers, the
+    ``params`` is the canonical parameter order (CodeSpec.params, the
     lexicographic tie-break of best_coset); ``fixed`` names the parameters
     that are not residues (a modulus m or a period P).  ``layout(n, params)``
     reads only the fixed parameters and returns the modulus of each residue,
@@ -565,37 +561,3 @@ def subcode_check(inner: CodeSpec, outer: CodeSpec) -> bool:
     key, wanted = _coset(outer)
     return all(key(x) == wanted for x in members(inner))
 
-
-def _format_header(cs: CodeSpec) -> str:
-    kv = ",".join(f"{k}={v}" for k, v in cs.params)
-    return f"# family={cs.family} n={cs.n} params={kv}"
-
-
-def save_code(cs: CodeSpec, out: TextIO, words: Iterable[str] | None = None) -> int:
-    """Write the header plus one word per line; returns the word count."""
-    print(_format_header(cs), file=out)
-    count = 0
-    for x in members(cs) if words is None else words:
-        print(x, file=out)
-        count += 1
-    return count
-
-
-def load_code(src: TextIO) -> tuple[CodeSpec, list[str]]:
-    """Parse a code file back into its spec and word list.
-
-    Every word must have the header's length and belong to its code.
-    """
-    fields, words = read_word_file(src, "code file", ("family", "n"))
-    raw = fields.get("params", "")
-    items = key_values(raw.split(",") if raw else [], "params item")
-    params = {key: int(value) for key, value in items.items()}
-    n = int(fields["n"])
-    cs = spec(fields["family"], n, **params)
-    key, wanted = _coset(cs)
-    for word in words:
-        if len(word) != n:
-            raise ValueError(f"word {word} has length {len(word)}, header says n={n}")
-        if key(word) != wanted:
-            raise ValueError(f"word {word} is not a member of {_format_header(cs)[2:]}")
-    return cs, words

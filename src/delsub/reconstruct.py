@@ -166,8 +166,22 @@ def save_bundle(bundle: ReadBundle, out: TextIO) -> None:
 
 
 def load_bundle(src: TextIO) -> ReadBundle:
-    fields, reads = read_word_file(src, "read bundle", ("n", "N"))
-    count = int(fields["N"])
+    """Parse the save_bundle format back into a bundle.
+
+    At n = 1 the only read is the empty word, a blank line that the word
+    reader skips, so the header's N alone fixes the bundle.
+    """
+    fields, reads = read_word_file(src)
+    n, count = (_int_field(fields, key) for key in ("n", "N"))
+    if n == 1 and count == 1 and not reads:
+        reads = [""]
     if len(reads) != count:
         raise ValueError(f"header promises {count} reads, file has {len(reads)}")
-    return ReadBundle(n=int(fields["n"]), reads=tuple(reads))
+    return ReadBundle(n=n, reads=tuple(reads))
+
+
+def _int_field(fields: dict[str, str], key: str) -> int:
+    try:
+        return int(fields[key])
+    except ValueError:
+        raise ValueError(f"header field {key!r} is not an integer: {fields[key]!r}") from None

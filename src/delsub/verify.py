@@ -15,13 +15,13 @@ mask tables below make a ball intersection one AND plus a popcount.  The
 all-pairs sweeps of intersection bounds and claim tables go row by row (see
 _row_walk): the close pairs of a word x, those within Hamming distance two,
 with a shifted window, sharing a deletion or substitution per the tables,
-or sharing more than the generic ceiling, go through the per-pair checks
-one by one.  Each other pair is generic with a size the checks accept, so
-they would record nothing for it; it is counted in bulk, and its size
-folded into the maxima, from bit-sliced counts over the tables' column
-masks.  Distance and window do not read the tables, and the other terms
-read the same tables as the checks, so a faulty table cannot hide a pair
-on which a check would fire.
+or sharing more than the generic or the global ceiling, go through the
+per-pair checks one by one.  Each other pair is generic with a size the
+checks accept, so they would record nothing for it; it is counted in bulk,
+and its size folded into the maxima, from bit-sliced counts over the
+tables' column masks.  Distance and window do not read the tables, and the
+other terms read the same tables as the checks, so a faulty table cannot
+hide a pair on which a check would fire.
 """
 
 from __future__ import annotations
@@ -653,19 +653,22 @@ def _walk_mask(tab: _Tables, x: int, planes: list[int], limit: int, windows: boo
 
 
 def _row_walk(
-    tab: _Tables, lo: int, hi: int, limit: int, windows: bool
+    tab: _Tables, lo: int, hi: int, windows: bool
 ) -> Iterator[tuple[int, int, int, int]]:
     """Per row x in lo..hi: x, the mask of the y > x to walk (_walk_mask),
     the number of the other y > x, and the largest shared-ball size among
     those (-1 when there are none).
 
     Each other y is at Hamming distance three or more, shares no deletion
-    and no substitution with x, shares at most limit elements with it and,
-    with windows, is no shift partner of x.
+    and no substitution with x, shares no more elements with it than the
+    generic and the global ceiling allow and, with windows, is no shift
+    partner of x.  Both sweeps walk with this one limit.
     """
     bm = tab.bmask
     col_b = tab.columns().bmask
     full = (1 << len(bm)) - 1
+    generic = CASE_CEILINGS[GENERIC].ceiling(tab.n)
+    limit = min(generic, _global_ceiling(tab.n) or generic)
     for x in range(lo, hi):
         planes = _count_planes(col_b, bm[x])
         walk = _walk_mask(tab, x, planes, limit, windows)
@@ -695,10 +698,7 @@ def _bounds_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
     case_pairs: dict[str, int] = {}
     case_max: dict[str, int] = {}
     rows = _case_rows(n)
-    limit = CASE_CEILINGS[GENERIC].ceiling(n)
-    if bound_global is not None:
-        limit = min(limit, bound_global)
-    for x, walk, bulk, bulk_max in _row_walk(tab, lo, hi, limit, True):
+    for x, walk, bulk, bulk_max in _row_walk(tab, lo, hi, True):
         if bulk:
             pairs += bulk
             case_pairs[GENERIC] = case_pairs.get(GENERIC, 0) + bulk
@@ -987,7 +987,9 @@ def _check_transposition_pair(
     if set(rdx).intersection(rdy) != {d1, d2}:
         sink.add(x, y, "shared deletion set", 2, None)
 
-    s_term = _sub_set(d1, n - 1) | _sub_set(d2, n - 1)
+    sub1 = _sub_set(d1, n - 1)
+    sub2 = _sub_set(d2, n - 1)
+    s_term = sub1 | sub2
     if len(s_term) != 2 * n - 2:
         sink.add(x, y, "substitution term size", 2 * n - 2, len(s_term))
     dd1 = set(_run_dels(s1, n))
@@ -1002,8 +1004,8 @@ def _check_transposition_pair(
     if len(d_term) != want_d:
         sink.add(x, y, "deletion term size", want_d, len(d_term))
 
-    col3 = len(dd1 & _sub_set(d1, n - 1))
-    col4 = len(dd2 & _sub_set(d2, n - 1))
+    col3 = len(dd1 & sub1)
+    col4 = len(dd2 & sub2)
     cols = _table3(ra, rb, ca, cb, alpha)
     if cols is not None and (col3, col4) != cols:
         sink.add(x, y, "overlap columns", cols, (col3, col4))
@@ -1267,9 +1269,11 @@ def verify_intersection_bounds(
 def _identity_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
     """The size accounting of the pairs of rows lo..hi.
 
-    A pair the row walk leaves out is generic and within the generic
-    ceiling, so the per-pair body would only fold its size into the
-    extremal.
+    A pair the row walk leaves out is generic and within the generic and
+    global ceilings: both terms are empty, so containment holds and every
+    shared element is extra, and the per-pair body would only fold its size
+    into the extremal.  A walked generic pair gets the full body like any
+    other.
     """
     tab = _tables(n)
     runs = tab.runs
@@ -1280,9 +1284,8 @@ def _identity_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
     size = 1 << n
     extremal = -1
     sink = _Sink(n)
-    generic = CASE_CEILINGS[GENERIC].ceiling(n)
     rows = _case_rows(n)
-    for x, walk, _, bulk_max in _row_walk(tab, lo, hi, generic, False):
+    for x, walk, _, bulk_max in _row_walk(tab, lo, hi, False):
         if bulk_max > extremal:
             extremal = bulk_max
         bx = bm[x]
@@ -1296,11 +1299,6 @@ def _identity_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
             d_mask = dx & dm[y]
             s_mask = sx & sm[y]
             dh = (x ^ y).bit_count()
-            if not (d_mask or s_mask) and dh >= 3:
-                # generic: both terms empty, so the whole ball is extra
-                if b > generic:
-                    sink.add(x, y, "generic ceiling", generic, b)
-                continue
             s_term = 0
             for z in _bits(d_mask):
                 s_term |= prev[z]
@@ -1353,12 +1351,10 @@ def verify_claim_tables(n_max: int, *, jobs: int = 1) -> VerificationReport:
     All pairs up to length ten are decomposed into substitution term,
     deletion term, overlap, and extra elements, checking containment and
     the per-class term sizes and caps.  A generic pair (Hamming distance
-    at least three, no shared deletion, no shared substitution) has both
-    terms empty, so containment holds, every shared element is extra, and
-    only the generic ceiling (balls.CASE_CEILINGS) can fail; that is all it
-    is checked for.  A generic pair within that ceiling is not visited at
-    all: the row walk (_row_walk) folds its size into the extremal in bulk.
-    Any other pair, a faulty table's spurious shared deletion or
+    at least three, no shared deletion, no shared substitution) within the
+    generic and global ceilings is not visited: the row walk (_row_walk)
+    folds its size into the extremal in bulk, as for intersection bounds.
+    Every other pair, a faulty table's spurious shared deletion or
     substitution included, gets the full decomposition.  On top of that
     the four structured families are enumerated up to ``n_max`` and every
     tabulated quantity (term splits, overlap columns, extra-element counts,

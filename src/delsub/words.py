@@ -10,23 +10,19 @@ lexicographically is the same as sorting by the big-endian integer value
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import TextIO
 
 __all__ = [
     "AffixDecomposition",
     "parse_word",
-    "key_values",
     "read_word_file",
-    "encode",
     "decode",
     "hamming",
     "run_count",
     "weight",
-    "complement",
     "vt_syndrome",
     "inversion_number",
     "psi",
-    "psi_inverse",
     "common_affixes",
     "max_le2_periodic_length",
 ]
@@ -39,35 +35,25 @@ def parse_word(text: str) -> str:
     return text
 
 
-def key_values(items: Iterable[str], what: str) -> dict[str, str]:
-    """The "key=value" items as a dict.  An item without "=" and a key given
-    twice raise ValueError naming it; what names the kind of item."""
-    out: dict[str, str] = {}
-    for item in items:
-        if "=" not in item:
-            raise ValueError(f"{what} {item!r} lacks '='")
-        key, value = item.split("=", 1)
-        if key in out:
-            raise ValueError(f"{what} {key!r} is given twice")
-        out[key] = value
-    return out
-
-
-def read_word_file(
-    src: TextIO, what: str, required: tuple[str, ...]
-) -> tuple[dict[str, str], list[str]]:
-    """Read a "# key=value ..." header line, then one word per non-blank line.
+def read_word_file(src: TextIO) -> tuple[dict[str, str], list[str]]:
+    """Read a read bundle's "# key=value ..." header line, then one word per
+    non-blank line.
 
     Returns the header fields and the words in file order.  A missing
-    header or required field, a field given twice, a non-binary line and a
-    repeated word raise ValueError; what names the kind of file in the
-    first message.
+    header or "n"/"N" field, a field given twice, a non-binary line and a
+    repeated word raise ValueError.
     """
     header = src.readline().strip()
     if not header.startswith("# "):
-        raise ValueError(f"missing {what} header")
-    fields = key_values([item for item in header[2:].split(" ") if "=" in item], "header field")
-    for key in required:
+        raise ValueError("missing read bundle header")
+    fields: dict[str, str] = {}
+    for item in header[2:].split(" "):
+        if "=" in item:
+            key, value = item.split("=", 1)
+            if key in fields:
+                raise ValueError(f"header field {key!r} is given twice")
+            fields[key] = value
+    for key in ("n", "N"):
         if key not in fields:
             raise ValueError(f"header lacks {key!r} field")
     out: dict[str, None] = {}
@@ -81,13 +67,8 @@ def read_word_file(
     return fields, list(out)
 
 
-def encode(x: str) -> int:
-    """Big-endian integer value of a word; the empty word encodes to 0."""
-    return int(x, 2) if x else 0
-
-
 def decode(value: int, n: int) -> str:
-    """Inverse of :func:`encode` for words of length n."""
+    """The length-n word whose big-endian integer value is value."""
     if n == 0:
         return ""
     return format(value, f"0{n}b")
@@ -108,13 +89,6 @@ def run_count(x: str) -> int:
 
 def weight(x: str) -> int:
     return x.count("1")
-
-
-def complement(x: str) -> str:
-    return x.translate(_FLIP)
-
-
-_FLIP = str.maketrans("01", "10")
 
 
 def vt_syndrome(x: str, k: int) -> int:
@@ -150,16 +124,6 @@ def psi(x: str) -> str:
     for c in x:
         out.append("1" if c != prev else "0")
         prev = c
-    return "".join(out)
-
-
-def psi_inverse(y: str) -> str:
-    """Prefix-sum map inverting :func:`psi`."""
-    acc = 0
-    out = []
-    for c in y:
-        acc ^= c == "1"
-        out.append("1" if acc else "0")
     return "".join(out)
 
 

@@ -1,4 +1,3 @@
-import io
 import math
 from itertools import combinations, product
 
@@ -22,10 +21,8 @@ from delsub.codes import (
     contains,
     coset_key,
     default_period,
-    load_code,
     members,
     redundancy,
-    save_code,
     size,
     spec,
     subcode_check,
@@ -274,64 +271,3 @@ def test_cl_triples_have_empty_shared_ball():
                 ball_intersection(x, z, "ds")
             )
             assert not shared
-
-
-def test_save_load_roundtrip():
-    cs = spec(INV, 5, a=1, m=3)
-    buf = io.StringIO()
-    count = save_code(cs, buf)
-    buf.seek(0)
-    loaded, words = load_code(buf)
-    assert loaded == cs
-    assert len(words) == count == size(cs)
-    assert words == list(members(cs))
-
-
-def test_load_code_rejects_bad_header():
-    with pytest.raises(ValueError):
-        load_code(io.StringIO("0101\n"))
-    with pytest.raises(ValueError):
-        load_code(io.StringIO("# n=4 params=\n0101\n"))
-
-
-def test_load_code_rejects_a_repeated_word():
-    buf = io.StringIO()
-    save_code(spec(VT, 4, a=0), buf, words=["0000", "1011", "0000"])
-    buf.seek(0)
-    with pytest.raises(ValueError, match="word 0000 is listed twice"):
-        load_code(buf)
-
-
-def test_load_code_rejects_a_params_item_without_equals():
-    with pytest.raises(ValueError, match="params item 'm' lacks '='"):
-        load_code(io.StringIO("# family=inv n=5 params=a=1,m\n"))
-
-
-@pytest.mark.parametrize(
-    "header, message",
-    [
-        ("# family=inv n=5 params=a=0,a=1,m=3\n", "params item 'a' is given twice"),
-        ("# family=vt n=4 n=5 params=a=0\n", "header field 'n' is given twice"),
-    ],
-)
-def test_load_code_rejects_a_repeated_key(header, message):
-    with pytest.raises(ValueError, match=message):
-        load_code(io.StringIO(header))
-
-
-def test_load_code_rejects_word_of_wrong_length():
-    buf = io.StringIO()
-    save_code(spec(VT, 4, a=0), buf, words=["0000", "10010"])
-    buf.seek(0)
-    with pytest.raises(ValueError, match="10010"):
-        load_code(buf)
-
-
-def test_load_code_rejects_non_member():
-    cs = spec(VT, 4, a=0)
-    assert not contains(cs, "1000")
-    buf = io.StringIO()
-    save_code(cs, buf, words=["0000", "1000"])
-    buf.seek(0)
-    with pytest.raises(ValueError, match="1000"):
-        load_code(buf)

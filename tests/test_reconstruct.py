@@ -181,11 +181,26 @@ def test_bundle_roundtrip():
     assert load_bundle(buf) == bundle
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bundle_roundtrip_at_every_read_count(n):
+    # at n = 1 the only read is the empty word, saved as a blank line
+    for bits in product("01", repeat=n):
+        x = "".join(bits)
+        for count in range(len(ds_ball(x)) + 1):
+            bundle = collect_reads(x, count, seed=count)
+            buf = io.StringIO()
+            save_bundle(bundle, buf)
+            buf.seek(0)
+            assert load_bundle(buf) == bundle
+
+
 def test_load_bundle_rejects_bad_files():
     with pytest.raises(ValueError):
         load_bundle(io.StringIO("0101\n"))
     with pytest.raises(ValueError):
         load_bundle(io.StringIO("# n=4 N=2\n010\n"))
+    with pytest.raises(ValueError, match="header lacks 'N' field"):
+        load_bundle(io.StringIO("# n=4\n"))
 
 
 def test_load_bundle_rejects_a_length_below_one():
@@ -196,3 +211,12 @@ def test_load_bundle_rejects_a_length_below_one():
 def test_load_bundle_rejects_a_repeated_read():
     with pytest.raises(ValueError, match="word 010 is listed twice"):
         load_bundle(io.StringIO("# n=4 N=2\n010\n010\n"))
+
+
+@pytest.mark.parametrize(
+    "header, key, value", [("# n=abc N=1", "n", "abc"), ("# n=4 N=x2", "N", "x2")]
+)
+def test_load_bundle_names_a_non_integer_field(header, key, value):
+    message = f"header field '{key}' is not an integer: '{value}'"
+    with pytest.raises(ValueError, match=message):
+        load_bundle(io.StringIO(header + "\n010\n"))
