@@ -1,5 +1,5 @@
-"""Microseconds per pair of the claim-table and structured-family checkers,
-parent tree against this one.
+"""Microseconds per pair of the claim-table and structured-family checkers
+and of the code checks, parent tree against this one.
 
 Times ``verify._structured_chunk(kind, depth, n, params, lo, hi)`` for every
 structured kind at both check depths ("full" runs the claim-table checker,
@@ -15,11 +15,16 @@ chunks through a module global cannot be measured).  Each all-pairs cell
 also records, from a separate untimed pass that wraps
 ``verify._walk_mask``, how many pairs the row walk sent through the
 per-pair checks and how many it counted in bulk; a tree without a row walk
-walks every pair.  Each (n, kind) walks up to four evenly spaced windows of 64
-pairs for every parameter tuple of the family, the same windows at both
-depths, REPEATS times over, so that one timing of the fastest structured
-cell lasts about 0.1 s or more (a single pass of the all-pairs cells already
-takes longer).  The two source trees are measured in interleaved rounds
+walks every pair.  Each structured (n, kind) walks up to four evenly
+spaced windows of 64 pairs for every parameter tuple of the family, the
+same windows at both depths, REPEATS times over, so that one timing of the
+fastest structured cell lasts about 0.1 s or more (a single pass of the
+all-pairs cells already takes longer).  The code-check cells (kind: the
+theorem id, depth "code-check") time one
+``verify._code_chunk(theorem_id, n, cosets)`` call over every coset of the
+check's family, listed before timing as ``verify_code_theorem`` lists them
+(ascending members, sorted keys), at n = 12 for inv, c2n9, vt and cn21 and
+at n = 13 for inv; their pairs are the pairs inside the cosets.  The two source trees are measured in interleaved rounds
 (``rounds.py``), one timing per cell per round; the output keeps, per tree,
 every round, the median and the minimum.  It writes
 ``BENCH_structured_kernel.json`` at the repository root.
@@ -46,6 +51,7 @@ import rounds
 OUT = rounds.ROOT / "BENCH_structured_kernel.json"
 LENGTHS = (11, 14)
 ALL_PAIRS_N = 10
+CODE_CELLS = (("inv", 12), ("c2n9", 12), ("vt", 12), ("cn21", 12), ("inv", 13))
 DEPTHS = ("full", "ceiling")
 WINDOWS = 4
 WINDOW_PAIRS = 64
@@ -63,6 +69,16 @@ def _windows(verify, kind: str, n: int) -> list[tuple[tuple[int, ...], int, int]
         starts = sorted({i * total // WINDOWS for i in range(WINDOWS)})
         out.extend((params, lo, min(lo + WINDOW_PAIRS, total)) for lo in starts)
     return out
+
+
+def _cosets(verify, theorem_id: str, n: int) -> list[list[int]]:
+    key_of, _ = verify.codes.coset_key(verify.CODE_CHECKS[theorem_id].family, n)
+    buckets: dict[tuple[int, ...], list[int]] = {}
+    for x in range(1 << n):
+        key = key_of(verify.to_word(x, n))
+        if key is not None:
+            buckets.setdefault(key, []).append(x)
+    return [buckets[key] for key in sorted(buckets)]
 
 
 def _walked_pairs(verify, chunk, n: int, pairs: int) -> int:
@@ -107,6 +123,15 @@ def _worker(src: str) -> dict:
         digest.update(json.dumps(result, sort_keys=True).encode())
         walked = _walked_pairs(verify, chunk, n, pairs)
         cells.append((n, kind, "all-pairs", pairs, walked, seconds / pairs * 1e6))
+    for theorem_id, n in CODE_CELLS:
+        cosets = _cosets(verify, theorem_id, n)
+        pairs = sum(len(m) * (len(m) - 1) // 2 for m in cosets)
+        verify._tables(n)
+        t0 = time.perf_counter()
+        result = verify._code_chunk(theorem_id, n, cosets)
+        seconds = time.perf_counter() - t0
+        digest.update(json.dumps(result, sort_keys=True).encode())
+        cells.append((n, theorem_id, "code-check", pairs, pairs, seconds / pairs * 1e6))
     for n in LENGTHS:
         for kind in verify._FAMILY_KINDS:
             windows = _windows(verify, kind, n) * REPEATS

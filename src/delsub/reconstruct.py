@@ -14,6 +14,7 @@ deterministic and portable across platforms for a fixed seed.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -181,7 +182,8 @@ def load_bundle(src: TextIO) -> ReadBundle:
 
 
 def _int_field(fields: dict[str, str], key: str) -> int:
-    try:
-        return int(fields[key])
-    except ValueError:
-        raise ValueError(f"header field {key!r} is not an integer: {fields[key]!r}") from None
+    # int() would also take '+1', '0_4', ' 4' and non-ASCII digits such as '٤'
+    value = fields[key]
+    if re.fullmatch("-?[0-9]+", value) is None:
+        raise ValueError(f"header field {key!r} is not an integer: {value!r}")
+    return int(value)

@@ -32,8 +32,9 @@ import math
 import multiprocessing
 import random
 import time
+from array import array
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import codes
 from .balls import (
@@ -210,21 +211,20 @@ def _sub_masks(n: int) -> list[int]:
     return out
 
 
-def _columns(rows: list[int]) -> list[int]:
-    """Column z of the bit matrix whose row y is rows[y]: the mask of the y
-    whose row holds z."""
-    width = max(rows).bit_length()
-    members: list[list[int]] = [[] for _ in range(width)]
+def _columns(rows: Iterable[Iterable[int]], height: int, width: int) -> list[int]:
+    """Column z < width of the bit matrix whose row y < height holds the
+    elements rows[y]: the mask of the y whose row holds z."""
+    size = (height + 7) >> 3
+    cols: list[Any] = [bytearray(size) for _ in range(width)]
     for y, row in enumerate(rows):
-        for z in _bits(row):
-            members[z].append(y)
-    out = []
-    for ys in members:
-        buf = bytearray((len(rows) + 7) >> 3)
-        for y in ys:
-            buf[y >> 3] |= 1 << (y & 7)
-        out.append(int.from_bytes(buf, "little"))
-    return out
+        byte = y >> 3
+        bit = 1 << (y & 7)
+        for z in row:
+            cols[z][byte] |= bit
+    # in place, so that each buffer is freed as its column is made
+    for z, buf in enumerate(cols):
+        cols[z] = int.from_bytes(buf, "little")
+    return cols
 
 
 class _Columns(NamedTuple):
@@ -266,8 +266,11 @@ class _Tables:
 
     def columns(self) -> _Columns:
         if self._cols is None:
+            words = 1 << self.n
             self._cols = _Columns(
-                _columns(self.dmask), _columns(self.smask), _columns(self.bmask)
+                _columns(map(_bits, self.dmask), words, words >> 1),
+                _columns(map(_bits, self.smask), words, words),
+                _columns(map(_bits, self.bmask), words, words >> 1),
             )
         return self._cols
 
@@ -583,19 +586,33 @@ def _shift_partners(x: int, n: int) -> Iterator[int]:
                 yield x ^ (down & ((1 << hi) - (1 << lo))) ^ (1 << hi)
 
 
-def _count_planes(columns: list[int], row: int) -> list[int]:
-    """The sum over z in row of columns[z], bit-sliced: plane k holds bit k
-    of every word's count.  No count exceeds the bits in row, so that many
-    planes never overflow."""
-    planes = [0] * row.bit_count().bit_length()
-    for z in _bits(row):
-        carry = columns[z]
-        k = 0
-        while carry:
-            plane = planes[k]
-            planes[k] = plane ^ carry
-            carry &= plane
-            k += 1
+def _count_planes(columns: list[int], row: Sequence[int]) -> list[int]:
+    """The sum over the elements z of row of columns[z], bit-sliced: plane k
+    holds bit k of every word's count, and there are len(row).bit_length()
+    planes.
+
+    Carry-save addition: plane k is the sum of the terms of weight 2^k,
+    folded in full adders two terms at a time; the adders' carries are the
+    terms of weight 2^(k + 1).  Each level has at most half the terms of
+    the one before.
+    """
+    terms = [columns[z] for z in row]
+    planes = []
+    while terms:
+        acc = terms[0]
+        carries = []
+        for i in range(1, len(terms) - 1, 2):
+            b = terms[i]
+            c = terms[i + 1]
+            t = acc ^ b
+            carries.append((acc & b) | (t & c))
+            acc = t ^ c
+        if not len(terms) & 1:
+            b = terms[-1]
+            carries.append(acc & b)
+            acc ^= b
+        planes.append(acc)
+        terms = carries
     return planes
 
 
@@ -670,7 +687,7 @@ def _row_walk(
     generic = CASE_CEILINGS[GENERIC].ceiling(tab.n)
     limit = min(generic, _global_ceiling(tab.n) or generic)
     for x in range(lo, hi):
-        planes = _count_planes(col_b, bm[x])
+        planes = _count_planes(col_b, _bits(bm[x]))
         walk = _walk_mask(tab, x, planes, limit, windows)
         rest = (full & -(2 << x)) & ~walk
         yield x, walk, rest.bit_count(), _count_max(planes, rest) if rest else -1
@@ -1563,15 +1580,33 @@ CODE_CHECKS: dict[str, _CodeCheck] = {
 }
 
 
-# below this many pairs inside the cosets a two-worker fork pool costs about as
-# much as it saves (2 cores: a tie at 347k pairs, 28 % faster at 1.05M); every
-# cl check up to n = 14 stays in one process
+# below this many pairs inside the cosets a two-worker fork pool costs more
+# than it saves.  jobs=1 over jobs=2 time, medians of 7-9 on 2 cores: 0.54-0.86
+# from 66k to 408k pairs; at 1.05M, 0.70-1.02 for inv 11 (two cosets of about
+# 0.05 s each on the row route) and 0.96-1.40 for c2n9 12; 1.40-1.88 from 1.2M
+# up.  Every cl check up to n = 14 stays in one process.
 _CODE_FORK_MIN_PAIRS = 1 << 19
+
+# cosets of at least this many members are counted a row at a time (see
+# _code_chunk).  Pair loop over row route time per coset, medians of 7
+# (2 cores): 0.63-0.69 at vt 13's 316 members, 0.83-0.84 at c2n9 10's 287,
+# 0.98-1.11 at cn21 13's 489-495, 1.08-1.25 at inv 10's 496-528, 1.13-1.20 at
+# vt 14's 585-586, 1.43-1.92 at c2n9 11's 594-682 and 1.4-2.3 from 790 up
+_CODE_ROW_MIN_MEMBERS = 512
 
 
 def _code_chunk(theorem_id: str, n: int, cosets: list[list[int]]) -> dict[str, Any]:
-    """Pairwise ceiling of a run of cosets, each given as its members; for cl
-    also bad elements and triples."""
+    """Pairwise ceiling of a run of cosets, each given as its ascending
+    members; for cl also bad elements and triples.
+
+    A coset of cl, or of fewer than _CODE_ROW_MIN_MEMBERS members, goes pair
+    by pair.  A larger one goes a row at a time: its shared-ball sizes with
+    every later member are summed, bit-sliced, over columns built once in
+    member-rank space, and the row's extremal, equality cases and ceiling
+    counterexamples (ascending, with their exact sizes) are read off the
+    planes.  Both routes give the same counts and counterexamples in the
+    same order.
+    """
     bm = _tables(n).bmask
     dels = _dels_by_position(n) if theorem_id == "cl" else None
     side = WITNESS_CONVENTIONS.index(DEFAULT_WITNESS_CONVENTION)
@@ -1583,6 +1618,26 @@ def _code_chunk(theorem_id: str, n: int, cosets: list[list[int]]) -> dict[str, A
     eq = 0
     for members in cosets:
         k = len(members)
+        if dels is None and k >= _CODE_ROW_MIN_MEMBERS:
+            # elements are below 2^(n - 1) <= 2^13: two bytes each, not an int object
+            rows = [array("H", _bits(bm[x])) for x in members]
+            cols = _columns(rows, k, 1 << (n - 1))
+            full = (1 << k) - 1
+            for i in range(k - 1):
+                x = members[i]
+                bx = bm[x]
+                planes = _count_planes(cols, rows[i])
+                later = full & -(2 << i)
+                pairs += k - 1 - i
+                b = _count_max(planes, later)
+                if b > extremal:
+                    extremal = b
+                above = _count_above(planes, bound) & later
+                eq += (_count_above(planes, bound - 1) & later & ~above).bit_count()
+                for j in _bits(above):
+                    y = members[j]
+                    sink.add(x, y, "pairwise ceiling", bound, (bx & bm[y]).bit_count())
+            continue
         for i in range(k):
             x = members[i]
             bx = bm[x]
@@ -1624,6 +1679,9 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
     based families, matching their redundancy targets); the sorted coset
     keys are split into at most 64 runs, one task each, forked over ``jobs``
     workers only when the cosets hold at least _CODE_FORK_MIN_PAIRS pairs.
+    A task checks a coset pair by pair, or, from _CODE_ROW_MIN_MEMBERS
+    members on and for every family but cl, a row at a time from bit-sliced
+    column sums (_code_chunk); the report is the same either way.
     The largest bucket must have the size the code's counting DP gives its
     coset.  The parity+VT construction additionally requires empty triple
     intersections and that every shared pair element is bad, and reports

@@ -326,6 +326,15 @@ def test_decode_names_a_non_integer_header_field(tmp_path, capsys):
     assert err == "delsub: error: header field 'n' is not an integer: 'abc'\n"
 
 
+def test_decode_rejects_an_underscored_header_integer(tmp_path, capsys):
+    bundle = tmp_path / "reads.txt"
+    bundle.write_text("# n=0_4 N=1\n0101\n")
+    code, out, err = run(capsys, "decode", "--bundle", str(bundle), "--family", "full")
+    assert code == 2
+    assert out == ""
+    assert err == "delsub: error: header field 'n' is not an integer: '0_4'\n"
+
+
 def test_simulate_decode_roundtrip_at_length_one(tmp_path, capsys):
     bundle = tmp_path / "reads.txt"
     code, _, _ = run(capsys, "simulate", "--word", "0", "--N", "1",

@@ -1,5 +1,6 @@
 import io
 import random
+import re
 from itertools import product
 
 import pytest
@@ -214,9 +215,16 @@ def test_load_bundle_rejects_a_repeated_read():
 
 
 @pytest.mark.parametrize(
-    "header, key, value", [("# n=abc N=1", "n", "abc"), ("# n=4 N=x2", "N", "x2")]
+    "header, key, value",
+    [
+        ("# n=abc N=1", "n", "abc"),
+        ("# n=4 N=x2", "N", "x2"),
+        ("# n=0_4 N=1", "n", "0_4"),
+        ("# n=4 N=+1", "N", "+1"),
+        ("# n=\u0664 N=1", "n", "\u0664"),
+    ],
 )
 def test_load_bundle_names_a_non_integer_field(header, key, value):
     message = f"header field '{key}' is not an integer: '{value}'"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_bundle(io.StringIO(header + "\n010\n"))

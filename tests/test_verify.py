@@ -260,6 +260,26 @@ def test_row_walk_matches_the_every_pair_sweep(monkeypatch, corrupt):
     assert chunks() == walked
 
 
+def test_bit_sliced_counts_are_the_shared_ball_sizes():
+    n = 7
+    tab = verify._Tables(n)
+    bm = tab.bmask
+    cols = tab.columns().bmask
+    for x in range(1 << n):
+        planes = verify._count_planes(cols, verify._bits(bm[x]))
+        assert len(planes) == bm[x].bit_count().bit_length()
+        sizes = [(bm[x] & bm[y]).bit_count() for y in range(1 << n)]
+        for y, size in enumerate(sizes):
+            assert sum((plane >> y & 1) << k for k, plane in enumerate(planes)) == size
+        for limit in (0, 5, 12, 40):
+            assert verify._count_above(planes, limit) == sum(
+                1 << y for y, size in enumerate(sizes) if size > limit
+            )
+        later = ((1 << (1 << n)) - 1) & -(2 << x)
+        if later:
+            assert verify._count_max(planes, later) == max(sizes[x + 1:])
+
+
 def test_run_dels_span_the_deletion_ball():
     for n in range(1, 13):
         for x in range(1 << n):
@@ -487,6 +507,48 @@ def test_code_theorem_inversion_parity_holds_at_crossover():
     report = verify_code_theorem("inv", 13)
     assert report.status == "PASS"
     assert report.extremal_observed == report.bound == 34
+
+
+def _code_reports_by_route(monkeypatch, families, lengths):
+    # every coset on the row route, then every coset on the pair loop
+    out = []
+    for switch in (0, 1 << 40):
+        monkeypatch.setattr(verify, "_CODE_ROW_MIN_MEMBERS", switch)
+        out.append([verify_code_theorem(f, n).to_json() for f in families for n in lengths])
+    return out
+
+
+def test_code_row_route_matches_the_pair_loop(monkeypatch):
+    # cl never takes the row route: it also checks every shared element
+    rows, pairs = _code_reports_by_route(
+        monkeypatch, ("vt", "inv", "c2n9", "cn21", "cl"), range(2, 12)
+    )
+    assert rows == pairs
+
+
+def test_code_row_route_matches_the_pair_loop_on_faulty_tables(monkeypatch):
+    # the 32 lowest length-9 words join the ball of every word x = 1 (mod 5),
+    # so the pairwise ceiling fails far more often than the counterexample cap
+    real = verify._tables
+    tab = verify._Tables(10)
+    for x in range(1, 1 << 10, 5):
+        tab.bmask[x] |= (1 << 32) - 1
+    monkeypatch.setattr(verify, "_tables", lambda n: tab if n == 10 else real(n))
+    monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
+    families = ("vt", "inv", "c2n9", "cn21")
+    rows, pairs = _code_reports_by_route(monkeypatch, families, (10,))
+    assert rows == pairs
+    for report in rows:
+        ces = json.loads(report)["counterexamples"]
+        assert len(ces) > 32
+        assert {c["check"] for c in ces} == {"pairwise ceiling"}
+
+
+def test_code_row_route_reports_are_byte_identical_across_jobs(monkeypatch):
+    monkeypatch.setattr(verify, "_CODE_ROW_MIN_MEMBERS", 0)
+    one = verify_code_theorem("inv", 11, jobs=1)
+    assert one.pairs_checked >= verify._CODE_FORK_MIN_PAIRS
+    assert verify_code_theorem("inv", 11, jobs=2).to_json() == one.to_json()
 
 
 def test_code_theorem_rejects_unknown_id():
