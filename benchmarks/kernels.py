@@ -24,9 +24,10 @@ theorem id, depth "code-check") time one
 ``verify._code_chunk(theorem_id, n, cosets)`` call over every coset of the
 check's family, listed before timing as ``verify_code_theorem`` lists them
 (ascending members, sorted keys), at n = 12 for inv, c2n9, vt and cn21 and
-at n = 13 for inv; their pairs are the pairs inside the cosets.  The two source trees are measured in interleaved rounds
-(``rounds.py``), one timing per cell per round; the output keeps, per tree,
-every round, the median and the minimum.  It writes
+at n = 13 for inv; their pairs are the pairs inside the cosets.  The two
+source trees are measured in interleaved rounds (``rounds.py``), one
+timing per cell per round; the output keeps, per tree, every round, the
+median and the minimum.  It writes
 ``BENCH_structured_kernel.json`` at the repository root.
 Standard library only:
 

@@ -1583,7 +1583,7 @@ CODE_CHECKS: dict[str, _CodeCheck] = {
 # below this many pairs inside the cosets a two-worker fork pool costs more
 # than it saves.  jobs=1 over jobs=2 time, medians of 7-9 on 2 cores: 0.54-0.86
 # from 66k to 408k pairs; at 1.05M, 0.70-1.02 for inv 11 (two cosets of about
-# 0.05 s each on the row route) and 0.96-1.40 for c2n9 12; 1.40-1.88 from 1.2M
+# 0.05 s each on the row route) and 0.96-1.40 for c2n9 12; 0.96-1.88 from 1.2M
 # up.  Every cl check up to n = 14 stays in one process.
 _CODE_FORK_MIN_PAIRS = 1 << 19
 

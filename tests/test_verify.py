@@ -535,8 +535,7 @@ def test_code_row_route_matches_the_pair_loop_on_faulty_tables(monkeypatch):
         tab.bmask[x] |= (1 << 32) - 1
     monkeypatch.setattr(verify, "_tables", lambda n: tab if n == 10 else real(n))
     monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
-    families = ("vt", "inv", "c2n9", "cn21")
-    rows, pairs = _code_reports_by_route(monkeypatch, families, (10,))
+    rows, pairs = _code_reports_by_route(monkeypatch, ("vt", "inv", "c2n9", "cn21"), (10,))
     assert rows == pairs
     for report in rows:
         ces = json.loads(report)["counterexamples"]
