@@ -24,7 +24,13 @@ theorem id, depth "code-check") time one
 ``verify._code_chunk(theorem_id, n, cosets)`` call over every coset of the
 check's family, listed before timing as ``verify_code_theorem`` lists them
 (ascending members, sorted keys), at n = 12 for inv, c2n9, vt and cn21 and
-at n = 13 for inv; their pairs are the pairs inside the cosets.  The two
+at n = 13 for inv; their pairs are the pairs inside the cosets.  The
+bad-count cells (kind "bad-count", depth "all-pairs") time one
+``verify._bad_chunk("pre", n, lo, hi)`` pass over every
+``verify._spans(2^n)`` range at n = 8 and n = 10; the worker fills
+``verify._dels_by_position(n)``, and the witness-summary cache
+``verify._witness_summaries(n)`` where the tree has one, before timing.
+Every pair counts as walked there: that chunk has no bulk count.  The two
 source trees are measured in interleaved rounds (``rounds.py``), one
 timing per cell per round; the output keeps, per tree, every round, the
 median and the minimum.  It writes
@@ -53,6 +59,7 @@ OUT = rounds.ROOT / "BENCH_structured_kernel.json"
 LENGTHS = (11, 14)
 ALL_PAIRS_N = 10
 CODE_CELLS = (("inv", 12), ("c2n9", 12), ("vt", 12), ("cn21", 12), ("inv", 13))
+BAD_COUNT_LENGTHS = (8, 10)
 DEPTHS = ("full", "ceiling")
 WINDOWS = 4
 WINDOW_PAIRS = 64
@@ -124,6 +131,18 @@ def _worker(src: str) -> dict:
         digest.update(json.dumps(result, sort_keys=True).encode())
         walked = _walked_pairs(verify, chunk, n, pairs)
         cells.append((n, kind, "all-pairs", pairs, walked, seconds / pairs * 1e6))
+    for n in BAD_COUNT_LENGTHS:
+        size = 1 << n
+        pairs = size * (size - 1) // 2
+        verify._tables(n)
+        verify._dels_by_position(n)
+        if hasattr(verify, "_witness_summaries"):
+            verify._witness_summaries(n)
+        t0 = time.perf_counter()
+        results = [verify._bad_chunk("pre", n, lo, hi) for lo, hi in verify._spans(size)]
+        seconds = time.perf_counter() - t0
+        digest.update(json.dumps(results, sort_keys=True).encode())
+        cells.append((n, "bad-count", "all-pairs", pairs, pairs, seconds / pairs * 1e6))
     for theorem_id, n in CODE_CELLS:
         cosets = _cosets(verify, theorem_id, n)
         pairs = sum(len(m) * (len(m) - 1) // 2 for m in cosets)

@@ -7,9 +7,9 @@ merge in partition order, and timing is kept out of the canonical output.
 Each task keeps its first 32 counterexamples, and a report keeps the first 32
 of them all in partition order.  A task is a plain (function, *args) tuple
 that carries all of its per-call inputs; the per-length caches _tables(n),
-with its column masks, and _dels_by_position(n) are read by the task
-functions themselves, and each verifier fills them before it forks, so
-workers inherit them copy-on-write.
+with its column masks, _dels_by_position(n) and the witness summaries
+_witness_summaries(n) are read by the task functions themselves, and each
+verifier fills them before it forks, so workers inherit them copy-on-write.
 Words travel through the hot loops as big-endian integers; the per-length
 mask tables below make a ball intersection one AND plus a popcount.  The
 all-pairs sweeps of intersection bounds and claim tables go row by row (see
@@ -1450,9 +1450,76 @@ def _good(wx: tuple[int, ...], wy: tuple[int, ...], z: int, n: int) -> tuple[boo
     return good_pre, good_post
 
 
+@functools.cache
+def _witness_summaries(n: int) -> list[dict[int, tuple[int, ...]]]:
+    """Per word x of length n, per z in B(x): the summary
+    (min i, max i, lo, pre hi, post hi) of the witnesses
+    _witness_list(dels[x], z, n), dels = _dels_by_position(n).
+
+    i runs over the deletion positions that reach z; lo is the least flip
+    index p < i over those witnesses and hi the greatest p > i, n and 0 when
+    there is none.  A flip below the deletion has the same index in pre- and
+    post-deletion coordinates, so one lo serves both conventions.  The
+    positions s..e of one run of x all delete to one word w, which reaches w
+    itself and w with post-deletion position q flipped: p = q < i for the
+    i > q, and p = q + 1 ("pre") or q ("post") is above i for the i <= q
+    ("pre") or i < q ("post").
+    """
+    flips = [(1 << b, n - 1 - b) for b in range(n - 1)]
+    # the tables share one key object per element and one tuple per distinct
+    # summary, which keeps them about four times smaller
+    keys = list(range(1 << (n - 1)))
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    out = []
+    for dels in _dels_by_position(n):
+        acc: dict[int, list[int]] = {}
+        s = 1
+        for e, w in enumerate(dels, 1):
+            if e < n and dels[e] == w:
+                continue
+            items = [(w ^ f, q if e > q else n, q + 1 if s <= q else 0, q if s < q else 0)
+                     for f, q in flips]
+            items.append((w, n, 0, 0))
+            for z, lo, pre_hi, post_hi in items:
+                cur = acc.get(z)
+                if cur is None:
+                    acc[z] = [s, e, lo, pre_hi, post_hi]
+                    continue
+                cur[1] = e
+                if lo < cur[2]:
+                    cur[2] = lo
+                if pre_hi > cur[3]:
+                    cur[3] = pre_hi
+                if post_hi > cur[4]:
+                    cur[4] = post_hi
+            s = e + 1
+        table = {}
+        for z, v in acc.items():
+            t = tuple(v)
+            table[keys[z]] = shared.setdefault(t, t)
+        out.append(table)
+    return out
+
+
 def _bad_chunk(convention: str, n: int, lo: int, hi: int) -> dict[str, Any]:
+    """Bad shared elements of the generic pairs x < y with lo <= x < hi.
+
+    A shared element z is good under a convention when some witness (i, p)
+    of x and j of y, or i of x and (j, p) of y, puts the flip p below both
+    i and j or above both (_outside).  Some j of y is above a p < i of x
+    exactly when x's lo is below y's max j, and some j is below a p > i
+    exactly when x's hi is above y's min j; y's flips are symmetric.  So z
+    is good when lo(x) < max j(y), lo(y) < max i(x), hi(x) > min j(y) or
+    hi(y) > min i(x), with the hi of the convention: four comparisons of the
+    two words' witness summaries (_witness_summaries), which is what _good
+    finds by trying every witness pair.  An element of the tables' shared
+    ball that no deletion of a word reaches has no witnesses there, so it is
+    bad under both conventions.
+    """
     tab = _tables(n)
-    dels = _dels_by_position(n)
+    summaries = _witness_summaries(n)
+    # the summary of no witnesses: every comparison with it fails
+    absent = (n + 1, 0, n, 0, 0)
     dm = tab.dmask
     bm = tab.bmask
     size = 1 << n
@@ -1466,7 +1533,7 @@ def _bad_chunk(convention: str, n: int, lo: int, hi: int) -> dict[str, Any]:
     for x in range(lo, hi):
         dx = dm[x]
         bx = bm[x]
-        wx = dels[x]
+        sx = summaries[x]
         for y in range(x + 1, size):
             if (x ^ y).bit_count() < 3 or dx & dm[y]:
                 continue
@@ -1475,16 +1542,24 @@ def _bad_chunk(convention: str, n: int, lo: int, hi: int) -> dict[str, Any]:
             if not inter:
                 continue
             seen += 1
-            wy = dels[y]
+            sy = summaries[y]
             bad_pre = 0
             bad_post = 0
-            elements = _bits(inter)
-            if len(elements) > generic:
-                sink.add(x, y, "generic ceiling", generic, len(elements))
-            for z in elements:
-                good_pre, good_post = _good(wx, wy, z, n)
-                bad_pre += not good_pre
-                bad_post += not good_post
+            shared = inter.bit_count()
+            if shared > generic:
+                sink.add(x, y, "generic ceiling", generic, shared)
+            # highest element first; the counts do not depend on the order
+            while inter:
+                z = inter.bit_length() - 1
+                inter ^= 1 << z
+                ix, jx, lx, px, qx = sx.get(z, absent)
+                iy, jy, ly, py, qy = sy.get(z, absent)
+                if lx < jy or ly < jx:
+                    continue
+                if px <= iy and py <= ix:
+                    bad_pre += 1
+                if qx <= iy and qy <= ix:
+                    bad_post += 1
             if bad_pre > max_pre:
                 max_pre = bad_pre
             if bad_post > max_post:
@@ -1514,6 +1589,12 @@ def verify_bad_count(
     outside the deletion interval; flips are read in pre-deletion
     coordinates under "pre" and post-deletion coordinates under "post".
     Both maxima are reported, the declared convention decides pass/fail.
+    Each shared element costs four comparisons per convention of per-word
+    witness summaries, built before the fork (see _bad_chunk): a word's
+    flips make the element good exactly when its least flip below a
+    deletion lies below the other word's last deletion position, or its
+    greatest flip above one lies above the other's first, which is
+    _outside taken over every witness pair.
     """
     t0 = time.monotonic()
     if convention not in WITNESS_CONVENTIONS:
@@ -1528,7 +1609,7 @@ def verify_bad_count(
             {"convention": convention}, skipped=True,
         )
     _tables(n)
-    _dels_by_position(n)
+    _witness_summaries(n)
     parts = _map_tasks([(_bad_chunk, convention, n, lo, hi) for lo, hi in _spans(1 << n)], jobs)
     sink = _Sink(n)
     pairs, extremal, eq = _merge(parts, sink)

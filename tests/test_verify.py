@@ -475,6 +475,118 @@ def test_good_agrees_with_is_bad_on_every_generic_pair(n):
             assert _good(dels[int(x, 2)], dels[int(y, 2)], int(z, 2), n) == want, (x, y, z)
 
 
+def _summary_of(triples, n):
+    # (min i, max i, lo, pre hi, post hi) read straight off a witness list
+    lo = {c: min((p for i, p in pos if p is not None and p < i), default=n)
+          for c, pos in (("pre", [(i, p) for i, p, _ in triples]),
+                         ("post", [(i, q) for i, _, q in triples]))}
+    assert lo["pre"] == lo["post"]
+    highs = [max((p for i, p in pos if p is not None and p > i), default=0)
+             for pos in ([(i, p) for i, p, _ in triples], [(i, q) for i, _, q in triples])]
+    starts = [i for i, _, _ in triples]
+    return (min(starts), max(starts), lo["pre"], *highs)
+
+
+def test_witness_summaries_are_the_witness_list_extremes():
+    for n in range(1, 9):
+        dels = _dels_by_position(n)
+        summaries = verify._witness_summaries(n)
+        bm = verify._tables(n).bmask
+        for x in range(1 << n):
+            assert sorted(summaries[x]) == verify._bits(bm[x])
+            for z, summary in summaries[x].items():
+                assert summary == _summary_of(_witness_list(dels[x], z, n), n), (n, x, z)
+
+
+def test_four_comparisons_decide_goodness_on_every_pair():
+    # the _bad_chunk rule, on every pair and shared element, generic or not
+    for n in range(2, 8):
+        dels = _dels_by_position(n)
+        summaries = verify._witness_summaries(n)
+        bm = verify._tables(n).bmask
+        for x in range(1 << n):
+            for y in range(x, 1 << n):
+                for z in verify._bits(bm[x] & bm[y]):
+                    ix, jx, lx, px, qx = summaries[x][z]
+                    iy, jy, ly, py, qy = summaries[y][z]
+                    low = lx < jy or ly < jx
+                    got = (low or px > iy or py > ix, low or qx > iy or qy > ix)
+                    assert got == _good(dels[x], dels[y], z, n), (n, x, y, z)
+
+
+def _bad_chunk_by_pairs(convention, n, lo, hi):
+    # _bad_chunk without witness summaries: each shared element through _good
+    tab = verify._tables(n)
+    dels = _dels_by_position(n)
+    generic = CASE_CEILINGS[GENERIC].ceiling(n)
+    side = ("pre", "post").index(convention)
+    sink = verify._Sink(n)
+    pairs = seen = eq = 0
+    max_bad = [0, 0]
+    for x in range(lo, hi):
+        for y in range(x + 1, 1 << n):
+            if (x ^ y).bit_count() < 3 or tab.dmask[x] & tab.dmask[y]:
+                continue
+            pairs += 1
+            elements = verify._bits(tab.bmask[x] & tab.bmask[y])
+            if not elements:
+                continue
+            seen += 1
+            if len(elements) > generic:
+                sink.add(x, y, "generic ceiling", generic, len(elements))
+            good = [_good(dels[x], dels[y], z, n) for z in elements]
+            bad = [sum(not g[k] for g in good) for k in (0, 1)]
+            max_bad = [max(m, b) for m, b in zip(max_bad, bad)]
+            if bad[side] == 6:
+                eq += 1
+            elif bad[side] > 6:
+                sink.add(x, y, "bad element count", 6, bad[side])
+    return {
+        "pairs": pairs,
+        "seen": seen,
+        "max_bad": {"pre": max_bad[0], "post": max_bad[1]},
+        "extremal": max_bad[side],
+        "eq": eq,
+        "ces": sink.ces,
+    }
+
+
+def _bad_count_by_route(monkeypatch, n, convention):
+    # witness summaries at jobs 1 and 2, then pair by pair through _good
+    out = [verify_bad_count(n, convention=convention, jobs=jobs).to_json() for jobs in (1, 2)]
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_bad_chunk", _bad_chunk_by_pairs)
+        out.append(verify_bad_count(n, convention=convention).to_json())
+    return out
+
+
+@pytest.mark.parametrize("convention", ["pre", "post"])
+@pytest.mark.parametrize("n", range(3, 10))
+def test_bad_count_summaries_match_the_witness_loop(monkeypatch, n, convention):
+    summaries, forked, by_pairs = _bad_count_by_route(monkeypatch, n, convention)
+    assert summaries == forked == by_pairs
+
+
+@pytest.mark.parametrize("convention", ["pre", "post"])
+def test_bad_count_summaries_match_the_witness_loop_on_faulty_tables(monkeypatch, convention):
+    # the 32 lowest length-7 words join the ball of every word x = 1 (mod 5);
+    # no deletion of x reaches most of them, so they are bad under both
+    # conventions, and the pairs of such words share more than 30 elements
+    real = verify._tables
+    tab = verify._Tables(8)
+    for x in range(1, 256, 5):
+        tab.bmask[x] |= (1 << 32) - 1
+    monkeypatch.setattr(verify, "_tables", lambda n: tab if n == 8 else real(n))
+    monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
+    summaries, forked, by_pairs = _bad_count_by_route(monkeypatch, 8, convention)
+    assert summaries == forked == by_pairs
+    report = json.loads(summaries)
+    checks = Counter(c["check"] for c in report["counterexamples"])
+    assert checks["bad element count"] > 0
+    assert checks["generic ceiling"] > 0
+    assert report["equality_cases"] > 0
+
+
 def test_code_theorem_vt_frozen_n8():
     report = verify_code_theorem("vt", 8)
     assert report.status == "PASS"
