@@ -80,12 +80,17 @@ def _windows(verify, kind: str, n: int) -> list[tuple[tuple[int, ...], int, int]
 
 
 def _cosets(verify, theorem_id: str, n: int) -> list[list[int]]:
-    key_of, _ = verify.codes.coset_key(verify.CODE_CHECKS[theorem_id].family, n)
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for x in range(1 << n):
-        key = key_of(verify.to_word(x, n))
-        if key is not None:
-            buckets.setdefault(key, []).append(x)
+    family = verify.CODE_CHECKS[theorem_id].family
+    cosets = getattr(verify.codes, "cosets", None)
+    if cosets is not None:
+        buckets = cosets(family, n)[0]
+    else:  # a tree from before codes.cosets
+        key_of, _ = verify.codes.coset_key(family, n)
+        buckets = {}
+        for x in range(1 << n):
+            key = key_of(verify.to_word(x, n))
+            if key is not None:
+                buckets.setdefault(key, []).append(x)
     return [buckets[key] for key in sorted(buckets)]
 
 

@@ -2,18 +2,19 @@
 
 Every family is one record in :data:`_FAMILIES`: its parameters in canonical
 order, which of them are fixed (a modulus m or a period P) rather than
-residues, and two descriptions of the code built once per (n, fixed
-parameters).  The layout gives the modulus of each residue parameter (each
-ranges over [0, modulus - 1]) and a key: the word -> residue tuple map, None
-for a word the family's structural filter rejects (run bound, periodic-window
-bound).  A code is one coset: its members are the words whose key equals the
-spec's residue parameters, so a membership check is an O(n) string test
-and enumeration filters the ascending integer order of Sigma^n.
+residues, and its one definition, a counting automaton built once per (n,
+fixed parameters).  The automaton reads a word one bit at a time: filters
+(run bound, periodic-window bound) may reject it, and weighted bit sums give
+its residues, each ranging over [0, modulus - 1].  A code is one coset: its
+members are the words every filter accepts whose residues equal the spec's
+residue parameters.
 
-The counter gives the same code as a counting automaton: filters read one
-bit at a time, and the residues follow from weighted bit sums.  Sizes and
-best cosets come from one transfer DP over positions that counts every coset
-of a family at once, exactly, in time polynomial in n rather than 2^n.
+Membership steps a word's bits through the filters and the sums.
+Enumeration walks the prefixes depth first, 0 before 1, so it yields the
+words in ascending integer order in O(n) memory and drops a prefix as soon
+as a filter rejects it.  Sizes and best cosets come from one transfer DP
+over positions that counts every coset of a family at once, exactly, in time
+polynomial in n rather than 2^n.
 """
 
 from __future__ import annotations
@@ -23,16 +24,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import add
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
-from .words import (
-    decode,
-    inversion_number,
-    max_le2_periodic_length,
-    run_count,
-    vt_syndrome,
-    weight,
-)
+from .words import decode, parse_word
+
+# unused here, but perfbench/tracing.py wraps these names in this module to
+# count calls
+from .words import inversion_number, max_le2_periodic_length, run_count  # noqa: F401
+from .words import vt_syndrome, weight  # noqa: F401
 
 __all__ = [
     "FULL",
@@ -56,7 +55,7 @@ __all__ = [
     "size",
     "redundancy",
     "best_coset",
-    "coset_key",
+    "cosets",
     "subcode_check",
 ]
 
@@ -72,8 +71,6 @@ C2N9 = "c2n9"
 CN21 = "cn21"
 CL = "cl"
 
-_Key = Callable[[str], "tuple[int, ...] | None"]
-_Layout = tuple[tuple[int, ...], _Key]
 # a structural test read one bit at a time: its start state and the step
 # (state, bit) -> next state, None once the word is rejected
 _Filter = tuple[Any, Callable[[Any, int], Any]]
@@ -82,11 +79,13 @@ _Sum = tuple[int, Callable[[int], int]]
 
 
 class _Counter(NamedTuple):
-    """The counting automaton of a family at one (n, fixed parameters).
+    """The definition of a family at one (n, fixed parameters): a counting
+    automaton.
 
-    A word is counted when every filter accepts it; its residues follow from
-    the weighted bit sums (in this order) through ``key``, or are the sums
-    themselves when ``key`` is None.  Inversions enter as sums too:
+    A word belongs to the family when every filter accepts it.  Its residues
+    are the weighted bit sums, each reduced by its modulus, in this order;
+    or, when ``key`` is given, ``key`` holds the residue moduli and the map
+    from the reduced sums to the residues.  Inversions enter as sums:
     inv(x) = sum of (n - i) over the ones of x, minus C(w, 2) for weight w,
     so a 0 bit leaves every sum unchanged and a 1 bit shifts them by
     constants, whatever the family.
@@ -94,7 +93,17 @@ class _Counter(NamedTuple):
 
     filters: tuple[_Filter, ...]
     sums: tuple[_Sum, ...]
-    key: "Callable[[tuple[int, ...]], tuple[int, ...]] | None" = None
+    key: "tuple[tuple[int, ...], Callable[[tuple[int, ...]], tuple[int, ...]]] | None" = None
+
+    @property
+    def moduli(self) -> tuple[int, ...]:
+        """The modulus of each residue, in canonical order."""
+        return self.key[0] if self.key else tuple(mod for mod, _ in self.sums)
+
+    def residues(self, sums: Iterable[int]) -> tuple[int, ...]:
+        """The residues of a word from its unreduced weighted bit sums."""
+        reduced = tuple(s % mod for s, (mod, _) in zip(sums, self.sums))
+        return self.key[1](reduced) if self.key else reduced
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,16 +112,14 @@ class _Family:
 
     ``params`` is the canonical parameter order (CodeSpec.params, the
     lexicographic tie-break of best_coset); ``fixed`` names the parameters
-    that are not residues (a modulus m or a period P).  ``layout(n, params)``
-    reads only the fixed parameters and returns the modulus of each residue,
-    in canonical order, together with the key: the word -> residue tuple
-    map, None for a word the structural filter rejects.  ``counter(n,
-    params)`` is the same code as a counting automaton (sizes, best cosets).
+    that are not residues (a modulus m or a period P).  ``counter(n,
+    params)`` reads only the fixed parameters and returns the family's one
+    definition, the counting automaton behind membership, listing, sizes
+    and best cosets.
     """
 
     params: tuple[str, ...]
     fixed: tuple[str, ...]
-    layout: Callable[[int, dict[str, int]], _Layout]
     counter: Callable[[int, dict[str, int]], _Counter]
 
     @property
@@ -121,7 +128,7 @@ class _Family:
 
 
 def _runs_filter(cap: int) -> _Filter:
-    """r(x) <= cap; the state is (last bit, runs so far)."""
+    """At most cap runs; the state is (last bit, runs so far)."""
 
     def step(state: tuple[int | None, int], bit: int) -> tuple[int, int] | None:
         last, runs = state
@@ -132,8 +139,8 @@ def _runs_filter(cap: int) -> _Filter:
 
 
 def _window_filter(period: int) -> _Filter:
-    """max_le2_periodic_length(x) <= period; the state is (bit before the
-    last, last bit, length of the period-<=2 window ending here)."""
+    """No window of period at most 2 longer than period; the state is (bit
+    before the last, last bit, length of the period-<=2 window ending here)."""
 
     def step(state: tuple[Any, Any, int], bit: int) -> tuple[Any, int, int] | None:
         before, last, length = state
@@ -153,135 +160,53 @@ def _inversion_residue(m: int, w: int, reverse_sum: int) -> int:
     return (reverse_sum - w * (w - 1) // 2) % m
 
 
-def _run_bounded(n: int, p: dict[str, int]) -> _Layout:
-    cap = (n + 1) // 2
-    return (), lambda x: () if run_count(x) <= cap else None
-
-
-def _run_bounded_counter(n: int, p: dict[str, int]) -> _Counter:
-    return _Counter((_runs_filter((n + 1) // 2),), ())
-
-
-def _rll(n: int, p: dict[str, int]) -> _Layout:
-    period = p["P"]
-    return (), lambda x: () if max_le2_periodic_length(x) <= period else None
-
-
-def _rll_counter(n: int, p: dict[str, int]) -> _Counter:
-    return _Counter((_window_filter(p["P"]),), ())
-
-
-def _vt(n: int, p: dict[str, int]) -> _Layout:
-    mod = 2 * n
-    return (mod,), lambda x: (vt_syndrome(x, 1) % mod,)
-
-
-def _vt_counter(n: int, p: dict[str, int]) -> _Counter:
-    return _Counter((), ((2 * n, lambda i: i),))
-
-
-def _inv(n: int, p: dict[str, int]) -> _Layout:
-    m = p["m"]
-    return (m,), lambda x: (inversion_number(x) % m,)
-
-
-def _inv_counter(n: int, p: dict[str, int]) -> _Counter:
-    m = p["m"]
-    return _Counter((), _inversions(n, m), lambda s: (_inversion_residue(m, *s),))
-
-
-def _vt_mod(n: int, p: dict[str, int]) -> _Layout:
-    m = p["m"]
-    return (m,), lambda x: (vt_syndrome(x, 1) % m,)
-
-
-def _vt_mod_counter(n: int, p: dict[str, int]) -> _Counter:
-    return _Counter((), ((p["m"], lambda i: i),))
-
-
-def _even_pos(n: int, p: dict[str, int]) -> _Layout:
-    m = p["m"]
-    return (m,), lambda x: (sum(x[i] == "1" for i in range(1, n, 2)) % m,)
-
-
-def _even_pos_counter(n: int, p: dict[str, int]) -> _Counter:
-    return _Counter((), ((p["m"], lambda i: 1 - i % 2),))
-
-
-def _c2n9(n: int, p: dict[str, int]) -> _Layout:
-    m, cap = p["m"], (n + 1) // 2
-    return (m,), lambda x: (inversion_number(x) % m,) if run_count(x) <= cap else None
-
-
-def _c2n9_counter(n: int, p: dict[str, int]) -> _Counter:
-    m = p["m"]
-    return _Counter(
-        (_runs_filter((n + 1) // 2),), _inversions(n, m),
-        lambda s: (_inversion_residue(m, *s),),
-    )
-
-
-def _cp(n: int, p: dict[str, int]) -> _Layout:
-    period = p["P"]
-    mod = 1 + period // 2
-    return (2, mod), lambda x: (
-        (weight(x) % 2, inversion_number(x) % mod)
-        if max_le2_periodic_length(x) <= period
-        else None
-    )
+def _inversions_mod(n: int, m: int, filters: tuple[_Filter, ...]) -> _Counter:
+    """Inversions mod m under the given filters."""
+    return _Counter(filters, _inversions(n, m), ((m,), lambda s: (_inversion_residue(m, *s),)))
 
 
 def _parity_inversions(n: int, period: int, filters: tuple[_Filter, ...]) -> _Counter:
     """(weight mod 2, inversions mod 1 + P/2) under the given filters."""
     mod = 1 + period // 2
     return _Counter(
-        filters, _inversions(n, mod), lambda s: (s[0] % 2, _inversion_residue(mod, *s))
+        filters, _inversions(n, mod),
+        ((2, mod), lambda s: (s[0] % 2, _inversion_residue(mod, *s))),
     )
 
 
-def _cp_counter(n: int, p: dict[str, int]) -> _Counter:
-    return _parity_inversions(n, p["P"], (_window_filter(p["P"]),))
-
-
-def _cn21(n: int, p: dict[str, int]) -> _Layout:
-    period, cap = p["P"], (n + 1) // 2
-    mod = 1 + period // 2
-    return (2, mod), lambda x: (
-        (weight(x) % 2, inversion_number(x) % mod)
-        if max_le2_periodic_length(x) <= period and run_count(x) <= cap
-        else None
-    )
-
-
-def _cn21_counter(n: int, p: dict[str, int]) -> _Counter:
-    return _parity_inversions(
-        n, p["P"], (_window_filter(p["P"]), _runs_filter((n + 1) // 2))
-    )
-
-
-def _cl(n: int, p: dict[str, int]) -> _Layout:
-    m1, m2 = 2 * n, 2 * n * n
-    return (4, m1, m2), lambda x: (weight(x) % 4, vt_syndrome(x, 1) % m1, vt_syndrome(x, 2) % m2)
-
-
-def _cl_counter(n: int, p: dict[str, int]) -> _Counter:
-    return _Counter(
-        (), ((4, lambda i: 1), (2 * n, lambda i: i), (2 * n * n, lambda i: i * (i + 1) // 2))
-    )
+def _half_runs(n: int) -> _Filter:
+    return _runs_filter((n + 1) // 2)
 
 
 _FAMILIES: dict[str, _Family] = {
-    FULL: _Family((), (), lambda n, p: ((), lambda x: ()), lambda n, p: _Counter((), ())),
-    VT: _Family(("a",), (), _vt, _vt_counter),
-    INV: _Family(("a", "m"), ("m",), _inv, _inv_counter),
-    VT_MOD: _Family(("a", "m"), ("m",), _vt_mod, _vt_mod_counter),
-    EVEN_POS: _Family(("a", "m"), ("m",), _even_pos, _even_pos_counter),
-    RUN_BOUNDED: _Family((), (), _run_bounded, _run_bounded_counter),
-    RLL: _Family(("P",), ("P",), _rll, _rll_counter),
-    CP: _Family(("P", "a1", "a2"), ("P",), _cp, _cp_counter),
-    C2N9: _Family(("a", "m"), ("m",), _c2n9, _c2n9_counter),
-    CN21: _Family(("P", "a1", "a2"), ("P",), _cn21, _cn21_counter),
-    CL: _Family(("a0", "a1", "a2"), (), _cl, _cl_counter),
+    FULL: _Family((), (), lambda n, p: _Counter((), ())),
+    # the VT syndrome sum of i x_i mod 2n
+    VT: _Family(("a",), (), lambda n, p: _Counter((), ((2 * n, lambda i: i),))),
+    INV: _Family(("a", "m"), ("m",), lambda n, p: _inversions_mod(n, p["m"], ())),
+    VT_MOD: _Family(("a", "m"), ("m",), lambda n, p: _Counter((), ((p["m"], lambda i: i),))),
+    # the ones at even positions, mod m
+    EVEN_POS: _Family(
+        ("a", "m"), ("m",), lambda n, p: _Counter((), ((p["m"], lambda i: 1 - i % 2),))
+    ),
+    RUN_BOUNDED: _Family((), (), lambda n, p: _Counter((_half_runs(n),), ())),
+    RLL: _Family(("P",), ("P",), lambda n, p: _Counter((_window_filter(p["P"]),), ())),
+    CP: _Family(
+        ("P", "a1", "a2"), ("P",),
+        lambda n, p: _parity_inversions(n, p["P"], (_window_filter(p["P"]),)),
+    ),
+    C2N9: _Family(("a", "m"), ("m",), lambda n, p: _inversions_mod(n, p["m"], (_half_runs(n),))),
+    CN21: _Family(
+        ("P", "a1", "a2"), ("P",),
+        lambda n, p: _parity_inversions(n, p["P"], (_window_filter(p["P"]), _half_runs(n))),
+    ),
+    # weight mod 4, the VT syndrome mod 2n and the order-2 VT syndrome, the
+    # sum of i(i+1)/2 x_i, mod 2n^2
+    CL: _Family(
+        ("a0", "a1", "a2"), (),
+        lambda n, p: _Counter(
+            (), ((4, lambda i: 1), (2 * n, lambda i: i), (2 * n * n, lambda i: i * (i + 1) // 2))
+        ),
+    ),
 }
 
 FAMILIES = tuple(_FAMILIES)
@@ -314,7 +239,7 @@ def _check_params(family: str, n: int, params: dict[str, int]) -> None:
             raise ValueError("period P must be even and at least 2")
         if params["P"] < 1:
             raise ValueError("period P must be positive")
-    for name, mod in zip(fam.residues, fam.layout(n, params)[0]):
+    for name, mod in zip(fam.residues, fam.counter(n, params).moduli):
         if not 0 <= params[name] <= mod - 1:
             raise ValueError(f"parameter {name}={params[name]} outside [0,{mod - 1}]")
 
@@ -355,37 +280,26 @@ def spec(family: str, n: int, **params: int) -> CodeSpec:
     return CodeSpec(family, n, tuple(params.items()))
 
 
-def _coset(cs: CodeSpec) -> tuple[_Key, tuple[int, ...]]:
-    """The key of cs's family and the residue tuple cs's members map to."""
+def _coset(cs: CodeSpec) -> tuple[_Counter, tuple[int, ...]]:
+    """The definition of cs's family at cs's n and fixed parameters, and
+    the residue tuple of cs's members."""
     fam = _FAMILIES[cs.family]
     params = cs.param_dict()
-    return fam.layout(cs.n, params)[1], tuple(params[name] for name in fam.residues)
+    return fam.counter(cs.n, params), tuple(params[name] for name in fam.residues)
 
 
 def contains(cs: CodeSpec, x: str) -> bool:
     if len(x) != cs.n:
         raise ValueError(f"word length {len(x)} does not match spec n={cs.n}")
-    key, wanted = _coset(cs)
-    return key(x) == wanted
-
-
-def members(cs: CodeSpec) -> Iterator[str]:
-    """Stream the code in ascending order; capped at the enumeration limit."""
-    if cs.n > ENUMERATION_LIMIT:
-        raise ValueError(f"enumeration capped at n <= {ENUMERATION_LIMIT}")
-    key, wanted = _coset(cs)
-    for value in range(1 << cs.n):
-        x = decode(value, cs.n)
-        if key(x) == wanted:
-            yield x
-
-
-def _key_index(key: tuple[int, ...], moduli: tuple[int, ...]) -> int:
-    """Position of a residue tuple in mixed radix over the residue moduli."""
-    index = 0
-    for value, mod in zip(key, moduli):
-        index = index * mod + value
-    return index
+    counter, wanted = _coset(cs)
+    bits = [c == "1" for c in parse_word(x)]
+    for state, step in counter.filters:
+        for bit in bits:
+            state = step(state, bit)
+            if state is None:
+                return False
+    ones = [i for i, bit in enumerate(bits, 1) if bit]
+    return counter.residues(sum(map(w, ones)) for _, w in counter.sums) == wanted
 
 
 def _control(filters: tuple[_Filter, ...]) -> tuple[list[int], list[int]]:
@@ -407,6 +321,49 @@ def _control(filters: tuple[_Filter, ...]) -> tuple[list[int], list[int]]:
                 states.append(new)
             nxt[bit].append(number[new])
     return nxt
+
+
+def _walk(counter: _Counter, n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(value, residues) of every length-n word the filters accept, in
+    ascending order of value.
+
+    A depth-first walk over prefixes in the filters' control states
+    (:func:`_control`): a prefix some filter rejects is dropped with every
+    word below it.  A 0 bit is visited before a 1 bit and the stack holds at
+    most one waiting sibling per position, so memory stays O(n).  A prefix
+    carries its unreduced sums; a 1 bit at position i adds each sum's
+    weight at i.
+    """
+    nxt0, nxt1 = _control(counter.filters)
+    weights = [tuple(w(i) for _, w in counter.sums) for i in range(1, n + 1)]
+    stack = [(0, 0, 0, (0,) * len(counter.sums))]  # (position, value, state, sums)
+    while stack:
+        i, value, state, sums = stack.pop()
+        if i == n:
+            yield value, counter.residues(sums)
+            continue
+        if nxt1[state] >= 0:
+            stack.append((i + 1, value << 1 | 1, nxt1[state], tuple(map(add, sums, weights[i]))))
+        if nxt0[state] >= 0:
+            stack.append((i + 1, value << 1, nxt0[state], sums))
+
+
+def members(cs: CodeSpec) -> Iterator[str]:
+    """Stream the code in ascending order; capped at the enumeration limit."""
+    if cs.n > ENUMERATION_LIMIT:
+        raise ValueError(f"enumeration capped at n <= {ENUMERATION_LIMIT}")
+    counter, wanted = _coset(cs)
+    for value, residues in _walk(counter, cs.n):
+        if residues == wanted:
+            yield decode(value, cs.n)
+
+
+def _key_index(key: tuple[int, ...], moduli: tuple[int, ...]) -> int:
+    """Position of a residue tuple in mixed radix over the residue moduli."""
+    index = 0
+    for value, mod in zip(key, moduli):
+        index = index * mod + value
+    return index
 
 
 def _plus(a: list[int], b: list[int]) -> list[int]:
@@ -439,9 +396,7 @@ def _coset_counts(cs: CodeSpec) -> list[int]:
     sum, the order-2 VT sum mod 2n^2, reaches its rows only as its raw
     range i(i+1)(i+2)/6 grows.
     """
-    fam = _FAMILIES[cs.family]
-    params = cs.param_dict()
-    filters, sums, key = fam.counter(cs.n, params)
+    filters, sums, key = _coset(cs)[0]
     nxt0, nxt1 = _control(filters)
     *inner, (rows, last) = sums or ((1, lambda i: 0),)
     mods = [mod for mod, _ in inner]
@@ -482,20 +437,18 @@ def _coset_counts(cs: CodeSpec) -> list[int]:
     total = list(itertools.chain.from_iterable(zip(*by_last)))
     if key is None:
         return total
-    moduli = fam.layout(cs.n, params)[0]
+    moduli, residues_of = key
     counts = [0] * math.prod(moduli)
     for point, count in zip(itertools.product(*map(range, [*mods, rows])), total):
-        counts[_key_index(key(point), moduli)] += count
+        counts[_key_index(residues_of(point), moduli)] += count
     return counts
 
 
 def size(cs: CodeSpec) -> int:
     if cs.family != FULL and cs.n > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration capped at n <= {ENUMERATION_LIMIT}")
-    fam = _FAMILIES[cs.family]
-    params = cs.param_dict()
-    residues = tuple(params[name] for name in fam.residues)
-    return _coset_counts(cs)[_key_index(residues, fam.layout(cs.n, params)[0])]
+    counter, wanted = _coset(cs)
+    return _coset_counts(cs)[_key_index(wanted, counter.moduli)]
 
 
 def redundancy(cs: CodeSpec) -> float:
@@ -505,30 +458,51 @@ def redundancy(cs: CodeSpec) -> float:
     return cs.n - math.log2(count)
 
 
-def coset_key(
-    family: str, n: int, *, m: int | None = None, P: int | None = None
-) -> tuple[_Key, Callable[[tuple[int, ...]], CodeSpec]]:
-    """Residue key of a coset search and the map from a key to its coset.
+def _coset_search(
+    family: str, n: int, m: int | None, P: int | None
+) -> tuple[CodeSpec, Callable[[tuple[int, ...]], CodeSpec]]:
+    """The all-zero coset of a coset search and the map from residues to
+    their coset.
 
     m fixes the modulus (default 2) and P the period (default the smallest
     even value >= log2(n) + 3); either is rejected for a family that does
     not take it.  Structural families, which have no residue parameters,
     are rejected.
     """
-    values = {"m": 2 if m is None else m, "P": default_period(n) if P is None else P}
     fam = _FAMILIES.get(family)
     if fam is None or not fam.residues:
         raise ValueError(f"family {family} has no residue parameters")
     for name, value in (("m", m), ("P", P)):
         if value is not None and name not in fam.fixed:
             raise ValueError(f"family {family} takes no parameter {name}")
-    fixed = {name: values[name] for name in fam.fixed}
+    fixed = {}
+    if "m" in fam.fixed:
+        fixed["m"] = 2 if m is None else m
+    if "P" in fam.fixed:  # only a family with a period computes the default
+        fixed["P"] = default_period(n) if P is None else P
 
-    def coset(key: tuple[int, ...]) -> CodeSpec:
-        return spec(family, n, **fixed, **dict(zip(fam.residues, key)))
+    def coset(residues: tuple[int, ...]) -> CodeSpec:
+        return spec(family, n, **fixed, **dict(zip(fam.residues, residues)))
 
-    coset(tuple(0 for _ in fam.residues))  # rejects a bad m or P before any count
-    return fam.layout(n, fixed)[1], coset
+    # building the zero coset rejects a bad n, m or P before any count
+    return coset((0,) * len(fam.residues)), coset
+
+
+def cosets(
+    family: str, n: int, *, m: int | None = None, P: int | None = None
+) -> tuple[dict[tuple[int, ...], list[int]], Callable[[tuple[int, ...]], CodeSpec]]:
+    """Every nonempty coset of a residue family, as its ascending member
+    values keyed by its residues, and the map from residues to the coset.
+
+    m and P are as for :func:`best_coset`; capped at the enumeration limit.
+    """
+    if n > ENUMERATION_LIMIT:
+        raise ValueError(f"enumeration capped at n <= {ENUMERATION_LIMIT}")
+    zero, coset = _coset_search(family, n, m, P)
+    buckets: dict[tuple[int, ...], list[int]] = {}
+    for value, residues in _walk(_coset(zero)[0], n):
+        buckets.setdefault(residues, []).append(value)
+    return buckets, coset
 
 
 def best_coset(
@@ -543,21 +517,18 @@ def best_coset(
     """
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"coset search capped at n <= {ENUMERATION_LIMIT}")
-    _, coset = coset_key(family, n, m=m, P=P)
-    zero = coset(tuple(0 for _ in _FAMILIES[family].residues))
+    zero, coset = _coset_search(family, n, m, P)
     counts = _coset_counts(zero)
     index = max(range(len(counts)), key=counts.__getitem__)
-    key = []
-    for mod in reversed(_FAMILIES[family].layout(n, zero.param_dict())[0]):
+    residues = []
+    for mod in reversed(_coset(zero)[0].moduli):
         index, value = divmod(index, mod)
-        key.append(value)
-    return coset(tuple(reversed(key)))
+        residues.append(value)
+    return coset(tuple(reversed(residues)))
 
 
 def subcode_check(inner: CodeSpec, outer: CodeSpec) -> bool:
     """True when every member of inner also satisfies outer."""
     if inner.n != outer.n:
         raise ValueError("subcode check needs matching lengths")
-    key, wanted = _coset(outer)
-    return all(key(x) == wanted for x in members(inner))
-
+    return all(contains(outer, x) for x in members(inner))

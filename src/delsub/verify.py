@@ -1634,7 +1634,7 @@ class _CodeCheck(NamedTuple):
     redundancy_ok: Callable[[int, int], bool]
 
 
-# one row per construction; its cosets are those of codes.coset_key at the
+# one row per construction; its cosets are those of codes.cosets at the
 # defaults, modulus two and period codes.default_period(n).  Each ceiling but
 # cl's is the CASE_CEILINGS ceiling of the structural case named in it.
 CODE_CHECKS: dict[str, _CodeCheck] = {
@@ -1776,12 +1776,7 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
     if n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"code checks capped at n <= {EXHAUSTIVE_LIMIT}")
     check = CODE_CHECKS[theorem_id]
-    key_of, coset_of = codes.coset_key(check.family, n)
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for x in range(1 << n):
-        key = key_of(to_word(x, n))
-        if key is not None:
-            buckets.setdefault(key, []).append(x)
+    buckets, coset_of = codes.cosets(check.family, n)
     keys = sorted(buckets)
     pairs_in_cosets = sum(len(m) * (len(m) - 1) // 2 for m in buckets.values())
     _tables(n)

@@ -78,6 +78,14 @@ def test_code_best_rejects_parameters_the_family_lacks(capsys):
     assert json.loads(out) == codes.size(codes.best_coset(codes.INV, 6, m=3))
 
 
+def test_code_best_without_a_period_rejects_zero_length(capsys):
+    for family in ("vt", "inv", "cl"):
+        code, out, err = run(capsys, "code", "list", "--family", family, "--n", "0", "--best")
+        assert code == 2
+        assert out == ""
+        assert err == "delsub: error: code length must be positive\n"
+
+
 @pytest.mark.parametrize("command", [
     ("code", "size", "--family", "vt", "--n", "6", "--a", "3"),
     ("code", "check", "--family", "cl", "--n", "6", "--a1", "2", "--word", "000000"),

@@ -1,5 +1,7 @@
+import functools
 import math
-from itertools import combinations, product
+import tracemalloc
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -19,7 +21,7 @@ from delsub.codes import (
     FAMILIES,
     best_coset,
     contains,
-    coset_key,
+    cosets,
     default_period,
     members,
     redundancy,
@@ -27,8 +29,15 @@ from delsub.codes import (
     spec,
     subcode_check,
 )
-from delsub import codes
-from delsub.words import decode, vt_syndrome
+from delsub import codes, verify
+from delsub.words import (
+    decode,
+    inversion_number,
+    max_le2_periodic_length,
+    run_count,
+    vt_syndrome,
+    weight,
+)
 
 
 def test_contains_examples():
@@ -43,6 +52,17 @@ def test_contains_examples():
 def test_contains_rejects_wrong_length():
     with pytest.raises(ValueError):
         contains(spec(VT, 4, a=0), "10011")
+
+
+def test_contains_rejects_non_binary_words():
+    for cs, x in (
+        (spec(VT, 4, a=0), "2222"),
+        (spec(CL, 4, a0=0, a1=0, a2=0), "abcd"),
+        (spec(FULL, 3), "xyz"),
+        (spec(RUN_BOUNDED, 4), "0120"),
+    ):
+        with pytest.raises(ValueError, match=f"not a binary word: {x!r}"):
+            contains(cs, x)
 
 
 def test_spec_validation():
@@ -172,7 +192,7 @@ def test_coset_search_rejects_parameters_the_family_lacks():
         with pytest.raises(ValueError, match=f"family {family} takes no parameter {name}"):
             best_coset(family, 6, **params)
         with pytest.raises(ValueError, match=f"family {family} takes no parameter {name}"):
-            coset_key(family, 6, **params)
+            cosets(family, 6, **params)
     assert best_coset(INV, 6, m=3).param("m") == 3
     assert best_coset(CN21, 8, P=6).param("P") == 6
 
@@ -188,17 +208,125 @@ def _fixed_params(family):
     return [{name: value} for value in values]
 
 
-def _scan_counts(family, n, fixed):
-    """Oracle: words per residue tuple, by the family's string key on every
-    word, in ascending residue order; structural families have the one
-    residue tuple ()."""
-    moduli, key = codes._FAMILIES[family].layout(n, fixed)
-    counts = dict.fromkeys(product(*map(range, moduli)), 0)
+def _definition(family, n, fixed):
+    """Each family's definition from the words helpers, written apart from
+    the counting automata in codes: the modulus of each residue, the
+    structural test a member must pass, and the word -> residue tuple map.
+    Only the fixed parameters m and P are read from fixed."""
+    m, period = fixed.get("m"), fixed.get("P")
+    mod = 1 + period // 2 if period else None
+
+    def anything(x):
+        return True
+
+    def runs_ok(x):
+        return run_count(x) <= (n + 1) // 2
+
+    def window_ok(x):
+        return max_le2_periodic_length(x) <= period
+
+    def inversions(x):
+        return (inversion_number(x) % m,)
+
+    def parity_inversions(x):
+        return weight(x) % 2, inversion_number(x) % mod
+
+    return {
+        FULL: ((), anything, lambda x: ()),
+        VT: ((2 * n,), anything, lambda x: (vt_syndrome(x, 1) % (2 * n),)),
+        INV: ((m,), anything, inversions),
+        VT_MOD: ((m,), anything, lambda x: (vt_syndrome(x, 1) % m,)),
+        EVEN_POS: ((m,), anything, lambda x: (sum(x[i] == "1" for i in range(1, n, 2)) % m,)),
+        RUN_BOUNDED: ((), runs_ok, lambda x: ()),
+        RLL: ((), window_ok, lambda x: ()),
+        CP: ((2, mod), window_ok, parity_inversions),
+        C2N9: ((m,), runs_ok, inversions),
+        CN21: ((2, mod), lambda x: window_ok(x) and runs_ok(x), parity_inversions),
+        CL: ((4, 2 * n, 2 * n * n), anything, lambda x: (
+            weight(x) % 4, vt_syndrome(x, 1) % (2 * n), vt_syndrome(x, 2) % (2 * n * n)
+        )),
+    }[family]
+
+
+def _scan_buckets(family, n, fixed):
+    """Oracle: the ascending values of the words in each coset, by the
+    definition on every word."""
+    _, accept, residues_of = _definition(family, n, fixed)
+    buckets = {}
     for value in range(1 << n):
-        k = key(decode(value, n))
-        if k is not None:
-            counts[k] += 1
-    return counts
+        x = decode(value, n)
+        if accept(x):
+            buckets.setdefault(residues_of(x), []).append(value)
+    return buckets
+
+
+def _scan_counts(family, n, fixed):
+    """Oracle: words per residue tuple, in ascending residue order;
+    structural families have the one residue tuple ()."""
+    moduli = _definition(family, n, fixed)[0]
+    buckets = _scan_buckets(family, n, fixed)
+    return {k: len(buckets.get(k, ())) for k in product(*map(range, moduli))}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_membership_and_cosets_match_definition(family):
+    residues = codes._FAMILIES[family].residues
+    for n in range(1, 13):
+        for fixed in _fixed_params(family):
+            _, accept, residues_of = _definition(family, n, fixed)
+
+            @functools.cache
+            def coset(k):
+                return spec(family, n, **fixed, **dict(zip(residues, k)))
+
+            buckets = {}
+            for value in range(1 << n):
+                x = decode(value, n)
+                k, member = residues_of(x), accept(x)
+                # a word the structural test rejects is not even in the
+                # coset its residues name
+                assert contains(coset(k), x) == member, (n, fixed, x)
+                if member:
+                    buckets.setdefault(k, []).append(value)
+            if residues:
+                got, coset_of = cosets(family, n, **fixed)
+                assert got == buckets, (n, fixed)
+                assert all(coset_of(k) == coset(k) for k in buckets)
+            for k in list(buckets)[:3]:
+                assert list(members(coset(k))) == [decode(v, n) for v in buckets[k]]
+
+
+@pytest.mark.parametrize("theorem_id", list(verify.CODE_CHECKS))
+def test_code_check_cosets_match_definition_to_fourteen(theorem_id):
+    family = verify.CODE_CHECKS[theorem_id].family
+    for n in (13, 14):
+        defaults = {"m": 2, "P": default_period(n)}
+        assert cosets(family, n)[0] == _scan_buckets(family, n, defaults), n
+
+
+def test_coset_search_without_a_period_rejects_nonpositive_length():
+    for family in (VT, CL, INV):
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="code length must be positive"):
+                best_coset(family, n)
+            with pytest.raises(ValueError, match="code length must be positive"):
+                cosets(family, n)
+    with pytest.raises(ValueError, match="period needs n >= 1"):
+        best_coset(CN21, 0)
+
+
+def test_members_stream_in_ascending_order_without_listing_the_space():
+    # a breadth-first walk would hold 2^24 prefixes before its first word
+    for cs in (spec(FULL, 24), spec(VT, 24, a=0)):
+        tracemalloc.start()
+        try:
+            first = list(islice(members(cs), 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (cs, peak)
+        assert len(first) == 3 and first == sorted(set(first)) and first[0] == "0" * 24
+        assert all(contains(cs, x) for x in first)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
