@@ -1,9 +1,11 @@
 """Milliseconds per multi-read decode and per coset count, parent tree
 against this one.
 
-Times ``reconstruct.decode`` on 100 seeded read bundles in each of two
-settings (cl n = 12 with N = 7 reads, vt n = 14 with N = 31 reads, both on
-the best coset), the seconds of one
+Times ``reconstruct.decode`` on 100 seeded read bundles in each of three
+settings (cl n = 12 with N = 7 reads and vt n = 14 with N = 31 reads, both
+on the best coset, and the full code at n = 64 with N = 4n - 8 = 248 reads
+from uniform random words, a length past every code check), the seconds of
+one
 ``verify_reconstruction(best_coset("cl", 10), 7, trials=1000,
 subset_words=20, subset_trials=100)`` call, the acceptance test's
 reconstruction leg, and the milliseconds per call (mean of three) of the
@@ -37,8 +39,13 @@ OUT = rounds.ROOT / "BENCH_decode.json"
 SEED = 31
 BUNDLES = 100
 ROUNDS = 9
-# (label, family, n, N)
-SETTINGS = (("cl_n12_N7", "cl", 12, 7), ("vt_n14_N31", "vt", 14, 31))
+# (label, family, n, N); the full code's words are drawn uniformly, since
+# its members cannot be listed at n = 64
+SETTINGS = (
+    ("cl_n12_N7", "cl", 12, 7),
+    ("vt_n14_N31", "vt", 14, 31),
+    ("full_n64_N248", "full", 64, 248),
+)
 RECON = {"family": "cl", "n": 10, "N": 7,
          "trials": 1000, "subset_words": 20, "subset_trials": 100}
 # (label, call): the counting calls of the codes-decode workload
@@ -60,11 +67,19 @@ def _worker(src: str) -> dict:
     digest = hashlib.sha256()
     rng = random.Random(SEED)
     for label, family, n, N in SETTINGS:
-        cs = codes.best_coset(family, n)
-        eligible = [w for w in codes.members(cs) if len(balls.ds_ball(w)) >= N]
+        if family == "full":
+            cs, eligible = codes.spec(family, n), None
+        else:
+            cs = codes.best_coset(family, n)
+            eligible = [w for w in codes.members(cs) if len(balls.ds_ball(w)) >= N]
         bundles = []
-        for _ in range(BUNDLES):
-            word = eligible[rng.randrange(len(eligible))]
+        while len(bundles) < BUNDLES:
+            if eligible:
+                word = eligible[rng.randrange(len(eligible))]
+            else:
+                word = format(rng.getrandbits(n), f"0{n}b")
+                if len(balls.ds_ball(word)) < N:
+                    continue
             bundles.append(reconstruct.collect_reads(word, N, rng.randrange(1 << 30)))
         t0 = time.perf_counter()
         results = [reconstruct.decode(cs, b) for b in bundles]

@@ -9,10 +9,10 @@ its residues, each ranging over [0, modulus - 1].  A code is one coset: its
 members are the words every filter accepts whose residues equal the spec's
 residue parameters.
 
-Membership steps a word's bits through the filters and the sums.
-Enumeration walks the prefixes depth first, 0 before 1, so it yields the
-words in ascending integer order in O(n) memory and drops a prefix as soon
-as a filter rejects it.  Sizes and best cosets come from one transfer DP
+Membership steps a word's bits through the filters' control states and
+the sums, from tables built once per spec.  Enumeration walks the prefixes
+depth first, 0 before 1, so it yields the words in ascending integer order
+in O(n) memory and drops a prefix as soon as a filter rejects it.  Sizes and best cosets come from one transfer DP
 over positions that counts every coset of a family at once, exactly, in time
 polynomial in n rather than 2^n.
 """
@@ -102,7 +102,7 @@ class _Counter(NamedTuple):
 
     def residues(self, sums: Iterable[int]) -> tuple[int, ...]:
         """The residues of a word from its unreduced weighted bit sums."""
-        reduced = tuple(s % mod for s, (mod, _) in zip(sums, self.sums))
+        reduced = tuple([s % mod for s, (mod, _) in zip(sums, self.sums)])
         return self.key[1](reduced) if self.key else reduced
 
 
@@ -288,18 +288,31 @@ def _coset(cs: CodeSpec) -> tuple[_Counter, tuple[int, ...]]:
     return fam.counter(cs.n, params), tuple(params[name] for name in fam.residues)
 
 
+@functools.lru_cache(maxsize=256)
+def _membership(cs: CodeSpec) -> tuple[
+    tuple[tuple[int, ...], ...] | None, tuple[tuple[int, ...], ...], _Counter, tuple[int, ...]
+]:
+    """What :func:`contains` reads of cs, built once per spec: the filters'
+    control table (:func:`_control`, None without filters), each sum's
+    weight at every position, the counter and the wanted residues."""
+    counter, wanted = _coset(cs)
+    control = tuple(map(tuple, _control(counter.filters))) if counter.filters else None
+    columns = tuple(tuple(w(i) for i in range(1, cs.n + 1)) for _, w in counter.sums)
+    return control, columns, counter, wanted
+
+
 def contains(cs: CodeSpec, x: str) -> bool:
     if len(x) != cs.n:
         raise ValueError(f"word length {len(x)} does not match spec n={cs.n}")
-    counter, wanted = _coset(cs)
+    control, columns, counter, wanted = _membership(cs)
     bits = [c == "1" for c in parse_word(x)]
-    for state, step in counter.filters:
+    if control is not None:
+        state = 0
         for bit in bits:
-            state = step(state, bit)
-            if state is None:
+            state = control[bit][state]
+            if state < 0:
                 return False
-    ones = [i for i, bit in enumerate(bits, 1) if bit]
-    return counter.residues(sum(map(w, ones)) for _, w in counter.sums) == wanted
+    return counter.residues([sum(itertools.compress(col, bits)) for col in columns]) == wanted
 
 
 def _control(filters: tuple[_Filter, ...]) -> tuple[list[int], list[int]]:

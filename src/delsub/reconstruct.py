@@ -2,13 +2,18 @@
 
 The channel picks a deletion position and a flip-or-nothing uniformly at
 random from [n] x ([n-1] u {none}), so its support is exactly the ds-ball.
-Decoding never scans the code.  It intersects the preimage balls of the
-first two reads only: after one read at most 2n(n+1) candidates survive,
-after two a few dozen (41 at most over all read pairs at n = 9).  Every
-later read z then filters the survivors, keeping x exactly when some
-deletion of x lies in S(z), and the code's membership test runs last, on
-the few words left.  The generator is the stdlib Mersenne Twister, which is
-deterministic and portable across platforms for a fixed seed.
+Decoding never scans the code, and it works on integer words (the
+big-endian value of a 0/1 string): each read is converted once.  It
+intersects the preimage balls of the first two reads only, each built as a
+set of ints by inserting a 0 and a 1 at every position of every word of
+S(z): after one read at most 2n(n+1) candidates survive, after two a few
+dozen (41 at most over all read pairs at n = 9).  Every later read z then
+filters the survivors, keeping x exactly when some deletion of x lies in
+S(z).  Only the words left are formatted as strings, sorted, and put to the
+code's membership test.  ``balls.preimage_ball``, ``balls.ds_ball`` and
+:func:`decode_by_scan` stay the string oracle of this route.  The generator
+is the stdlib Mersenne Twister, which is deterministic and portable across
+platforms for a fixed seed.
 """
 
 from __future__ import annotations
@@ -18,15 +23,14 @@ import re
 from dataclasses import dataclass
 from typing import TextIO
 
-from .balls import (
-    apply_del_sub,
-    deletion_ball,
-    ds_ball,
-    preimage_ball,
-    substitution_ball,
-)
+from .balls import apply_del_sub, ds_ball
 from .codes import CodeSpec, contains, members
-from .words import read_word_file
+from .words import _del_set, _sub_set, parse_word, read_word_file
+from .words import decode as to_word
+
+# unused here, but perfbench/tracing.py wraps this name in this module to
+# count calls
+from .balls import preimage_ball  # noqa: F401
 
 __all__ = [
     "UNIQUE",
@@ -72,6 +76,8 @@ class ReadBundle:
             raise ValueError(f"bundle length n={self.n} must be at least 1")
         if any(len(z) != self.n - 1 for z in self.reads):
             raise ValueError("every read must have length n-1")
+        for z in self.reads:
+            parse_word(z)
         if len(set(self.reads)) != len(self.reads):
             raise ValueError("reads must be distinct")
 
@@ -96,13 +102,26 @@ def channel_sample(x: str, seed: int) -> str:
     return apply_del_sub(x, i, sub)
 
 
+def _int(word: str) -> int:
+    """The integer value of a 0/1 word; 0 for the empty word."""
+    return int(word or "0", 2)
+
+
+def _ball_size(x: int, n: int) -> int:
+    """|B(x)| for a length-n word x: the union of S(d) over d in D(x)."""
+    return len(set().union(*[_sub_set(d, n - 1) for d in _del_set(x, n)]))
+
+
 def collect_reads(x: str, count: int, seed: int) -> ReadBundle:
-    """Draw channel outputs until count distinct reads have been seen."""
+    """Draw channel outputs until count distinct reads have been seen.
+
+    The ball is sized on integers; the reads are drawn as strings.
+    """
     if count < 0:
         raise ValueError("read count must be nonnegative")
     if not x:
         raise ValueError("cannot transmit the empty word")
-    ball = len(ds_ball(x))
+    ball = _ball_size(_int(parse_word(x)), len(x))
     if ball < count:
         raise BallTooSmallError(x, count, ball)
     rng = random.Random(seed)
@@ -119,7 +138,9 @@ def decode(cs: CodeSpec, bundle: ReadBundle) -> DecodeResult:
     The candidates are the intersection of the first two reads' preimage
     balls; each later read z keeps a candidate x only when z is in B(x),
     that is when some deletion of x lies in S(z); the code test runs on
-    what is left.  With N distinct reads from a codeword of an
+    what is left.  Reads, balls and deletions are integers throughout;
+    only the words that pass every read are formatted as strings, for the
+    sort and the code test.  With N distinct reads from a codeword of an
     (n,N)-reconstruction code the survivor is unique; fewer reads may leave
     several candidates (AMBIGUOUS) and inconsistent reads leave none
     (INCONSISTENT).
@@ -130,18 +151,37 @@ def decode(cs: CodeSpec, bundle: ReadBundle) -> DecodeResult:
     reads = bundle.reads
     if not reads:
         return _result(tuple(members(cs)))
-    survivors = set(preimage_ball(reads[0], n))
-    if len(reads) > 1:
-        survivors.intersection_update(preimage_ball(reads[1], n))
-    if len(reads) > 2 and survivors:
-        dels = [(x, deletion_ball(x)) for x in survivors]
-        for z in reads[2:]:
-            near = set(substitution_ball(z))
+    zs = [_int(z) for z in reads]
+    survivors = _preimage(zs[0], n)
+    if len(zs) > 1:
+        survivors &= _preimage(zs[1], n)
+    if len(zs) > 2 and survivors:
+        dels = [(x, _del_set(x, n)) for x in survivors]
+        for z in zs[2:]:
+            near = _sub_set(z, n - 1)
             dels = [(x, d) for x, d in dels if not near.isdisjoint(d)]
             if not dels:
                 break
         survivors = {x for x, _ in dels}
-    return _result(tuple(sorted(x for x in survivors if contains(cs, x))))
+    words = sorted(to_word(x, n) for x in survivors)
+    return _result(tuple(x for x in words if contains(cs, x)))
+
+
+def _preimage(z: int, n: int) -> set[int]:
+    """``balls.preimage_ball`` on integers: the length-n words x whose ball
+    holds the length-(n - 1) word z, by inserting a 0 and a 1 at every
+    position of every word of S(z)."""
+    out: set[int] = set()
+    add = out.add
+    near = _sub_set(z, n - 1)
+    for p in range(n):
+        bit = 1 << p
+        high = -bit  # the bits from p up
+        for w in near:
+            x = w + (w & high)  # w with a 0 inserted at bit p
+            add(x)
+            add(x | bit)
+    return out
 
 
 def _result(candidates: tuple[str, ...]) -> DecodeResult:

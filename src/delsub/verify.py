@@ -54,6 +54,7 @@ from .balls import (
 from .codes import CodeSpec
 from .reconstruct import ReadBundle, UNIQUE, collect_reads
 from .reconstruct import decode as decode_reads
+from .words import _del_bit, _del_set, _sub_set
 from .words import decode as to_word
 from .words import max_le2_periodic_length, psi
 
@@ -92,11 +93,8 @@ _FAMILY_PIECE = 1 << 15
 
 
 # ---------------------------------------------------------------------------
-# integer word helpers (position i of a length-n word is bit n - i)
-
-
-def _del_bit(x: int, k: int) -> int:
-    return ((x >> (k + 1)) << k) | (x & ((1 << k) - 1))
+# integer word helpers (position i of a length-n word is bit n - i); the
+# deletion and substitution sets _del_bit, _del_set and _sub_set are in words
 
 
 def _runs_int(x: int, n: int) -> int:
@@ -111,17 +109,6 @@ def _bits(mask: int) -> list[int]:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-    return out
-
-
-def _del_set(x: int, n: int) -> set[int]:
-    return {_del_bit(x, k) for k in range(n)}
-
-
-def _sub_set(x: int, n: int) -> set[int]:
-    out = {x}
-    for k in range(n):
-        out.add(x ^ (1 << k))
     return out
 
 
@@ -1792,7 +1779,8 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
     best_key = min(buckets, key=lambda k2: (-len(buckets[k2]), k2))
     best = len(buckets[best_key])
     coset = coset_of(best_key)
-    if {to_word(v, n) for v in buckets[best_key]} != set(codes.members(coset)):
+    # with the DP's count below, this pins the bucket to the coset
+    if not all(codes.contains(coset, to_word(v, n)) for v in buckets[best_key]):
         sink.add(None, None, "coset membership", str(coset), best_key)
     counted = codes.size(coset)
     if counted != best:

@@ -5,6 +5,10 @@ arguments to match the usual coding-theory convention.  Since every set we
 build holds words of a single common length, sorting the strings
 lexicographically is the same as sorting by the big-endian integer value
 (bit 1 is the most significant), so canonical order is just ``sorted()``.
+
+The fast paths in ``reconstruct`` and ``verify`` carry a word as that
+big-endian integer instead; the private helpers at the end of this module
+are the deletion and substitution sets on integers that both of them use.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ __all__ = [
 
 def parse_word(text: str) -> str:
     """Validate a 0/1 string (the canonical text form) and return it."""
-    if any(c not in "01" for c in text):
+    if text.strip("01"):
         raise ValueError(f"not a binary word: {text!r}")
     return text
 
@@ -173,3 +177,25 @@ def max_le2_periodic_length(x: str) -> int:
             best = max(best, k + 2 - start)
             start = k + 1
     return max(best, n - start)
+
+
+# ---------------------------------------------------------------------------
+# integer words: position i of a length-n word is bit n - i
+
+
+def _del_bit(x: int, k: int) -> int:
+    """x with bit k deleted: the bits above k move down one place."""
+    return ((x >> (k + 1)) << k) | (x & ((1 << k) - 1))
+
+
+def _del_set(x: int, n: int) -> set[int]:
+    """D(x) for a length-n word x."""
+    return {_del_bit(x, k) for k in range(n)}
+
+
+def _sub_set(x: int, n: int) -> set[int]:
+    """S(x) for a length-n word x: x and its n single flips."""
+    out = {x}
+    for k in range(n):
+        out.add(x ^ (1 << k))
+    return out

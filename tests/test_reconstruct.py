@@ -1,12 +1,26 @@
 import io
 import random
 import re
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
+from delsub import reconstruct
 from delsub.balls import ADJACENT_TRANSPOSITION, CASE_CEILINGS, ds_ball, preimage_ball
-from delsub.codes import CL, CN21, FULL, INV, VT, best_coset, members, spec
+from delsub.codes import (
+    C2N9,
+    CL,
+    CN21,
+    CP,
+    EVEN_POS,
+    FULL,
+    INV,
+    VT,
+    VT_MOD,
+    best_coset,
+    members,
+    spec,
+)
 from delsub.reconstruct import (
     AMBIGUOUS,
     INCONSISTENT,
@@ -67,6 +81,25 @@ def test_read_bundle_validation():
         ReadBundle(n=4, reads=("010", "010"))
 
 
+@pytest.mark.parametrize("read", ["1_0", " 10", "+1", "0a"])
+def test_read_bundle_rejects_a_non_binary_read(read):
+    # int(read, 2) takes the first three, so a decode on integers would
+    # silently read them as other words
+    with pytest.raises(ValueError, match=re.escape(f"not a binary word: {read!r}")):
+        ReadBundle(n=len(read) + 1, reads=("0" * len(read), read))
+
+
+def test_collect_reads_sizes_the_ball_like_the_string_api():
+    for n in range(1, 9):
+        for bits in product("01", repeat=n):
+            x = "".join(bits)
+            ball = len(ds_ball(x))
+            with pytest.raises(BallTooSmallError) as err:
+                collect_reads(x, ball + 1, seed=0)
+            assert err.value.ball_size == ball
+            assert len(collect_reads(x, ball, seed=0).reads) == ball
+
+
 def test_decode_unique_roundtrip():
     cs = best_coset(INV, 7, m=2)
     x = next(w for w in members(cs) if len(ds_ball(w)) >= 17)
@@ -100,8 +133,31 @@ def test_decode_inconsistent_reads():
 
 
 def test_decode_rejects_length_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("bundle length 6 does not match spec n=5")):
         decode(spec(FULL, 5), ReadBundle(n=6, reads=("00000",)))
+
+
+def test_integer_preimage_matches_the_string_ball():
+    for n in range(1, 11):
+        for bits in product("01", repeat=n - 1):
+            z = "".join(bits)
+            want = {int(x, 2) for x in preimage_ball(z, n)}
+            assert reconstruct._preimage(int(z or "0", 2), n) == want, (z, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_decode_matches_scan_on_every_small_bundle(n):
+    # every set of 0..3 distinct reads, so every bundle of reads of every
+    # word and every inconsistent one
+    specs = [spec(FULL, n)] + [
+        best_coset(family, n) for family in (VT, INV, VT_MOD, EVEN_POS, CP, C2N9, CN21, CL)
+    ]
+    words = ["".join(bits) for bits in product("01", repeat=n - 1)]
+    for count in range(4):
+        for reads in combinations(words, count):
+            bundle = ReadBundle(n, reads)
+            for cs in specs:
+                assert decode(cs, bundle) == decode_by_scan(cs, bundle), (cs, bundle)
 
 
 def test_decode_empty_bundle_lists_whole_code():

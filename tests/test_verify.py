@@ -682,6 +682,24 @@ def test_counting_dp_off_by_one_fails_both_cross_checks(monkeypatch):
     assert rll.counterexamples[0]["observed"] == rll.detail["members"] + 1
 
 
+def test_a_non_member_in_the_best_bucket_fails_coset_membership(monkeypatch):
+    cosets = codes.cosets
+
+    def padded(family, n, **fixed):
+        buckets, coset_of = cosets(family, n, **fixed)
+        best = min(buckets, key=lambda k: (-len(buckets[k]), k))
+        stranger = next(v for k, vs in sorted(buckets.items()) if k != best for v in vs)
+        buckets[best] = sorted(buckets[best] + [stranger])
+        return buckets, coset_of
+
+    monkeypatch.setattr(codes, "cosets", padded)
+    report = verify_code_theorem("vt", 8)
+    assert report.status == "FAIL"
+    found = [c for c in report.counterexamples if c["check"] == "coset membership"]
+    assert len(found) == 1
+    assert found[0]["expected"] == str(codes.best_coset("vt", 8))
+
+
 def test_rll_frozen_n10():
     report = verify_rll(10, 8)
     assert report.status == "PASS"
