@@ -1,46 +1,45 @@
-"""Microseconds per pair of the claim-table and structured-family checkers
-and of the code checks, parent tree against this one.
+"""Microseconds per pair of the all-pairs sweeps, the claim-table and
+structured-family checkers and the code checks, parent tree against this one.
 
-Times ``verify._structured_chunk(kind, depth, n, params, lo, hi)`` for every
-structured kind at both check depths ("full" runs the claim-table checker,
-"ceiling" the size checks) at n = 11 and n = 14, and the two exhaustive
-sweeps over every pair at n = 10: the claim tables' identity sweep
-``verify._identity_chunk(n, lo, hi)`` (kind "identity") and the
-intersection-bounds sweep ``verify._bounds_chunk(n, lo, hi)`` (kind
-"bounds"), both at depth "all-pairs".  The worker fills the mask-table
-cache ``verify._tables(n)``, and its column masks where the tree has them,
-before timing, and the two chunks read it themselves, so both trees must
-have chunks that read that cache (trees that handed the tables to their
-chunks through a module global cannot be measured).  Each all-pairs cell
-also records, from a separate untimed pass that wraps
-``verify._walk_mask``, how many pairs the row walk sent through the
-per-pair checks and how many it counted in bulk; a tree without a row walk
-walks every pair.  Each structured (n, kind) walks up to four evenly
-spaced windows of 64 pairs for every parameter tuple of the family, the
-same windows at both depths, REPEATS times over, so that one timing of the
-fastest structured cell lasts about 0.1 s or more (a single pass of the
-all-pairs cells already takes longer).  The code-check cells (kind: the
-theorem id, depth "code-check") time one
+The all-pairs cells time the public calls, since the two trees' sweep
+chunks need not share a signature: ``verify_intersection_bounds(n)``
+(kind "bounds") and ``verify_bad_count(n)`` (kind "bad-count", convention
+"pre") at n = 8..12, and the claim tables' identity sweep (kind
+"identity") as ``verify_claim_tables(10)`` with the structured family tasks
+left out (``verify._family_tasks`` returns none), which sweeps every pair
+at n = 2..10.  Each is timed three times in a row: the first call at
+``jobs=1`` (depth "jobs=1 first", which pays what a tree computes once per
+length on its first sweep), then again at ``jobs=1`` and at ``jobs=2``.  The
+worker fills the mask-table cache ``verify._tables(n)``, its column masks,
+``verify._dels_by_position(n)`` and the witness summaries
+``verify._witness_summaries(n)`` before timing, and hashes each canonical
+report.  The bounds and identity cells at n = 10 also record, from one
+untimed ``jobs=1`` call that wraps ``verify._walk_mask``, how many pairs
+the row walk sent through the per-pair checks; a route that stands for
+several pairs with one visit walks fewer.  Their "pairs" is every pair
+of the sweep, as in the report, so that us per pair compares the trees'
+wall times.  Each structured (n, kind) walks up to four evenly spaced
+windows of 64 pairs for every parameter tuple of the family, at n = 11 and
+n = 14, through ``verify._structured_chunk(kind, depth, n, params, lo, hi)``
+at both check depths ("full" runs the claim-table checker, "ceiling" the
+size checks), the same windows at both depths, REPEATS times over, so that
+one timing of the fastest structured cell lasts about 0.1 s or more.  The
+code-check cells (kind: the theorem id, depth "code-check") time one
 ``verify._code_chunk(theorem_id, n, cosets)`` call over every coset of the
 check's family, listed before timing as ``verify_code_theorem`` lists them
 (ascending members, sorted keys), at n = 12 for inv, c2n9, vt and cn21 and
-at n = 13 for inv; their pairs are the pairs inside the cosets.  The
-bad-count cells (kind "bad-count", depth "all-pairs") time one
-``verify._bad_chunk("pre", n, lo, hi)`` pass over every
-``verify._spans(2^n)`` range at n = 8 and n = 10; the worker fills
-``verify._dels_by_position(n)``, and the witness-summary cache
-``verify._witness_summaries(n)`` where the tree has one, before timing.
-Every pair counts as walked there: that chunk has no bulk count.  The two
+at n = 13 for inv; their pairs are the pairs inside the cosets.  The two
 source trees are measured in interleaved rounds (``rounds.py``), one
 timing per cell per round; the output keeps, per tree, every round, the
-median and the minimum.  It writes
+median and the minimum, and per sweep and length the median over rounds of
+the jobs=1 over jobs=2 time ratio.  It writes
 ``BENCH_structured_kernel.json`` at the repository root.
 Standard library only:
 
     python3 benchmarks/kernels.py --src PATH/TO/PARENT/src
 
-The worker also hashes every chunk result, with dict keys sorted as the
-reports sort them; the script fails if the two trees disagree on one.
+The worker also hashes every result, with dict keys sorted as the reports
+sort them; the script fails if the two trees disagree on one.
 """
 
 from __future__ import annotations
@@ -57,9 +56,11 @@ import rounds
 
 OUT = rounds.ROOT / "BENCH_structured_kernel.json"
 LENGTHS = (11, 14)
+# the all-pairs sweeps timed per length, and the length of the identity
+# cell and of the walked-pair counts
+SWEEP_LENGTHS = range(8, 13)
 ALL_PAIRS_N = 10
 CODE_CELLS = (("inv", 12), ("c2n9", 12), ("vt", 12), ("cn21", 12), ("inv", 13))
-BAD_COUNT_LENGTHS = (8, 10)
 DEPTHS = ("full", "ceiling")
 WINDOWS = 4
 WINDOW_PAIRS = 64
@@ -94,11 +95,10 @@ def _cosets(verify, theorem_id: str, n: int) -> list[list[int]]:
     return [buckets[key] for key in sorted(buckets)]
 
 
-def _walked_pairs(verify, chunk, n: int, pairs: int) -> int:
-    """The pairs chunk(n, 0, 2^n) sends through its per-pair checks."""
-    walk_mask = getattr(verify, "_walk_mask", None)
-    if walk_mask is None:
-        return pairs
+def _walked_pairs(verify, call) -> int:
+    """The pairs call(jobs=1) sends through the per-pair checks of its row
+    walk."""
+    walk_mask = verify._walk_mask
     walked = 0
 
     def counted(*args):
@@ -109,10 +109,24 @@ def _walked_pairs(verify, chunk, n: int, pairs: int) -> int:
 
     verify._walk_mask = counted
     try:
-        chunk(n, 0, 1 << n)
+        call(jobs=1)
     finally:
         verify._walk_mask = walk_mask
     return walked
+
+
+def _sweep_cells(verify, kind: str, n: int, pairs: int, call, digest) -> list[tuple]:
+    """Three timed calls call(jobs=...) as (n, kind, depth, pairs, pairs
+    walked or None, us per pair) cells, each canonical report hashed."""
+    timed = []
+    for depth, jobs in (("jobs=1 first", 1), ("jobs=1", 1), ("jobs=2", 2)):
+        t0 = time.perf_counter()
+        report = call(jobs=jobs)
+        seconds = time.perf_counter() - t0
+        digest.update(report.to_json().encode())
+        timed.append((depth, seconds / pairs * 1e6))
+    walked = _walked_pairs(verify, call) if n == ALL_PAIRS_N and kind != "bad-count" else None
+    return [(n, kind, depth, pairs, walked, us) for depth, us in timed]
 
 
 def _worker(src: str) -> dict:
@@ -123,31 +137,27 @@ def _worker(src: str) -> dict:
 
     digest = hashlib.sha256()
     cells = []
-    n = ALL_PAIRS_N
-    size = 1 << n
-    pairs = size * (size - 1) // 2
-    tab = verify._tables(n)
-    if hasattr(tab, "columns"):
-        tab.columns()
-    for kind, chunk in (("identity", verify._identity_chunk), ("bounds", verify._bounds_chunk)):
-        t0 = time.perf_counter()
-        result = chunk(n, 0, size)
-        seconds = time.perf_counter() - t0
-        digest.update(json.dumps(result, sort_keys=True).encode())
-        walked = _walked_pairs(verify, chunk, n, pairs)
-        cells.append((n, kind, "all-pairs", pairs, walked, seconds / pairs * 1e6))
-    for n in BAD_COUNT_LENGTHS:
+    for n in SWEEP_LENGTHS:
         size = 1 << n
         pairs = size * (size - 1) // 2
-        verify._tables(n)
+        verify._tables(n).columns()
         verify._dels_by_position(n)
-        if hasattr(verify, "_witness_summaries"):
-            verify._witness_summaries(n)
-        t0 = time.perf_counter()
-        results = [verify._bad_chunk("pre", n, lo, hi) for lo, hi in verify._spans(size)]
-        seconds = time.perf_counter() - t0
-        digest.update(json.dumps(results, sort_keys=True).encode())
-        cells.append((n, "bad-count", "all-pairs", pairs, pairs, seconds / pairs * 1e6))
+        verify._witness_summaries(n)
+        cells += _sweep_cells(verify, "bounds", n, pairs,
+                              lambda jobs: verify.verify_intersection_bounds(n, jobs=jobs), digest)
+        cells += _sweep_cells(verify, "bad-count", n, pairs,
+                              lambda jobs: verify.verify_bad_count(n, jobs=jobs), digest)
+    n = ALL_PAIRS_N
+    for k in range(2, n + 1):
+        verify._tables(k).columns()
+    family_tasks = verify._family_tasks
+    verify._family_tasks = lambda kind, depth, n: []
+    try:
+        pairs = sum((1 << k) * ((1 << k) - 1) // 2 for k in range(2, n + 1))
+        cells += _sweep_cells(verify, "identity", n, pairs,
+                              lambda jobs: verify.verify_claim_tables(n, jobs=jobs), digest)
+    finally:
+        verify._family_tasks = family_tasks
     for theorem_id, n in CODE_CELLS:
         cosets = _cosets(verify, theorem_id, n)
         pairs = sum(len(m) * (len(m) - 1) // 2 for m in cosets)
@@ -176,14 +186,31 @@ def _summary(runs: list[dict]) -> list[dict]:
     for i, (n, kind, depth, pairs, walked, _) in enumerate(runs[0]["cells"]):
         us = [run["cells"][i][5] for run in runs]
         row = {"n": n, "kind": kind, "depth": depth, "pairs": pairs}
-        if depth == "all-pairs":
+        if walked is not None:
             row["walked_pairs"] = walked
             row["bulk_pairs"] = pairs - walked
+        if depth.startswith("jobs"):
+            row["s"] = round(statistics.median(us) * pairs / 1e6, 4)
         row["us_per_pair"] = round(statistics.median(us), 2)
         row["us_per_pair_min"] = round(min(us), 2)
         row["us_per_pair_runs"] = [round(u, 2) for u in us]
         rows.append(row)
     return rows
+
+
+def _fork_ratios(runs: list[dict]) -> list[dict]:
+    """Per all-pairs sweep and length, the median over rounds of its jobs=1
+    time over its jobs=2 time: above 1 where the fork pays."""
+    out = []
+    cells = runs[0]["cells"]
+    for i, (n, kind, depth, *_) in enumerate(cells):
+        if depth != "jobs=1":
+            continue
+        j = next(k for k, c in enumerate(cells) if c[:3] == [n, kind, "jobs=2"])
+        ratios = [run["cells"][i][5] / run["cells"][j][5] for run in runs]
+        out.append({"n": n, "kind": kind, "jobs1_over_jobs2": round(statistics.median(ratios), 2),
+                    "runs": [round(r, 2) for r in ratios]})
+    return out
 
 
 def _describe(run: dict) -> str:
@@ -211,7 +238,8 @@ def main() -> int:
         "script": "benchmarks/kernels.py",
         **rounds.machine(),
         "rounds": ROUNDS,
-        "trees": {role: {"rev": rounds.rev(src), "timings": _summary(runs[role])}
+        "trees": {role: {"rev": rounds.rev(src), "timings": _summary(runs[role]),
+                         "fork": _fork_ratios(runs[role])}
                   for role, src in trees.items()},
     }
     OUT.write_text(json.dumps(doc, indent=2) + "\n")

@@ -21,7 +21,10 @@ checks accept, so they would record nothing for it; it is counted in bulk,
 and its size folded into the maxima, from bit-sliced counts over the
 tables' column masks.  Distance and window do not read the tables, and the
 other terms read the same tables as the checks, so a faulty table cannot
-hide a pair on which a check would fire.
+hide a pair on which a check would fire.  Where the tables map row by row
+under reversal and complement, the all-pairs sweeps visit one row per orbit
+(or, for bad-count, one pair per complement orbit of pairs) and weight the
+counts; a counterexample on that route reruns the call on the full route.
 """
 
 from __future__ import annotations
@@ -54,7 +57,15 @@ from .balls import (
 from .codes import CodeSpec
 from .reconstruct import ReadBundle, UNIQUE, collect_reads
 from .reconstruct import decode as decode_reads
-from .words import _del_bit, _del_set, _sub_set
+from .words import (
+    _complement_elements,
+    _del_bit,
+    _del_set,
+    _orbit_rows,
+    _reverse,
+    _reverse_elements,
+    _sub_set,
+)
 from .words import decode as to_word
 from .words import max_le2_periodic_length, psi
 
@@ -184,6 +195,36 @@ def _has_symbol(v: int, length: int, symbol: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# reversal and complement of the rows of a per-word table (_reverse and the
+# element maps of word sets held as masks are in words)
+
+
+def _maps_rows(rows: Sequence[Any], n: int, m: int | None, reversal: bool) -> bool:
+    """Whether row g(x) of rows, one per length-n word x, is row x with g
+    applied to each element, for g the reversal (else the complement).
+
+    A row is a plain value when m is None, else a set of length-m words: a
+    mask, or the keys of a dict whose values g keeps.  g is an involution,
+    so each pair {x, g(x)} is compared once.
+    """
+    top = (1 << n) - 1
+    for x, row in enumerate(rows):
+        gx = _reverse(x, n) if reversal else x ^ top
+        if gx < x:
+            continue
+        if m is None:
+            want = row
+        elif isinstance(row, dict):
+            flip = (1 << m) - 1
+            want = {(_reverse(z, m) if reversal else z ^ flip): v for z, v in row.items()}
+        else:
+            want = _reverse_elements(row, m) if reversal else _complement_elements(row, m)
+        if rows[gx] != want:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # per-length mask tables, shared copy-on-write with forked workers
 
 
@@ -230,10 +271,23 @@ class _Tables:
 
     The column masks of the row walk (see _row_walk) are built from these
     rows on the first call of columns(), never here: code checks read the
-    rows only.  A test that corrupts a row must do so before that call.
+    rows only.  The same holds for the equivariance verdicts of the orbit
+    route (see equivariant).  A test that corrupts a row must do so before
+    either call.
     """
 
-    __slots__ = ("n", "runs", "dmask", "smask", "prev_smask", "bmask", "_cols")
+    __slots__ = ("n", "runs", "dmask", "smask", "prev_smask", "bmask", "_cols", "_sym")
+
+    # per table: the length of the words indexing its rows, less n, and of
+    # the words in each row's set (None: a row is a plain value)
+    _SHAPES = {
+        "runs": (0, None),
+        "dmask": (0, -1),
+        "smask": (0, 0),
+        "bmask": (0, -1),
+        "prev_smask": (-1, -1),
+        "summaries": (0, -1),
+    }
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -250,6 +304,7 @@ class _Tables:
             dmask.append(dm)
             bmask.append(bm)
         self._cols: _Columns | None = None
+        self._sym: dict[tuple[str, bool], bool] = {}
 
     def columns(self) -> _Columns:
         if self._cols is None:
@@ -260,6 +315,27 @@ class _Tables:
                 _columns(map(_bits, self.bmask), words, words >> 1),
             )
         return self._cols
+
+    def equivariant(self, tables: Iterable[str], reversal: bool) -> bool:
+        """Whether every named table maps row by row under complement and,
+        with reversal, under reversal too (_maps_rows): the sweeps may then
+        walk orbit representatives only.  "summaries" names the witness
+        summaries _witness_summaries(n).
+
+        Each table's verdict per map is computed on its first call and
+        kept, like the column masks, so the verifiers ask before they fork.
+        """
+        for name in tables:
+            for rev in (False, True) if reversal else (False,):
+                ok = self._sym.get((name, rev))
+                if ok is None:
+                    rows = _witness_summaries(self.n) if name == "summaries" else getattr(self, name)
+                    dn, dm = self._SHAPES[name]
+                    m = None if dm is None else self.n + dm
+                    ok = self._sym[name, rev] = _maps_rows(rows, self.n + dn, m, rev)
+                if not ok:
+                    return False
+        return True
 
 
 @functools.cache
@@ -431,6 +507,33 @@ def _spans(size: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, size)) for lo in range(0, size, step)]
 
 
+def _sweep_tasks(fn: Callable, head: tuple, n: int, orbit: Any = None) -> list[tuple]:
+    """The tasks (fn, *head, rows, weights, orbits) of an all-pairs sweep
+    over the length-n words, one per span of its rows: the orbit rows and
+    weights given (orbits True), else every word with weight 1."""
+    if orbit is None:
+        size = 1 << n
+        rows, weights = range(size), [1] * size
+    else:
+        rows, weights = orbit
+    flag = orbit is not None
+    return [(fn, *head, rows[lo:hi], weights[lo:hi], flag) for lo, hi in _spans(len(rows))]
+
+
+def _sweep(legs: list[tuple], jobs: int, tail: Sequence[tuple] = ()) -> list[dict[str, Any]]:
+    """The parts of the all-pairs sweeps legs, each (fn, head, n, orbit
+    rows or None) as _sweep_tasks takes it, followed by those of the tasks
+    tail, all in one fan-out.  When a part on the orbit route found a
+    counterexample, every leg reruns on the full route, so that a FAIL
+    report lists its counterexamples as the full route finds them."""
+    tasks = [t for leg in legs for t in _sweep_tasks(*leg)]
+    parts = _map_tasks(tasks + list(tail), jobs)
+    if any(task[-1] and part["ces"] for task, part in zip(tasks, parts)):
+        full = [t for fn, head, n, _ in legs for t in _sweep_tasks(fn, head, n)]
+        parts[: len(tasks)] = _map_tasks(full, jobs)
+    return parts
+
+
 # ---------------------------------------------------------------------------
 # simple per-word verifiers
 
@@ -542,7 +645,16 @@ def _in_family(ra: int, rb: int, runs: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # row walk of the all-pairs sweeps: the close pairs of a row x go through the
-# per-pair body one by one, its generic pairs are counted in bulk
+# per-pair body one by one, its generic pairs are counted in bulk.  Reversal
+# and complement map ds-balls onto ds-balls and keep every quantity the
+# bounds and identity checks read, so on tables that map row by row
+# (_Tables.equivariant) those sweeps walk one row per orbit of the group
+# {1, reversal, complement, both}, against every other word, with weight
+# half the orbit's size (1 or 2); bad-count, whose "post" bad sets reversal
+# does not keep, pairs up complement orbits of pairs instead (_bad_chunk).
+# Maxima need no weight.  A counterexample on that orbit route sends the
+# whole call down the full route (_sweep), every row against the words after
+# it with weight 1, which is also the route on tables that do not map.
 
 
 @functools.cache
@@ -629,8 +741,11 @@ def _count_max(planes: list[int], words: int) -> int:
     return best
 
 
-def _walk_mask(tab: _Tables, x: int, planes: list[int], limit: int, windows: bool) -> int:
-    """The y > x that the row walk of x sends through the per-pair body.
+def _walk_mask(
+    tab: _Tables, x: int, planes: list[int], limit: int, windows: bool, scope: int
+) -> int:
+    """The y in the mask scope that the row walk of x sends through the
+    per-pair body.
 
     These are the y within Hamming distance two of x, with windows the
     shift partners of x (_shift_partners), the y that share a deletion or a
@@ -653,17 +768,20 @@ def _walk_mask(tab: _Tables, x: int, planes: list[int], limit: int, windows: boo
         walk |= cols.dmask[z]
     for z in _bits(tab.smask[x]):
         walk |= cols.smask[z]
-    return walk & -(2 << x)
+    return walk & scope
 
 
 def _row_walk(
-    tab: _Tables, lo: int, hi: int, windows: bool
+    tab: _Tables, rows: Iterable[int], orbits: bool, windows: bool
 ) -> Iterator[tuple[int, int, int, int]]:
-    """Per row x in lo..hi: x, the mask of the y > x to walk (_walk_mask),
-    the number of the other y > x, and the largest shared-ball size among
-    those (-1 when there are none).
+    """Per row x of rows: x, the mask of the partners y to walk
+    (_walk_mask), the number of the other partners, and the largest
+    shared-ball size among those (-1 when there are none).
 
-    Each other y is at Hamming distance three or more, shares no deletion
+    The partners of x are the y > x on the full route, and with orbits every
+    y != x: there x stands for its orbit under reversal and complement, and
+    the sweep weights what the row counts by half the orbit's size.  Each
+    other partner is at Hamming distance three or more, shares no deletion
     and no substitution with x, shares no more elements with it than the
     generic and the global ceiling allow and, with windows, is no shift
     partner of x.  Both sweeps walk with this one limit.
@@ -673,15 +791,25 @@ def _row_walk(
     full = (1 << len(bm)) - 1
     generic = CASE_CEILINGS[GENERIC].ceiling(tab.n)
     limit = min(generic, _global_ceiling(tab.n) or generic)
-    for x in range(lo, hi):
+    for x in rows:
+        scope = full ^ (1 << x) if orbits else full & -(2 << x)
         planes = _count_planes(col_b, _bits(bm[x]))
-        walk = _walk_mask(tab, x, planes, limit, windows)
-        rest = (full & -(2 << x)) & ~walk
+        walk = _walk_mask(tab, x, planes, limit, windows, scope)
+        rest = scope & ~walk
         yield x, walk, rest.bit_count(), _count_max(planes, rest) if rest else -1
 
 
-def _bounds_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
-    """The exhaustive intersection-bounds checks on the pairs of rows lo..hi.
+# the tables each sweep reads, whose equivariance lets it take the orbit route
+_BOUNDS_TABLES = ("runs", "dmask", "smask", "bmask")
+_IDENTITY_TABLES = _BOUNDS_TABLES + ("prev_smask",)
+_BAD_TABLES = ("dmask", "bmask", "summaries")
+
+
+def _bounds_chunk(
+    n: int, rows: Sequence[int], weights: Sequence[int], orbits: bool
+) -> dict[str, Any]:
+    """The exhaustive intersection-bounds checks on the pairs of the given
+    rows, each pair's counts weighted by its row's weight (see _row_walk).
 
     A pair the row walk leaves out is generic with d = 0 = want_d, and the
     generic case has neither a run-sum ceiling nor an equality family; its
@@ -701,11 +829,11 @@ def _bounds_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
     sink = _Sink(n)
     case_pairs: dict[str, int] = {}
     case_max: dict[str, int] = {}
-    rows = _case_rows(n)
-    for x, walk, bulk, bulk_max in _row_walk(tab, lo, hi, True):
+    cases = _case_rows(n)
+    for w, (x, walk, bulk, bulk_max) in zip(weights, _row_walk(tab, rows, orbits, True)):
         if bulk:
-            pairs += bulk
-            case_pairs[GENERIC] = case_pairs.get(GENERIC, 0) + bulk
+            pairs += w * bulk
+            case_pairs[GENERIC] = case_pairs.get(GENERIC, 0) + w * bulk
             if bulk_max > case_max.get(GENERIC, -1):
                 case_max[GENERIC] = bulk_max
             if bulk_max > extremal:
@@ -714,7 +842,7 @@ def _bounds_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
         sx = sm[x]
         dx = dm[x]
         for y in _bits(walk):
-            pairs += 1
+            pairs += w
             diff = x ^ y
             dh = diff.bit_count()
             hi_b = diff.bit_length() - 1
@@ -759,8 +887,8 @@ def _bounds_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
                 if d_mask != 1 << z:
                     sink.add(x, y, "shared deletion witness", _Word(z, n - 1), _bits(d_mask))
 
-            case, name, ceiling, eq_runs, run_extra, _ = rows[dh][d]
-            case_pairs[case] = case_pairs.get(case, 0) + 1
+            case, name, ceiling, eq_runs, run_extra, _ = cases[dh][d]
+            case_pairs[case] = case_pairs.get(case, 0) + w
             if b > case_max.get(case, -1):
                 case_max[case] = b
             if run_extra is not None and b > runs[x] + runs[y] + run_extra:
@@ -777,7 +905,7 @@ def _bounds_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
                 if b > bound_global:
                     sink.add(x, y, "global ceiling", bound_global, b)
                 if b == bound_global and case is ADJACENT_TRANSPOSITION:
-                    eq += 1
+                    eq += w
             if b > extremal:
                 extremal = b
     return {
@@ -1222,8 +1350,16 @@ def verify_intersection_bounds(
     Only the close pairs of each word go through these checks one by one
     (_walk_mask); every other pair is generic, shares no deletion, and
     stays within the generic and global ceilings, so none of the checks can
-    fire on it, and it is counted into the generic case in bulk.
-    Structured mode walks only the transposition, flip, shift,
+    fire on it, and it is counted into the generic case in bulk.  When the
+    tables it reads (runs, dmask, smask, bmask) map row by row under
+    reversal and complement, a verdict computed once per table set before
+    the fork (_Tables.equivariant), the sweep visits only the least word of
+    each orbit of {1, reversal, complement, both}, paired with every other
+    word, and counts its pairs, case pairs and equality cases with weight
+    half the orbit's size; maxima are taken as they are.  Otherwise, or
+    when that route finds a counterexample, the call runs the full route,
+    every word paired with the words after it, so a FAIL report is the
+    full route's.  Structured mode walks only the transposition, flip, shift,
     and alternating-window families, which reaches longer words; each
     pair's shared ball is built from its close deletion pairs (u, w), one
     deletion per run of x and of y within Hamming distance two, as the
@@ -1246,8 +1382,10 @@ def verify_intersection_bounds(
             )
         parts = _map_tasks(tasks, jobs)
     else:
-        _tables(n).columns()
-        parts = _map_tasks([(_bounds_chunk, n, lo, hi) for lo, hi in _spans(1 << n)], jobs)
+        tab = _tables(n)
+        tab.columns()
+        orbit = _orbit_rows(n) if tab.equivariant(_BOUNDS_TABLES, True) else None
+        parts = _sweep([(_bounds_chunk, (n,), n, orbit)], jobs)
         case_pairs: dict[str, int] = {}
         case_max: dict[str, int] = {}
         for part in parts:
@@ -1270,8 +1408,11 @@ def verify_intersection_bounds(
 # tables and regime values on the structured enumerations
 
 
-def _identity_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
-    """The size accounting of the pairs of rows lo..hi.
+def _identity_chunk(
+    n: int, rows: Sequence[int], weights: Sequence[int], orbits: bool
+) -> dict[str, Any]:
+    """The size accounting of the pairs of the given rows, each row's pairs
+    counted with its weight (see _row_walk).
 
     A pair the row walk leaves out is generic and within the generic and
     global ceilings: both terms are empty, so containment holds and every
@@ -1288,8 +1429,8 @@ def _identity_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
     size = 1 << n
     extremal = -1
     sink = _Sink(n)
-    rows = _case_rows(n)
-    for x, walk, _, bulk_max in _row_walk(tab, lo, hi, False):
+    cases = _case_rows(n)
+    for x, walk, _, bulk_max in _row_walk(tab, rows, orbits, False):
         if bulk_max > extremal:
             extremal = bulk_max
         bx = bm[x]
@@ -1317,7 +1458,7 @@ def _identity_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
             d_sz = d_term.bit_count()
             extra = b - union.bit_count()
 
-            case, name, ceiling, _, run_extra, extra_cap = rows[dh][d_mask.bit_count()]
+            case, name, ceiling, _, run_extra, extra_cap = cases[dh][d_mask.bit_count()]
             if case is TWO_FLIPS:
                 # deletion side only
                 if d_sz > 2 * n:
@@ -1341,8 +1482,8 @@ def _identity_chunk(n: int, lo: int, hi: int) -> dict[str, Any]:
                 ceiling if run_extra is None else min(ceiling, runs[x] + runs[y] + run_extra)
             ):
                 sink.add(x, y, f"{name} ceiling", ceiling, b)
-    # row x pairs with the size - 1 - x words after it
-    pairs = (hi - lo) * (2 * size - lo - hi - 1) // 2
+    # row x pairs with the size - 1 - x words after it, or all size - 1 others
+    pairs = sum(w * (size - 1 if orbits else size - 1 - x) for x, w in zip(rows, weights))
     return {"pairs": pairs, "extremal": extremal, "eq": 0, "ces": sink.ces}
 
 
@@ -1359,7 +1500,11 @@ def verify_claim_tables(n_max: int, *, jobs: int = 1) -> VerificationReport:
     generic and global ceilings is not visited: the row walk (_row_walk)
     folds its size into the extremal in bulk, as for intersection bounds.
     Every other pair, a faulty table's spurious shared deletion or
-    substitution included, gets the full decomposition.  On top of that
+    substitution included, gets the full decomposition.  As there, a length
+    whose tables (prev_smask too) map row by row under reversal and
+    complement is swept from one word per orbit, its pair count weighted by
+    half the orbit's size, and a counterexample on that route reruns every
+    length's identity sweep on the full route.  On top of that
     the four structured families are enumerated up to ``n_max`` and every
     tabulated quantity (term splits, overlap columns, extra-element counts,
     regime ceilings, equality conditions) is recomputed from scratch per
@@ -1372,9 +1517,13 @@ def verify_claim_tables(n_max: int, *, jobs: int = 1) -> VerificationReport:
     if n_max > STRUCTURED_LIMIT:
         raise ValueError(f"claim tables capped at n <= {STRUCTURED_LIMIT}")
     id_top = min(n_max, _IDENTITY_MAX_N)
-    tasks = [
-        (_identity_chunk, n, lo, hi) for n in range(2, id_top + 1) for lo, hi in _spans(1 << n)
-    ]
+    legs = []
+    for n in range(2, id_top + 1):
+        tab = _tables(n)
+        tab.columns()
+        orbit = _orbit_rows(n) if tab.equivariant(_IDENTITY_TABLES, True) else None
+        legs.append((_identity_chunk, (n,), n, orbit))
+    tasks = []
     family_counts: dict[str, int] = {}
     for n in range(2, n_max + 1):
         for kind in _FAMILY_KINDS:
@@ -1383,9 +1532,7 @@ def verify_claim_tables(n_max: int, *, jobs: int = 1) -> VerificationReport:
             family_counts[kind] = family_counts.get(kind, 0) + sum(
                 t[-1] - t[-2] for t in fam_tasks
             )
-    for n in range(2, id_top + 1):
-        _tables(n).columns()
-    parts = _map_tasks(tasks, jobs)
+    parts = _sweep(legs, jobs, tasks)
     sink = _Sink(n_max)
     pairs, extremal, eq = _merge(parts, sink)
     detail = {
@@ -1488,8 +1635,17 @@ def _witness_summaries(n: int) -> list[dict[int, tuple[int, ...]]]:
     return out
 
 
-def _bad_chunk(convention: str, n: int, lo: int, hi: int) -> dict[str, Any]:
-    """Bad shared elements of the generic pairs x < y with lo <= x < hi.
+def _bad_chunk(
+    convention: str, n: int, rows: Sequence[int], weights: Sequence[int], orbits: bool
+) -> dict[str, Any]:
+    """Bad shared elements of the generic pairs x < y with x in rows, each
+    counted with its row's weight.
+
+    On the full route y runs over every word above x.  With orbits, the
+    rows are the words below 2^(n-1) and y runs up to the complement k(x):
+    each pair of the orbit {x, y}, {k(x), k(y)} then comes once, as its pair
+    with x + y <= 2^n - 1, and with the weight of its orbit: the row's 2,
+    but 1 for y = k(x), whose orbit is itself.
 
     A shared element z is good under a convention when some witness (i, p)
     of x and j of y, or i of x and (j, p) of y, puts the flip p below both
@@ -1509,7 +1665,7 @@ def _bad_chunk(convention: str, n: int, lo: int, hi: int) -> dict[str, Any]:
     absent = (n + 1, 0, n, 0, 0)
     dm = tab.dmask
     bm = tab.bmask
-    size = 1 << n
+    top = (1 << n) - 1
     pairs = 0
     seen = 0
     max_pre = 0
@@ -1517,18 +1673,20 @@ def _bad_chunk(convention: str, n: int, lo: int, hi: int) -> dict[str, Any]:
     eq = 0
     sink = _Sink(n)
     generic = CASE_CEILINGS[GENERIC].ceiling(n)
-    for x in range(lo, hi):
+    for x, w in zip(rows, weights):
         dx = dm[x]
         bx = bm[x]
         sx = summaries[x]
-        for y in range(x + 1, size):
+        kx = x ^ top
+        for y in range(x + 1, (kx if orbits else top) + 1):
             if (x ^ y).bit_count() < 3 or dx & dm[y]:
                 continue
-            pairs += 1
+            wy = 1 if y == kx else w
+            pairs += wy
             inter = bx & bm[y]
             if not inter:
                 continue
-            seen += 1
+            seen += wy
             sy = summaries[y]
             bad_pre = 0
             bad_post = 0
@@ -1553,7 +1711,7 @@ def _bad_chunk(convention: str, n: int, lo: int, hi: int) -> dict[str, Any]:
                 max_post = bad_post
             declared = bad_pre if convention == "pre" else bad_post
             if declared == 6:
-                eq += 1
+                eq += wy
             elif declared > 6:
                 sink.add(x, y, "bad element count", 6, declared)
     max_bad = {"pre": max_pre, "post": max_post}
@@ -1581,7 +1739,14 @@ def verify_bad_count(
     flips make the element good exactly when its least flip below a
     deletion lies below the other word's last deletion position, or its
     greatest flip above one lies above the other's first, which is
-    _outside taken over every witness pair.
+    _outside taken over every witness pair.  Complement keeps the bad sets
+    under both conventions (reversal keeps "post" ones only on some pairs),
+    so when dmask, bmask and the summaries map row by row under complement
+    (_Tables.equivariant, decided once before the fork) the sweep visits one
+    pair per complement orbit of pairs, weighted 2, or 1 for a word and its
+    complement (see _bad_chunk).  Otherwise, or when that route finds a
+    counterexample, the call runs the full route over every pair, so a FAIL
+    report is the full route's.
     """
     t0 = time.monotonic()
     if convention not in WITNESS_CONVENTIONS:
@@ -1595,9 +1760,11 @@ def verify_bad_count(
             "bad-count", (n, n), 0, 6, None, 0, [], t0,
             {"convention": convention}, skipped=True,
         )
-    _tables(n)
+    tab = _tables(n)
     _witness_summaries(n)
-    parts = _map_tasks([(_bad_chunk, convention, n, lo, hi) for lo, hi in _spans(1 << n)], jobs)
+    half = 1 << (n - 1)
+    orbit = (range(half), [2] * half) if tab.equivariant(_BAD_TABLES, False) else None
+    parts = _sweep([(_bad_chunk, (convention, n), n, orbit)], jobs)
     sink = _Sink(n)
     pairs, extremal, eq = _merge(parts, sink)
     detail = {

@@ -13,6 +13,7 @@ are the deletion and substitution sets on integers that both of them use.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -199,3 +200,53 @@ def _sub_set(x: int, n: int) -> set[int]:
     for k in range(n):
         out.add(x ^ (1 << k))
     return out
+
+
+def _reverse(x: int, n: int) -> int:
+    """The length-n word x read backwards."""
+    return int(format(x, f"0{n}b")[::-1], 2)
+
+
+@functools.cache
+def _reversal_swaps(m: int) -> tuple[tuple[int, int], ...]:
+    """Per pair of index bits j < k = m - 1 - j, the delta swap (selector,
+    shift) that trades them in every index of a 2^m-bit mask: the selector
+    holds the indices with bit j set and bit k clear, and each moves up by
+    the shift to its partner."""
+    out = []
+    for j in range(m // 2):
+        k = m - 1 - j
+        bits = ("1" if p >> j & 1 and not p >> k & 1 else "0" for p in range((1 << m) - 1, -1, -1))
+        out.append((int("".join(bits), 2), (1 << k) - (1 << j)))
+    return tuple(out)
+
+
+def _reverse_elements(mask: int, m: int) -> int:
+    """The set of length-m words mask with each word reversed."""
+    for sel, shift in _reversal_swaps(m):
+        t = ((mask >> shift) ^ mask) & sel
+        mask ^= t | (t << shift)
+    return mask
+
+
+def _complement_elements(mask: int, m: int) -> int:
+    """The set of length-m words mask with each word complemented: its 2^m
+    bits in reverse order."""
+    return int(format(mask, f"0{1 << m}b")[::-1], 2)
+
+
+@functools.cache
+def _orbit_rows(n: int) -> tuple[list[int], list[int]]:
+    """The least word of each orbit of the length-n words under reversal and
+    complement, and half the orbit's size: 1 or 2, since no word is its own
+    complement."""
+    top = (1 << n) - 1
+    rows = []
+    weights = []
+    for x in range(1 << n):
+        r = _reverse(x, n)
+        orbit = {x, r, x ^ top, r ^ top}
+        if min(orbit) == x:
+            rows.append(x)
+            weights.append(len(orbit) >> 1)
+    return rows, weights

@@ -240,8 +240,9 @@ def _drop_bits(table, every, keep):
          "dropped-dmask"],
 )
 def test_row_walk_matches_the_every_pair_sweep(monkeypatch, corrupt):
-    # walking every later word is the every-pair sweep; the row walk must
-    # give the same chunk results on sound and faulty n = 8 tables
+    # walking every partner is the every-pair sweep; the row walk must give
+    # the same chunk results on sound and faulty n = 8 tables, on the full
+    # route (every later word) and on the orbit route (every other word)
     real = verify._tables
     tab = verify._Tables(8)
     corrupt(tab)
@@ -249,15 +250,220 @@ def test_row_walk_matches_the_every_pair_sweep(monkeypatch, corrupt):
     monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
 
     def chunks():
-        return [chunk(8, lo, hi) for chunk in (verify._bounds_chunk, verify._identity_chunk)
-                for lo, hi in verify._spans(256)]
+        return [fn(*args) for chunk in (verify._bounds_chunk, verify._identity_chunk)
+                for orbit in (None, verify._orbit_rows(8))
+                for fn, *args in verify._sweep_tasks(chunk, (8,), 8, orbit)]
 
     walked = chunks()
     monkeypatch.setattr(
-        verify, "_walk_mask",
-        lambda tab, x, planes, limit, windows: ((1 << len(tab.runs)) - 1) & -(2 << x),
+        verify, "_walk_mask", lambda tab, x, planes, limit, windows, scope: scope
     )
     assert chunks() == walked
+
+
+def _reversal(x, n):
+    return int(format(x, f"0{n}b")[::-1], 2) if n else 0
+
+
+def _group(n, reversal=True):
+    """The maps of the group of reversal and complement on length-n words,
+    or of complement alone."""
+    top = (1 << n) - 1
+    maps = [lambda x: x, lambda x: x ^ top]
+    if reversal:
+        maps += [lambda x: _reversal(x, n), lambda x: _reversal(x, n) ^ top]
+    return maps
+
+
+def _image(mask, g):
+    return sum(1 << g(z) for z in verify._bits(mask))
+
+
+def test_sound_tables_are_equivariant():
+    for n in range(1, 11):
+        tab = verify._tables(n)
+        assert tab.equivariant(verify._IDENTITY_TABLES, True), n
+        if n >= 3:
+            assert tab.equivariant(verify._BAD_TABLES, False), n
+
+
+def _full_route(m):
+    """Send every all-pairs sweep down the full route, as asymmetric tables do."""
+    m.setattr(verify._Tables, "equivariant", lambda self, tables, reversal: False)
+
+
+def _by_route(monkeypatch, call):
+    """call()'s canonical report on the orbit route, then on the full route."""
+    reduced = call().to_json()
+    with monkeypatch.context() as m:
+        _full_route(m)
+        full = call().to_json()
+    return reduced, full
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_orbit_route_bounds_match_the_full_route(monkeypatch, n):
+    assert verify._tables(n).equivariant(verify._BOUNDS_TABLES, True)
+    reduced, full = _by_route(monkeypatch, lambda: verify_intersection_bounds(n))
+    assert reduced == full
+    if n in (8, 10):
+        assert verify_intersection_bounds(n, jobs=2).to_json() == full
+
+
+def test_orbit_route_identity_matches_the_full_route(monkeypatch):
+    # the identity leg alone, one length more per call
+    monkeypatch.setattr(verify, "_family_tasks", lambda kind, depth, n: [])
+    for n in range(2, 11):
+        reduced, full = _by_route(monkeypatch, lambda: verify_claim_tables(n))
+        assert reduced == full, n
+        if n in (8, 10):
+            assert verify_claim_tables(n, jobs=2).to_json() == full, n
+
+
+@pytest.mark.parametrize("convention", ["pre", "post"])
+def test_orbit_route_bad_count_matches_the_full_route_at_ten(monkeypatch, convention):
+    # n = 3..9 are compared in test_bad_count_summaries_match_the_witness_loop;
+    # "post" fails from n = 8 on, so there both calls end on the full route
+    reduced, full = _by_route(monkeypatch, lambda: verify_bad_count(10, convention=convention))
+    assert reduced == full
+    if convention == "pre":
+        assert verify_bad_count(10, jobs=2).to_json() == full
+
+
+def _close_under(tab, closure, reversal=True):
+    """Make the corrupted tables equivariant again: each mask row becomes the
+    closure (| or &) of the images of its orbit's rows, and each run count the
+    least one in its orbit."""
+    n = tab.n
+    for name, (dn, dm) in verify._Tables._SHAPES.items():
+        if name == "summaries" or (name == "prev_smask" and not reversal):
+            continue
+        rows = getattr(tab, name)
+        k = n + dn
+        word_maps = _group(k, reversal)
+        if dm is None:
+            rows[:] = [min(rows[g(x)] for g in word_maps) for x in range(1 << k)]
+            continue
+        elem_maps = _group(n + dm, reversal)
+        out = []
+        for x in range(1 << k):
+            acc = None
+            for g, h in zip(word_maps, elem_maps):
+                img = _image(rows[g(x)], h)
+                acc = img if acc is None else closure(acc, img)
+            out.append(acc)
+        rows[:] = out
+
+
+def _orbit_pairs(ces, n, reversal=True):
+    """The (unordered pair, check) of every counterexample among length-n
+    words, over its orbit; n = 0 keeps each pair as it is."""
+    out = set()
+    for c in ces:
+        x, y = int(c["x"], 2), int(c["y"], 2)
+        maps = _group(n, reversal) if n else [lambda x: x]
+        out |= {(frozenset((g(x), g(y))), c["check"]) for g in maps}
+    return out
+
+
+@pytest.mark.parametrize(
+    "corrupt, closure",
+    [
+        (_lower_runs_and_widen_balls, int.__or__),
+        (_add_bit("dmask", 7, 0b1011001), int.__or__),
+        (_add_bit("smask", 7, 0b10110010), int.__or__),
+        (_drop_bits("smask", 5, lambda row: 0), int.__and__),
+        (_drop_bits("dmask", 3, lambda row: row - 1), int.__and__),
+    ],
+    ids=["runs-and-balls", "spurious-dmask", "spurious-smask", "dropped-smask", "dropped-dmask"],
+)
+def test_orbit_route_finds_symmetric_faults_over_their_orbits(monkeypatch, corrupt, closure):
+    # faults spread over whole orbits keep the tables equivariant, so the
+    # sweeps first take the orbit route; its counterexamples, spread over
+    # their orbits, must be the full route's, and the report the full one's
+    n = 8
+    real = verify._tables
+    tab = verify._Tables(n)
+    corrupt(tab)
+    _close_under(tab, closure)
+    assert tab.equivariant(verify._IDENTITY_TABLES, True)
+    monkeypatch.setattr(verify, "_tables", lambda k: tab if k == n else real(k))
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_family_tasks", lambda kind, depth, n: [])
+        for call in (lambda: verify_intersection_bounds(n), lambda: verify_claim_tables(n)):
+            reduced, full = _by_route(m, call)
+            assert json.loads(reduced)["status"] == "FAIL"
+            assert reduced == full
+    monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
+    for chunk in (verify._bounds_chunk, verify._identity_chunk):
+        found = [
+            _orbit_pairs(
+                [c for fn, *args in verify._sweep_tasks(chunk, (n,), n, orbit)
+                 for c in fn(*args)["ces"]],
+                n if orbit else 0,
+            )
+            for orbit in (verify._orbit_rows(n), None)
+        ]
+        assert found[1], chunk
+        # the shared deletion witness is read off x's side of the window, so
+        # whether it fires can depend on which word of the pair comes first;
+        # it can only differ where the count check fired on the pair too
+        for got in found:
+            assert all((pair, "shared deletion count") in got
+                       for pair, check in got if check == "shared deletion witness")
+        assert {p for p, _ in found[0]} == {p for p, _ in found[1]}, chunk
+        assert ({e for e in found[0] if e[1] != "shared deletion witness"}
+                == {e for e in found[1] if e[1] != "shared deletion witness"}), chunk
+
+
+@pytest.mark.parametrize("convention", ["pre", "post"])
+def test_orbit_route_finds_symmetric_bad_count_faults(monkeypatch, convention):
+    # the faulty-tables bad-count test's widened balls, spread over each
+    # complement pair; no deletion reaches most of the added elements
+    n = 8
+    real = verify._tables
+    tab = verify._Tables(n)
+    for x in range(1, 256, 5):
+        tab.bmask[x] |= (1 << 32) - 1
+    _close_under(tab, int.__or__, reversal=False)
+    assert tab.equivariant(verify._BAD_TABLES, False)
+    monkeypatch.setattr(verify, "_tables", lambda k: tab if k == n else real(k))
+    reduced, full = _by_route(monkeypatch, lambda: verify_bad_count(n, convention=convention))
+    assert json.loads(reduced)["status"] == "FAIL"
+    assert reduced == full
+    monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
+    half = 1 << (n - 1)
+    found = [
+        _orbit_pairs(
+            [c for fn, *args in verify._sweep_tasks(verify._bad_chunk, (convention, n), n, orbit)
+             for c in fn(*args)["ces"]],
+            n if orbit else 0,
+            reversal=False,
+        )
+        for orbit in ((range(half), [2] * half), None)
+    ]
+    assert found[1]
+    assert found[0] == found[1]
+
+
+def test_asymmetric_tables_take_the_full_route_only(monkeypatch):
+    # one word's dmask gains a spurious deletion that its orbit lacks
+    n = 8
+    real = verify._tables
+    tab = verify._Tables(n)
+    tab.dmask[0b00010111] |= 1 << 0b1011001
+    assert not tab.equivariant(verify._BOUNDS_TABLES, True)
+    assert not tab.equivariant(verify._BAD_TABLES, False)
+    monkeypatch.setattr(verify, "_tables", lambda k: tab if k == n else real(k))
+    flags = []
+    for name in ("_bounds_chunk", "_bad_chunk"):
+        def recorded(*args, chunk=getattr(verify, name)):
+            flags.append(args[-1])
+            return chunk(*args)
+        monkeypatch.setattr(verify, name, recorded)
+    assert verify_intersection_bounds(n).status == "FAIL"
+    verify_bad_count(n)
+    assert flags and not any(flags)
 
 
 def test_bit_sliced_counts_are_the_shared_ball_sizes():
@@ -514,8 +720,10 @@ def test_four_comparisons_decide_goodness_on_every_pair():
                     assert got == _good(dels[x], dels[y], z, n), (n, x, y, z)
 
 
-def _bad_chunk_by_pairs(convention, n, lo, hi):
-    # _bad_chunk without witness summaries: each shared element through _good
+def _bad_chunk_by_pairs(convention, n, rows, weights, orbits):
+    # _bad_chunk on the full route without witness summaries: each shared
+    # element through _good
+    assert not orbits and set(weights) == {1}
     tab = verify._tables(n)
     dels = _dels_by_position(n)
     generic = CASE_CEILINGS[GENERIC].ceiling(n)
@@ -523,7 +731,7 @@ def _bad_chunk_by_pairs(convention, n, lo, hi):
     sink = verify._Sink(n)
     pairs = seen = eq = 0
     max_bad = [0, 0]
-    for x in range(lo, hi):
+    for x in rows:
         for y in range(x + 1, 1 << n):
             if (x ^ y).bit_count() < 3 or tab.dmask[x] & tab.dmask[y]:
                 continue
@@ -552,11 +760,13 @@ def _bad_chunk_by_pairs(convention, n, lo, hi):
 
 
 def _check_bad_count_routes(monkeypatch, n, convention):
-    # witness summaries at jobs 1 and 2, then pair by pair through _good; the
-    # first differing line is reported, since pytest takes minutes to diff
-    # reports with thousands of counterexamples
+    # witness summaries at jobs 1 and 2, on the orbit route where the tables
+    # allow it, then the full route pair by pair through _good; the first
+    # differing line is reported, since pytest takes minutes to diff reports
+    # with thousands of counterexamples
     out = [verify_bad_count(n, convention=convention, jobs=jobs).to_json() for jobs in (1, 2)]
     with monkeypatch.context() as m:
+        _full_route(m)
         m.setattr(verify, "_bad_chunk", _bad_chunk_by_pairs)
         out.append(verify_bad_count(n, convention=convention).to_json())
     lines = [report.splitlines() for report in out]

@@ -4,6 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from delsub.words import (
+    _complement_elements,
+    _orbit_rows,
+    _reverse,
+    _reverse_elements,
     common_affixes,
     decode,
     hamming,
@@ -114,3 +118,35 @@ def test_max_le2_periodic_length_examples():
 @given(nonempty)
 def test_max_le2_periodic_length_matches_brute_force(x):
     assert max_le2_periodic_length(x) == _period_le2_brute(x)
+
+
+def test_reverse_reads_the_word_backwards():
+    for n in range(0, 9):
+        for x in range(1 << n):
+            assert decode(_reverse(x, n), n) == decode(x, n)[::-1]
+
+
+@pytest.mark.parametrize("m", range(0, 7))
+def test_element_maps_reverse_and_complement_every_word(m):
+    top = (1 << m) - 1
+    width = 1 << m
+    for k in range(60):
+        # 0, then pseudo-random sets, then the full set
+        mask = (0x9E3779B97F4A7C15 * k) % (1 << width) if k < 59 else (1 << width) - 1
+        members = [z for z in range(width) if mask >> z & 1]
+        assert _reverse_elements(mask, m) == sum(1 << _reverse(z, m) for z in members)
+        assert _complement_elements(mask, m) == sum(1 << (z ^ top) for z in members)
+
+
+def test_orbit_rows_are_the_least_words_of_the_orbits():
+    for n in range(1, 11):
+        orbits = {}
+        for x in range(1 << n):
+            w = decode(x, n)
+            images = {w, w[::-1], w.translate({48: 49, 49: 48})}
+            images.add(w[::-1].translate({48: 49, 49: 48}))
+            orbits[min(int(v, 2) for v in images)] = len(images)
+        rows, weights = _orbit_rows(n)
+        assert rows == sorted(orbits)
+        assert weights == [orbits[r] // 2 for r in rows]
+        assert 2 * sum(weights) == 1 << n
