@@ -8,7 +8,9 @@ lexicographically is the same as sorting by the big-endian integer value
 
 The fast paths in ``reconstruct`` and ``verify`` carry a word as that
 big-endian integer instead; the private helpers at the end of this module
-are the deletion and substitution sets on integers that both of them use.
+are the deletion and substitution sets on integers that both of them use,
+and the reversal and complement of integer words and of word sets held as
+masks, with which ``verify`` walks one word per orbit.
 """
 
 from __future__ import annotations
