@@ -9,11 +9,12 @@ set of ints by inserting a 0 and a 1 at every position of every word of
 S(z): after one read at most 2n(n+1) candidates survive, after two a few
 dozen (41 at most over all read pairs at n = 9).  Every later read z then
 filters the survivors, keeping x exactly when some deletion of x lies in
-S(z).  Only the words left are formatted as strings, sorted, and put to the
-code's membership test.  ``balls.preimage_ball``, ``balls.ds_ball`` and
-:func:`decode_by_scan` stay the string oracle of this route.  The generator
-is the stdlib Mersenne Twister, which is deterministic and portable across
-platforms for a fixed seed.
+S(z), that is within Hamming distance one of z; S(z) itself is not built
+for these reads.  Only the words left are formatted as strings, sorted,
+and put to the code's membership test.  ``balls.preimage_ball``,
+``balls.ds_ball`` and :func:`decode_by_scan` stay the string oracle of this
+route.  The generator is the stdlib Mersenne Twister, which is
+deterministic and portable across platforms for a fixed seed.
 """
 
 from __future__ import annotations
@@ -137,13 +138,13 @@ def decode(cs: CodeSpec, bundle: ReadBundle) -> DecodeResult:
 
     The candidates are the intersection of the first two reads' preimage
     balls; each later read z keeps a candidate x only when z is in B(x),
-    that is when some deletion of x lies in S(z); the code test runs on
-    what is left.  Reads, balls and deletions are integers throughout;
-    only the words that pass every read are formatted as strings, for the
-    sort and the code test.  With N distinct reads from a codeword of an
-    (n,N)-reconstruction code the survivor is unique; fewer reads may leave
-    several candidates (AMBIGUOUS) and inconsistent reads leave none
-    (INCONSISTENT).
+    that is when some deletion of x is within Hamming distance one of z;
+    the code test runs on what is left.  Reads, balls and deletions are
+    integers throughout; only the words that pass every read are formatted
+    as strings, for the sort and the code test.  With N distinct reads from
+    a codeword of an (n,N)-reconstruction code the survivor is unique;
+    fewer reads may leave several candidates (AMBIGUOUS) and inconsistent
+    reads leave none (INCONSISTENT).
     """
     n = cs.n
     if bundle.n != n:
@@ -158,8 +159,7 @@ def decode(cs: CodeSpec, bundle: ReadBundle) -> DecodeResult:
     if len(zs) > 2 and survivors:
         dels = [(x, _del_set(x, n)) for x in survivors]
         for z in zs[2:]:
-            near = _sub_set(z, n - 1)
-            dels = [(x, d) for x, d in dels if not near.isdisjoint(d)]
+            dels = [(x, d) for x, d in dels if any((u ^ z).bit_count() <= 1 for u in d)]
             if not dels:
                 break
         survivors = {x for x, _ in dels}

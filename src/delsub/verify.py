@@ -24,7 +24,9 @@ other terms read the same tables as the checks, so a faulty table cannot
 hide a pair on which a check would fire.  Where the tables map row by row
 under reversal and complement, the all-pairs sweeps visit one row per orbit
 (or, for bad-count, one pair per complement orbit of pairs) and weight the
-counts; a counterexample on that route reruns the call on the full route.
+counts; the structured family walks visit one pair per orbit likewise.  A
+counterexample on such a route reruns that part of the call on the full
+route.
 """
 
 from __future__ import annotations
@@ -58,12 +60,15 @@ from .codes import CodeSpec
 from .reconstruct import ReadBundle, UNIQUE, collect_reads
 from .reconstruct import decode as decode_reads
 from .words import (
+    _bits,
     _complement_elements,
     _del_bit,
     _del_set,
     _orbit_rows,
     _reverse,
     _reverse_elements,
+    _run_dels,
+    _runs_int,
     _sub_set,
 )
 from .words import decode as to_word
@@ -104,42 +109,10 @@ _FAMILY_PIECE = 1 << 15
 
 
 # ---------------------------------------------------------------------------
-# integer word helpers (position i of a length-n word is bit n - i); the
-# deletion and substitution sets _del_bit, _del_set and _sub_set are in words
-
-
-def _runs_int(x: int, n: int) -> int:
-    if n == 0:
-        return 0
-    return 1 + ((x ^ (x >> 1)) & ((1 << (n - 1)) - 1)).bit_count()
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _run_dels(x: int, n: int) -> list[int]:
-    """D(x) as one deletion per run of x: its r(x) distinct values, last
-    run first.
-
-    Moving the deletion up across a run boundary keeps the bit of x below
-    the boundary in place of the differing bit above it, so each value is
-    the previous one with that boundary bit flipped.
-    """
-    v = x >> 1
-    out = [v]
-    starts = (x ^ v) & ((1 << (n - 1)) - 1)
-    while starts:
-        low = starts & -starts
-        v ^= low
-        out.append(v)
-        starts ^= low
-    return out
+# integer word helpers (position i of a length-n word is bit n - i); run
+# counts, run deletions, the deletion and substitution sets and the elements
+# of a mask (_runs_int, _run_dels, _del_bit, _del_set, _sub_set, _bits) are
+# in words
 
 
 @functools.cache
@@ -520,17 +493,23 @@ def _sweep_tasks(fn: Callable, head: tuple, n: int, orbit: Any = None) -> list[t
     return [(fn, *head, rows[lo:hi], weights[lo:hi], flag) for lo, hi in _spans(len(rows))]
 
 
-def _sweep(legs: list[tuple], jobs: int, tail: Sequence[tuple] = ()) -> list[dict[str, Any]]:
+def _sweep(legs: list[tuple], jobs: int, walks: Sequence[tuple] = ()) -> list[dict[str, Any]]:
     """The parts of the all-pairs sweeps legs, each (fn, head, n, orbit
-    rows or None) as _sweep_tasks takes it, followed by those of the tasks
-    tail, all in one fan-out.  When a part on the orbit route found a
-    counterexample, every leg reruns on the full route, so that a FAIL
-    report lists its counterexamples as the full route finds them."""
+    rows or None) as _sweep_tasks takes it, followed by those of the
+    orbit-route structured-walk tasks walks (_family_tasks), all in one
+    fan-out.  When a part on an orbit route found a counterexample, every
+    leg, or every walk, reruns on the full route, so that a FAIL report
+    lists its counterexamples as the full route finds them."""
     tasks = [t for leg in legs for t in _sweep_tasks(*leg)]
-    parts = _map_tasks(tasks + list(tail), jobs)
+    k = len(tasks)
+    parts = _map_tasks(tasks + list(walks), jobs)
+    if any(part["ces"] for part in parts[k:]):
+        # each walk's (kind, depth, n), in task order
+        keys = dict.fromkeys(t[1:4] for t in walks)
+        parts[k:] = _map_tasks([t for key in keys for t in _family_tasks(*key, False)], jobs)
     if any(task[-1] and part["ces"] for task, part in zip(tasks, parts)):
         full = [t for fn, head, n, _ in legs for t in _sweep_tasks(fn, head, n)]
-        parts[: len(tasks)] = _map_tasks(full, jobs)
+        parts[:k] = _map_tasks(full, jobs)
     return parts
 
 
@@ -923,7 +902,25 @@ def _bounds_chunk(
 # Each kind is named by its (shared deletions, shared substitutions) class:
 # fam22 adjacent transpositions, fam12f single flips, fam12s run shifts and
 # fam20 alternating windows.  A pair is x = a.wx.b, y = a.wy.b with an m-bit
-# prefix a, where m = params[-1], and a q-bit suffix b.
+# prefix a, where m = params[-1], and a q-bit suffix b; pair index i is the
+# affixes a.b read as one (m + q)-bit word.
+#
+# The group {1, reversal, complement, both} maps each family onto itself.
+# Reversal takes pair (a, b) of the window with prefix length m to pair
+# (b reversed, a reversed) of the window with prefix length q.  Complement
+# takes it to the complemented affixes: pair total - 1 - i of the same
+# window, x and y swapped, for fam22, fam12f and fam20, and of the window
+# with alpha flipped for fam12s.  The checks read the affixes only through
+# what the group keeps (run counts, whether single-run symbols agree) or
+# permutes along with the checks' own keys (the edge keys and the columns
+# of _SPLIT_OFFSETS and _table3), so a pair fails a check exactly when its
+# images do.  The orbit route of _family_tasks therefore walks only the
+# windows with m <= q, for fam12s only those with alpha = 0, and for the
+# other kinds only the first half of each window's indices.  A pair weighs
+# 2 for its complement image, twice that when m < q for its reversed
+# window; the one-pair window (fam20 at ell = n) is its own orbit and
+# weighs 1.  Maxima need no weight.  A counterexample on that route reruns
+# every walk of the call on the full route (_sweep).
 
 
 def _family_params(kind: str, n: int) -> list[tuple[int, ...]]:
@@ -966,13 +963,28 @@ def _structured_pairs(
         yield a, b, q, (((a << width) | wx) << q) | b, (((a << width) | wy) << q) | b
 
 
-def _family_tasks(kind: str, depth: str, n: int) -> list[tuple]:
+def _family_tasks(kind: str, depth: str, n: int, orbits: bool = True) -> list[tuple]:
+    """The tasks (_structured_chunk, kind, depth, n, params, lo, hi, weight)
+    of the kind's walk at the depth over length n, up to _FAMILY_PIECE
+    pairs each: on the orbit route one pair per orbit of {1, reversal,
+    complement, both}, weighted as above, else every pair with weight 1."""
     tasks: list[tuple] = []
     for params in _family_params(kind, n):
-        total = 1 << (n - _window(kind, params)[2])
+        m = params[-1]
+        q = n - _window(kind, params)[2] - m
+        total = 1 << (m + q)
+        weight = 1
+        if orbits:
+            if m > q or kind == "fam12s" and params[0]:
+                continue
+            weight = 2 if m < q else 1
+            if kind == "fam12s" or total > 1:
+                weight *= 2
+                if kind != "fam12s":
+                    total >>= 1
         for lo in range(0, total, _FAMILY_PIECE):
             hi = min(lo + _FAMILY_PIECE, total)
-            tasks.append((_structured_chunk, kind, depth, n, params, lo, hi))
+            tasks.append((_structured_chunk, kind, depth, n, params, lo, hi, weight))
     return tasks
 
 
@@ -1305,9 +1317,10 @@ _FAMILY_KINDS = tuple(_PAIR_FAMILIES)
 
 
 def _structured_chunk(
-    kind: str, depth: str, n: int, params: tuple[int, ...], lo: int, hi: int
+    kind: str, depth: str, n: int, params: tuple[int, ...], lo: int, hi: int, weight: int = 1
 ) -> dict[str, Any]:
-    """Walk pairs lo..hi of one family window.
+    """Walk pairs lo..hi of one family window, counting each pair and each
+    equality case weight times (the orbit route of _family_tasks).
 
     Each pair's run deletions rdx = _run_dels(x, n), rdy = _run_dels(y, n)
     and shared ball _ds_inter(rdx, rdy, n) are built here and nowhere else,
@@ -1332,7 +1345,7 @@ def _structured_chunk(
             eq += 1
         if total > extremal:
             extremal = total
-    return {"pairs": hi - lo, "extremal": extremal, "eq": eq, "ces": sink.ces}
+    return {"pairs": (hi - lo) * weight, "extremal": extremal, "eq": eq * weight, "ces": sink.ces}
 
 
 def verify_intersection_bounds(
@@ -1363,7 +1376,12 @@ def verify_intersection_bounds(
     and alternating-window families, which reaches longer words; each
     pair's shared ball is built from its close deletion pairs (u, w), one
     deletion per run of x and of y within Hamming distance two, as the
-    union of S(u) & S(w) (see _ds_inter), never from both full balls.
+    union of S(u) & S(w) (see _ds_inter), never from both full balls.  The
+    families map onto themselves under reversal and complement, so the walk
+    visits one pair per orbit of the group and counts its pairs and
+    equality cases with the orbit's weight (_family_tasks); when a walked
+    pair fails a check, every family is walked again pair by pair, so a
+    FAIL report is the full walk's.
     """
     t0 = time.monotonic()
     if n < 1:
@@ -1380,7 +1398,7 @@ def verify_intersection_bounds(
             return _finish(
                 "intersection-bounds", (n, n), 0, bound, None, 0, [], t0, detail, skipped=True
             )
-        parts = _map_tasks(tasks, jobs)
+        parts = _sweep([], jobs, tasks)
     else:
         tab = _tables(n)
         tab.columns()
@@ -1509,7 +1527,11 @@ def verify_claim_tables(n_max: int, *, jobs: int = 1) -> VerificationReport:
     tabulated quantity (term splits, overlap columns, extra-element counts,
     regime ceilings, equality conditions) is recomputed from scratch per
     pair, against the run deletions of both words and the shared ball that
-    the structured walk builds once per pair (see _structured_chunk).
+    the structured walk builds once per pair (see _structured_chunk).  That
+    walk visits one pair per orbit of reversal and complement, weighted, and
+    ``family_pairs`` sums the weights, which is every family pair; a
+    counterexample there walks every family of every length again pair by
+    pair, as for intersection bounds.
     """
     t0 = time.monotonic()
     if n_max < 2:
@@ -1530,7 +1552,7 @@ def verify_claim_tables(n_max: int, *, jobs: int = 1) -> VerificationReport:
             fam_tasks = _family_tasks(kind, "full", n)
             tasks.extend(fam_tasks)
             family_counts[kind] = family_counts.get(kind, 0) + sum(
-                t[-1] - t[-2] for t in fam_tasks
+                (hi - lo) * weight for *_, lo, hi, weight in fam_tasks
             )
     parts = _sweep(legs, jobs, tasks)
     sink = _Sink(n_max)

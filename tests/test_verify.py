@@ -564,6 +564,115 @@ def test_structured_checks_fire_at_both_depths(monkeypatch):
     }
 
 
+def _by_walk_route(monkeypatch, call):
+    """call()'s canonical report with the structured walks on the orbit
+    route, then on the full route."""
+    reduced = call().to_json()
+    real = verify._family_tasks
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_family_tasks",
+                  lambda kind, depth, n, orbits=True: real(kind, depth, n, False))
+        full = call().to_json()
+    return reduced, full
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_structured_orbit_route_matches_the_full_route(monkeypatch, n):
+    calls = [lambda jobs: verify_intersection_bounds(n, jobs=jobs, structured=True)]
+    if n <= 12:
+        calls.append(lambda jobs: verify_claim_tables(n, jobs=jobs))
+    for call in calls:
+        reduced, full = _by_walk_route(monkeypatch, lambda: call(1))
+        assert json.loads(reduced)["status"] == "PASS"
+        assert reduced == full
+        if n in (9, 11):
+            assert call(2).to_json() == full
+
+
+def _walk(kind, depth, n, orbits):
+    """(x, y, weight) of every pair the kind's walk visits."""
+    return [(x, y, task[-1])
+            for task in verify._family_tasks(kind, depth, n, orbits)
+            for *_, x, y in verify._structured_pairs(kind, *task[3:7])]
+
+
+def test_orbit_weights_count_every_family_pair():
+    for n in range(1, 17):
+        for kind in verify._FAMILY_KINDS:
+            full = sum(1 << (n - verify._window(kind, params)[2])
+                       for params in verify._family_params(kind, n))
+            for orbits in (False, True):
+                tasks = verify._family_tasks(kind, "full", n, orbits)
+                assert sum((hi - lo) * w for *_, lo, hi, w in tasks) == full, (n, kind, orbits)
+            assert all(w == 1 for *_, w in verify._family_tasks(kind, "full", n, False))
+
+
+def test_orbit_representatives_cover_every_family_pair():
+    # each representative stands for its images under the four maps of the
+    # group with its weight; spread over them (weight / 4 each) they must
+    # count every family pair once
+    for n in range(2, 10):
+        group = _group(n)
+        for kind in verify._FAMILY_KINDS:
+            want = Counter(frozenset((x, y)) for x, y, _ in _walk(kind, "full", n, False))
+            assert set(want.values()) <= {1}
+            cover = Counter()
+            for x, y, w in _walk(kind, "full", n, True):
+                for g in group:
+                    cover[frozenset((g(x), g(y)))] += w
+            assert cover == Counter({pair: 4 for pair in want}), (n, kind)
+
+
+def test_split_offsets_map_onto_themselves():
+    # complement swaps the edge symbols "a" and "c" of both sides together
+    # with the two deletion-term columns; reversal swaps the two sides
+    swap = {"a": "c", "c": "a", None: None}
+    offsets = verify._SPLIT_OFFSETS
+    for (left, right), (o1, o2) in offsets.items():
+        assert offsets[swap[left], swap[right]] == (o2, o1)
+        assert offsets[right, left] == (o1, o2)
+
+
+def test_structured_orbit_route_finds_symmetric_faults(monkeypatch):
+    # a foreign element, no word at all, added to the shared balls of the
+    # pairs whose run counts multiply to a multiple of three: a set of pairs
+    # closed under reversal and complement, so the orbit route must see the
+    # faults of every orbit, and the report must be the full route's
+    real = verify._ds_inter
+
+    def add_foreign(dx, dy, n):
+        out = real(dx, dy, n)
+        if len(dx) * len(dy) % 3 == 0:
+            out.add(-1)
+        return out
+
+    monkeypatch.setattr(verify, "_ds_inter", add_foreign)
+    for call in (lambda: verify_claim_tables(8),
+                 lambda: verify_intersection_bounds(9, structured=True)):
+        reduced, full = _by_walk_route(monkeypatch, call)
+        assert json.loads(reduced)["status"] == "FAIL"
+        assert reduced == full
+    monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
+    fired = Counter()
+    for depth, n in (("full", 8), ("ceiling", 9)):
+        for kind in verify._FAMILY_KINDS:
+            found = [
+                _orbit_pairs(
+                    [c for fn, *args in verify._family_tasks(kind, depth, n, orbits)
+                     for c in fn(*args)["ces"]],
+                    n if orbits else 0,
+                )
+                for orbits in (True, False)
+            ]
+            assert found[0] == found[1], (depth, kind)
+            fired.update(check for _, check in found[1])
+    assert set(fired) == {
+        "extra elements", "mixed-profile ceiling", "run-sum ceiling", "shift ceiling",
+        "flip ceiling", "flip equality family", "transposition ceiling",
+        "transposition equality family", "alternating ceiling",
+    }
+
+
 def test_intersection_bounds_enforces_caps():
     with pytest.raises(ValueError):
         verify_intersection_bounds(EXHAUSTIVE_LIMIT + 1)
