@@ -9,9 +9,11 @@ set of ints by inserting a 0 and a 1 at every position of every word of
 S(z): after one read at most 2n(n+1) candidates survive, after two a few
 dozen (41 at most over all read pairs at n = 9).  Every later read z then
 filters the survivors, keeping x exactly when some deletion of x lies in
-S(z), that is within Hamming distance one of z; S(z) itself is not built
-for these reads.  Only the words left are formatted as strings, sorted,
-and put to the code's membership test.  ``balls.preimage_ball``,
+S(z), that is within Hamming distance one of z: against S(z), built once
+per read, while more than two survivors are left, else deletion by
+deletion, which skips building S(z) for most of a long bundle.  Only the
+words left are formatted as strings, sorted, and put to the code's
+membership test.  ``balls.preimage_ball``,
 ``balls.ds_ball`` and :func:`decode_by_scan` stay the string oracle of this
 route.  The generator is the stdlib Mersenne Twister, which is
 deterministic and portable across platforms for a fixed seed.
@@ -159,7 +161,14 @@ def decode(cs: CodeSpec, bundle: ReadBundle) -> DecodeResult:
     if len(zs) > 2 and survivors:
         dels = [(x, _del_set(x, n)) for x in survivors]
         for z in zs[2:]:
-            dels = [(x, d) for x, d in dels if any((u ^ z).bit_count() <= 1 for u in d)]
+            # S(z) costs n set insertions per read, which pays only while
+            # several survivors share it; one or two test their deletions'
+            # distances to z instead (benchmarks/decode.py)
+            if len(dels) > 2:
+                near = _sub_set(z, n - 1)
+                dels = [(x, d) for x, d in dels if not near.isdisjoint(d)]
+            else:
+                dels = [(x, d) for x, d in dels if any((u ^ z).bit_count() <= 1 for u in d)]
             if not dels:
                 break
         survivors = {x for x, _ in dels}
