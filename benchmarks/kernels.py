@@ -71,13 +71,13 @@ SWEEP_LENGTHS = range(8, 13)
 ALL_PAIRS_N = 10
 CODE_CELLS = (("inv", 12), ("c2n9", 12), ("vt", 12), ("cn21", 12), ("inv", 13))
 DEPTHS = ("full", "ceiling")
-# (kind, n, call) of the public structured calls timed whole at jobs=1: the
-# calls of the perfbench structured workload, and the structured bounds at a
-# length where the walk dominates
+# (kind, n, verifier, keywords) of the public structured calls timed whole at
+# jobs=1: the calls of the perfbench structured workload, and the structured
+# bounds at a length where the walk dominates
 CALLS = (
-    ("claim-tables", 10, lambda verify, n: verify.verify_claim_tables(n)),
-    ("structured-bounds", 11, lambda verify, n: verify.verify_intersection_bounds(n, structured=True)),
-    ("structured-bounds", 14, lambda verify, n: verify.verify_intersection_bounds(n, structured=True)),
+    ("claim-tables", 10, "verify_claim_tables", {}),
+    ("structured-bounds", 11, "verify_intersection_bounds", {"structured": True}),
+    ("structured-bounds", 14, "verify_intersection_bounds", {"structured": True}),
 )
 CALL_REPEATS = 3
 # the cell groups, in the order the worker times them
@@ -154,12 +154,13 @@ def _call_cells(verify, digest) -> list[tuple]:
     in a row after one untimed call, as (n, kind, "call", pairs checked,
     None, us per pair) cells; each canonical report hashed."""
     cells = []
-    for kind, n, call in CALLS:
-        report = call(verify, n)
+    for kind, n, name, keywords in CALLS:
+        call = getattr(verify, name)
+        report = call(n, **keywords)
         digest.update(report.to_json().encode())
         t0 = time.perf_counter()
         for _ in range(CALL_REPEATS):
-            call(verify, n)
+            call(n, **keywords)
         seconds = (time.perf_counter() - t0) / CALL_REPEATS
         pairs = report.pairs_checked
         cells.append((n, kind, "call", pairs, None, seconds / pairs * 1e6))
