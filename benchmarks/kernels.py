@@ -1,14 +1,13 @@
 """Microseconds per pair of the all-pairs sweeps, the claim-table and
 structured-family checkers and the code checks, parent tree against this one.
 
-The call cells (group "calls", depth "call") time the public structured
-calls whole at ``jobs=1``: ``verify_claim_tables(10)`` (kind
-"claim-tables") and ``verify_intersection_bounds(n, structured=True)`` at
-n = 11 and 14 (kind "structured-bounds"), each once untimed and then
-CALL_REPEATS times in a row; their "pairs" is the report's pairs_checked
-and "s" the seconds per call.  The all-pairs cells (groups "sweeps" and
-"identity") time the public calls, since the two trees' sweep
-chunks need not share a signature: ``verify_intersection_bounds(n)``
+The call cells (depth "call") time the public structured calls whole at
+``jobs=1``: ``verify_claim_tables(10)`` (kind "claim-tables") and
+``verify_intersection_bounds(n, structured=True)`` at n = 11 and 14 (kind
+"structured-bounds"), each once untimed and then CALL_REPEATS times in a
+row; their "pairs" is the report's pairs_checked and "s" the seconds per
+call.  The all-pairs cells time the public calls, since the two trees'
+sweep chunks need not share a signature: ``verify_intersection_bounds(n)``
 (kind "bounds") and ``verify_bad_count(n)`` (kind "bad-count", convention
 "pre") at n = 8..12, and the claim tables' identity sweep (kind
 "identity") as ``verify_claim_tables(10)`` with the structured family tasks
@@ -24,14 +23,14 @@ untimed ``jobs=1`` call that wraps ``verify._walk_mask``, how many pairs
 the row walk sent through the per-pair checks; a route that stands for
 several pairs with one visit walks fewer.  Their "pairs" is every pair
 of the sweep, as in the report, so that us per pair compares the trees'
-wall times.  Each structured window cell (group "windows", n, kind)
-walks up to four evenly spaced windows of 64 pairs for every parameter
-tuple of the family, at n = 11 and n = 14, through
+wall times.  Each structured window cell (n, kind) walks up to four
+evenly spaced windows of 64 pairs for every parameter tuple of the family,
+at n = 11 and n = 14, through
 ``verify._structured_chunk(kind, depth, n, params, lo, hi)`` at both check
 depths ("full" runs the claim-table checker, "ceiling" the size checks),
 the same windows at both depths, REPEATS times over, so that one timing
 of the fastest structured cell lasts about 0.1 s or more.  The code-check
-cells (group "codes", kind: the theorem id, depth "code-check") time one
+cells (kind: the theorem id, depth "code-check") time one
 ``verify._code_chunk(theorem_id, n, cosets)`` call over every coset of the
 check's family, listed before timing as ``verify_code_theorem`` lists them
 (ascending members, sorted keys), at n = 12 for inv, c2n9, vt and cn21 and
@@ -39,13 +38,12 @@ at n = 13 for inv; their pairs are the pairs inside the cosets.  The two
 source trees are measured in interleaved rounds (``rounds.py``), one
 timing per cell per round; the output keeps, per tree, every round, the
 median and the minimum, and per sweep and length the median over rounds of
-the jobs=1 over jobs=2 time ratio.  ``--cells`` picks the groups to time,
-all by default.  It writes ``BENCH_structured_kernel.json`` at the
-repository root, or the file ``--out`` names.  Standard library only:
+the jobs=1 over jobs=2 time ratio.  It writes
+``BENCH_structured_kernel.json`` at the repository root, or the file
+``--out`` names.  Standard library only:
 
     python3 benchmarks/kernels.py --src PATH/TO/PARENT/src
-    python3 benchmarks/kernels.py --src PATH/TO/PARENT/src --cells calls,windows \
-        --out BENCH_structured_orbit.json
+    python3 benchmarks/kernels.py --src PATH/TO/PARENT/src --out BENCH_structured_orbit.json
 
 The worker also hashes every result, with dict keys sorted as the reports
 sort them; the script fails if the two trees disagree on one.
@@ -80,8 +78,6 @@ CALLS = (
     ("structured-bounds", 14, "verify_intersection_bounds", {"structured": True}),
 )
 CALL_REPEATS = 3
-# the cell groups, in the order the worker times them
-GROUPS = ("calls", "sweeps", "identity", "codes", "windows")
 WINDOWS = 4
 WINDOW_PAIRS = 64
 # one pass over a structured cell's windows takes 40-75 ms at ceiling depth
@@ -167,17 +163,15 @@ def _call_cells(verify, digest) -> list[tuple]:
     return cells
 
 
-def _worker(src: str, groups: list[str]) -> dict:
-    """One timing per cell of the given groups: (n, kind, depth, pairs
-    timed, pairs walked one by one or None, us per pair)."""
+def _worker(src: str) -> dict:
+    """One timing per cell: (n, kind, depth, pairs timed, pairs walked one
+    by one or None, us per pair)."""
     sys.path.insert(0, src)
     from delsub import verify
 
     digest = hashlib.sha256()
-    cells = []
-    if "calls" in groups:
-        cells += _call_cells(verify, digest)
-    for n in SWEEP_LENGTHS if "sweeps" in groups else ():
+    cells = _call_cells(verify, digest)
+    for n in SWEEP_LENGTHS:
         size = 1 << n
         pairs = size * (size - 1) // 2
         verify._tables(n).columns()
@@ -188,18 +182,17 @@ def _worker(src: str, groups: list[str]) -> dict:
         cells += _sweep_cells(verify, "bad-count", n, pairs,
                               lambda jobs: verify.verify_bad_count(n, jobs=jobs), digest)
     n = ALL_PAIRS_N
-    for k in range(2, n + 1) if "identity" in groups else ():
+    for k in range(2, n + 1):
         verify._tables(k).columns()
     family_tasks = verify._family_tasks
     verify._family_tasks = lambda kind, depth, n: []
     try:
         pairs = sum((1 << k) * ((1 << k) - 1) // 2 for k in range(2, n + 1))
-        if "identity" in groups:
-            cells += _sweep_cells(verify, "identity", n, pairs,
-                                  lambda jobs: verify.verify_claim_tables(n, jobs=jobs), digest)
+        cells += _sweep_cells(verify, "identity", n, pairs,
+                              lambda jobs: verify.verify_claim_tables(n, jobs=jobs), digest)
     finally:
         verify._family_tasks = family_tasks
-    for theorem_id, n in CODE_CELLS if "codes" in groups else ():
+    for theorem_id, n in CODE_CELLS:
         cosets = _cosets(verify, theorem_id, n)
         pairs = sum(len(m) * (len(m) - 1) // 2 for m in cosets)
         verify._tables(n)
@@ -208,7 +201,7 @@ def _worker(src: str, groups: list[str]) -> dict:
         seconds = time.perf_counter() - t0
         digest.update(json.dumps(result, sort_keys=True).encode())
         cells.append((n, theorem_id, "code-check", pairs, pairs, seconds / pairs * 1e6))
-    for n in LENGTHS if "windows" in groups else ():
+    for n in LENGTHS:
         for kind in verify._FAMILY_KINDS:
             windows = _windows(verify, kind, n) * REPEATS
             pairs = sum(hi - lo for _, lo, hi in windows)
@@ -263,18 +256,12 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=Path,
                     help="the src/ directory of the parent checkout (required)")
-    ap.add_argument("--cells", default=",".join(GROUPS),
-                    help=f"comma-separated cell groups to time, of {', '.join(GROUPS)} "
-                         "(default: all)")
     ap.add_argument("--out", type=Path, default=OUT,
                     help=f"the JSON file to write (default: {OUT.name} at the repository root)")
     ap.add_argument("--worker", help=argparse.SUPPRESS)
     args = ap.parse_args()
-    groups = args.cells.split(",")
-    if not set(groups) <= set(GROUPS):
-        ap.error(f"--cells takes groups of {', '.join(GROUPS)}")
     if args.worker:
-        print(json.dumps(_worker(args.worker, groups)))
+        print(json.dumps(_worker(args.worker)))
         return 0
     if args.src is None:
         ap.error("--src is required")
@@ -282,12 +269,11 @@ def main() -> int:
     for role, src in trees.items():
         if not (src / "delsub" / "verify.py").is_file():
             ap.error(f"{role} tree {src} holds no delsub package")
-    runs = rounds.run_rounds(__file__, trees, ROUNDS, _describe, ["--cells", args.cells])
+    runs = rounds.run_rounds(__file__, trees, ROUNDS, _describe)
     doc = {
         "script": "benchmarks/kernels.py",
         **rounds.machine(),
         "rounds": ROUNDS,
-        "cells": groups,
         "trees": {role: {"rev": rounds.rev(src), "timings": _summary(runs[role]),
                          "fork": _fork_ratios(runs[role])}
                   for role, src in trees.items()},

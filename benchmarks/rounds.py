@@ -17,7 +17,7 @@ import platform
 import subprocess
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 HASH_SEED = "1"
@@ -55,27 +55,25 @@ def rev(src: Path) -> str:
     return out
 
 
-def _worker(script: str, src: Path, args: Sequence[str]) -> dict:
+def _worker(script: str, src: Path) -> dict:
     env = dict(os.environ, PYTHONHASHSEED=HASH_SEED)
     done = subprocess.run(
-        [sys.executable, script, *args, "--worker", str(src)],
+        [sys.executable, script, "--worker", str(src)],
         env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout)
 
 
 def run_rounds(
-    script: str, roles: dict[str, Path], rounds: int, describe: Callable[[dict], str],
-    args: Sequence[str] = (),
+    script: str, roles: dict[str, Path], rounds: int, describe: Callable[[dict], str]
 ) -> dict[str, list[dict]]:
-    """Every worker run per tree, in round order, each worker started with
-    the extra command-line arguments args; raises SystemExit when the trees
-    disagree on a result digest."""
+    """Every worker run per tree, in round order; raises SystemExit when the
+    trees disagree on a result digest."""
     runs: dict[str, list[dict]] = {role: [] for role in roles}
     for r in range(rounds):
         order = list(roles) if r % 2 == 0 else list(reversed(roles))
         for role in order:
-            runs[role].append(_worker(script, roles[role], args))
+            runs[role].append(_worker(script, roles[role]))
             print(f"round {r + 1} {role:6} {describe(runs[role][-1])}", file=sys.stderr)
     if len({run["digest"] for rs in runs.values() for run in rs}) != 1:
         raise SystemExit("the two trees disagree on a computed result")

@@ -60,15 +60,12 @@ from .codes import CodeSpec
 from .reconstruct import ReadBundle, UNIQUE, collect_reads
 from .reconstruct import decode as decode_reads
 from .words import (
-    _bits,
     _complement_elements,
     _del_bit,
     _del_set,
     _orbit_rows,
     _reverse,
     _reverse_elements,
-    _run_dels,
-    _runs_int,
     _sub_set,
 )
 from .words import decode as to_word
@@ -109,10 +106,42 @@ _FAMILY_PIECE = 1 << 15
 
 
 # ---------------------------------------------------------------------------
-# integer word helpers (position i of a length-n word is bit n - i); run
-# counts, run deletions, the deletion and substitution sets and the elements
-# of a mask (_runs_int, _run_dels, _del_bit, _del_set, _sub_set, _bits) are
-# in words
+# integer word helpers (position i of a length-n word is bit n - i); the
+# deletion and substitution sets _del_bit, _del_set and _sub_set are in words
+
+
+def _runs_int(x: int, n: int) -> int:
+    if n == 0:
+        return 0
+    return 1 + ((x ^ (x >> 1)) & ((1 << (n - 1)) - 1)).bit_count()
+
+
+def _bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _run_dels(x: int, n: int) -> list[int]:
+    """D(x) as one deletion per run of x: its r(x) distinct values, last
+    run first.
+
+    Moving the deletion up across a run boundary keeps the bit of x below
+    the boundary in place of the differing bit above it, so each value is
+    the previous one with that boundary bit flipped.
+    """
+    v = x >> 1
+    out = [v]
+    starts = (x ^ v) & ((1 << (n - 1)) - 1)
+    while starts:
+        low = starts & -starts
+        v ^= low
+        out.append(v)
+        starts ^= low
+    return out
 
 
 @functools.cache
@@ -967,7 +996,17 @@ def _family_tasks(kind: str, depth: str, n: int, orbits: bool = True) -> list[tu
     """The tasks (_structured_chunk, kind, depth, n, params, lo, hi, weight)
     of the kind's walk at the depth over length n, up to _FAMILY_PIECE
     pairs each: on the orbit route one pair per orbit of {1, reversal,
-    complement, both}, weighted as above, else every pair with weight 1."""
+    complement, both}, weighted as above, else every pair with weight 1.
+
+    The orbit route walks no window with m > q, no fam12s window with
+    alpha = 1 and only the first half of every other window, so it is sound
+    only while _run_dels, _ds_inter and _sub_set commute with reversal and
+    complement: a fault confined to the pairs it skips would pass here
+    where the full route fails.  Nothing checks that at run time (the
+    all-pairs sweeps ask _Tables.equivariant, which reads none of these
+    primitives); the tests check the primitives under the group on sampled
+    family pairs up to n = 16.
+    """
     tasks: list[tuple] = []
     for params in _family_params(kind, n):
         m = params[-1]

@@ -8,9 +8,8 @@ lexicographically is the same as sorting by the big-endian integer value
 
 The fast paths in ``reconstruct`` and ``verify`` carry a word as that
 big-endian integer instead; the private helpers at the end of this module
-are the run count, the run deletions, the deletion and substitution sets
-and the elements of a mask on integers that both of them use, and the
-reversal and complement of integer words and of word sets held as
+are the deletion and substitution sets on integers that both of them use,
+and the reversal and complement of integer words and of word sets held as
 masks, with which ``verify`` walks one word per orbit.
 """
 
@@ -185,43 +184,6 @@ def max_le2_periodic_length(x: str) -> int:
 
 # ---------------------------------------------------------------------------
 # integer words: position i of a length-n word is bit n - i
-
-
-def _runs_int(x: int, n: int) -> int:
-    """r(x), the number of runs of a length-n word x."""
-    if n == 0:
-        return 0
-    return 1 + ((x ^ (x >> 1)) & ((1 << (n - 1)) - 1)).bit_count()
-
-
-def _bits(mask: int) -> list[int]:
-    """The positions of the set bits of mask, lowest first: the elements of
-    a word set held as a mask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _run_dels(x: int, n: int) -> list[int]:
-    """D(x) as one deletion per run of x: its r(x) distinct values, last
-    run first.
-
-    Moving the deletion up across a run boundary keeps the bit of x below
-    the boundary in place of the differing bit above it, so each value is
-    the previous one with that boundary bit flipped.
-    """
-    v = x >> 1
-    out = [v]
-    starts = (x ^ v) & ((1 << (n - 1)) - 1)
-    while starts:
-        low = starts & -starts
-        v ^= low
-        out.append(v)
-        starts ^= low
-    return out
 
 
 def _del_bit(x: int, k: int) -> int:

@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 from itertools import combinations, product
 
@@ -621,6 +622,71 @@ def test_orbit_representatives_cover_every_family_pair():
                 for g in group:
                     cover[frozenset((g(x), g(y)))] += w
             assert cover == Counter({pair: 4 for pair in want}), (n, kind)
+
+
+def _commutes(g, h, x, y, n):
+    """Whether the map g of length-n words, with h the same map on length
+    n - 1, carries the run deletions and the shared ball of the pair (x, y),
+    and the substitution balls of x and of its deletions, to its image's;
+    the primitives are looked up in verify, where a test may patch them."""
+    run_dels, ds_inter, sub_set = verify._run_dels, verify._ds_inter, verify._sub_set
+    rdx, rdy = run_dels(x, n), run_dels(y, n)
+    gdx, gdy = run_dels(g(x), n), run_dels(g(y), n)
+    return (
+        set(gdx) == {h(z) for z in rdx}
+        and set(gdy) == {h(z) for z in rdy}
+        and ds_inter(gdx, gdy, n) == {h(z) for z in ds_inter(rdx, rdy, n)}
+        and sub_set(g(x), n) == {g(z) for z in sub_set(x, n)}
+        and all(sub_set(h(z), n - 1) == {h(s) for s in sub_set(z, n - 1)} for z in rdx)
+    )
+
+
+def _sampled_family_pairs(n):
+    """Two seeded random pairs (x, y) of every window of every family."""
+    rng = random.Random(n)
+    for kind in verify._FAMILY_KINDS:
+        for params in verify._family_params(kind, n):
+            total = 1 << (n - verify._window(kind, params)[2])
+            for index in rng.sample(range(total), min(2, total)):
+                (*_, x, y), = verify._structured_pairs(kind, n, params, index, index + 1)
+                yield x, y
+
+
+def _noncommuting_pairs(n):
+    return [(x, y) for x, y in _sampled_family_pairs(n)
+            for g, h in zip(_group(n), _group(n - 1)) if not _commutes(g, h, x, y, n)]
+
+
+def test_structured_primitives_commute_with_reversal_and_complement():
+    # the orbit route walks one pair of each orbit and stands for its images
+    # (see _family_tasks); this checks what that rests on
+    for n in range(2, 17):
+        assert _noncommuting_pairs(n) == [], n
+
+
+def test_a_fault_the_orbit_route_skips_needs_the_commuting_check(monkeypatch):
+    # a spurious word in the shared balls of the pairs whose common prefix
+    # is longer than their common suffix, which are the pairs of the windows
+    # with m > q; the orbit route walks none of them and passes, the full
+    # route fails, and the commuting check catches the broken reversal
+    real = verify._ds_inter
+
+    def add_zero(dx, dy, n):
+        out = real(dx, dy, n)
+        # x and y from their deletions of the last and of the first run
+        x = dx[0] << 1 | dx[-1] & 1
+        diff = x ^ (dy[0] << 1 | dy[-1] & 1)
+        if n - diff.bit_length() > (diff & -diff).bit_length() - 1:
+            out.add(0)
+        return out
+
+    monkeypatch.setattr(verify, "_ds_inter", add_zero)
+    for call in (lambda: verify_claim_tables(8),
+                 lambda: verify_intersection_bounds(9, structured=True)):
+        reduced, full = _by_walk_route(monkeypatch, call)
+        assert json.loads(reduced)["status"] == "PASS"
+        assert json.loads(full)["status"] == "FAIL"
+    assert _noncommuting_pairs(9)
 
 
 def test_split_offsets_map_onto_themselves():
