@@ -30,15 +30,18 @@ at n = 11 and n = 14, through
 depths ("full" runs the claim-table checker, "ceiling" the size checks),
 the same windows at both depths, REPEATS times over, so that one timing
 of the fastest structured cell lasts about 0.1 s or more.  The code-check
-cells (kind: the theorem id, depth "code-check") time one
-``verify._code_chunk(theorem_id, n, cosets)`` call over every coset of the
-check's family, listed before timing as ``verify_code_theorem`` lists them
-(ascending members, sorted keys), at n = 12 for inv, c2n9, vt and cn21 and
-at n = 13 for inv; their pairs are the pairs inside the cosets.  The two
-source trees are measured in interleaved rounds (``rounds.py``), one
-timing per cell per round; the output keeps, per tree, every round, the
-median and the minimum, and per sweep and length the median over rounds of
-the jobs=1 over jobs=2 time ratio.  It writes
+cells (kind: the theorem id) time ``verify_code_theorem(theorem_id, n)``
+whole, the way the sweep cells are timed, at n = 12 and 13 for inv, c2n9,
+cn21 and vt and at n = 11 for inv: the first call at ``jobs=1``, after the
+mask-table cache ``verify._tables`` is emptied and ``verify._tables(n)``
+alone is built again, so that it pays what the check computes lazily per
+length (such as element lists and equivariance verdicts), then
+again at ``jobs=1`` and at ``jobs=2``.  Their pairs are the pairs inside
+the cosets, as in the report.  The two source trees are measured in
+interleaved rounds (``rounds.py``), one timing per cell per round; the
+output keeps, per tree, every round, the median and the minimum, and per
+sweep or code check and length the median over rounds of the jobs=1 over
+jobs=2 time ratio.  It writes
 ``BENCH_structured_kernel.json`` at the repository root, or the file
 ``--out`` names.  Standard library only:
 
@@ -67,7 +70,8 @@ LENGTHS = (11, 14)
 # cell and of the walked-pair counts
 SWEEP_LENGTHS = range(8, 13)
 ALL_PAIRS_N = 10
-CODE_CELLS = (("inv", 12), ("c2n9", 12), ("vt", 12), ("cn21", 12), ("inv", 13))
+CODE_CELLS = (("inv", 11),
+              *((theorem_id, n) for n in (12, 13) for theorem_id in ("inv", "c2n9", "cn21", "vt")))
 DEPTHS = ("full", "ceiling")
 # (kind, n, verifier, keywords) of the public structured calls timed whole at
 # jobs=1: the calls of the perfbench structured workload, and the structured
@@ -96,19 +100,10 @@ def _windows(verify, kind: str, n: int) -> list[tuple[tuple[int, ...], int, int]
     return out
 
 
-def _cosets(verify, theorem_id: str, n: int) -> list[list[int]]:
-    family = verify.CODE_CHECKS[theorem_id].family
-    cosets = getattr(verify.codes, "cosets", None)
-    if cosets is not None:
-        buckets = cosets(family, n)[0]
-    else:  # a tree from before codes.cosets
-        key_of, _ = verify.codes.coset_key(family, n)
-        buckets = {}
-        for x in range(1 << n):
-            key = key_of(verify.to_word(x, n))
-            if key is not None:
-                buckets.setdefault(key, []).append(x)
-    return [buckets[key] for key in sorted(buckets)]
+def _coset_pairs(verify, theorem_id: str, n: int) -> int:
+    """The pairs inside the cosets of the check's family at length n."""
+    buckets = verify.codes.cosets(verify.CODE_CHECKS[theorem_id].family, n)[0]
+    return sum(len(m) * (len(m) - 1) // 2 for m in buckets.values())
 
 
 def _walked_pairs(verify, call) -> int:
@@ -141,7 +136,7 @@ def _sweep_cells(verify, kind: str, n: int, pairs: int, call, digest) -> list[tu
         seconds = time.perf_counter() - t0
         digest.update(report.to_json().encode())
         timed.append((depth, seconds / pairs * 1e6))
-    walked = _walked_pairs(verify, call) if n == ALL_PAIRS_N and kind != "bad-count" else None
+    walked = _walked_pairs(verify, call) if kind in ("bounds", "identity") and n == ALL_PAIRS_N else None
     return [(n, kind, depth, pairs, walked, us) for depth, us in timed]
 
 
@@ -193,14 +188,11 @@ def _worker(src: str) -> dict:
     finally:
         verify._family_tasks = family_tasks
     for theorem_id, n in CODE_CELLS:
-        cosets = _cosets(verify, theorem_id, n)
-        pairs = sum(len(m) * (len(m) - 1) // 2 for m in cosets)
+        verify._tables.cache_clear()
         verify._tables(n)
-        t0 = time.perf_counter()
-        result = verify._code_chunk(theorem_id, n, cosets)
-        seconds = time.perf_counter() - t0
-        digest.update(json.dumps(result, sort_keys=True).encode())
-        cells.append((n, theorem_id, "code-check", pairs, pairs, seconds / pairs * 1e6))
+        cells += _sweep_cells(verify, theorem_id, n, _coset_pairs(verify, theorem_id, n),
+                              lambda jobs: verify.verify_code_theorem(theorem_id, n, jobs=jobs),
+                              digest)
     for n in LENGTHS:
         for kind in verify._FAMILY_KINDS:
             windows = _windows(verify, kind, n) * REPEATS
@@ -233,8 +225,8 @@ def _summary(runs: list[dict]) -> list[dict]:
 
 
 def _fork_ratios(runs: list[dict]) -> list[dict]:
-    """Per all-pairs sweep and length, the median over rounds of its jobs=1
-    time over its jobs=2 time: above 1 where the fork pays."""
+    """Per all-pairs sweep or code check and length, the median over rounds
+    of its jobs=1 time over its jobs=2 time: above 1 where the fork pays."""
     out = []
     cells = runs[0]["cells"]
     for i, (n, kind, depth, *_) in enumerate(cells):

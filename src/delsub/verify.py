@@ -26,7 +26,10 @@ under reversal and complement, the all-pairs sweeps visit one row per orbit
 (or, for bad-count, one pair per complement orbit of pairs) and weight the
 counts; the structured family walks visit one pair per orbit likewise.  A
 counterexample on such a route reruns that part of the call on the full
-route.
+route.  The code checks count a large coset a row at a time from the
+element lists of its members' bmask rows, extracted once per length; a
+coset that the reversed complement maps onto itself walks one row per
+orbit of that map and derives its counterexamples exactly from those rows.
 """
 
 from __future__ import annotations
@@ -272,13 +275,14 @@ class _Tables:
     holds S(z) for the words z of length n - 1.
 
     The column masks of the row walk (see _row_walk) are built from these
-    rows on the first call of columns(), never here: code checks read the
-    rows only.  The same holds for the equivariance verdicts of the orbit
-    route (see equivariant).  A test that corrupts a row must do so before
-    either call.
+    rows on the first call of columns(), never here, and so are the element
+    lists of the bmask rows (elements), which the code checks' row route
+    reads too.  The same holds for the equivariance verdicts of the orbit
+    routes (see equivariant).  A test that corrupts a row must do so before
+    any of these calls.
     """
 
-    __slots__ = ("n", "runs", "dmask", "smask", "prev_smask", "bmask", "_cols", "_sym")
+    __slots__ = ("n", "runs", "dmask", "smask", "prev_smask", "bmask", "_cols", "_elems", "_sym")
 
     # per table: the length of the words indexing its rows, less n, and of
     # the words in each row's set (None: a row is a plain value)
@@ -306,6 +310,7 @@ class _Tables:
             dmask.append(dm)
             bmask.append(bm)
         self._cols: _Columns | None = None
+        self._elems: list[array] | None = None
         self._sym: dict[tuple[str, bool], bool] = {}
 
     def columns(self) -> _Columns:
@@ -314,9 +319,16 @@ class _Tables:
             self._cols = _Columns(
                 _columns(map(_bits, self.dmask), words, words >> 1),
                 _columns(map(_bits, self.smask), words, words),
-                _columns(map(_bits, self.bmask), words, words >> 1),
+                _columns(self.elements(), words, words >> 1),
             )
         return self._cols
+
+    def elements(self) -> list[array]:
+        """The elements of each bmask row, ascending; they are below
+        2^(n - 1) <= 2^13, so two bytes each, not an int object."""
+        if self._elems is None:
+            self._elems = [array("H", _bits(row)) for row in self.bmask]
+        return self._elems
 
     def equivariant(self, tables: Iterable[str], reversal: bool) -> bool:
         """Whether every named table maps row by row under complement and,
@@ -739,8 +751,9 @@ def _count_above(planes: list[int], limit: int) -> int:
 
 
 def _count_max(planes: list[int], words: int) -> int:
-    """The largest bit-sliced count over the nonempty mask words."""
-    best = 0
+    """The largest bit-sliced count over the mask words, -1 when it is
+    empty."""
+    best = 0 if words else -1
     for k in range(len(planes) - 1, -1, -1):
         hit = words & planes[k]
         if hit:
@@ -794,17 +807,17 @@ def _row_walk(
     generic and the global ceiling allow and, with windows, is no shift
     partner of x.  Both sweeps walk with this one limit.
     """
-    bm = tab.bmask
+    elems = tab.elements()
     col_b = tab.columns().bmask
-    full = (1 << len(bm)) - 1
+    full = (1 << len(elems)) - 1
     generic = CASE_CEILINGS[GENERIC].ceiling(tab.n)
     limit = min(generic, _global_ceiling(tab.n) or generic)
     for x in rows:
         scope = full ^ (1 << x) if orbits else full & -(2 << x)
-        planes = _count_planes(col_b, _bits(bm[x]))
+        planes = _count_planes(col_b, elems[x])
         walk = _walk_mask(tab, x, planes, limit, windows, scope)
         rest = scope & ~walk
-        yield x, walk, rest.bit_count(), _count_max(planes, rest) if rest else -1
+        yield x, walk, rest.bit_count(), _count_max(planes, rest)
 
 
 # the tables each sweep reads, whose equivariance lets it take the orbit route
@@ -1884,11 +1897,68 @@ CODE_CHECKS: dict[str, _CodeCheck] = {
 _CODE_FORK_MIN_PAIRS = 1 << 19
 
 # cosets of at least this many members are counted a row at a time (see
-# _code_chunk).  Pair loop over row route time per coset, medians of 7
-# (2 cores): 0.63-0.69 at vt 13's 316 members, 0.83-0.84 at c2n9 10's 287,
-# 0.98-1.11 at cn21 13's 489-495, 1.08-1.25 at inv 10's 496-528, 1.13-1.20 at
-# vt 14's 585-586, 1.43-1.92 at c2n9 11's 594-682 and 1.4-2.3 from 790 up
+# _code_chunk).  Pair loop over row route time per coset with the element
+# lists built, medians of 7 (2 cores): 0.46 at vt 12's 170-172 members, 0.9
+# at cn21 12's 202-204 (one row per orbit), 0.93-0.96 at vt 13's 315-316,
+# 1.42 at inv 9's 272 and 1.46 at c2n9 10's 287 (one row per orbit),
+# 1.55-1.66 at cn21 13's 494-495 and 2.2-5.5 from 528 up.  A lower value
+# would send n = 13's vt and cn21 checks through the element lists of every
+# word, which their first call builds: 0.69 and 0.77 s at 256 against 0.32
+# and 0.35 s at 512 (warm: 0.30 and 0.23 against 0.32 and 0.43; medians of 5)
 _CODE_ROW_MIN_MEMBERS = 512
+
+
+def _coset_rows(tab: _Tables, members: list[int], bound: int, sink: _Sink) -> tuple[int, int]:
+    """The extremal (-1 without a pair) and equality cases of the pairs of
+    one coset, ascending members, counted a row at a time; its pairwise
+    ceiling counterexamples go to sink, ascending as (x, y) with x < y.
+
+    Row x sums the columns of its elements, built once in member-rank
+    space, into the bit-sliced shared-ball sizes with the other members.
+    The reversed complement g keeps every shared-ball size when bmask maps
+    row by row under reversal and complement.  When it does and g maps the
+    coset onto itself, only the rows x <= g(x) are walked, each against
+    every other member, weighted 2 for its orbit {x, g(x)} or 1 when
+    x = g(x); otherwise every row is walked against the later members with
+    weight 2, its pair (x, y) standing for (y, x) too.  So the weighted
+    equality count is twice the pairs', and the above-ceiling pairs found,
+    closed under g, are every such pair, of which the first that fit into
+    sink are kept, and no more than twice as many at any time.
+    """
+    n, k = tab.n, len(members)
+    elems = tab.elements()
+    rows = [elems[x] for x in members]
+    cols = _columns(rows, k, 1 << (n - 1))
+    full = (1 << k) - 1
+    rank = {x: i for i, x in enumerate(members)}
+    image = [rank.get(_reverse(x, n) ^ (1 << n) - 1) for x in members]
+    orbits = None not in image and tab.equivariant(("bmask",), True)
+    room = _CE_CAP - len(sink.ces)
+    found: set[tuple[int, int]] = set()  # pairs of ranks i < j
+    extremal = -1
+    eq2 = 0
+    for i, g in enumerate(image):
+        if not orbits:
+            w, scope = 2, full & -(2 << i)
+        elif g < i:
+            continue
+        else:
+            w, scope = 2 - (g == i), full ^ (1 << i)
+        planes = _count_planes(cols, rows[i])
+        extremal = max(extremal, _count_max(planes, scope))
+        above = _count_above(planes, bound) & scope
+        eq2 += w * (_count_above(planes, bound - 1) & scope & ~above).bit_count()
+        for j in _bits(above) if room else ():
+            found.add((min(i, j), max(i, j)))
+            if orbits:
+                found.add((min(g, image[j]), max(g, image[j])))
+        if len(found) > 2 * room:
+            found = set(sorted(found)[:room])
+    bm = tab.bmask
+    for i, j in sorted(found)[:room]:
+        x, y = members[i], members[j]
+        sink.add(x, y, "pairwise ceiling", bound, (bm[x] & bm[y]).bit_count())
+    return extremal, eq2 >> 1
 
 
 def _code_chunk(theorem_id: str, n: int, cosets: list[list[int]]) -> dict[str, Any]:
@@ -1896,14 +1966,12 @@ def _code_chunk(theorem_id: str, n: int, cosets: list[list[int]]) -> dict[str, A
     members; for cl also bad elements and triples.
 
     A coset of cl, or of fewer than _CODE_ROW_MIN_MEMBERS members, goes pair
-    by pair.  A larger one goes a row at a time: its shared-ball sizes with
-    every later member are summed, bit-sliced, over columns built once in
-    member-rank space, and the row's extremal, equality cases and ceiling
-    counterexamples (ascending, with their exact sizes) are read off the
-    planes.  Both routes give the same counts and counterexamples in the
-    same order.
+    by pair.  A larger one goes a row at a time (_coset_rows), at orbit
+    representatives of the reversed complement where that is sound.  Both
+    routes give the same counts and counterexamples in the same order.
     """
-    bm = _tables(n).bmask
+    tab = _tables(n)
+    bm = tab.bmask
     dels = _dels_by_position(n) if theorem_id == "cl" else None
     side = WITNESS_CONVENTIONS.index(DEFAULT_WITNESS_CONVENTION)
     bound = CODE_CHECKS[theorem_id].ceiling(n)
@@ -1914,32 +1982,15 @@ def _code_chunk(theorem_id: str, n: int, cosets: list[list[int]]) -> dict[str, A
     eq = 0
     for members in cosets:
         k = len(members)
+        pairs += k * (k - 1) // 2
         if dels is None and k >= _CODE_ROW_MIN_MEMBERS:
-            # elements are below 2^(n - 1) <= 2^13: two bytes each, not an int object
-            rows = [array("H", _bits(bm[x])) for x in members]
-            cols = _columns(rows, k, 1 << (n - 1))
-            full = (1 << k) - 1
-            for i in range(k - 1):
-                x = members[i]
-                bx = bm[x]
-                planes = _count_planes(cols, rows[i])
-                later = full & -(2 << i)
-                pairs += k - 1 - i
-                b = _count_max(planes, later)
-                if b > extremal:
-                    extremal = b
-                above = _count_above(planes, bound) & later
-                eq += (_count_above(planes, bound - 1) & later & ~above).bit_count()
-                for j in _bits(above):
-                    y = members[j]
-                    sink.add(x, y, "pairwise ceiling", bound, (bx & bm[y]).bit_count())
+            b, e = _coset_rows(tab, members, bound, sink)
+            extremal = max(extremal, b)
+            eq += e
             continue
-        for i in range(k):
-            x = members[i]
+        for i, x in enumerate(members):
             bx = bm[x]
-            for j in range(i + 1, k):
-                y = members[j]
-                pairs += 1
+            for y in members[i + 1:]:
                 inter = bx & bm[y]
                 b = inter.bit_count()
                 if b > extremal:
@@ -1952,19 +2003,17 @@ def _code_chunk(theorem_id: str, n: int, cosets: list[list[int]]) -> dict[str, A
                     for z in _bits(inter):
                         if _good(dels[x], dels[y], z, n)[side]:
                             sink.add(x, y, "shared element must be bad", True, _Word(z, n - 1))
-        if theorem_id == "cl" and k >= 3:
-            for i in range(k):
+        if dels is not None:
+            for i, x in enumerate(members):
                 for j in range(i + 1, k):
-                    common = bm[members[i]] & bm[members[j]]
+                    y = members[j]
+                    common = bm[x] & bm[y]
                     if not common:
                         continue
-                    for t in range(j + 1, k):
+                    for t in members[j + 1:]:
                         triples += 1
-                        if common & bm[members[t]]:
-                            sink.add(
-                                members[i], members[j], "triple intersection", 0, 1,
-                                z=_Word(members[t], n),
-                            )
+                        if common & bm[t]:
+                            sink.add(x, y, "triple intersection", 0, 1, z=_Word(t, n))
     return {"pairs": pairs, "triples": triples, "extremal": extremal, "eq": eq, "ces": sink.ces}
 
 
@@ -1977,7 +2026,14 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
     workers only when the cosets hold at least _CODE_FORK_MIN_PAIRS pairs.
     A task checks a coset pair by pair, or, from _CODE_ROW_MIN_MEMBERS
     members on and for every family but cl, a row at a time from bit-sliced
-    column sums (_code_chunk); the report is the same either way.
+    column sums (_code_chunk).  Reversal and complement each send the
+    inversion number inv(x) to w(n - w) - inv(x) and keep the run count and
+    the periodic windows, so their composite keeps every inv and c2n9 coset,
+    and every cn21 coset at even n; when the mask tables map row by row
+    under both (_Tables.equivariant, decided before the fork), such a coset
+    walks only one row per orbit of the composite (_coset_rows).  Its
+    counterexamples are derived exactly from those rows, so a FAIL reruns
+    nothing, and the report is the same on every route.
     The largest bucket must have the size the code's counting DP gives its
     coset.  The parity+VT construction additionally requires empty triple
     intersections and that every shared pair element is bad, and reports
@@ -1994,9 +2050,14 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
     buckets, coset_of = codes.cosets(check.family, n)
     keys = sorted(buckets)
     pairs_in_cosets = sum(len(m) * (len(m) - 1) // 2 for m in buckets.values())
-    _tables(n)
+    best_key = min(buckets, key=lambda k2: (-len(buckets[k2]), k2))
+    best = len(buckets[best_key])
+    tab = _tables(n)
     if theorem_id == "cl":
         _dels_by_position(n)
+    elif best >= _CODE_ROW_MIN_MEMBERS:
+        tab.elements()
+        tab.equivariant(("bmask",), True)
     parts = _map_tasks(
         [(_code_chunk, theorem_id, n, [buckets[k] for k in keys[lo:hi]])
          for lo, hi in _spans(len(keys))],
@@ -2004,8 +2065,6 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
     )
     sink = _Sink(n)
     pairs, extremal, eq = _merge(parts, sink)
-    best_key = min(buckets, key=lambda k2: (-len(buckets[k2]), k2))
-    best = len(buckets[best_key])
     coset = coset_of(best_key)
     # with the DP's count below, this pins the bucket to the coset
     if not all(codes.contains(coset, to_word(v, n)) for v in buckets[best_key]):

@@ -483,8 +483,7 @@ def test_bit_sliced_counts_are_the_shared_ball_sizes():
                 1 << y for y, size in enumerate(sizes) if size > limit
             )
         later = ((1 << (1 << n)) - 1) & -(2 << x)
-        if later:
-            assert verify._count_max(planes, later) == max(sizes[x + 1:])
+        assert verify._count_max(planes, later) == max(sizes[x + 1:], default=-1)
 
 
 def test_run_dels_span_the_deletion_ball():
@@ -1021,7 +1020,7 @@ def _code_reports_by_route(monkeypatch, families, lengths):
 def test_code_row_route_matches_the_pair_loop(monkeypatch):
     # cl never takes the row route: it also checks every shared element
     rows, pairs = _code_reports_by_route(
-        monkeypatch, ("vt", "inv", "c2n9", "cn21", "cl"), range(2, 12)
+        monkeypatch, ("vt", "inv", "c2n9", "cn21", "cl"), range(2, 13)
     )
     assert rows == pairs
 
@@ -1036,6 +1035,81 @@ def test_code_row_route_matches_the_pair_loop_on_faulty_tables(monkeypatch):
     monkeypatch.setattr(verify, "_tables", lambda n: tab if n == 10 else real(n))
     monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
     rows, pairs = _code_reports_by_route(monkeypatch, ("vt", "inv", "c2n9", "cn21"), (10,))
+    assert rows == pairs
+    for report in rows:
+        ces = json.loads(report)["counterexamples"]
+        assert len(ces) > 32
+        assert {c["check"] for c in ces} == {"pairwise ceiling"}
+
+
+def _row_route_planes(monkeypatch, call):
+    """Per coset that call() counts a row at a time: its members and the
+    number of rows it sums into planes."""
+    out = []
+    coset_rows, count_planes = verify._coset_rows, verify._count_planes
+
+    def rows(tab, members, bound, sink):
+        out.append([members, 0])
+        return coset_rows(tab, members, bound, sink)
+
+    def planes(columns, row):
+        out[-1][1] += 1
+        return count_planes(columns, row)
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_coset_rows", rows)
+        m.setattr(verify, "_count_planes", planes)
+        call()
+    return out
+
+
+def _fixed_words(members, n):
+    top = (1 << n) - 1
+    return sum(_reversal(x, n) ^ top == x for x in members)
+
+
+def test_closed_cosets_walk_one_row_per_orbit(monkeypatch):
+    # reversed complement keeps every inv and c2n9 coset; vt's syndrome
+    # moves under it, so its cosets walk every row
+    n = 12
+    monkeypatch.setattr(verify, "_CODE_ROW_MIN_MEMBERS", 0)
+    for theorem_id in ("inv", "c2n9"):
+        seen = _row_route_planes(monkeypatch, lambda: verify_code_theorem(theorem_id, n))
+        assert seen, theorem_id
+        for members, calls in seen:
+            assert calls <= (len(members) + _fixed_words(members, n)) // 2, theorem_id
+    seen = _row_route_planes(monkeypatch, lambda: verify_code_theorem("vt", n))
+    assert seen
+    assert all(calls == len(members) for members, calls in seen)
+
+
+def _closure(words, n):
+    return {g(x) for x in words for g in _group(n)}
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "non-representative"])
+def test_code_row_route_matches_the_pair_loop_on_symmetric_faults(monkeypatch, closed):
+    # a set of length-9 words closed under reversal and complement joins the
+    # balls of such a set of length-10 words, which keeps bmask equivariant:
+    # closed cosets walk their orbit rows and derive every counterexample
+    # from them.  Joined to the rows x > g(x) alone, which those walks never
+    # sum, the fault breaks the equivariance and every coset walks all rows.
+    n = 10
+    top = (1 << n) - 1
+    real = verify._tables
+    tab = verify._Tables(n)
+    extra = sum(1 << z for z in _closure(range(32), n - 1))
+    for x in _closure(range(1, 1 << n, 5), n):
+        if closed or x > _reversal(x, n) ^ top:
+            tab.bmask[x] |= extra
+    assert tab.equivariant(("bmask",), True) == closed
+    monkeypatch.setattr(verify, "_tables", lambda k: tab if k == n else real(k))
+    monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
+    monkeypatch.setattr(verify, "_CODE_ROW_MIN_MEMBERS", 0)
+    seen = _row_route_planes(monkeypatch, lambda: verify_code_theorem("inv", n))
+    for members, calls in seen:
+        assert calls < len(members) if closed else calls == len(members)
+    rows, pairs = _code_reports_by_route(monkeypatch, ("vt", "inv", "c2n9", "cn21"), (n,))
     assert rows == pairs
     for report in rows:
         ces = json.loads(report)["counterexamples"]
