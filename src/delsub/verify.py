@@ -310,7 +310,7 @@ class _Tables:
             dmask.append(dm)
             bmask.append(bm)
         self._cols: _Columns | None = None
-        self._elems: list[array] | None = None
+        self._elems: list[array | None] = [None] * (1 << n)
         self._sym: dict[tuple[str, bool], bool] = {}
 
     def columns(self) -> _Columns:
@@ -319,16 +319,21 @@ class _Tables:
             self._cols = _Columns(
                 _columns(map(_bits, self.dmask), words, words >> 1),
                 _columns(map(_bits, self.smask), words, words),
-                _columns(self.elements(), words, words >> 1),
+                _columns(self.elements(range(words)), words, words >> 1),
             )
         return self._cols
 
-    def elements(self) -> list[array]:
-        """The elements of each bmask row, ascending; they are below
-        2^(n - 1) <= 2^13, so two bytes each, not an int object."""
-        if self._elems is None:
-            self._elems = [array("H", _bits(row)) for row in self.bmask]
-        return self._elems
+    def elements(self, words: Iterable[int]) -> list[array]:
+        """The elements of the bmask row of each of words, ascending.  A
+        row's list is extracted on its first ask and kept; its elements are
+        below 2^(n - 1) <= 2^13, so two bytes each, not an int object."""
+        elems = self._elems
+        out = []
+        for x in words:
+            if elems[x] is None:
+                elems[x] = array("H", _bits(self.bmask[x]))
+            out.append(elems[x])
+        return out
 
     def equivariant(self, tables: Iterable[str], reversal: bool) -> bool:
         """Whether every named table maps row by row under complement and,
@@ -525,11 +530,7 @@ def _sweep_tasks(fn: Callable, head: tuple, n: int, orbit: Any = None) -> list[t
     """The tasks (fn, *head, rows, weights, orbits) of an all-pairs sweep
     over the length-n words, one per span of its rows: the orbit rows and
     weights given (orbits True), else every word with weight 1."""
-    if orbit is None:
-        size = 1 << n
-        rows, weights = range(size), [1] * size
-    else:
-        rows, weights = orbit
+    rows, weights = orbit or (range(1 << n), [1] * (1 << n))
     flag = orbit is not None
     return [(fn, *head, rows[lo:hi], weights[lo:hi], flag) for lo, hi in _spans(len(rows))]
 
@@ -793,7 +794,7 @@ def _walk_mask(
 
 
 def _row_walk(
-    tab: _Tables, rows: Iterable[int], orbits: bool, windows: bool
+    tab: _Tables, rows: Sequence[int], orbits: bool, windows: bool
 ) -> Iterator[tuple[int, int, int, int]]:
     """Per row x of rows: x, the mask of the partners y to walk
     (_walk_mask), the number of the other partners, and the largest
@@ -807,14 +808,13 @@ def _row_walk(
     generic and the global ceiling allow and, with windows, is no shift
     partner of x.  Both sweeps walk with this one limit.
     """
-    elems = tab.elements()
     col_b = tab.columns().bmask
-    full = (1 << len(elems)) - 1
+    full = (1 << len(tab.bmask)) - 1
     generic = CASE_CEILINGS[GENERIC].ceiling(tab.n)
     limit = min(generic, _global_ceiling(tab.n) or generic)
-    for x in rows:
+    for x, row in zip(rows, tab.elements(rows)):
         scope = full ^ (1 << x) if orbits else full & -(2 << x)
-        planes = _count_planes(col_b, elems[x])
+        planes = _count_planes(col_b, row)
         walk = _walk_mask(tab, x, planes, limit, windows, scope)
         rest = scope & ~walk
         yield x, walk, rest.bit_count(), _count_max(planes, rest)
@@ -1922,41 +1922,38 @@ def _coset_rows(tab: _Tables, members: list[int], bound: int, sink: _Sink) -> tu
     x = g(x); otherwise every row is walked against the later members with
     weight 2, its pair (x, y) standing for (y, x) too.  So the weighted
     equality count is twice the pairs', and the above-ceiling pairs found,
-    closed under g, are every such pair, of which the first that fit into
-    sink are kept, and no more than twice as many at any time.
+    closed under g, are every such pair; the first that fit into sink are
+    kept, and the rest are dropped whenever twice as many have gathered.
     """
     n, k = tab.n, len(members)
-    elems = tab.elements()
-    rows = [elems[x] for x in members]
+    rows = tab.elements(members)
     cols = _columns(rows, k, 1 << (n - 1))
     full = (1 << k) - 1
-    rank = {x: i for i, x in enumerate(members)}
-    image = [rank.get(_reverse(x, n) ^ (1 << n) - 1) for x in members]
-    orbits = None not in image and tab.equivariant(("bmask",), True)
+    image = [_reverse(x, n) ^ (1 << n) - 1 for x in members]
+    orbits = sorted(image) == members and tab.equivariant(("bmask",), True)
     room = _CE_CAP - len(sink.ces)
-    found: set[tuple[int, int]] = set()  # pairs of ranks i < j
+    found = set()  # pairs x < y of members
     extremal = -1
     eq2 = 0
-    for i, g in enumerate(image):
-        if not orbits:
-            w, scope = 2, full & -(2 << i)
-        elif g < i:
+    for i, x in enumerate(members):
+        gx = image[i]
+        if orbits and gx < x:
             continue
-        else:
-            w, scope = 2 - (g == i), full ^ (1 << i)
+        scope = full ^ (1 << i) if orbits else full & -(2 << i)
         planes = _count_planes(cols, rows[i])
         extremal = max(extremal, _count_max(planes, scope))
         above = _count_above(planes, bound) & scope
-        eq2 += w * (_count_above(planes, bound - 1) & scope & ~above).bit_count()
-        for j in _bits(above) if room else ():
-            found.add((min(i, j), max(i, j)))
+        eq = (_count_above(planes, bound - 1) & scope & ~above).bit_count()
+        eq2 += eq if orbits and gx == x else 2 * eq
+        for j in _bits(above):
+            y, gy = members[j], image[j]
+            found.add((min(x, y), max(x, y)))
             if orbits:
-                found.add((min(g, image[j]), max(g, image[j])))
+                found.add((min(gx, gy), max(gx, gy)))
         if len(found) > 2 * room:
             found = set(sorted(found)[:room])
     bm = tab.bmask
-    for i, j in sorted(found)[:room]:
-        x, y = members[i], members[j]
+    for x, y in sorted(found)[:room]:
         sink.add(x, y, "pairwise ceiling", bound, (bm[x] & bm[y]).bit_count())
     return extremal, eq2 >> 1
 
@@ -2056,7 +2053,7 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
     if theorem_id == "cl":
         _dels_by_position(n)
     elif best >= _CODE_ROW_MIN_MEMBERS:
-        tab.elements()
+        tab.elements(x for m in buckets.values() if len(m) >= _CODE_ROW_MIN_MEMBERS for x in m)
         tab.equivariant(("bmask",), True)
     parts = _map_tasks(
         [(_code_chunk, theorem_id, n, [buckets[k] for k in keys[lo:hi]])
