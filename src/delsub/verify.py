@@ -2000,7 +2000,7 @@ def _code_chunk(theorem_id: str, n: int, cosets: list[list[int]]) -> dict[str, A
                     for z in _bits(inter):
                         if _good(dels[x], dels[y], z, n)[side]:
                             sink.add(x, y, "shared element must be bad", True, _Word(z, n - 1))
-        if dels is not None:
+        if dels is not None and k >= 3:
             for i, x in enumerate(members):
                 for j in range(i + 1, k):
                     y = members[j]
