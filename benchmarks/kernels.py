@@ -35,9 +35,9 @@ whole, the way the sweep cells are timed, at n = 12 and 13 for inv, c2n9,
 cn21 and vt and at n = 11 for inv: the first call at ``jobs=1``, after the
 mask-table cache ``verify._tables`` is emptied and ``verify._tables(n)``
 alone is built again, so that it pays what the check computes lazily per
-length (such as element lists and equivariance verdicts), then
-again at ``jobs=1`` and at ``jobs=2``.  Their pairs are the pairs inside
-the cosets, as in the report.  The two source trees are measured in
+length (such as element lists and equivariance verdicts), then again at
+``jobs=1`` and at ``jobs=2``.  Their pairs are the pairs inside the
+cosets, as in the report.  The two source trees are measured in
 interleaved rounds (``rounds.py``), one timing per cell per round; the
 output keeps, per tree, every round, the median and the minimum, and per
 sweep or code check and length the median over rounds of the jobs=1 over
@@ -136,7 +136,9 @@ def _sweep_cells(verify, kind: str, n: int, pairs: int, call, digest) -> list[tu
         seconds = time.perf_counter() - t0
         digest.update(report.to_json().encode())
         timed.append((depth, seconds / pairs * 1e6))
-    walked = _walked_pairs(verify, call) if kind in ("bounds", "identity") and n == ALL_PAIRS_N else None
+    walked = None
+    if kind in ("bounds", "identity") and n == ALL_PAIRS_N:
+        walked = _walked_pairs(verify, call)
     return [(n, kind, depth, pairs, walked, us) for depth, us in timed]
 
 

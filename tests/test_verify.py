@@ -1107,6 +1107,7 @@ def test_code_row_route_matches_the_pair_loop_on_symmetric_faults(monkeypatch, c
     monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
     monkeypatch.setattr(verify, "_CODE_ROW_MIN_MEMBERS", 0)
     seen = _row_route_planes(monkeypatch, lambda: verify_code_theorem("inv", n))
+    assert seen
     for members, calls in seen:
         assert calls < len(members) if closed else calls == len(members)
     rows, pairs = _code_reports_by_route(monkeypatch, ("vt", "inv", "c2n9", "cn21"), (n,))
