@@ -9,8 +9,9 @@ row; their "pairs" is the report's pairs_checked and "s" the seconds per
 call.  The all-pairs cells time the public calls, since the two trees'
 sweep chunks need not share a signature: ``verify_intersection_bounds(n)``
 (kind "bounds") and ``verify_bad_count(n)`` (kind "bad-count", convention
-"pre") at n = 8..12, and the claim tables' identity sweep (kind
-"identity") as ``verify_claim_tables(10)`` with the structured family tasks
+"pre") at n = 8..12, ``verify_bad_count(n, convention="post")`` (kind
+"bad-count post"), whose report is a FAIL, at n = 10 and 11, and the claim
+tables' identity sweep (kind "identity") as ``verify_claim_tables(10)`` with the structured family tasks
 left out (``verify._family_tasks`` returns none), which sweeps every pair
 at n = 2..10.  Each is timed three times in a row: the first call at
 ``jobs=1`` (depth "jobs=1 first", which pays what a tree computes once per
@@ -69,6 +70,8 @@ LENGTHS = (11, 14)
 # the all-pairs sweeps timed per length, and the length of the identity
 # cell and of the walked-pair counts
 SWEEP_LENGTHS = range(8, 13)
+# the lengths of the bad-count "post" cells, a FAIL from n = 8 on
+FAIL_LENGTHS = (10, 11)
 ALL_PAIRS_N = 10
 CODE_CELLS = (("inv", 11),
               *((theorem_id, n) for n in (12, 13) for theorem_id in ("inv", "c2n9", "cn21", "vt")))
@@ -178,6 +181,12 @@ def _worker(src: str) -> dict:
                               lambda jobs: verify.verify_intersection_bounds(n, jobs=jobs), digest)
         cells += _sweep_cells(verify, "bad-count", n, pairs,
                               lambda jobs: verify.verify_bad_count(n, jobs=jobs), digest)
+    for n in FAIL_LENGTHS:
+        size = 1 << n
+        cells += _sweep_cells(
+            verify, "bad-count post", n, size * (size - 1) // 2,
+            lambda jobs: verify.verify_bad_count(n, jobs=jobs, convention="post"), digest,
+        )
     n = ALL_PAIRS_N
     for k in range(2, n + 1):
         verify._tables(k).columns()
@@ -204,7 +213,9 @@ def _worker(src: str) -> dict:
                 results = [verify._structured_chunk(kind, depth, n, params, lo, hi)
                            for params, lo, hi in windows]
                 seconds = time.perf_counter() - t0
-                digest.update(json.dumps(results, sort_keys=True).encode())
+                # the fields that every tree's chunk returns
+                shared = [[r[k] for k in ("pairs", "extremal", "eq", "ces")] for r in results]
+                digest.update(json.dumps(shared, sort_keys=True).encode())
                 cells.append((n, kind, depth, pairs, pairs, seconds / pairs * 1e6))
     return {"cells": cells, "digest": digest.hexdigest()}
 

@@ -21,15 +21,19 @@ checks accept, so they would record nothing for it; it is counted in bulk,
 and its size folded into the maxima, from bit-sliced counts over the
 tables' column masks.  Distance and window do not read the tables, and the
 other terms read the same tables as the checks, so a faulty table cannot
-hide a pair on which a check would fire.  Where the tables map row by row
-under reversal and complement, the all-pairs sweeps visit one row per orbit
-(or, for bad-count, one pair per complement orbit of pairs) and weight the
-counts; the structured family walks visit one pair per orbit likewise.  A
-counterexample on such a route reruns that part of the call on the full
-route.  The code checks count a large coset a row at a time from the
-element lists of its members' bmask rows, extracted once per length; a
-coset that the reversed complement maps onto itself walks one row per
-orbit of that map and derives its counterexamples exactly from those rows.
+hide a pair on which a check would fire.  The code checks count a large
+coset a row at a time from the element lists of its members' bmask rows,
+extracted once per length.
+
+Reversal and complement map ds-balls onto ds-balls, so each route they keep
+walks one representative per orbit of its group (words._Orbits), weighted
+with the orbit's size: the all-pairs sweeps on tables that map row by row
+(_Tables.equivariant), the structured walks and the closed cosets of the
+code checks.  Whether a pair fails a check is the same for its images, so
+each route derives its FAIL report: its failing pairs, closed under the
+group, name the first _CE_CAP of the full route's, and only those go
+through the full route's body (_sweep, _coset_rows).  The full route stays
+for tables that do not map and as the tests' reference.
 """
 
 from __future__ import annotations
@@ -62,15 +66,7 @@ from .balls import (
 from .codes import CodeSpec
 from .reconstruct import ReadBundle, UNIQUE, collect_reads
 from .reconstruct import decode as decode_reads
-from .words import (
-    _complement_elements,
-    _del_bit,
-    _del_set,
-    _orbit_rows,
-    _reverse,
-    _reverse_elements,
-    _sub_set,
-)
+from .words import _del_bit, _del_set, _maps_rows, _Orbits, _sub_set, _word_maps, _word_orbits
 from .words import decode as to_word
 from .words import max_le2_periodic_length, psi
 
@@ -197,36 +193,6 @@ def _has_symbol(v: int, length: int, symbol: int) -> bool:
     if length == 0:
         return False
     return v != 0 if symbol else v != (1 << length) - 1
-
-
-# ---------------------------------------------------------------------------
-# reversal and complement of the rows of a per-word table (_reverse and the
-# element maps of word sets held as masks are in words)
-
-
-def _maps_rows(rows: Sequence[Any], n: int, m: int | None, reversal: bool) -> bool:
-    """Whether row g(x) of rows, one per length-n word x, is row x with g
-    applied to each element, for g the reversal (else the complement).
-
-    A row is a plain value when m is None, else a set of length-m words: a
-    mask, or the keys of a dict whose values g keeps.  g is an involution,
-    so each pair {x, g(x)} is compared once.
-    """
-    top = (1 << n) - 1
-    for x, row in enumerate(rows):
-        gx = _reverse(x, n) if reversal else x ^ top
-        if gx < x:
-            continue
-        if m is None:
-            want = row
-        elif isinstance(row, dict):
-            flip = (1 << m) - 1
-            want = {(_reverse(z, m) if reversal else z ^ flip): v for z, v in row.items()}
-        else:
-            want = _reverse_elements(row, m) if reversal else _complement_elements(row, m)
-        if rows[gx] != want:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +416,19 @@ class _Sink:
     """The first _CE_CAP counterexamples recorded, for words of length n.
 
     x and y are words of length n and any _Word field is a word too; words
-    are formatted only for the counterexamples kept.
+    are formatted only for the counterexamples kept.  On the orbit route of
+    a group (_word_maps) fails keeps instead task(p), by default p, per image
+    p = (min, max) of the pair: the _CE_CAP first, cut when twice as many.
     """
 
-    __slots__ = ("n", "ces")
+    __slots__ = ("n", "ces", "fails", "orbits", "task")
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, group: str = "", task: Callable = tuple) -> None:
         self.n = n
         self.ces: list[dict[str, Any]] = []
+        self.fails: set = set()
+        self.orbits = group and _Orbits(_word_maps(n, group))
+        self.task = task
 
     def add(
         self,
@@ -468,6 +439,11 @@ class _Sink:
         observed: Any,
         **extra: Any,
     ) -> None:
+        if self.orbits:
+            self.fails.update(map(self.task, self.orbits.close([(x, y)])))
+            if len(self.fails) > 2 * _CE_CAP:
+                self.fails = set(sorted(self.fails)[:_CE_CAP])
+            return
         if len(self.ces) >= _CE_CAP:
             return
         out: dict[str, Any] = {"n": self.n}
@@ -526,32 +502,43 @@ def _spans(size: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, size)) for lo in range(0, size, step)]
 
 
-def _sweep_tasks(fn: Callable, head: tuple, n: int, orbit: Any = None) -> list[tuple]:
-    """The tasks (fn, *head, rows, weights, orbits) of an all-pairs sweep
-    over the length-n words, one per span of its rows: the orbit rows and
-    weights given (orbits True), else every word with weight 1."""
-    rows, weights = orbit or (range(1 << n), [1] * (1 << n))
-    flag = orbit is not None
-    return [(fn, *head, rows[lo:hi], weights[lo:hi], flag) for lo, hi in _spans(len(rows))]
+def _sweep_tasks(fn: Callable, head: tuple, n: int, group: str = "") -> list[tuple]:
+    """The tasks (fn, *head, rows, weights, group) of an all-pairs sweep
+    over the length-n words, one per span of its rows: one word per orbit
+    of the group (named as in _word_maps) and the orbit's size, or every
+    word with weight 1 on the full route (group "")."""
+    orbits = _word_orbits(n, group)
+    return [(fn, *head, orbits.rows[lo:hi], orbits.weights[lo:hi], group)
+            for lo, hi in _spans(len(orbits.rows))]
 
 
-def _sweep(legs: list[tuple], jobs: int, walks: Sequence[tuple] = ()) -> list[dict[str, Any]]:
-    """The parts of the all-pairs sweeps legs, each (fn, head, n, orbit
-    rows or None) as _sweep_tasks takes it, followed by those of the
-    orbit-route structured-walk tasks walks (_family_tasks), all in one
-    fan-out.  When a part on an orbit route found a counterexample, every
-    leg, or every walk, reruns on the full route, so that a FAIL report
-    lists its counterexamples as the full route finds them."""
-    tasks = [t for leg in legs for t in _sweep_tasks(*leg)]
-    k = len(tasks)
-    parts = _map_tasks(tasks + list(walks), jobs)
-    if any(part["ces"] for part in parts[k:]):
-        # each walk's (kind, depth, n), in task order
-        keys = dict.fromkeys(t[1:4] for t in walks)
-        parts[k:] = _map_tasks([t for key in keys for t in _family_tasks(*key, False)], jobs)
-    if any(task[-1] and part["ces"] for task, part in zip(tasks, parts)):
-        full = [t for fn, head, n, _ in legs for t in _sweep_tasks(fn, head, n)]
-        parts[:k] = _map_tasks(full, jobs)
+def _sweep(legs: list[tuple], jobs: int) -> list[dict[str, Any]]:
+    """The parts of the tasks of legs in one fan-out, a leg (make, *args)
+    having the tasks make(*args) of an all-pairs sweep (_sweep_tasks) or a
+    structured walk (_family_tasks), whose fourth argument is its group.
+
+    An orbit-route part lists its failing pairs and their images (_Sink).
+    The _CE_CAP first in full-route order name the full-route tasks, a row
+    or a family pair each, that the leg's report comes from; only they run,
+    here.  One that records nothing shows a fault the group does not keep,
+    and the leg's full route runs here instead.
+    """
+    made = [make(*args) for make, *args in legs]
+    parts = _map_tasks([t for tasks in made for t in tasks], jobs)
+    at = 0
+    for (make, *args), tasks in zip(legs, made):
+        mine = parts[at:at + len(tasks)]
+        at += len(tasks)
+        named = sorted(set().union(*(part["fails"] for part in mine)))[:_CE_CAP]
+        if make is _sweep_tasks:
+            # the full route walks a row's pairs in order
+            rows = dict.fromkeys(x for x, _ in named)
+            named = [(args[0], *args[1], (x,), (1,), "") for x in rows]
+        if named:
+            ces = [_run_task(t)["ces"] for t in named]
+            if not all(ces):
+                ces = [_run_task(t)["ces"] for t in make(*args[:3], "")]
+            mine[0]["ces"] = [c for part in ces for c in part]
     return parts
 
 
@@ -667,15 +654,10 @@ def _in_family(ra: int, rb: int, runs: int) -> bool:
 # ---------------------------------------------------------------------------
 # row walk of the all-pairs sweeps: the close pairs of a row x go through the
 # per-pair body one by one, its generic pairs are counted in bulk.  Reversal
-# and complement map ds-balls onto ds-balls and keep every quantity the
-# bounds and identity checks read, so on tables that map row by row
-# (_Tables.equivariant) those sweeps walk one row per orbit of the group
-# {1, reversal, complement, both}, against every other word, with weight
-# half the orbit's size (1 or 2); bad-count, whose "post" bad sets reversal
-# does not keep, pairs up complement orbits of pairs instead (_bad_chunk).
-# Maxima need no weight.  A counterexample on that orbit route sends the
-# whole call down the full route (_sweep), every row against the words after
-# it with weight 1, which is also the route on tables that do not map.
+# and complement keep every quantity the bounds and identity checks read, so
+# those sweeps walk the orbits of the group "rc" (see _row_walk); bad-count,
+# whose "post" bad sets reversal does not keep, pairs up complement orbits
+# of pairs instead (_bad_chunk).
 
 
 @functools.cache
@@ -794,30 +776,31 @@ def _walk_mask(
 
 
 def _row_walk(
-    tab: _Tables, rows: Sequence[int], orbits: bool, windows: bool
-) -> Iterator[tuple[int, int, int, int]]:
-    """Per row x of rows: x, the mask of the partners y to walk
-    (_walk_mask), the number of the other partners, and the largest
-    shared-ball size among those (-1 when there are none).
+    tab: _Tables, rows: Sequence[int], weights: Sequence[int], group: str, windows: bool
+) -> Iterator[tuple[int, int, int, int, int]]:
+    """Per row x of rows: x, the weight of its pairs, the mask of the
+    partners y to walk (_walk_mask), the number of the other partners, and
+    the largest shared-ball size among those (-1 when there are none).
 
-    The partners of x are the y > x on the full route, and with orbits every
-    y != x: there x stands for its orbit under reversal and complement, and
-    the sweep weights what the row counts by half the orbit's size.  Each
-    other partner is at Hamming distance three or more, shares no deletion
-    and no substitution with x, shares no more elements with it than the
-    generic and the global ceiling allow and, with windows, is no shift
-    partner of x.  Both sweeps walk with this one limit.
+    The partners of x are the y > x on the full route (group ""), and on
+    an orbit route every y != x: there x stands for its orbit, whose size
+    weights gives, and each pair is seen from both its words, so it weighs
+    half of that.  Each other partner is at Hamming distance three or more,
+    shares no deletion and no substitution with x, shares no more elements
+    with it than the generic and the global ceiling allow and, with
+    windows, is no shift partner of x.  Both sweeps walk with this one
+    limit.
     """
     col_b = tab.columns().bmask
     full = (1 << len(tab.bmask)) - 1
     generic = CASE_CEILINGS[GENERIC].ceiling(tab.n)
     limit = min(generic, _global_ceiling(tab.n) or generic)
-    for x, row in zip(rows, tab.elements(rows)):
-        scope = full ^ (1 << x) if orbits else full & -(2 << x)
+    for x, w, row in zip(rows, weights, tab.elements(rows)):
+        scope = full ^ (1 << x) if group else full & -(2 << x)
         planes = _count_planes(col_b, row)
         walk = _walk_mask(tab, x, planes, limit, windows, scope)
         rest = scope & ~walk
-        yield x, walk, rest.bit_count(), _count_max(planes, rest)
+        yield x, w >> 1 if group else w, walk, rest.bit_count(), _count_max(planes, rest)
 
 
 # the tables each sweep reads, whose equivariance lets it take the orbit route
@@ -827,7 +810,7 @@ _BAD_TABLES = ("dmask", "bmask", "summaries")
 
 
 def _bounds_chunk(
-    n: int, rows: Sequence[int], weights: Sequence[int], orbits: bool
+    n: int, rows: Sequence[int], weights: Sequence[int], group: str
 ) -> dict[str, Any]:
     """The exhaustive intersection-bounds checks on the pairs of the given
     rows, each pair's counts weighted by its row's weight (see _row_walk).
@@ -847,11 +830,11 @@ def _bounds_chunk(
     pairs = 0
     extremal = -1
     eq = 0
-    sink = _Sink(n)
+    sink = _Sink(n, group)
     case_pairs: dict[str, int] = {}
     case_max: dict[str, int] = {}
     cases = _case_rows(n)
-    for w, (x, walk, bulk, bulk_max) in zip(weights, _row_walk(tab, rows, orbits, True)):
+    for x, w, walk, bulk, bulk_max in _row_walk(tab, rows, weights, group, True):
         if bulk:
             pairs += w * bulk
             case_pairs[GENERIC] = case_pairs.get(GENERIC, 0) + w * bulk
@@ -934,6 +917,7 @@ def _bounds_chunk(
         "extremal": extremal,
         "eq": eq,
         "ces": sink.ces,
+        "fails": sink.fails,
         "case_pairs": case_pairs,
         "case_max": case_max,
     }
@@ -956,13 +940,9 @@ def _bounds_chunk(
 # what the group keeps (run counts, whether single-run symbols agree) or
 # permutes along with the checks' own keys (the edge keys and the columns
 # of _SPLIT_OFFSETS and _table3), so a pair fails a check exactly when its
-# images do.  The orbit route of _family_tasks therefore walks only the
-# windows with m <= q, for fam12s only those with alpha = 0, and for the
-# other kinds only the first half of each window's indices.  A pair weighs
-# 2 for its complement image, twice that when m < q for its reversed
-# window; the one-pair window (fam20 at ell = n) is its own orbit and
-# weighs 1.  Maxima need no weight.  A counterexample on that route reruns
-# every walk of the call on the full route (_sweep).
+# images do.  The orbit route of _family_tasks therefore walks the windows
+# with m <= q, weighted 2 when m < q for the reversed window, and the first
+# half of each window of two pairs or more, weighted twice for the other.
 
 
 def _family_params(kind: str, n: int) -> list[tuple[int, ...]]:
@@ -1005,39 +985,46 @@ def _structured_pairs(
         yield a, b, q, (((a << width) | wx) << q) | b, (((a << width) | wy) << q) | b
 
 
-def _family_tasks(kind: str, depth: str, n: int, orbits: bool = True) -> list[tuple]:
-    """The tasks (_structured_chunk, kind, depth, n, params, lo, hi, weight)
-    of the kind's walk at the depth over length n, up to _FAMILY_PIECE
-    pairs each: on the orbit route one pair per orbit of {1, reversal,
-    complement, both}, weighted as above, else every pair with weight 1.
+def _family_tasks(kind: str, depth: str, n: int, group: str = "rc") -> list[tuple]:
+    """The tasks (_structured_chunk, kind, depth, n, params, lo, hi, weight,
+    group) of the kind's walk at the depth over length n, up to
+    _FAMILY_PIECE pairs each, on the orbit route of "rc" as above, or on
+    the full route (group "").
 
-    The orbit route walks no window with m > q, no fam12s window with
-    alpha = 1 and only the first half of every other window, so it is sound
-    only while _run_dels, _ds_inter and _sub_set commute with reversal and
-    complement: a fault confined to the pairs it skips would pass here
-    where the full route fails.  Nothing checks that at run time (the
-    all-pairs sweeps ask _Tables.equivariant, which reads none of these
-    primitives); the tests check the primitives under the group on sampled
-    family pairs up to n = 16.
+    The orbit route walks no window with m > q and only the first half of
+    the others, so it is sound only while _run_dels, _ds_inter and _sub_set
+    commute with reversal and complement: a fault confined to the pairs it
+    skips would pass here where the full route fails.  Nothing checks that
+    at run time but a FAIL report's derivation (_sweep); the tests check
+    the primitives under the group on sampled family pairs up to n = 16.
     """
+    params = _family_params(kind, n)
+    # reversal swaps a window's prefix and suffix lengths
+    windows = _Orbits(
+        [lambda p: (*p[:-1], n - _window(kind, p)[2] - p[-1])] if group else (), params
+    )
     tasks: list[tuple] = []
-    for params in _family_params(kind, n):
-        m = params[-1]
-        q = n - _window(kind, params)[2] - m
-        total = 1 << (m + q)
-        weight = 1
-        if orbits:
-            if m > q or kind == "fam12s" and params[0]:
-                continue
-            weight = 2 if m < q else 1
-            if kind == "fam12s" or total > 1:
-                weight *= 2
-                if kind != "fam12s":
-                    total >>= 1
+    for i, weight in zip(windows.rows, windows.weights):
+        total = 1 << (n - _window(kind, params[i])[2])
+        if group and total > 1:
+            total >>= 1
+            weight *= 2
         for lo in range(0, total, _FAMILY_PIECE):
             hi = min(lo + _FAMILY_PIECE, total)
-            tasks.append((_structured_chunk, kind, depth, n, params, lo, hi, weight))
+            tasks.append((_structured_chunk, kind, depth, n, params[i], lo, hi, weight, group))
     return tasks
+
+
+def _family_task(kind: str, depth: str, n: int, pair: tuple[int, int]) -> tuple:
+    """The full-route task of the kind's walk at the depth that walks the
+    family pair (x, y), in either order, alone: at its window and index."""
+    x, y = pair
+    q = ((x ^ y) & -(x ^ y)).bit_length() - 1
+    width = (x ^ y).bit_length() - q
+    # the run inside a fam12s window is of alpha
+    params = {"fam12s": (x >> q + 1 & 1, width - 1), "fam20": (width,)}.get(kind, ())
+    i = x >> q + width << q | x & (1 << q) - 1
+    return _structured_chunk, kind, depth, n, (*params, n - width - q), i, i + 1
 
 
 # Claim table 2: the deletion-term sizes of the transposition and flip
@@ -1369,10 +1356,12 @@ _FAMILY_KINDS = tuple(_PAIR_FAMILIES)
 
 
 def _structured_chunk(
-    kind: str, depth: str, n: int, params: tuple[int, ...], lo: int, hi: int, weight: int = 1
+    kind: str, depth: str, n: int, params: tuple[int, ...], lo: int, hi: int,
+    weight: int = 1, group: str = "",
 ) -> dict[str, Any]:
     """Walk pairs lo..hi of one family window, counting each pair and each
-    equality case weight times (the orbit route of _family_tasks).
+    equality case weight times (the orbit route of _family_tasks, which
+    names its group and gives the weight).
 
     Each pair's run deletions rdx = _run_dels(x, n), rdy = _run_dels(y, n)
     and shared ball _ds_inter(rdx, rdy, n) are built here and nowhere else,
@@ -1381,7 +1370,7 @@ def _structured_chunk(
     depths end each pair with _check_tail; at "ceiling", transposition pairs
     at the global ceiling count as equality cases.
     """
-    sink = _Sink(n)
+    sink = _Sink(n, group, functools.partial(_family_task, kind, depth, n))
     extremal = -1
     eq = 0
     eq_at = _global_ceiling(n) if depth == "ceiling" and kind == "fam22" else None
@@ -1397,7 +1386,8 @@ def _structured_chunk(
             eq += 1
         if total > extremal:
             extremal = total
-    return {"pairs": (hi - lo) * weight, "extremal": extremal, "eq": eq * weight, "ces": sink.ces}
+    return {"pairs": (hi - lo) * weight, "extremal": extremal, "eq": eq * weight, "ces": sink.ces,
+            "fails": sink.fails}
 
 
 def verify_intersection_bounds(
@@ -1415,25 +1405,12 @@ def verify_intersection_bounds(
     Only the close pairs of each word go through these checks one by one
     (_walk_mask); every other pair is generic, shares no deletion, and
     stays within the generic and global ceilings, so none of the checks can
-    fire on it, and it is counted into the generic case in bulk.  When the
-    tables it reads (runs, dmask, smask, bmask) map row by row under
-    reversal and complement, a verdict computed once per table set before
-    the fork (_Tables.equivariant), the sweep visits only the least word of
-    each orbit of {1, reversal, complement, both}, paired with every other
-    word, and counts its pairs, case pairs and equality cases with weight
-    half the orbit's size; maxima are taken as they are.  Otherwise, or
-    when that route finds a counterexample, the call runs the full route,
-    every word paired with the words after it, so a FAIL report is the
-    full route's.  Structured mode walks only the transposition, flip, shift,
-    and alternating-window families, which reaches longer words; each
-    pair's shared ball is built from its close deletion pairs (u, w), one
-    deletion per run of x and of y within Hamming distance two, as the
-    union of S(u) & S(w) (see _ds_inter), never from both full balls.  The
-    families map onto themselves under reversal and complement, so the walk
-    visits one pair per orbit of the group and counts its pairs and
-    equality cases with the orbit's weight (_family_tasks); when a walked
-    pair fails a check, every family is walked again pair by pair, so a
-    FAIL report is the full walk's.
+    fire on it, and it is counted into the generic case in bulk.  Structured
+    mode walks only the transposition, flip, shift, and alternating-window
+    families, which reaches longer words; each pair's shared ball is built
+    from its close deletion pairs (u, w), one deletion per run of x and of
+    y within Hamming distance two, as the union of S(u) & S(w) (see
+    _ds_inter), never from both full balls.
     """
     t0 = time.monotonic()
     if n < 1:
@@ -1445,27 +1422,21 @@ def verify_intersection_bounds(
     bound = _global_ceiling(n)
     detail: dict[str, Any] = {"mode": mode}
     if structured:
-        tasks = [t for kind in _FAMILY_KINDS for t in _family_tasks(kind, "ceiling", n)]
-        if not tasks:
+        # no family has a pair below n = 2
+        if n < 2:
             return _finish(
                 "intersection-bounds", (n, n), 0, bound, None, 0, [], t0, detail, skipped=True
             )
-        parts = _sweep([], jobs, tasks)
+        parts = _sweep([(_family_tasks, kind, "ceiling", n) for kind in _FAMILY_KINDS], jobs)
     else:
         tab = _tables(n)
         tab.columns()
-        orbit = _orbit_rows(n) if tab.equivariant(_BOUNDS_TABLES, True) else None
-        parts = _sweep([(_bounds_chunk, (n,), n, orbit)], jobs)
-        case_pairs: dict[str, int] = {}
-        case_max: dict[str, int] = {}
-        for part in parts:
-            for key, cnt in part["case_pairs"].items():
-                case_pairs[key] = case_pairs.get(key, 0) + cnt
-            for key, val in part["case_max"].items():
-                if val > case_max.get(key, -1):
-                    case_max[key] = val
-        detail["case_pairs"] = dict(sorted(case_pairs.items()))
-        detail["case_extremal"] = dict(sorted(case_max.items()))
+        group = "rc" if tab.equivariant(_BOUNDS_TABLES, True) else ""
+        parts = _sweep([(_sweep_tasks, _bounds_chunk, (n,), n, group)], jobs)
+        # a part counts a case's pairs exactly where it has its maximum
+        cases = sorted({case for part in parts for case in part["case_pairs"]})
+        detail["case_pairs"] = {c: sum(p["case_pairs"].get(c, 0) for p in parts) for c in cases}
+        detail["case_extremal"] = {c: max(p["case_max"].get(c, -1) for p in parts) for c in cases}
     sink = _Sink(n)
     pairs, extremal, eq = _merge(parts, sink)
     return _finish(
@@ -1479,7 +1450,7 @@ def verify_intersection_bounds(
 
 
 def _identity_chunk(
-    n: int, rows: Sequence[int], weights: Sequence[int], orbits: bool
+    n: int, rows: Sequence[int], weights: Sequence[int], group: str
 ) -> dict[str, Any]:
     """The size accounting of the pairs of the given rows, each row's pairs
     counted with its weight (see _row_walk).
@@ -1497,10 +1468,13 @@ def _identity_chunk(
     bm = tab.bmask
     prev = tab.prev_smask
     size = 1 << n
+    pairs = 0
     extremal = -1
-    sink = _Sink(n)
+    sink = _Sink(n, group)
     cases = _case_rows(n)
-    for x, walk, _, bulk_max in _row_walk(tab, rows, orbits, False):
+    for x, w, walk, _, bulk_max in _row_walk(tab, rows, weights, group, False):
+        # row x pairs with the size - 1 - x words after it, or all size - 1 others
+        pairs += w * (size - 1 if group else size - 1 - x)
         if bulk_max > extremal:
             extremal = bulk_max
         bx = bm[x]
@@ -1552,9 +1526,7 @@ def _identity_chunk(
                 ceiling if run_extra is None else min(ceiling, runs[x] + runs[y] + run_extra)
             ):
                 sink.add(x, y, f"{name} ceiling", ceiling, b)
-    # row x pairs with the size - 1 - x words after it, or all size - 1 others
-    pairs = sum(w * (size - 1 if orbits else size - 1 - x) for x, w in zip(rows, weights))
-    return {"pairs": pairs, "extremal": extremal, "eq": 0, "ces": sink.ces}
+    return {"pairs": pairs, "extremal": extremal, "eq": 0, "ces": sink.ces, "fails": sink.fails}
 
 
 _IDENTITY_MAX_N = 10
@@ -1570,20 +1542,15 @@ def verify_claim_tables(n_max: int, *, jobs: int = 1) -> VerificationReport:
     generic and global ceilings is not visited: the row walk (_row_walk)
     folds its size into the extremal in bulk, as for intersection bounds.
     Every other pair, a faulty table's spurious shared deletion or
-    substitution included, gets the full decomposition.  As there, a length
-    whose tables (prev_smask too) map row by row under reversal and
-    complement is swept from one word per orbit, its pair count weighted by
-    half the orbit's size, and a counterexample on that route reruns every
-    length's identity sweep on the full route.  On top of that
+    substitution included, gets the full decomposition.  On top of that
     the four structured families are enumerated up to ``n_max`` and every
     tabulated quantity (term splits, overlap columns, extra-element counts,
     regime ceilings, equality conditions) is recomputed from scratch per
     pair, against the run deletions of both words and the shared ball that
-    the structured walk builds once per pair (see _structured_chunk).  That
-    walk visits one pair per orbit of reversal and complement, weighted, and
-    ``family_pairs`` sums the weights, which is every family pair; a
-    counterexample there walks every family of every length again pair by
-    pair, as for intersection bounds.
+    the structured walk builds once per pair (see _structured_chunk).  Both
+    walk orbit representatives as the module docstring says;
+    ``family_pairs`` sums the walked pairs' weights, which is every family
+    pair.
     """
     t0 = time.monotonic()
     if n_max < 2:
@@ -1595,23 +1562,21 @@ def verify_claim_tables(n_max: int, *, jobs: int = 1) -> VerificationReport:
     for n in range(2, id_top + 1):
         tab = _tables(n)
         tab.columns()
-        orbit = _orbit_rows(n) if tab.equivariant(_IDENTITY_TABLES, True) else None
-        legs.append((_identity_chunk, (n,), n, orbit))
-    tasks = []
-    family_counts: dict[str, int] = {}
+        group = "rc" if tab.equivariant(_IDENTITY_TABLES, True) else ""
+        legs.append((_sweep_tasks, _identity_chunk, (n,), n, group))
+    family_counts = dict.fromkeys(sorted(_FAMILY_KINDS), 0)
     for n in range(2, n_max + 1):
         for kind in _FAMILY_KINDS:
-            fam_tasks = _family_tasks(kind, "full", n)
-            tasks.extend(fam_tasks)
-            family_counts[kind] = family_counts.get(kind, 0) + sum(
-                (hi - lo) * weight for *_, lo, hi, weight in fam_tasks
+            legs.append((_family_tasks, kind, "full", n))
+            family_counts[kind] += sum(
+                (hi - lo) * weight for *_, lo, hi, weight, _ in _family_tasks(kind, "full", n)
             )
-    parts = _sweep(legs, jobs, tasks)
+    parts = _sweep(legs, jobs)
     sink = _Sink(n_max)
     pairs, extremal, eq = _merge(parts, sink)
     detail = {
         "identity_max_n": id_top,
-        "family_pairs": dict(sorted(family_counts.items())),
+        "family_pairs": family_counts,
     }
     return _finish("claim-tables", (2, n_max), pairs, None, extremal, eq, sink.ces, t0, detail)
 
@@ -1710,16 +1675,16 @@ def _witness_summaries(n: int) -> list[dict[int, tuple[int, ...]]]:
 
 
 def _bad_chunk(
-    convention: str, n: int, rows: Sequence[int], weights: Sequence[int], orbits: bool
+    convention: str, n: int, rows: Sequence[int], weights: Sequence[int], group: str
 ) -> dict[str, Any]:
     """Bad shared elements of the generic pairs x < y with x in rows, each
     counted with its row's weight.
 
-    On the full route y runs over every word above x.  With orbits, the
-    rows are the words below 2^(n-1) and y runs up to the complement k(x):
-    each pair of the orbit {x, y}, {k(x), k(y)} then comes once, as its pair
-    with x + y <= 2^n - 1, and with the weight of its orbit: the row's 2,
-    but 1 for y = k(x), whose orbit is itself.
+    On the full route y runs over every word above x.  On the orbit route
+    of complement ("c") the rows are the words below 2^(n-1), and y runs up
+    to the complement k(x): each pair of the orbit {x, y}, {k(x), k(y)} then
+    comes once, as its pair with x + y <= 2^n - 1, with the weight of its
+    orbit: the row's 2, but 1 for y = k(x), whose orbit is itself.
 
     A shared element z is good under a convention when some witness (i, p)
     of x and j of y, or i of x and (j, p) of y, puts the flip p below both
@@ -1745,14 +1710,14 @@ def _bad_chunk(
     max_pre = 0
     max_post = 0
     eq = 0
-    sink = _Sink(n)
+    sink = _Sink(n, group)
     generic = CASE_CEILINGS[GENERIC].ceiling(n)
     for x, w in zip(rows, weights):
         dx = dm[x]
         bx = bm[x]
         sx = summaries[x]
         kx = x ^ top
-        for y in range(x + 1, (kx if orbits else top) + 1):
+        for y in range(x + 1, (kx if group else top) + 1):
             if (x ^ y).bit_count() < 3 or dx & dm[y]:
                 continue
             wy = 1 if y == kx else w
@@ -1796,6 +1761,7 @@ def _bad_chunk(
         "extremal": max_bad[convention],
         "eq": eq,
         "ces": sink.ces,
+        "fails": sink.fails,
     }
 
 
@@ -1814,13 +1780,8 @@ def verify_bad_count(
     deletion lies below the other word's last deletion position, or its
     greatest flip above one lies above the other's first, which is
     _outside taken over every witness pair.  Complement keeps the bad sets
-    under both conventions (reversal keeps "post" ones only on some pairs),
-    so when dmask, bmask and the summaries map row by row under complement
-    (_Tables.equivariant, decided once before the fork) the sweep visits one
-    pair per complement orbit of pairs, weighted 2, or 1 for a word and its
-    complement (see _bad_chunk).  Otherwise, or when that route finds a
-    counterexample, the call runs the full route over every pair, so a FAIL
-    report is the full route's.
+    under both conventions, reversal keeps "post" ones only on some pairs,
+    so the orbit route pairs up complement orbits of pairs (_bad_chunk).
     """
     t0 = time.monotonic()
     if convention not in WITNESS_CONVENTIONS:
@@ -1836,9 +1797,8 @@ def verify_bad_count(
         )
     tab = _tables(n)
     _witness_summaries(n)
-    half = 1 << (n - 1)
-    orbit = (range(half), [2] * half) if tab.equivariant(_BAD_TABLES, False) else None
-    parts = _sweep([(_bad_chunk, (convention, n), n, orbit)], jobs)
+    group = "c" if tab.equivariant(_BAD_TABLES, False) else ""
+    parts = _sweep([(_sweep_tasks, _bad_chunk, (convention, n), n, group)], jobs)
     sink = _Sink(n)
     pairs, extremal, eq = _merge(parts, sink)
     detail = {
@@ -1915,46 +1875,35 @@ def _coset_rows(tab: _Tables, members: list[int], bound: int, sink: _Sink) -> tu
 
     Row x sums the columns of its elements, built once in member-rank
     space, into the bit-sliced shared-ball sizes with the other members.
-    The reversed complement g keeps every shared-ball size when bmask maps
-    row by row under reversal and complement.  When it does and g maps the
-    coset onto itself, only the rows x <= g(x) are walked, each against
-    every other member, weighted 2 for its orbit {x, g(x)} or 1 when
-    x = g(x); otherwise every row is walked against the later members with
-    weight 2, its pair (x, y) standing for (y, x) too.  So the weighted
-    equality count is twice the pairs', and the above-ceiling pairs found,
-    closed under g, are every such pair; the first that fit into sink are
-    kept, and the rest are dropped whenever twice as many have gathered.
+    The reversed complement g ("g" of _word_maps) keeps every shared-ball
+    size when bmask maps row by row under reversal and complement; when it
+    does and g maps the coset onto itself, one row per orbit of g is
+    walked, else every row, each against every other member weighted with
+    its orbit's size, so every pair counts twice.  The above-ceiling pairs
+    found, closed under the group, are every such pair; the _CE_CAP
+    smallest are kept.
     """
     n, k = tab.n, len(members)
     rows = tab.elements(members)
     cols = _columns(rows, k, 1 << (n - 1))
     full = (1 << k) - 1
-    image = [_reverse(x, n) ^ (1 << n) - 1 for x in members]
-    orbits = sorted(image) == members and tab.equivariant(("bmask",), True)
-    room = _CE_CAP - len(sink.ces)
-    found = set()  # pairs x < y of members
+    orbits = _Orbits(_word_maps(n, "g"), members)
+    if not (orbits.closed and tab.equivariant(("bmask",), True)):
+        orbits = _Orbits((), members)
+    found = []
     extremal = -1
     eq2 = 0
-    for i, x in enumerate(members):
-        gx = image[i]
-        if orbits and gx < x:
-            continue
-        scope = full ^ (1 << i) if orbits else full & -(2 << i)
+    for i, w in zip(orbits.rows, orbits.weights):
+        scope = full ^ (1 << i)
         planes = _count_planes(cols, rows[i])
         extremal = max(extremal, _count_max(planes, scope))
         above = _count_above(planes, bound) & scope
-        eq = (_count_above(planes, bound - 1) & scope & ~above).bit_count()
-        eq2 += eq if orbits and gx == x else 2 * eq
-        for j in _bits(above):
-            y, gy = members[j], image[j]
-            found.add((min(x, y), max(x, y)))
-            if orbits:
-                found.add((min(gx, gy), max(gx, gy)))
-        if len(found) > 2 * room:
-            found = set(sorted(found)[:room])
-    bm = tab.bmask
-    for x, y in sorted(found)[:room]:
-        sink.add(x, y, "pairwise ceiling", bound, (bm[x] & bm[y]).bit_count())
+        eq2 += w * (_count_above(planes, bound - 1) & scope & ~above).bit_count()
+        found += [(members[i], members[j]) for j in _bits(above)]
+        if len(found) > 2 * _CE_CAP:
+            found = orbits.close(found, _CE_CAP)
+    for x, y in orbits.close(found, _CE_CAP):
+        sink.add(x, y, "pairwise ceiling", bound, (tab.bmask[x] & tab.bmask[y]).bit_count())
     return extremal, eq2 >> 1
 
 
@@ -2026,12 +1975,8 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
     column sums (_code_chunk).  Reversal and complement each send the
     inversion number inv(x) to w(n - w) - inv(x) and keep the run count and
     the periodic windows, so their composite keeps every inv and c2n9 coset,
-    and every cn21 coset at even n; when the mask tables map row by row
-    under both (_Tables.equivariant, decided before the fork), such a coset
-    walks only one row per orbit of the composite (_coset_rows).  Its
-    counterexamples are derived exactly from those rows, so a FAIL reruns
-    nothing, and the report is the same on every route.
-    The largest bucket must have the size the code's counting DP gives its
+    and every cn21 coset at even n: such a coset walks one row per orbit of
+    the composite (_coset_rows).  The largest bucket must have the size the code's counting DP gives its
     coset.  The parity+VT construction additionally requires empty triple
     intersections and that every shared pair element is bad, and reports
     the weaker reading of its redundancy target alongside the exact one.

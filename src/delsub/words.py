@@ -9,15 +9,16 @@ lexicographically is the same as sorting by the big-endian integer value
 The fast paths in ``reconstruct`` and ``verify`` carry a word as that
 big-endian integer instead; the private helpers at the end of this module
 are the deletion and substitution sets on integers that both of them use,
-and the reversal and complement of integer words and of word sets held as
-masks, with which ``verify`` walks one word per orbit.
+and the symmetry layer with which ``verify`` walks one representative per
+orbit: reversal and complement of integer words, of word sets held as masks
+and of per-word tables, the groups they generate and their orbits.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TextIO
+from typing import Any, Callable, Iterable, Sequence, TextIO
 
 __all__ = [
     "AffixDecomposition",
@@ -237,18 +238,72 @@ def _complement_elements(mask: int, m: int) -> int:
     return int(format(mask, f"0{1 << m}b")[::-1], 2)
 
 
-@functools.cache
-def _orbit_rows(n: int) -> tuple[list[int], list[int]]:
-    """The least word of each orbit of the length-n words under reversal and
-    complement, and half the orbit's size: 1 or 2, since no word is its own
-    complement."""
+def _maps_rows(rows: Sequence[Any], n: int, m: int | None, reversal: bool) -> bool:
+    """Whether row g(x) of rows, one per length-n word x, is row x with g
+    applied to each element, for g the reversal (else the complement).
+
+    A row is a plain value when m is None, else a set of length-m words: a
+    mask, or the keys of a dict whose values g keeps.  g is an involution,
+    so each pair {x, g(x)} is compared once.
+    """
     top = (1 << n) - 1
-    rows = []
-    weights = []
-    for x in range(1 << n):
-        r = _reverse(x, n)
-        orbit = {x, r, x ^ top, r ^ top}
-        if min(orbit) == x:
-            rows.append(x)
-            weights.append(len(orbit) >> 1)
-    return rows, weights
+    for x, row in enumerate(rows):
+        gx = _reverse(x, n) if reversal else x ^ top
+        if gx < x:
+            continue
+        if m is None:
+            want = row
+        elif isinstance(row, dict):
+            flip = (1 << m) - 1
+            want = {(_reverse(z, m) if reversal else z ^ flip): v for z, v in row.items()}
+        else:
+            want = _reverse_elements(row, m) if reversal else _complement_elements(row, m)
+        if rows[gx] != want:
+            return False
+    return True
+
+
+def _word_maps(n: int, group: str) -> tuple[Callable[[int], int], ...]:
+    """The maps other than the identity of a group acting on length-n
+    words: "c" complement, "g" the reversed complement, "rc" those two and
+    reversal, "" none (the trivial group)."""
+    top = (1 << n) - 1
+    flip, rev, both = (lambda x: x ^ top), (lambda x: _reverse(x, n)), (lambda x: rev(x) ^ top)
+    return {"": (), "c": (flip,), "g": (both,), "rc": (flip, rev, both)}[group]
+
+
+class _Orbits:
+    """The orbits of a group, given by its maps but the identity, on a
+    sequence of points: the position of the least point of each orbit in
+    rows, the orbit's size in weights, and in closed whether the group maps
+    the points onto themselves, without which those are no orbits.
+    """
+
+    __slots__ = ("maps", "rows", "weights", "closed")
+
+    def __init__(
+        self, maps: Sequence[Callable[[Any], Any]] = (), points: Sequence[Any] = ()
+    ) -> None:
+        self.maps = (lambda p: p, *maps)
+        self.rows: list[int] = []
+        self.weights: list[int] = []
+        inside = set(points)
+        self.closed = all(g(p) in inside for p in points for g in maps)
+        for i, p in enumerate(points):
+            orbit = {g(p) for g in self.maps}
+            if min(orbit) == p:
+                self.rows.append(i)
+                self.weights.append(len(orbit))
+
+    def close(
+        self, pairs: Iterable[tuple[Any, Any]], cap: int | None = None
+    ) -> list[tuple[Any, Any]]:
+        """The pairs (x, y) and their images under the group, each as
+        (min, max): the cap smallest, ascending, or all without a cap."""
+        return sorted({tuple(sorted((g(x), g(y)))) for x, y in pairs for g in self.maps})[:cap]
+
+
+@functools.cache
+def _word_orbits(n: int, group: str) -> _Orbits:
+    """The orbits of _word_maps(n, group) on the length-n words, each its own position."""
+    return _Orbits(_word_maps(n, group), range(1 << n))

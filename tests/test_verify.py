@@ -252,8 +252,8 @@ def test_row_walk_matches_the_every_pair_sweep(monkeypatch, corrupt):
 
     def chunks():
         return [fn(*args) for chunk in (verify._bounds_chunk, verify._identity_chunk)
-                for orbit in (None, verify._orbit_rows(8))
-                for fn, *args in verify._sweep_tasks(chunk, (8,), 8, orbit)]
+                for group in ("", "rc")
+                for fn, *args in verify._sweep_tasks(chunk, (8,), 8, group)]
 
     walked = chunks()
     monkeypatch.setattr(
@@ -324,11 +324,10 @@ def test_orbit_route_identity_matches_the_full_route(monkeypatch):
 @pytest.mark.parametrize("convention", ["pre", "post"])
 def test_orbit_route_bad_count_matches_the_full_route_at_ten(monkeypatch, convention):
     # n = 3..9 are compared in test_bad_count_summaries_match_the_witness_loop;
-    # "post" fails from n = 8 on, so there both calls end on the full route
+    # "post" fails from n = 8 on, and its orbit route derives the FAIL report
     reduced, full = _by_route(monkeypatch, lambda: verify_bad_count(10, convention=convention))
     assert reduced == full
-    if convention == "pre":
-        assert verify_bad_count(10, jobs=2).to_json() == full
+    assert verify_bad_count(10, jobs=2, convention=convention).to_json() == full
 
 
 def _close_under(tab, closure, reversal=True):
@@ -354,6 +353,21 @@ def _close_under(tab, closure, reversal=True):
                 acc = img if acc is None else closure(acc, img)
             out.append(acc)
         rows[:] = out
+
+
+def _task_ces(monkeypatch, tasks):
+    """Every counterexample that tasks find, on an orbit route too, whose
+    sink otherwise lists only the failing pairs (see _Sink)."""
+    real = verify._Sink
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_Sink", lambda n, group="", task=tuple: real(n))
+        return [c for fn, *args in tasks for c in fn(*args)["ces"]]
+
+
+def _task_fails(tasks):
+    """The failing pairs, or their full-route tasks, that the orbit-route
+    tasks list."""
+    return set().union(*(fn(*args)["fails"] for fn, *args in tasks))
 
 
 def _orbit_pairs(ces, n, reversal=True):
@@ -391,19 +405,17 @@ def test_orbit_route_finds_symmetric_faults_over_their_orbits(monkeypatch, corru
     monkeypatch.setattr(verify, "_tables", lambda k: tab if k == n else real(k))
     with monkeypatch.context() as m:
         m.setattr(verify, "_family_tasks", lambda kind, depth, n: [])
-        for call in (lambda: verify_intersection_bounds(n), lambda: verify_claim_tables(n)):
-            reduced, full = _by_route(m, call)
+        for call in (verify_intersection_bounds, verify_claim_tables):
+            reduced, full = _by_route(m, lambda: call(n))
             assert json.loads(reduced)["status"] == "FAIL"
             assert reduced == full
+            assert call(n, jobs=2).to_json() == full
     monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
     for chunk in (verify._bounds_chunk, verify._identity_chunk):
         found = [
-            _orbit_pairs(
-                [c for fn, *args in verify._sweep_tasks(chunk, (n,), n, orbit)
-                 for c in fn(*args)["ces"]],
-                n if orbit else 0,
-            )
-            for orbit in (verify._orbit_rows(n), None)
+            _orbit_pairs(_task_ces(monkeypatch, verify._sweep_tasks(chunk, (n,), n, group)),
+                         n if group else 0)
+            for group in ("rc", "")
         ]
         assert found[1], chunk
         # the shared deletion witness is read off x's side of the window, so
@@ -415,6 +427,10 @@ def test_orbit_route_finds_symmetric_faults_over_their_orbits(monkeypatch, corru
         assert {p for p, _ in found[0]} == {p for p, _ in found[1]}, chunk
         assert ({e for e in found[0] if e[1] != "shared deletion witness"}
                 == {e for e in found[1] if e[1] != "shared deletion witness"}), chunk
+        # what the derived FAIL report rests on: the failing pairs that the
+        # orbit route lists, closed under the group, are the full route's
+        fails = _task_fails(verify._sweep_tasks(chunk, (n,), n, "rc"))
+        assert fails == {tuple(sorted(pair)) for pair, _ in found[1]}, chunk
 
 
 @pytest.mark.parametrize("convention", ["pre", "post"])
@@ -433,18 +449,50 @@ def test_orbit_route_finds_symmetric_bad_count_faults(monkeypatch, convention):
     assert json.loads(reduced)["status"] == "FAIL"
     assert reduced == full
     monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
-    half = 1 << (n - 1)
     found = [
         _orbit_pairs(
-            [c for fn, *args in verify._sweep_tasks(verify._bad_chunk, (convention, n), n, orbit)
-             for c in fn(*args)["ces"]],
-            n if orbit else 0,
+            _task_ces(monkeypatch, verify._sweep_tasks(verify._bad_chunk, (convention, n), n, group)),
+            n if group else 0,
             reversal=False,
         )
-        for orbit in ((range(half), [2] * half), None)
+        for group in ("c", "")
     ]
     assert found[1]
     assert found[0] == found[1]
+    fails = _task_fails(verify._sweep_tasks(verify._bad_chunk, (convention, n), n, "c"))
+    assert fails == {tuple(sorted(pair)) for pair, _ in found[1]}
+
+
+def _full_route_rows(monkeypatch, name):
+    """The rows that the sweep chunk function name is given on the full
+    route, as the calls after this one go."""
+    rows = []
+    chunk = getattr(verify, name)
+
+    def counted(*args):
+        if not args[-1]:
+            rows.extend(args[-3])
+        return chunk(*args)
+
+    monkeypatch.setattr(verify, name, counted)
+    return rows
+
+
+def test_derived_fail_reports_rerun_no_sweep(monkeypatch):
+    # the orbit route derives a FAIL report from at most _CE_CAP rows of the
+    # full route, not from the 2^n rows of a rerun
+    rows = _full_route_rows(monkeypatch, "_bad_chunk")
+    assert verify_bad_count(10, convention="post").status == "FAIL"
+    assert 0 < len(rows) <= verify._CE_CAP
+    n = 8
+    real = verify._tables
+    tab = verify._Tables(n)
+    _lower_runs_and_widen_balls(tab)
+    _close_under(tab, int.__or__)
+    monkeypatch.setattr(verify, "_tables", lambda k: tab if k == n else real(k))
+    rows = _full_route_rows(monkeypatch, "_bounds_chunk")
+    assert verify_intersection_bounds(n).status == "FAIL"
+    assert 0 < len(rows) <= verify._CE_CAP
 
 
 def test_asymmetric_tables_take_the_full_route_only(monkeypatch):
@@ -571,7 +619,7 @@ def _by_walk_route(monkeypatch, call):
     real = verify._family_tasks
     with monkeypatch.context() as m:
         m.setattr(verify, "_family_tasks",
-                  lambda kind, depth, n, orbits=True: real(kind, depth, n, False))
+                  lambda kind, depth, n, group="rc": real(kind, depth, n, ""))
         full = call().to_json()
     return reduced, full
 
@@ -591,8 +639,8 @@ def test_structured_orbit_route_matches_the_full_route(monkeypatch, n):
 
 def _walk(kind, depth, n, orbits):
     """(x, y, weight) of every pair the kind's walk visits."""
-    return [(x, y, task[-1])
-            for task in verify._family_tasks(kind, depth, n, orbits)
+    return [(x, y, task[7])
+            for task in verify._family_tasks(kind, depth, n, "rc" if orbits else "")
             for *_, x, y in verify._structured_pairs(kind, *task[3:7])]
 
 
@@ -601,10 +649,10 @@ def test_orbit_weights_count_every_family_pair():
         for kind in verify._FAMILY_KINDS:
             full = sum(1 << (n - verify._window(kind, params)[2])
                        for params in verify._family_params(kind, n))
-            for orbits in (False, True):
-                tasks = verify._family_tasks(kind, "full", n, orbits)
-                assert sum((hi - lo) * w for *_, lo, hi, w in tasks) == full, (n, kind, orbits)
-            assert all(w == 1 for *_, w in verify._family_tasks(kind, "full", n, False))
+            for group in ("", "rc"):
+                tasks = verify._family_tasks(kind, "full", n, group)
+                assert sum((hi - lo) * w for *_, lo, hi, w, _ in tasks) == full, (n, kind, group)
+            assert all(w == 1 for *_, w, _ in verify._family_tasks(kind, "full", n, ""))
 
 
 def test_orbit_representatives_cover_every_family_pair():
@@ -722,14 +770,15 @@ def test_structured_orbit_route_finds_symmetric_faults(monkeypatch):
     for depth, n in (("full", 8), ("ceiling", 9)):
         for kind in verify._FAMILY_KINDS:
             found = [
-                _orbit_pairs(
-                    [c for fn, *args in verify._family_tasks(kind, depth, n, orbits)
-                     for c in fn(*args)["ces"]],
-                    n if orbits else 0,
-                )
-                for orbits in (True, False)
+                _orbit_pairs(_task_ces(monkeypatch, verify._family_tasks(kind, depth, n, group)),
+                             n if group else 0)
+                for group in ("rc", "")
             ]
             assert found[0] == found[1], (depth, kind)
+            # the orbit route lists the full-route task of each failing pair
+            fails = _task_fails(verify._family_tasks(kind, depth, n, "rc"))
+            assert fails == {verify._family_task(kind, depth, n, tuple(pair))
+                             for pair, _ in found[1]}, (depth, kind)
             fired.update(check for _, check in found[1])
     assert set(fired) == {
         "extra elements", "mixed-profile ceiling", "run-sum ceiling", "shift ceiling",
@@ -930,6 +979,7 @@ def _bad_chunk_by_pairs(convention, n, rows, weights, orbits):
         "extremal": max_bad[side],
         "eq": eq,
         "ces": sink.ces,
+        "fails": [],
     }
 
 

@@ -5,9 +5,11 @@ from hypothesis import given, strategies as st
 
 from delsub.words import (
     _complement_elements,
-    _orbit_rows,
+    _Orbits,
     _reverse,
     _reverse_elements,
+    _word_maps,
+    _word_orbits,
     common_affixes,
     decode,
     hamming,
@@ -138,15 +140,45 @@ def test_element_maps_reverse_and_complement_every_word(m):
         assert _complement_elements(mask, m) == sum(1 << (z ^ top) for z in members)
 
 
+def _flip(w):
+    return w.translate({48: 49, 49: 48})
+
+
+# each group of _word_maps, as its maps on strings, the identity first
+_STRING_GROUPS = {
+    "": [lambda w: w],
+    "c": [lambda w: w, _flip],
+    "g": [lambda w: w, lambda w: _flip(w)[::-1]],
+    "rc": [lambda w: w, _flip, lambda w: w[::-1], lambda w: _flip(w)[::-1]],
+}
+
+
 def test_orbit_rows_are_the_least_words_of_the_orbits():
-    for n in range(1, 11):
-        orbits = {}
-        for x in range(1 << n):
-            w = decode(x, n)
-            images = {w, w[::-1], w.translate({48: 49, 49: 48})}
-            images.add(w[::-1].translate({48: 49, 49: 48}))
-            orbits[min(int(v, 2) for v in images)] = len(images)
-        rows, weights = _orbit_rows(n)
-        assert rows == sorted(orbits)
-        assert weights == [orbits[r] // 2 for r in rows]
-        assert 2 * sum(weights) == 1 << n
+    for group, maps in _STRING_GROUPS.items():
+        for n in range(1, 11):
+            orbits = {}
+            for x in range(1 << n):
+                images = {g(decode(x, n)) for g in maps}
+                orbits[min(int(v, 2) for v in images)] = len(images)
+            got = _word_orbits(n, group)
+            assert got.closed
+            assert got.rows == sorted(orbits), (group, n)
+            assert got.weights == [orbits[r] for r in got.rows], (group, n)
+            assert sum(got.weights) == 1 << n
+
+
+@pytest.mark.parametrize("group", list(_STRING_GROUPS))
+def test_orbit_close_spreads_pairs_over_the_group(group):
+    n = 7
+    pairs = [(3, 100), (100, 3), (0, 127), (17, 18), (42, 85)]
+    want = sorted({tuple(sorted(int(g(decode(v, n)), 2) for v in pair))
+                   for pair in pairs for g in _STRING_GROUPS[group]})
+    orbits = _Orbits(_word_maps(n, group))
+    assert orbits.close(pairs) == want
+    assert orbits.close(pairs, 3) == want[:3]
+
+
+def test_orbits_of_points_not_closed_under_the_group():
+    # complement sends 0 to 7, which is not among the points
+    assert not _Orbits(_word_maps(3, "c"), [0, 1, 6]).closed
+    assert _Orbits(_word_maps(3, "c"), [0, 1, 6, 7]).closed
