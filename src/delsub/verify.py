@@ -417,8 +417,8 @@ class _Sink:
 
     x and y are words of length n and any _Word field is a word too; words
     are formatted only for the counterexamples kept.  On the orbit route of
-    a group (_word_maps) fails keeps instead task(p), by default p, per image
-    p = (min, max) of the pair: the _CE_CAP first, cut when twice as many.
+    a group (_word_maps) fails keeps task(p) instead, p by default, for each
+    image p = (min, max) of the pair: the _CE_CAP first, cut at twice that.
     """
 
     __slots__ = ("n", "ces", "fails", "orbits", "task")
@@ -427,7 +427,7 @@ class _Sink:
         self.n = n
         self.ces: list[dict[str, Any]] = []
         self.fails: set = set()
-        self.orbits = group and _Orbits(_word_maps(n, group))
+        self.orbits = _Orbits(_word_maps(n, group)) if group else None
         self.task = task
 
     def add(
@@ -531,7 +531,7 @@ def _sweep(legs: list[tuple], jobs: int) -> list[dict[str, Any]]:
         at += len(tasks)
         named = sorted(set().union(*(part["fails"] for part in mine)))[:_CE_CAP]
         if make is _sweep_tasks:
-            # the full route walks a row's pairs in order
+            # a sweep lists pairs; the full route walks each row's in order
             rows = dict.fromkeys(x for x, _ in named)
             named = [(args[0], *args[1], (x,), (1,), "") for x in rows]
         if named:

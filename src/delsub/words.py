@@ -273,10 +273,10 @@ def _word_maps(n: int, group: str) -> tuple[Callable[[int], int], ...]:
 
 
 class _Orbits:
-    """The orbits of a group, given by its maps but the identity, on a
-    sequence of points: the position of the least point of each orbit in
-    rows, the orbit's size in weights, and in closed whether the group maps
-    the points onto themselves, without which those are no orbits.
+    """A group, by its maps but the identity, on a sequence of points: in
+    rows the position of the least point of each orbit, in weights its
+    size, in closed whether the points are closed under the group (else
+    those are no orbits); close spreads pairs of points over the group.
     """
 
     __slots__ = ("maps", "rows", "weights", "closed")
@@ -287,13 +287,12 @@ class _Orbits:
         self.maps = (lambda p: p, *maps)
         self.rows: list[int] = []
         self.weights: list[int] = []
-        inside = set(points)
-        self.closed = all(g(p) in inside for p in points for g in maps)
-        for i, p in enumerate(points):
-            orbit = {g(p) for g in self.maps}
-            if min(orbit) == p:
+        images = [list(map(g, points)) for g in maps]
+        self.closed = set().union(*images) <= set(points)
+        for i, orbit in enumerate(zip(points, *images)):
+            if min(orbit) == orbit[0]:
                 self.rows.append(i)
-                self.weights.append(len(orbit))
+                self.weights.append(len(set(orbit)))
 
     def close(
         self, pairs: Iterable[tuple[Any, Any]], cap: int | None = None
