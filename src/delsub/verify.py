@@ -301,26 +301,24 @@ class _Tables:
             out.append(elems[x])
         return out
 
-    def equivariant(self, tables: Iterable[str], reversal: bool) -> bool:
-        """Whether every named table maps row by row under complement and,
-        with reversal, under reversal too (_maps_rows): the sweeps may then
-        walk orbit representatives only.  "summaries" names the witness
-        summaries _witness_summaries(n).
+    def equivariant(self, tables: Iterable[str], group: str) -> str:
+        """The group, "c" or "rc" as in _word_maps, when every named table
+        maps row by row under complement and, for "rc", reversal too
+        (_maps_rows), else "": the group whose orbit route the tables allow.
+        "summaries" names the witness summaries _witness_summaries(n).
 
         Each table's verdict per map is computed on its first call and
         kept, like the column masks, so the verifiers ask before they fork.
         """
         for name in tables:
-            for rev in (False, True) if reversal else (False,):
+            for rev in (False, "r" in group):
                 ok = self._sym.get((name, rev))
                 if ok is None:
                     rows = _witness_summaries(self.n) if name == "summaries" else getattr(self, name)
-                    dn, dm = self._SHAPES[name]
-                    m = None if dm is None else self.n + dm
-                    ok = self._sym[name, rev] = _maps_rows(rows, self.n + dn, m, rev)
+                    ok = self._sym[name, rev] = _maps_rows(rows, self.n, self._SHAPES[name], rev)
                 if not ok:
-                    return False
-        return True
+                    return ""
+        return group
 
 
 @functools.cache
@@ -426,7 +424,7 @@ class _Sink:
     def __init__(self, n: int, group: str = "", task: Callable = tuple) -> None:
         self.n = n
         self.ces: list[dict[str, Any]] = []
-        self.fails: set = set()
+        self.fails = set()
         self.orbits = _Orbits(_word_maps(n, group)) if group else None
         self.task = task
 
@@ -532,13 +530,13 @@ def _sweep(legs: list[tuple], jobs: int) -> list[dict[str, Any]]:
         named = sorted(set().union(*(part["fails"] for part in mine)))[:_CE_CAP]
         if make is _sweep_tasks:
             # a sweep lists pairs; the full route walks each row's in order
-            rows = dict.fromkeys(x for x, _ in named)
-            named = [(args[0], *args[1], (x,), (1,), "") for x in rows]
+            named = [(args[0], *args[1], (x,), (1,), "")
+                     for x in dict.fromkeys(x for x, _ in named)]
         if named:
             ces = [_run_task(t)["ces"] for t in named]
             if not all(ces):
                 ces = [_run_task(t)["ces"] for t in make(*args[:3], "")]
-            mine[0]["ces"] = [c for part in ces for c in part]
+            mine[0]["ces"] = sum(ces, [])
     return parts
 
 
@@ -1431,7 +1429,7 @@ def verify_intersection_bounds(
     else:
         tab = _tables(n)
         tab.columns()
-        group = "rc" if tab.equivariant(_BOUNDS_TABLES, True) else ""
+        group = tab.equivariant(_BOUNDS_TABLES, "rc")
         parts = _sweep([(_sweep_tasks, _bounds_chunk, (n,), n, group)], jobs)
         # a part counts a case's pairs exactly where it has its maximum
         cases = sorted({case for part in parts for case in part["case_pairs"]})
@@ -1562,7 +1560,7 @@ def verify_claim_tables(n_max: int, *, jobs: int = 1) -> VerificationReport:
     for n in range(2, id_top + 1):
         tab = _tables(n)
         tab.columns()
-        group = "rc" if tab.equivariant(_IDENTITY_TABLES, True) else ""
+        group = tab.equivariant(_IDENTITY_TABLES, "rc")
         legs.append((_sweep_tasks, _identity_chunk, (n,), n, group))
     family_counts = dict.fromkeys(sorted(_FAMILY_KINDS), 0)
     for n in range(2, n_max + 1):
@@ -1797,7 +1795,7 @@ def verify_bad_count(
         )
     tab = _tables(n)
     _witness_summaries(n)
-    group = "c" if tab.equivariant(_BAD_TABLES, False) else ""
+    group = tab.equivariant(_BAD_TABLES, "c")
     parts = _sweep([(_sweep_tasks, _bad_chunk, (convention, n), n, group)], jobs)
     sink = _Sink(n)
     pairs, extremal, eq = _merge(parts, sink)
@@ -1888,7 +1886,7 @@ def _coset_rows(tab: _Tables, members: list[int], bound: int, sink: _Sink) -> tu
     cols = _columns(rows, k, 1 << (n - 1))
     full = (1 << k) - 1
     orbits = _Orbits(_word_maps(n, "g"), members)
-    if not (orbits.closed and tab.equivariant(("bmask",), True)):
+    if not (orbits.closed and tab.equivariant(("bmask",), "rc")):
         orbits = _Orbits((), members)
     found = []
     extremal = -1
@@ -1976,10 +1974,11 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
     inversion number inv(x) to w(n - w) - inv(x) and keep the run count and
     the periodic windows, so their composite keeps every inv and c2n9 coset,
     and every cn21 coset at even n: such a coset walks one row per orbit of
-    the composite (_coset_rows).  The largest bucket must have the size the code's counting DP gives its
-    coset.  The parity+VT construction additionally requires empty triple
-    intersections and that every shared pair element is bad, and reports
-    the weaker reading of its redundancy target alongside the exact one.
+    the composite (_coset_rows).  The largest bucket must have the size the
+    code's counting DP gives its coset.  The parity+VT construction
+    additionally requires empty triple intersections and that every shared
+    pair element is bad, and reports the weaker reading of its redundancy
+    target alongside the exact one.
     """
     t0 = time.monotonic()
     if theorem_id not in CODE_CHECKS:
@@ -1999,7 +1998,7 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
         _dels_by_position(n)
     elif best >= _CODE_ROW_MIN_MEMBERS:
         tab.elements(x for m in buckets.values() if len(m) >= _CODE_ROW_MIN_MEMBERS for x in m)
-        tab.equivariant(("bmask",), True)
+        tab.equivariant(("bmask",), "rc")
     parts = _map_tasks(
         [(_code_chunk, theorem_id, n, [buckets[k] for k in keys[lo:hi]])
          for lo, hi in _spans(len(keys))],

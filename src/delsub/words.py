@@ -238,14 +238,16 @@ def _complement_elements(mask: int, m: int) -> int:
     return int(format(mask, f"0{1 << m}b")[::-1], 2)
 
 
-def _maps_rows(rows: Sequence[Any], n: int, m: int | None, reversal: bool) -> bool:
-    """Whether row g(x) of rows, one per length-n word x, is row x with g
-    applied to each element, for g the reversal (else the complement).
-
-    A row is a plain value when m is None, else a set of length-m words: a
-    mask, or the keys of a dict whose values g keeps.  g is an involution,
-    so each pair {x, g(x)} is compared once.
-    """
+def _maps_rows(rows: Sequence[Any], n: int, shape: tuple, reversal: bool) -> bool:
+    """Whether row g(x) of rows, one per word x of length n + dn, is row x
+    with g applied to each element, for g the reversal (else the
+    complement) and (dn, dm) = shape: a row is a plain value when dm is
+    None, else a set of words of length n + dm, as a mask or the keys of a
+    dict whose values g keeps.  g is an involution, so each pair {x, g(x)}
+    is compared once."""
+    dn, dm = shape
+    m = None if dm is None else n + dm
+    n += dn
     top = (1 << n) - 1
     for x, row in enumerate(rows):
         gx = _reverse(x, n) if reversal else x ^ top

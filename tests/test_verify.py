@@ -283,14 +283,14 @@ def _image(mask, g):
 def test_sound_tables_are_equivariant():
     for n in range(1, 11):
         tab = verify._tables(n)
-        assert tab.equivariant(verify._IDENTITY_TABLES, True), n
+        assert tab.equivariant(verify._IDENTITY_TABLES, "rc") == "rc", n
         if n >= 3:
-            assert tab.equivariant(verify._BAD_TABLES, False), n
+            assert tab.equivariant(verify._BAD_TABLES, "c") == "c", n
 
 
 def _full_route(m):
     """Send every all-pairs sweep down the full route, as asymmetric tables do."""
-    m.setattr(verify._Tables, "equivariant", lambda self, tables, reversal: False)
+    m.setattr(verify._Tables, "equivariant", lambda self, tables, group: "")
 
 
 def _by_route(monkeypatch, call):
@@ -304,7 +304,7 @@ def _by_route(monkeypatch, call):
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_orbit_route_bounds_match_the_full_route(monkeypatch, n):
-    assert verify._tables(n).equivariant(verify._BOUNDS_TABLES, True)
+    assert verify._tables(n).equivariant(verify._BOUNDS_TABLES, "rc")
     reduced, full = _by_route(monkeypatch, lambda: verify_intersection_bounds(n))
     assert reduced == full
     if n in (8, 10):
@@ -401,7 +401,7 @@ def test_orbit_route_finds_symmetric_faults_over_their_orbits(monkeypatch, corru
     tab = verify._Tables(n)
     corrupt(tab)
     _close_under(tab, closure)
-    assert tab.equivariant(verify._IDENTITY_TABLES, True)
+    assert tab.equivariant(verify._IDENTITY_TABLES, "rc")
     monkeypatch.setattr(verify, "_tables", lambda k: tab if k == n else real(k))
     with monkeypatch.context() as m:
         m.setattr(verify, "_family_tasks", lambda kind, depth, n: [])
@@ -443,7 +443,7 @@ def test_orbit_route_finds_symmetric_bad_count_faults(monkeypatch, convention):
     for x in range(1, 256, 5):
         tab.bmask[x] |= (1 << 32) - 1
     _close_under(tab, int.__or__, reversal=False)
-    assert tab.equivariant(verify._BAD_TABLES, False)
+    assert tab.equivariant(verify._BAD_TABLES, "c")
     monkeypatch.setattr(verify, "_tables", lambda k: tab if k == n else real(k))
     reduced, full = _by_route(monkeypatch, lambda: verify_bad_count(n, convention=convention))
     assert json.loads(reduced)["status"] == "FAIL"
@@ -501,8 +501,8 @@ def test_asymmetric_tables_take_the_full_route_only(monkeypatch):
     real = verify._tables
     tab = verify._Tables(n)
     tab.dmask[0b00010111] |= 1 << 0b1011001
-    assert not tab.equivariant(verify._BOUNDS_TABLES, True)
-    assert not tab.equivariant(verify._BAD_TABLES, False)
+    assert not tab.equivariant(verify._BOUNDS_TABLES, "rc")
+    assert not tab.equivariant(verify._BAD_TABLES, "c")
     monkeypatch.setattr(verify, "_tables", lambda k: tab if k == n else real(k))
     flags = []
     for name in ("_bounds_chunk", "_bad_chunk"):
@@ -1152,7 +1152,7 @@ def test_code_row_route_matches_the_pair_loop_on_symmetric_faults(monkeypatch, c
     for x in _closure(range(1, 1 << n, 5), n):
         if closed or x > _reversal(x, n) ^ top:
             tab.bmask[x] |= extra
-    assert tab.equivariant(("bmask",), True) == closed
+    assert bool(tab.equivariant(("bmask",), "rc")) == closed
     monkeypatch.setattr(verify, "_tables", lambda k: tab if k == n else real(k))
     monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
     monkeypatch.setattr(verify, "_CODE_ROW_MIN_MEMBERS", 0)
