@@ -265,6 +265,7 @@ def _maps_rows(rows: Sequence[Any], n: int, shape: tuple, reversal: bool) -> boo
     return True
 
 
+@functools.cache
 def _word_maps(n: int, group: str) -> tuple[Callable[[int], int], ...]:
     """The maps other than the identity of a group acting on length-n
     words: "c" complement, "g" the reversed complement, "rc" those two and
@@ -296,9 +297,7 @@ class _Orbits:
                 self.rows.append(i)
                 self.weights.append(len(set(orbit)))
 
-    def close(
-        self, pairs: Iterable[tuple[Any, Any]], cap: int | None = None
-    ) -> list[tuple[Any, Any]]:
+    def close(self, pairs: Iterable[tuple], cap: int | None = None) -> list[tuple]:
         """The pairs (x, y) and their images under the group, each as
         (min, max): the cap smallest, ascending, or all without a cap."""
         return sorted({tuple(sorted((g(x), g(y)))) for x, y in pairs for g in self.maps})[:cap]
