@@ -1897,7 +1897,8 @@ def _coset_rows(tab: _Tables, members: list[int], bound: int, sink: _Sink) -> tu
         extremal = max(extremal, _count_max(planes, scope))
         above = _count_above(planes, bound) & scope
         eq2 += w * (_count_above(planes, bound - 1) & scope & ~above).bit_count()
-        found += [(members[i], members[j]) for j in _bits(above)]
+        for j in _bits(above):
+            found.append((members[i], members[j]))
         if len(found) > 2 * _CE_CAP:
             found = orbits.close(found, _CE_CAP)
     for x, y in orbits.close(found, _CE_CAP):

@@ -271,7 +271,8 @@ def _word_maps(n: int, group: str) -> tuple[Callable[[int], int], ...]:
     words: "c" complement, "g" the reversed complement, "rc" those two and
     reversal, "" none (the trivial group)."""
     top = (1 << n) - 1
-    flip, rev, both = (lambda x: x ^ top), (lambda x: _reverse(x, n)), (lambda x: rev(x) ^ top)
+    flip, rev = (lambda x: x ^ top), (lambda x: _reverse(x, n))
+    both = lambda x: _reverse(x, n) ^ top  # noqa: E731
     return {"": (), "c": (flip,), "g": (both,), "rc": (flip, rev, both)}[group]
 
 
@@ -288,14 +289,11 @@ class _Orbits:
         self, maps: Sequence[Callable[[Any], Any]] = (), points: Sequence[Any] = ()
     ) -> None:
         self.maps = (lambda p: p, *maps)
-        self.rows: list[int] = []
-        self.weights: list[int] = []
         images = [list(map(g, points)) for g in maps]
         self.closed = set().union(*images) <= set(points)
-        for i, orbit in enumerate(zip(points, *images)):
-            if min(orbit) == orbit[0]:
-                self.rows.append(i)
-                self.weights.append(len(set(orbit)))
+        orbits = list(zip(points, *images))
+        self.rows = [i for i, orbit in enumerate(orbits) if min(orbit) == orbit[0]]
+        self.weights = [len(set(orbits[i])) for i in self.rows]
 
     def close(self, pairs: Iterable[tuple], cap: int | None = None) -> list[tuple]:
         """The pairs (x, y) and their images under the group, each as
