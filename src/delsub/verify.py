@@ -66,7 +66,8 @@ from .balls import (
 from .codes import CodeSpec
 from .reconstruct import ReadBundle, UNIQUE, collect_reads
 from .reconstruct import decode as decode_reads
-from .words import _del_bit, _del_set, _maps_rows, _Orbits, _sub_set, _word_maps, _word_orbits
+from .words import _del_bit, _del_set, _maps_rows, _Orbits, _sub_set, _word_group, _word_maps
+from .words import _word_orbits
 from .words import decode as to_word
 from .words import max_le2_periodic_length, psi
 
@@ -425,7 +426,7 @@ class _Sink:
         self.n = n
         self.ces: list[dict[str, Any]] = []
         self.fails = set()
-        self.orbits = _Orbits(_word_maps(n, group)) if group else None
+        self.orbits = _word_group(n, group) if group else None
         self.task = task
 
     def add(

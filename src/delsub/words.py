@@ -267,12 +267,10 @@ def _maps_rows(rows: Sequence[Any], n: int, shape: tuple, reversal: bool) -> boo
 
 @functools.cache
 def _word_maps(n: int, group: str) -> tuple[Callable[[int], int], ...]:
-    """The maps other than the identity of a group acting on length-n
-    words: "c" complement, "g" the reversed complement, "rc" those two and
-    reversal, "" none (the trivial group)."""
+    """The maps but the identity of a group on length-n words: "c" complement,
+    "g" the reversed complement, "rc" those two and reversal, "" none."""
     top = (1 << n) - 1
-    flip, rev = (lambda x: x ^ top), (lambda x: _reverse(x, n))
-    both = lambda x: _reverse(x, n) ^ top  # noqa: E731
+    flip, rev, both = (lambda x: x ^ top), (lambda x: _reverse(x, n)), (lambda x: rev(x) ^ top)
     return {"": (), "c": (flip,), "g": (both,), "rc": (flip, rev, both)}[group]
 
 
@@ -285,9 +283,7 @@ class _Orbits:
 
     __slots__ = ("maps", "rows", "weights", "closed")
 
-    def __init__(
-        self, maps: Sequence[Callable[[Any], Any]] = (), points: Sequence[Any] = ()
-    ) -> None:
+    def __init__(self, maps: Sequence[Callable] = (), points: Sequence = ()) -> None:
         self.maps = (lambda p: p, *maps)
         images = [list(map(g, points)) for g in maps]
         self.closed = set().union(*images) <= set(points)
@@ -296,9 +292,14 @@ class _Orbits:
         self.weights = [len(set(orbits[i])) for i in self.rows]
 
     def close(self, pairs: Iterable[tuple], cap: int | None = None) -> list[tuple]:
-        """The pairs (x, y) and their images under the group, each as
-        (min, max): the cap smallest, ascending, or all without a cap."""
+        """The cap smallest images (min, max) of pairs under the group, ascending."""
         return sorted({tuple(sorted((g(x), g(y)))) for x, y in pairs for g in self.maps})[:cap]
+
+
+@functools.cache
+def _word_group(n: int, group: str) -> _Orbits:
+    """The group _word_maps(n, group) alone, which closes pairs of words."""
+    return _Orbits(_word_maps(n, group))
 
 
 @functools.cache
