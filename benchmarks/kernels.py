@@ -32,13 +32,17 @@ depths ("full" runs the claim-table checker, "ceiling" the size checks),
 the same windows at both depths, REPEATS times over, so that one timing
 of the fastest structured cell lasts about 0.1 s or more.  The code-check
 cells (kind: the theorem id) time ``verify_code_theorem(theorem_id, n)``
-whole, the way the sweep cells are timed, at n = 12 and 13 for inv, c2n9,
-cn21 and vt and at n = 11 for inv: the first call at ``jobs=1``, after the
-mask-table cache ``verify._tables`` is emptied and ``verify._tables(n)``
-alone is built again, so that it pays what the check computes lazily per
-length (such as element lists and equivariance verdicts), then again at
-``jobs=1`` and at ``jobs=2``.  Their pairs are the pairs inside the
-cosets, as in the report.  The two source trees are measured in
+whole, the way the sweep cells are timed, for every construction at n =
+11..13: the first call at ``jobs=1``, after the mask-table cache
+``verify._tables`` and any coset-walk cache ``codes._walked`` are
+emptied and ``verify._tables(n)`` alone is built again, so that it pays
+what the check computes lazily per length (such as the coset walk, element
+lists, equivariance verdicts and coset state), then again at ``jobs=1`` and
+at ``jobs=2``.  Their pairs are the pairs inside the cosets, as in the
+report.  The memory cells run each construction at n = 13 and 14 twice, a
+first and a warm call, in a fresh interpreter per tree and cell, and
+record the peak resident set size of that interpreter after the import and
+after the calls (``ru_maxrss``).  The two source trees are measured in
 interleaved rounds (``rounds.py``), one timing per cell per round; the
 output keeps, per tree, every round, the median and the minimum, and per
 sweep or code check and length the median over rounds of the jobs=1 over
@@ -58,7 +62,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import resource
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -73,8 +80,9 @@ SWEEP_LENGTHS = range(8, 13)
 # the lengths of the bad-count "post" cells, a FAIL from n = 8 on
 FAIL_LENGTHS = (10, 11)
 ALL_PAIRS_N = 10
-CODE_CELLS = (("inv", 11),
-              *((theorem_id, n) for n in (12, 13) for theorem_id in ("inv", "c2n9", "cn21", "vt")))
+CODE_IDS = ("vt", "inv", "c2n9", "cn21", "cl")
+CODE_CELLS = tuple((theorem_id, n) for n in (11, 12, 13) for theorem_id in CODE_IDS)
+RSS_CELLS = tuple((theorem_id, n) for n in (13, 14) for theorem_id in CODE_IDS)
 DEPTHS = ("full", "ceiling")
 # (kind, n, verifier, keywords) of the public structured calls timed whole at
 # jobs=1: the calls of the perfbench structured workload, and the structured
@@ -199,9 +207,12 @@ def _worker(src: str) -> dict:
     finally:
         verify._family_tasks = family_tasks
     for theorem_id, n in CODE_CELLS:
+        pairs = _coset_pairs(verify, theorem_id, n)
         verify._tables.cache_clear()
+        if hasattr(verify.codes, "_walked"):
+            verify.codes._walked.cache_clear()
         verify._tables(n)
-        cells += _sweep_cells(verify, theorem_id, n, _coset_pairs(verify, theorem_id, n),
+        cells += _sweep_cells(verify, theorem_id, n, pairs,
                               lambda jobs: verify.verify_code_theorem(theorem_id, n, jobs=jobs),
                               digest)
     for n in LENGTHS:
@@ -218,6 +229,45 @@ def _worker(src: str) -> dict:
                 digest.update(json.dumps(shared, sort_keys=True).encode())
                 cells.append((n, kind, depth, pairs, pairs, seconds / pairs * 1e6))
     return {"cells": cells, "digest": digest.hexdigest()}
+
+
+def _rss_worker(src: str, theorem_id: str, n: int) -> dict:
+    """Peak RSS in MB of this interpreter after importing delsub from src,
+    and after a first and a warm verify_code_theorem(theorem_id, n)."""
+    sys.path.insert(0, src)
+    from delsub import verify
+
+    def peak() -> float:
+        return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2)
+
+    imported = peak()
+    digest = hashlib.sha256()
+    for _ in range(2):
+        digest.update(verify.verify_code_theorem(theorem_id, n).to_json().encode())
+    return {"import_mb": imported, "peak_rss_mb": peak(), "digest": digest.hexdigest()}
+
+
+def _rss_cells(trees: dict[str, Path]) -> dict[str, list[dict]]:
+    """Per tree, one memory cell per RSS_CELLS entry, the trees alternating
+    which goes first."""
+    out: dict[str, list[dict]] = {role: [] for role in trees}
+    env = dict(os.environ, PYTHONHASHSEED=rounds.HASH_SEED)
+    for i, (theorem_id, n) in enumerate(RSS_CELLS):
+        order = list(trees) if i % 2 == 0 else list(reversed(trees))
+        digests = set()
+        for role in order:
+            done = subprocess.run(
+                [sys.executable, __file__, "--worker", str(trees[role]), "--rss",
+                 f"{theorem_id}:{n}"],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            cell = json.loads(done.stdout)
+            digests.add(cell.pop("digest"))
+            out[role].append({"kind": theorem_id, "n": n, **cell})
+            print(f"rss {theorem_id} {n} {role:6} {cell}", file=sys.stderr)
+        if len(digests) != 1:
+            raise SystemExit("the two trees disagree on a computed result")
+    return out
 
 
 def _summary(runs: list[dict]) -> list[dict]:
@@ -264,7 +314,12 @@ def main() -> int:
     ap.add_argument("--out", type=Path, default=OUT,
                     help=f"the JSON file to write (default: {OUT.name} at the repository root)")
     ap.add_argument("--worker", help=argparse.SUPPRESS)
+    ap.add_argument("--rss", help=argparse.SUPPRESS)
     args = ap.parse_args()
+    if args.worker and args.rss:
+        theorem_id, n = args.rss.split(":")
+        print(json.dumps(_rss_worker(args.worker, theorem_id, int(n))))
+        return 0
     if args.worker:
         print(json.dumps(_worker(args.worker)))
         return 0
@@ -275,12 +330,13 @@ def main() -> int:
         if not (src / "delsub" / "verify.py").is_file():
             ap.error(f"{role} tree {src} holds no delsub package")
     runs = rounds.run_rounds(__file__, trees, ROUNDS, _describe)
+    rss = _rss_cells(trees)
     doc = {
         "script": "benchmarks/kernels.py",
         **rounds.machine(),
         "rounds": ROUNDS,
         "trees": {role: {"rev": rounds.rev(src), "timings": _summary(runs[role]),
-                         "fork": _fork_ratios(runs[role])}
+                         "fork": _fork_ratios(runs[role]), "memory": rss[role]}
                   for role, src in trees.items()},
     }
     args.out.write_text(json.dumps(doc, indent=2) + "\n")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from operator import add
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
@@ -294,25 +295,38 @@ def _membership(cs: CodeSpec) -> tuple[
 ]:
     """What :func:`contains` reads of cs, built once per spec: the filters'
     control table (:func:`_control`, None without filters), each sum's
-    weight at every position, the counter and the wanted residues."""
+    :func:`_byte_totals`, the counter and the wanted residues."""
     counter, wanted = _coset(cs)
     control = tuple(map(tuple, _control(counter.filters))) if counter.filters else None
-    columns = tuple(tuple(w(i) for i in range(1, cs.n + 1)) for _, w in counter.sums)
-    return control, columns, counter, wanted
+    totals = tuple(_byte_totals(cs.n, w) for _, w in counter.sums)
+    return control, totals, counter, wanted
+
+
+def _byte_totals(n: int, w: Callable[[int], int]) -> tuple[int, ...]:
+    """Entry 32o + b: w(n - k) summed over the one bits k of byte b << o."""
+    rows: list[list[int]] = [[0] for _ in range(0, n, 8)]
+    for k in range(n):  # bit k of a length-n word is its position n - k
+        rows[k >> 3] += [x + w(n - k) for x in rows[k >> 3]]
+    return tuple(itertools.chain.from_iterable(rows))
 
 
 def contains(cs: CodeSpec, x: str) -> bool:
     if len(x) != cs.n:
         raise ValueError(f"word length {len(x)} does not match spec n={cs.n}")
-    control, columns, counter, wanted = _membership(cs)
-    bits = [c == "1" for c in parse_word(x)]
+    return _contains_int(cs, int(parse_word(x), 2))
+
+
+def _contains_int(cs: CodeSpec, value: int) -> bool:
+    """:func:`contains` on a length-cs.n word's integer value, unchecked."""
+    control, totals, counter, wanted = _membership(cs)
     if control is not None:
         state = 0
-        for bit in bits:
-            state = control[bit][state]
+        for bit in format(value, f"0{cs.n}b"):
+            state = control[bit == "1"][state]
             if state < 0:
                 return False
-    return counter.residues([sum(itertools.compress(col, bits)) for col in columns]) == wanted
+    keys = [o << 5 | (value >> o & 255) for o in range(0, cs.n, 8)]
+    return counter.residues([sum(map(t.__getitem__, keys)) for t in totals]) == wanted
 
 
 def _control(filters: tuple[_Filter, ...]) -> tuple[list[int], list[int]]:
@@ -508,14 +522,26 @@ def cosets(
     values keyed by its residues, and the map from residues to the coset.
 
     m and P are as for :func:`best_coset`; capped at the enumeration limit.
+    The walk is kept (_walked), and each call returns fresh lists.
     """
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration capped at n <= {ENUMERATION_LIMIT}")
     zero, coset = _coset_search(family, n, m, P)
+    values, residues = _walked(zero)
     buckets: dict[tuple[int, ...], list[int]] = {}
-    for value, residues in _walk(_coset(zero)[0], n):
-        buckets.setdefault(residues, []).append(value)
+    for value, key in zip(values, zip(*[iter(residues)] * len(_FAMILIES[family].residues))):
+        buckets.setdefault(key, []).append(value)
     return buckets, coset
+
+
+@functools.lru_cache(maxsize=16)
+def _walked(zero: CodeSpec) -> tuple[array, array]:
+    """:func:`_walk` of zero's family, n and fixed parameters, packed."""
+    values, residues = array("L"), array("L")
+    for value, key in _walk(_coset(zero)[0], zero.n):
+        values.append(value)
+        residues.extend(key)
+    return values, residues
 
 
 def best_coset(

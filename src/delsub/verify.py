@@ -22,8 +22,8 @@ and its size folded into the maxima, from bit-sliced counts over the
 tables' column masks.  Distance and window do not read the tables, and the
 other terms read the same tables as the checks, so a faulty table cannot
 hide a pair on which a check would fire.  The code checks count a large
-coset a row at a time from the element lists of its members' bmask rows,
-extracted once per length.
+coset a row at a time from its members' bmask element lists and columns,
+built once per length and coset, through the bit-sliced kernels (kernels).
 
 Reversal and complement map ds-balls onto ds-balls, so each route they keep
 walks one representative per orbit of its group (words._Orbits), weighted
@@ -64,6 +64,7 @@ from .balls import (
     ds_ball,
 )
 from .codes import CodeSpec
+from .kernels import _bits, _columns, _count_above, _count_max, _count_planes
 from .reconstruct import ReadBundle, UNIQUE, collect_reads
 from .reconstruct import decode as decode_reads
 from .words import _del_bit, _del_set, _maps_rows, _Orbits, _sub_set, _word_group, _word_maps
@@ -114,15 +115,6 @@ def _runs_int(x: int, n: int) -> int:
     if n == 0:
         return 0
     return 1 + ((x ^ (x >> 1)) & ((1 << (n - 1)) - 1)).bit_count()
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _run_dels(x: int, n: int) -> list[int]:
@@ -211,22 +203,6 @@ def _sub_masks(n: int) -> list[int]:
     return out
 
 
-def _columns(rows: Iterable[Iterable[int]], height: int, width: int) -> list[int]:
-    """Column z < width of the bit matrix whose row y < height holds the
-    elements rows[y]: the mask of the y whose row holds z."""
-    size = (height + 7) >> 3
-    cols: list[Any] = [bytearray(size) for _ in range(width)]
-    for y, row in enumerate(rows):
-        byte = y >> 3
-        bit = 1 << (y & 7)
-        for z in row:
-            cols[z][byte] |= bit
-    # in place, so that each buffer is freed as its column is made
-    for z, buf in enumerate(cols):
-        cols[z] = int.from_bytes(buf, "little")
-    return cols
-
-
 class _Columns(NamedTuple):
     """Per element z, the mask of the words whose dmask, smask or bmask row
     holds z."""
@@ -245,11 +221,12 @@ class _Tables:
     rows on the first call of columns(), never here, and so are the element
     lists of the bmask rows (elements), which the code checks' row route
     reads too.  The same holds for the equivariance verdicts of the orbit
-    routes (see equivariant).  A test that corrupts a row must do so before
-    any of these calls.
+    routes (see equivariant) and the code checks' coset state (coset).  A
+    test that corrupts a row must do so before any of these calls.
     """
 
-    __slots__ = ("n", "runs", "dmask", "smask", "prev_smask", "bmask", "_cols", "_elems", "_sym")
+    __slots__ = ("n", "runs", "dmask", "smask", "prev_smask", "bmask",
+                 "_cols", "_elems", "_sym", "_cosets")
 
     # per table: the length of the words indexing its rows, less n, and of
     # the words in each row's set (None: a row is a plain value)
@@ -279,6 +256,7 @@ class _Tables:
         self._cols: _Columns | None = None
         self._elems: list[array | None] = [None] * (1 << n)
         self._sym: dict[tuple[str, bool], bool] = {}
+        self._cosets: dict[tuple[int, ...], tuple[_Orbits, list[array], list[int]]] = {}
 
     def columns(self) -> _Columns:
         if self._cols is None:
@@ -301,6 +279,18 @@ class _Tables:
                 elems[x] = array("H", _bits(self.bmask[x]))
             out.append(elems[x])
         return out
+
+    def coset(self, members: list[int]) -> tuple[_Orbits, list[array], list[int]]:
+        """Kept per ascending members: the orbits _coset_rows walks on them,
+        their bmask element lists and the member-rank columns of those."""
+        key = tuple(members)
+        if key not in self._cosets:
+            orbits = _Orbits(_word_maps(self.n, "g"), members)
+            if not (orbits.closed and self.equivariant(("bmask",), "rc")):
+                orbits = _Orbits((), members)
+            rows = self.elements(members)
+            self._cosets[key] = orbits, rows, _columns(rows, len(members), 1 << (self.n - 1))
+        return self._cosets[key]
 
     def equivariant(self, tables: Iterable[str], group: str) -> str:
         """The group, "c" or "rc" as in _word_maps, when every named table
@@ -685,63 +675,6 @@ def _shift_partners(x: int, n: int) -> Iterator[int]:
         if down >> lo & 1:
             for hi in range(lo + 1, n):
                 yield x ^ (down & ((1 << hi) - (1 << lo))) ^ (1 << hi)
-
-
-def _count_planes(columns: list[int], row: Sequence[int]) -> list[int]:
-    """The sum over the elements z of row of columns[z], bit-sliced: plane k
-    holds bit k of every word's count, and there are len(row).bit_length()
-    planes.
-
-    Carry-save addition: plane k is the sum of the terms of weight 2^k,
-    folded in full adders two terms at a time; the adders' carries are the
-    terms of weight 2^(k + 1).  Each level has at most half the terms of
-    the one before.
-    """
-    terms = [columns[z] for z in row]
-    planes = []
-    while terms:
-        acc = terms[0]
-        carries = []
-        for i in range(1, len(terms) - 1, 2):
-            b = terms[i]
-            c = terms[i + 1]
-            t = acc ^ b
-            carries.append((acc & b) | (t & c))
-            acc = t ^ c
-        if not len(terms) & 1:
-            b = terms[-1]
-            carries.append(acc & b)
-            acc ^= b
-        planes.append(acc)
-        terms = carries
-    return planes
-
-
-def _count_above(planes: list[int], limit: int) -> int:
-    """The mask of the words whose bit-sliced count exceeds limit >= 0."""
-    if limit >> len(planes):
-        return 0
-    above = 0
-    tie = -1
-    for k in range(len(planes) - 1, -1, -1):
-        if limit >> k & 1:
-            tie &= planes[k]
-        else:
-            above |= tie & planes[k]
-            tie &= ~planes[k]
-    return above
-
-
-def _count_max(planes: list[int], words: int) -> int:
-    """The largest bit-sliced count over the mask words, -1 when it is
-    empty."""
-    best = 0 if words else -1
-    for k in range(len(planes) - 1, -1, -1):
-        hit = words & planes[k]
-        if hit:
-            words = hit
-            best |= 1 << k
-    return best
 
 
 def _walk_mask(
@@ -1872,23 +1805,17 @@ def _coset_rows(tab: _Tables, members: list[int], bound: int, sink: _Sink) -> tu
     one coset, ascending members, counted a row at a time; its pairwise
     ceiling counterexamples go to sink, ascending as (x, y) with x < y.
 
-    Row x sums the columns of its elements, built once in member-rank
-    space, into the bit-sliced shared-ball sizes with the other members.
-    The reversed complement g ("g" of _word_maps) keeps every shared-ball
-    size when bmask maps row by row under reversal and complement; when it
-    does and g maps the coset onto itself, one row per orbit of g is
-    walked, else every row, each against every other member weighted with
-    its orbit's size, so every pair counts twice.  The above-ceiling pairs
-    found, closed under the group, are every such pair; the _CE_CAP
-    smallest are kept.
+    Row x sums the member-rank columns of its elements (tab.coset) into the
+    bit-sliced shared-ball sizes with the other members.  The reversed
+    complement g ("g" of _word_maps) keeps every shared-ball size when bmask
+    maps row by row under reversal and complement; when it does and g maps
+    the coset onto itself, one row per orbit of g is walked, else every
+    row, each against every other member weighted with its orbit's size, so
+    every pair counts twice.  The above-ceiling pairs found, closed under
+    the group, are every such pair; the _CE_CAP smallest are kept.
     """
-    n, k = tab.n, len(members)
-    rows = tab.elements(members)
-    cols = _columns(rows, k, 1 << (n - 1))
-    full = (1 << k) - 1
-    orbits = _Orbits(_word_maps(n, "g"), members)
-    if not (orbits.closed and tab.equivariant(("bmask",), "rc")):
-        orbits = _Orbits((), members)
+    orbits, rows, cols = tab.coset(members)
+    full = (1 << len(members)) - 1
     found = []
     extremal = -1
     eq2 = 0
@@ -1976,11 +1903,12 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
     inversion number inv(x) to w(n - w) - inv(x) and keep the run count and
     the periodic windows, so their composite keeps every inv and c2n9 coset,
     and every cn21 coset at even n: such a coset walks one row per orbit of
-    the composite (_coset_rows).  The largest bucket must have the size the
-    code's counting DP gives its coset.  The parity+VT construction
-    additionally requires empty triple intersections and that every shared
-    pair element is bad, and reports the weaker reading of its redundancy
-    target alongside the exact one.
+    the composite (_coset_rows).  The coset walk and each row-route coset's
+    state (_Tables.coset) are kept per length, filled before any fork.  The
+    largest bucket must have the size the code's counting DP gives its
+    coset.  The parity+VT construction additionally requires empty triple
+    intersections and that every shared pair element is bad, and reports
+    the weaker reading of its redundancy target alongside the exact one.
     """
     t0 = time.monotonic()
     if theorem_id not in CODE_CHECKS:
@@ -1998,9 +1926,10 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
     tab = _tables(n)
     if theorem_id == "cl":
         _dels_by_position(n)
-    elif best >= _CODE_ROW_MIN_MEMBERS:
-        tab.elements(x for m in buckets.values() if len(m) >= _CODE_ROW_MIN_MEMBERS for x in m)
-        tab.equivariant(("bmask",), "rc")
+    else:
+        for m in buckets.values():
+            if len(m) >= _CODE_ROW_MIN_MEMBERS:
+                tab.coset(m)
     parts = _map_tasks(
         [(_code_chunk, theorem_id, n, [buckets[k] for k in keys[lo:hi]])
          for lo, hi in _spans(len(keys))],
@@ -2010,7 +1939,7 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
     pairs, extremal, eq = _merge(parts, sink)
     coset = coset_of(best_key)
     # with the DP's count below, this pins the bucket to the coset
-    if not all(codes.contains(coset, to_word(v, n)) for v in buckets[best_key]):
+    if not all(codes._contains_int(coset, v) for v in buckets[best_key]):
         sink.add(None, None, "coset membership", str(coset), best_key)
     counted = codes.size(coset)
     if counted != best:

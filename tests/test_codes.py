@@ -286,6 +286,7 @@ def test_membership_and_cosets_match_definition(family):
                 # a word the structural test rejects is not even in the
                 # coset its residues name
                 assert contains(coset(k), x) == member, (n, fixed, x)
+                assert codes._contains_int(coset(k), value) == member, (n, fixed, x)
                 if member:
                     buckets.setdefault(k, []).append(value)
             if residues:
@@ -294,6 +295,18 @@ def test_membership_and_cosets_match_definition(family):
                 assert all(coset_of(k) == coset(k) for k in buckets)
             for k in list(buckets)[:3]:
                 assert list(members(coset(k))) == [decode(v, n) for v in buckets[k]]
+
+
+def test_cosets_returns_fresh_containers():
+    first, _ = cosets(INV, 8)
+    again = {k: list(v) for k, v in first.items()}
+    key = next(iter(first))
+    first[key].append(1 << 8)
+    first[key].reverse()
+    del first[next(reversed(first))]
+    first[(9,)] = [0]
+    assert cosets(INV, 8)[0] == again
+    assert cosets(INV, 8)[0] is not cosets(INV, 8)[0]
 
 
 @pytest.mark.parametrize("theorem_id", list(verify.CODE_CHECKS))

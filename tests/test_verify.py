@@ -1,7 +1,12 @@
+import functools
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -1208,6 +1213,76 @@ def test_a_non_member_in_the_best_bucket_fails_coset_membership(monkeypatch):
     found = [c for c in report.counterexamples if c["check"] == "coset membership"]
     assert len(found) == 1
     assert found[0]["expected"] == str(codes.best_coset("vt", 8))
+
+
+# faults run both here and in a fresh interpreter: each patches through
+# patch(module, name, value) and reads the length n of the call
+_CACHE_FAULTS = {
+    "padded cosets": """
+real = codes.cosets
+def padded(family, n, **fixed):
+    buckets, coset_of = real(family, n, **fixed)
+    best = min(buckets, key=lambda k: (-len(buckets[k]), k))
+    stranger = next(v for k, vs in sorted(buckets.items()) if k != best for v in vs)
+    buckets[best] = sorted(buckets[best] + [stranger])
+    return buckets, coset_of
+patch(codes, "cosets", padded)
+""",
+    "corrupted tables": """
+real = verify._tables
+def corrupted(k):
+    if k != n:
+        return real(k)
+    tab = verify._Tables(k)
+    for x in range(1, 1 << k, 5):
+        tab.bmask[x] |= (1 << 32) - 1
+    return tab
+patch(verify, "_tables", corrupted)
+""",
+}
+
+_COLD_CALL = """
+import sys
+from delsub import codes, verify
+theorem_id, n = sys.argv[1], int(sys.argv[2])
+patch = setattr
+exec(sys.argv[3])
+print(verify.verify_code_theorem(theorem_id, n).to_json())
+"""
+
+
+def _cold_report(theorem_id, n, fault):
+    env = dict(os.environ, PYTHONPATH=str(Path(verify.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _COLD_CALL, theorem_id, str(n), fault],
+                          env=env, capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
+@pytest.mark.parametrize("fault", list(_CACHE_FAULTS))
+def test_warm_code_checks_still_see_injected_faults(monkeypatch, fault):
+    # vt 8 walks its cosets pair by pair, inv 10 its two 512-member cosets a
+    # row at a time from the state each length keeps
+    calls = (("vt", 8), ("inv", 10))
+    clean = {call: verify_code_theorem(*call).to_json() for call in calls}
+    for theorem_id, n in calls:
+        with monkeypatch.context() as m:
+            exec(_CACHE_FAULTS[fault], {"codes": codes, "verify": verify, "n": n,
+                                        "patch": m.setattr})
+            warm = verify_code_theorem(theorem_id, n)
+        assert warm.status == "FAIL"
+        assert warm.to_json() != clean[theorem_id, n]
+        assert warm.to_json() == _cold_report(theorem_id, n, _CACHE_FAULTS[fault])
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_warm_code_checks_repeat_the_first_call(monkeypatch, jobs):
+    # fresh per-length caches, so that each first call builds what it keeps
+    monkeypatch.setattr(verify, "_tables", functools.cache(verify._Tables))
+    monkeypatch.setattr(codes, "_walked", functools.lru_cache(16)(codes._walked.__wrapped__))
+    for theorem_id in CODE_CHECKS:
+        for n in range(2, 13):
+            first = verify_code_theorem(theorem_id, n, jobs=jobs).to_json()
+            assert verify_code_theorem(theorem_id, n, jobs=jobs).to_json() == first, (theorem_id, n)
 
 
 def test_rll_frozen_n10():
