@@ -270,6 +270,12 @@ def _rss_cells(trees: dict[str, Path]) -> dict[str, list[dict]]:
     return out
 
 
+def _sig(us: float) -> float:
+    """us to four significant digits: a code cell's pairs run to millions at
+    a few hundredths of a microsecond each."""
+    return float(f"{us:.4g}")
+
+
 def _summary(runs: list[dict]) -> list[dict]:
     rows = []
     for i, (n, kind, depth, pairs, walked, _) in enumerate(runs[0]["cells"]):
@@ -280,9 +286,9 @@ def _summary(runs: list[dict]) -> list[dict]:
             row["bulk_pairs"] = pairs - walked
         if depth.startswith("jobs") or depth == "call":
             row["s"] = round(statistics.median(us) * pairs / 1e6, 4)
-        row["us_per_pair"] = round(statistics.median(us), 2)
-        row["us_per_pair_min"] = round(min(us), 2)
-        row["us_per_pair_runs"] = [round(u, 2) for u in us]
+        row["us_per_pair"] = _sig(statistics.median(us))
+        row["us_per_pair_min"] = _sig(min(us))
+        row["us_per_pair_runs"] = [_sig(u) for u in us]
         rows.append(row)
     return rows
 
