@@ -16,13 +16,15 @@ left out (``verify._family_tasks`` returns none), which sweeps every pair
 at n = 2..10.  Each is timed three times in a row: the first call at
 ``jobs=1`` (depth "jobs=1 first", which pays what a tree computes once per
 length on its first sweep), then again at ``jobs=1`` and at ``jobs=2``.  The
-worker fills the mask-table cache ``verify._tables(n)``, its column masks,
-``verify._dels_by_position(n)`` and the witness summaries
-``verify._witness_summaries(n)`` before timing, and hashes each canonical
-report.  The bounds and identity cells at n = 10 also record, from one
-untimed ``jobs=1`` call that wraps ``verify._walk_mask``, how many pairs
-the row walk sent through the per-pair checks; a route that stands for
-several pairs with one visit walks fewer.  Their "pairs" is every pair
+worker fills the mask-table cache ``verify._tables(n)``, its bmask columns
+and, where the tree has them, its strays (the words whose deletion or
+substitution row is not the ball's), ``verify._dels_by_position(n)`` and
+the witness summaries ``verify._witness_summaries(n)`` before timing, and
+hashes each canonical report.  The bounds and identity cells at n = 10
+also record, from one untimed ``jobs=1`` call that wraps
+``verify._walk_mask``, how many pairs the row walk sent through the
+per-pair checks; a route that stands for several pairs with one visit
+walks fewer.  Their "pairs" is every pair
 of the sweep, as in the report, so that us per pair compares the trees'
 wall times.  Each structured window cell (n, kind) walks up to four
 evenly spaced windows of 64 pairs for every parameter tuple of the family,
@@ -40,9 +42,12 @@ what the check computes lazily per length (such as the coset walk, element
 lists, equivariance verdicts and coset state), then again at ``jobs=1`` and
 at ``jobs=2``.  Their pairs are the pairs inside the cosets, as in the
 report.  The memory cells run each construction at n = 13 and 14 twice, a
-first and a warm call, in a fresh interpreter per tree and cell, and
-record the peak resident set size of that interpreter after the import and
-after the calls (``ru_maxrss``).  The two source trees are measured in
+first and a warm call, and so ``verify_intersection_bounds(n)`` (kind
+"bounds"), in a fresh interpreter per tree and cell, and record the peak
+resident set size of that interpreter after the import and after the
+calls (``ru_maxrss``); a bounds cell also records what the row walk's
+columns and strays keep, by ``sys.getsizeof``.  All memory is in MB of
+2^20 bytes.  The two source trees are measured in
 interleaved rounds (``rounds.py``), one timing per cell per round; the
 output keeps, per tree, every round, the median and the minimum, and per
 sweep or code check and length the median over rounds of the jobs=1 over
@@ -82,7 +87,7 @@ FAIL_LENGTHS = (10, 11)
 ALL_PAIRS_N = 10
 CODE_IDS = ("vt", "inv", "c2n9", "cn21", "cl")
 CODE_CELLS = tuple((theorem_id, n) for n in (11, 12, 13) for theorem_id in CODE_IDS)
-RSS_CELLS = tuple((theorem_id, n) for n in (13, 14) for theorem_id in CODE_IDS)
+RSS_CELLS = tuple((kind, n) for n in (13, 14) for kind in ("bounds", *CODE_IDS))
 DEPTHS = ("full", "ceiling")
 # (kind, n, verifier, keywords) of the public structured calls timed whole at
 # jobs=1: the calls of the perfbench structured workload, and the structured
@@ -171,6 +176,14 @@ def _call_cells(verify, digest) -> list[tuple]:
     return cells
 
 
+def _fill(verify, n: int) -> None:
+    """Build what an all-pairs sweep at length n computes once per length."""
+    tab = verify._tables(n)
+    tab.columns()
+    if hasattr(tab, "strays"):
+        tab.strays()
+
+
 def _worker(src: str) -> dict:
     """One timing per cell: (n, kind, depth, pairs timed, pairs walked one
     by one or None, us per pair)."""
@@ -182,7 +195,7 @@ def _worker(src: str) -> dict:
     for n in SWEEP_LENGTHS:
         size = 1 << n
         pairs = size * (size - 1) // 2
-        verify._tables(n).columns()
+        _fill(verify, n)
         verify._dels_by_position(n)
         verify._witness_summaries(n)
         cells += _sweep_cells(verify, "bounds", n, pairs,
@@ -197,7 +210,7 @@ def _worker(src: str) -> dict:
         )
     n = ALL_PAIRS_N
     for k in range(2, n + 1):
-        verify._tables(k).columns()
+        _fill(verify, k)
     family_tasks = verify._family_tasks
     verify._family_tasks = lambda kind, depth, n: []
     try:
@@ -231,9 +244,10 @@ def _worker(src: str) -> dict:
     return {"cells": cells, "digest": digest.hexdigest()}
 
 
-def _rss_worker(src: str, theorem_id: str, n: int) -> dict:
+def _rss_worker(src: str, kind: str, n: int) -> dict:
     """Peak RSS in MB of this interpreter after importing delsub from src,
-    and after a first and a warm verify_code_theorem(theorem_id, n)."""
+    and after a first and a warm verify_intersection_bounds(n) (kind
+    "bounds") or verify_code_theorem(kind, n)."""
     sys.path.insert(0, src)
     from delsub import verify
 
@@ -243,8 +257,22 @@ def _rss_worker(src: str, theorem_id: str, n: int) -> dict:
     imported = peak()
     digest = hashlib.sha256()
     for _ in range(2):
-        digest.update(verify.verify_code_theorem(theorem_id, n).to_json().encode())
-    return {"import_mb": imported, "peak_rss_mb": peak(), "digest": digest.hexdigest()}
+        if kind == "bounds":
+            report = verify.verify_intersection_bounds(n)
+        else:
+            report = verify.verify_code_theorem(kind, n)
+        digest.update(report.to_json().encode())
+    cell = {"import_mb": imported, "peak_rss_mb": peak(), "digest": digest.hexdigest()}
+    if kind == "bounds":
+        tab = verify._tables(n)
+        cols = tab.columns()
+        # a tree may keep a tuple of column sets, one per mask table
+        sets = cols if isinstance(cols, tuple) else (cols,)
+        kept = sum(sys.getsizeof(c) for col_set in sets for c in (col_set, *col_set))
+        if hasattr(tab, "strays"):
+            kept += sys.getsizeof(tab.strays())
+        cell["columns_mb"] = round(kept / 2**20, 2)
+    return cell
 
 
 def _rss_cells(trees: dict[str, Path]) -> dict[str, list[dict]]:
@@ -252,19 +280,19 @@ def _rss_cells(trees: dict[str, Path]) -> dict[str, list[dict]]:
     which goes first."""
     out: dict[str, list[dict]] = {role: [] for role in trees}
     env = dict(os.environ, PYTHONHASHSEED=rounds.HASH_SEED)
-    for i, (theorem_id, n) in enumerate(RSS_CELLS):
+    for i, (kind, n) in enumerate(RSS_CELLS):
         order = list(trees) if i % 2 == 0 else list(reversed(trees))
         digests = set()
         for role in order:
             done = subprocess.run(
                 [sys.executable, __file__, "--worker", str(trees[role]), "--rss",
-                 f"{theorem_id}:{n}"],
+                 f"{kind}:{n}"],
                 env=env, capture_output=True, text=True, check=True,
             )
             cell = json.loads(done.stdout)
             digests.add(cell.pop("digest"))
-            out[role].append({"kind": theorem_id, "n": n, **cell})
-            print(f"rss {theorem_id} {n} {role:6} {cell}", file=sys.stderr)
+            out[role].append({"kind": kind, "n": n, **cell})
+            print(f"rss {kind} {n} {role:6} {cell}", file=sys.stderr)
         if len(digests) != 1:
             raise SystemExit("the two trees disagree on a computed result")
     return out
@@ -323,8 +351,8 @@ def main() -> int:
     ap.add_argument("--rss", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.worker and args.rss:
-        theorem_id, n = args.rss.split(":")
-        print(json.dumps(_rss_worker(args.worker, theorem_id, int(n))))
+        kind, n = args.rss.split(":")
+        print(json.dumps(_rss_worker(args.worker, kind, int(n))))
         return 0
     if args.worker:
         print(json.dumps(_worker(args.worker)))

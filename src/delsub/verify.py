@@ -7,23 +7,23 @@ merge in partition order, and timing is kept out of the canonical output.
 Each task keeps its first 32 counterexamples, and a report keeps the first 32
 of them all in partition order.  A task is a plain (function, *args) tuple
 that carries all of its per-call inputs; the per-length caches _tables(n),
-with its column masks, _dels_by_position(n) and the witness summaries
-_witness_summaries(n) are read by the task functions themselves, and each
-verifier fills them before it forks, so workers inherit them copy-on-write.
-Words travel through the hot loops as big-endian integers; the per-length
-mask tables below make a ball intersection one AND plus a popcount.  The
-all-pairs sweeps of intersection bounds and claim tables go row by row (see
-_row_walk): the close pairs of a word x, those within Hamming distance two,
-with a shifted window, sharing a deletion or substitution per the tables,
-or sharing more than the generic or the global ceiling, go through the
-per-pair checks one by one.  Each other pair is generic with a size the
-checks accept, so they would record nothing for it; it is counted in bulk,
-and its size folded into the maxima, from bit-sliced counts over the
-tables' column masks.  Distance and window do not read the tables, and the
-other terms read the same tables as the checks, so a faulty table cannot
-hide a pair on which a check would fire.  The code checks count a large
-coset a row at a time from its members' bmask element lists and columns,
-built once per length and coset, through the bit-sliced kernels (kernels).
+with its bmask columns and strays, _dels_by_position(n) and the witness
+summaries _witness_summaries(n) are read by the task functions themselves,
+and each verifier fills them before it forks, so workers inherit them
+copy-on-write.  Words travel through the hot loops as big-endian integers;
+the per-length mask tables below make a ball intersection one AND plus a
+popcount.  The all-pairs sweeps of intersection bounds and claim tables go
+row by row with one rule (see _walk_mask): the pairs of a word x that
+share a deletion or substitution by definition, share more than the
+generic or the global ceiling, or hold a stray, a word whose deletion or
+substitution row is not its ball, go through the per-pair checks one by
+one.  Each other pair is generic with a size the checks accept, so they
+would record nothing for it; it is counted in bulk, and its size folded
+into the maxima, from bit-sliced counts over the bmask columns.  So a
+faulty table cannot hide a pair on which a check would fire.  The code
+checks count a large coset a row at a time from its members' bmask element
+lists and columns, built once per length and coset, through the bit-sliced
+kernels (kernels).
 
 Reversal and complement map ds-balls onto ds-balls, so each route they keep
 walks one representative per orbit of its group (words._Orbits), weighted
@@ -192,24 +192,12 @@ def _has_symbol(v: int, length: int, symbol: int) -> bool:
 # per-length mask tables, shared copy-on-write with forked workers
 
 
-def _sub_masks(n: int) -> list[int]:
-    """Substitution-ball mask of every word of length n."""
-    out = []
-    for x in range(1 << n):
-        m = 1 << x
-        for k in range(n):
-            m |= 1 << (x ^ (1 << k))
-        out.append(m)
-    return out
-
-
-class _Columns(NamedTuple):
-    """Per element z, the mask of the words whose dmask, smask or bmask row
-    holds z."""
-
-    dmask: list[int]
-    smask: list[int]
-    bmask: list[int]
+def _sub_mask(x: int, n: int) -> int:
+    """S(x) as a mask over the length-n words."""
+    m = 1 << x
+    for k in range(n):
+        m |= 1 << (x ^ (1 << k))
+    return m
 
 
 class _Tables:
@@ -217,8 +205,9 @@ class _Tables:
     deletion ball D(x), substitution ball S(x) and ds-ball B(x); prev_smask
     holds S(z) for the words z of length n - 1.
 
-    The column masks of the row walk (see _row_walk) are built from these
-    rows on the first call of columns(), never here, and so are the element
+    What the row walk reads besides (see _walk_mask) is built from these
+    rows on first ask, never here: the bmask columns (columns), the words
+    whose dmask or smask row is not D(x) or S(x) (strays), and the element
     lists of the bmask rows (elements), which the code checks' row route
     reads too.  The same holds for the equivariance verdicts of the orbit
     routes (see equivariant) and the code checks' coset state (coset).  A
@@ -226,7 +215,7 @@ class _Tables:
     """
 
     __slots__ = ("n", "runs", "dmask", "smask", "prev_smask", "bmask",
-                 "_cols", "_elems", "_sym", "_cosets")
+                 "_cols", "_strays", "_elems", "_sym", "_cosets")
 
     # per table: the length of the words indexing its rows, less n, and of
     # the words in each row's set (None: a row is a plain value)
@@ -242,8 +231,8 @@ class _Tables:
     def __init__(self, n: int) -> None:
         self.n = n
         self.runs = [_runs_int(x, n) for x in range(1 << n)]
-        prev = self.prev_smask = _sub_masks(n - 1)
-        self.smask = _sub_masks(n)
+        prev = self.prev_smask = [_sub_mask(z, n - 1) for z in range(1 << (n - 1))]
+        self.smask = [_sub_mask(x, n) for x in range(1 << n)]
         dmask = self.dmask = []
         bmask = self.bmask = []
         for x in range(1 << n):
@@ -253,20 +242,31 @@ class _Tables:
                 bm |= prev[z]
             dmask.append(dm)
             bmask.append(bm)
-        self._cols: _Columns | None = None
+        self._cols: list[int] | None = None
+        self._strays: int | None = None
         self._elems: list[array | None] = [None] * (1 << n)
         self._sym: dict[tuple[str, bool], bool] = {}
         self._cosets: dict[tuple[int, ...], tuple[_Orbits, list[array], list[int]]] = {}
 
-    def columns(self) -> _Columns:
+    def columns(self) -> list[int]:
+        """Per element z, the mask of the words whose bmask row holds z."""
         if self._cols is None:
             words = 1 << self.n
-            self._cols = _Columns(
-                _columns(map(_bits, self.dmask), words, words >> 1),
-                _columns(map(_bits, self.smask), words, words),
-                _columns(self.elements(range(words)), words, words >> 1),
-            )
+            self._cols = _columns(self.elements(range(words)), words, words >> 1)
         return self._cols
+
+    def strays(self) -> int:
+        """The mask of the words x whose dmask row is not D(x) or whose
+        smask row is not S(x): 0 on sound tables."""
+        if self._strays is None:
+            n = self.n
+            self._strays = sum(
+                1 << x
+                for x in range(1 << n)
+                if self.dmask[x] != sum(1 << z for z in _del_set(x, n))
+                or self.smask[x] != _sub_mask(x, n)
+            )
+        return self._strays
 
     def elements(self, words: Iterable[int]) -> list[array]:
         """The elements of the bmask row of each of words, ascending.  A
@@ -299,7 +299,7 @@ class _Tables:
         "summaries" names the witness summaries _witness_summaries(n).
 
         Each table's verdict per map is computed on its first call and
-        kept, like the column masks, so the verifiers ask before they fork.
+        kept, like the columns, so the verifiers ask before they fork.
         """
         for name in tables:
             for rev in (False, "r" in group):
@@ -677,38 +677,29 @@ def _shift_partners(x: int, n: int) -> Iterator[int]:
                 yield x ^ (down & ((1 << hi) - (1 << lo))) ^ (1 << hi)
 
 
-def _walk_mask(
-    tab: _Tables, x: int, planes: list[int], limit: int, windows: bool, scope: int
-) -> int:
+def _walk_mask(tab: _Tables, x: int, planes: list[int], limit: int, scope: int) -> int:
     """The y in the mask scope that the row walk of x sends through the
     per-pair body.
 
-    These are the y within Hamming distance two of x, with windows the
-    shift partners of x (_shift_partners), the y that share a deletion or a
-    substitution with x according to the tables, and the y whose shared
-    ball, counted in planes, holds more than limit elements.  The first two
-    terms do not read the tables, so a faulty table cannot hide a pair that
-    its window or distance alone would flag.
+    All of scope if x is a stray (_Tables.strays); else the y that share a
+    deletion or substitution with x by definition, which are within
+    Hamming distance two or shift partners (_shift_partners), the y whose
+    shared ball, counted in planes, holds more than limit elements, and the
+    strays.  A pair whose dmask or smask rows share an element is one of
+    these, or holds a stray.
     """
+    strays = tab.strays()
+    if strays >> x & 1:
+        return scope
     n = tab.n
-    cols = tab.columns()
     near = bytearray((len(tab.runs) + 7) >> 3)
-    for f in _near_flips(n):
-        y = x ^ f
+    for y in [*_shift_partners(x, n), *(x ^ f for f in _near_flips(n))]:
         near[y >> 3] |= 1 << (y & 7)
-    if windows:
-        for y in _shift_partners(x, n):
-            near[y >> 3] |= 1 << (y & 7)
-    walk = int.from_bytes(near, "little") | _count_above(planes, limit)
-    for z in _bits(tab.dmask[x]):
-        walk |= cols.dmask[z]
-    for z in _bits(tab.smask[x]):
-        walk |= cols.smask[z]
-    return walk & scope
+    return (int.from_bytes(near, "little") | _count_above(planes, limit) | strays) & scope
 
 
 def _row_walk(
-    tab: _Tables, rows: Sequence[int], weights: Sequence[int], group: str, windows: bool
+    tab: _Tables, rows: Sequence[int], weights: Sequence[int], group: str
 ) -> Iterator[tuple[int, int, int, int, int]]:
     """Per row x of rows: x, the weight of its pairs, the mask of the
     partners y to walk (_walk_mask), the number of the other partners, and
@@ -717,20 +708,19 @@ def _row_walk(
     The partners of x are the y > x on the full route (group ""), and on
     an orbit route every y != x: there x stands for its orbit, whose size
     weights gives, and each pair is seen from both its words, so it weighs
-    half of that.  Each other partner is at Hamming distance three or more,
-    shares no deletion and no substitution with x, shares no more elements
-    with it than the generic and the global ceiling allow and, with
-    windows, is no shift partner of x.  Both sweeps walk with this one
-    limit.
+    half of that.  Each other partner shares no deletion and no
+    substitution with x, by definition and in the tables, and no more
+    elements than the generic and the global ceiling allow.  Both sweeps
+    walk with this one rule and limit.
     """
-    col_b = tab.columns().bmask
+    col_b = tab.columns()
     full = (1 << len(tab.bmask)) - 1
     generic = CASE_CEILINGS[GENERIC].ceiling(tab.n)
     limit = min(generic, _global_ceiling(tab.n) or generic)
     for x, w, row in zip(rows, weights, tab.elements(rows)):
         scope = full ^ (1 << x) if group else full & -(2 << x)
         planes = _count_planes(col_b, row)
-        walk = _walk_mask(tab, x, planes, limit, windows, scope)
+        walk = _walk_mask(tab, x, planes, limit, scope)
         rest = scope & ~walk
         yield x, w >> 1 if group else w, walk, rest.bit_count(), _count_max(planes, rest)
 
@@ -766,7 +756,7 @@ def _bounds_chunk(
     case_pairs: dict[str, int] = {}
     case_max: dict[str, int] = {}
     cases = _case_rows(n)
-    for x, w, walk, bulk, bulk_max in _row_walk(tab, rows, weights, group, True):
+    for x, w, walk, bulk, bulk_max in _row_walk(tab, rows, weights, group):
         if bulk:
             pairs += w * bulk
             case_pairs[GENERIC] = case_pairs.get(GENERIC, 0) + w * bulk
@@ -1335,14 +1325,15 @@ def verify_intersection_bounds(
     is reached.  The global ceiling, the transposition row from n = 6 on,
     must hold with equality exactly on the extremal transposition family.
     Only the close pairs of each word go through these checks one by one
-    (_walk_mask); every other pair is generic, shares no deletion, and
-    stays within the generic and global ceilings, so none of the checks can
-    fire on it, and it is counted into the generic case in bulk.  Structured
-    mode walks only the transposition, flip, shift, and alternating-window
-    families, which reaches longer words; each pair's shared ball is built
-    from its close deletion pairs (u, w), one deletion per run of x and of
-    y within Hamming distance two, as the union of S(u) & S(w) (see
-    _ds_inter), never from both full balls.
+    (_walk_mask); every other pair is generic, shares no deletion or
+    substitution by definition or in the tables, and stays within the
+    generic and global ceilings, so none of the checks can fire on it, and
+    it is counted into the generic case in bulk.  Structured mode walks
+    only the transposition, flip, shift, and alternating-window families,
+    which reaches longer words; each pair's shared ball is built from its
+    close deletion pairs (u, w), one deletion per run of x and of y within
+    Hamming distance two, as the union of S(u) & S(w) (see _ds_inter),
+    never from both full balls.
     """
     t0 = time.monotonic()
     if n < 1:
@@ -1363,6 +1354,7 @@ def verify_intersection_bounds(
     else:
         tab = _tables(n)
         tab.columns()
+        tab.strays()
         group = tab.equivariant(_BOUNDS_TABLES, "rc")
         parts = _sweep([(_sweep_tasks, _bounds_chunk, (n,), n, group)], jobs)
         # a part counts a case's pairs exactly where it has its maximum
@@ -1404,7 +1396,7 @@ def _identity_chunk(
     extremal = -1
     sink = _Sink(n, group)
     cases = _case_rows(n)
-    for x, w, walk, _, bulk_max in _row_walk(tab, rows, weights, group, False):
+    for x, w, walk, _, bulk_max in _row_walk(tab, rows, weights, group):
         # row x pairs with the size - 1 - x words after it, or all size - 1 others
         pairs += w * (size - 1 if group else size - 1 - x)
         if bulk_max > extremal:
@@ -1471,18 +1463,18 @@ def verify_claim_tables(n_max: int, *, jobs: int = 1) -> VerificationReport:
     deletion term, overlap, and extra elements, checking containment and
     the per-class term sizes and caps.  A generic pair (Hamming distance
     at least three, no shared deletion, no shared substitution) within the
-    generic and global ceilings is not visited: the row walk (_row_walk)
-    folds its size into the extremal in bulk, as for intersection bounds.
-    Every other pair, a faulty table's spurious shared deletion or
-    substitution included, gets the full decomposition.  On top of that
-    the four structured families are enumerated up to ``n_max`` and every
-    tabulated quantity (term splits, overlap columns, extra-element counts,
-    regime ceilings, equality conditions) is recomputed from scratch per
-    pair, against the run deletions of both words and the shared ball that
-    the structured walk builds once per pair (see _structured_chunk).  Both
-    walk orbit representatives as the module docstring says;
-    ``family_pairs`` sums the walked pairs' weights, which is every family
-    pair.
+    generic and global ceilings is not visited: the row walk of
+    intersection bounds (_walk_mask) folds its size into the extremal in
+    bulk.  Every other pair gets the full decomposition, as does every pair
+    that holds a stray, whose deletion or substitution row is not its ball.
+    On top of that the four structured families are enumerated up to
+    ``n_max`` and every tabulated quantity (term splits, overlap columns,
+    extra-element counts, regime ceilings, equality conditions) is
+    recomputed from scratch per pair, against the run deletions of both
+    words and the shared ball that the structured walk builds once per pair
+    (see _structured_chunk).  Both walk orbit representatives as the module
+    docstring says; ``family_pairs`` sums the walked pairs' weights, which
+    is every family pair.
     """
     t0 = time.monotonic()
     if n_max < 2:
@@ -1494,6 +1486,7 @@ def verify_claim_tables(n_max: int, *, jobs: int = 1) -> VerificationReport:
     for n in range(2, id_top + 1):
         tab = _tables(n)
         tab.columns()
+        tab.strays()
         group = tab.equivariant(_IDENTITY_TABLES, "rc")
         legs.append((_sweep_tasks, _identity_chunk, (n,), n, group))
     family_counts = dict.fromkeys(sorted(_FAMILY_KINDS), 0)

@@ -232,19 +232,17 @@ def _drop_bits(table, every, keep):
     return corrupt
 
 
-@pytest.mark.parametrize(
-    "corrupt",
-    [
-        lambda tab: None,
-        _lower_runs_and_widen_balls,
-        _add_bit("dmask", 7, 0b1011001),
-        _add_bit("smask", 7, 0b10110010),
-        _drop_bits("smask", 5, lambda row: 0),
-        _drop_bits("dmask", 3, lambda row: row - 1),
-    ],
-    ids=["sound", "runs-and-balls", "spurious-dmask", "spurious-smask", "dropped-smask",
-         "dropped-dmask"],
-)
+_WALK_FAULTS = {
+    "sound": lambda tab: None,
+    "runs-and-balls": _lower_runs_and_widen_balls,
+    "spurious-dmask": _add_bit("dmask", 7, 0b1011001),
+    "spurious-smask": _add_bit("smask", 7, 0b10110010),
+    "dropped-smask": _drop_bits("smask", 5, lambda row: 0),
+    "dropped-dmask": _drop_bits("dmask", 3, lambda row: row - 1),
+}
+
+
+@pytest.mark.parametrize("corrupt", list(_WALK_FAULTS.values()), ids=list(_WALK_FAULTS))
 def test_row_walk_matches_the_every_pair_sweep(monkeypatch, corrupt):
     # walking every partner is the every-pair sweep; the row walk must give
     # the same chunk results on sound and faulty n = 8 tables, on the full
@@ -261,10 +259,60 @@ def test_row_walk_matches_the_every_pair_sweep(monkeypatch, corrupt):
                 for fn, *args in verify._sweep_tasks(chunk, (8,), 8, group)]
 
     walked = chunks()
-    monkeypatch.setattr(
-        verify, "_walk_mask", lambda tab, x, planes, limit, windows, scope: scope
-    )
+    monkeypatch.setattr(verify, "_walk_mask", lambda tab, x, planes, limit, scope: scope)
     assert chunks() == walked
+
+
+def _sharing(tab):
+    """Per word x, the mask of the y whose dmask or smask row shares an
+    element with x's, read off the rows one element at a time."""
+    out = [0] * len(tab.runs)
+    for table in (tab.dmask, tab.smask):
+        holders = {}
+        for y, row in enumerate(table):
+            for z in verify._bits(row):
+                holders[z] = holders.get(z, 0) | 1 << y
+        for x, row in enumerate(table):
+            for z in verify._bits(row):
+                out[x] |= holders[z]
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, fault",
+    [(n, "sound") for n in range(1, 13)] + [(8, f) for f in _WALK_FAULTS if f != "sound"],
+)
+def test_row_walk_holds_every_pair_the_tables_share(n, fault):
+    # the strays are the words whose dmask or smask row a fault changed, and
+    # every pair whose rows share an element is walked on both routes, the
+    # strays standing in for the shared elements of a faulty row; on sound
+    # tables the walk is the near flips, the shift partners and the pairs
+    # above the limit, and holds nothing more with or without the shifts
+    sound = verify._tables(n)
+    tab = verify._Tables(n)
+    _WALK_FAULTS[fault](tab)
+    changed = [(tab.dmask[x], tab.smask[x]) != (sound.dmask[x], sound.smask[x])
+               for x in range(1 << n)]
+    assert tab.strays() == sum(1 << x for x, c in enumerate(changed) if c)
+    # runs-and-balls changes no dmask or smask row
+    assert bool(tab.strays()) == fault.endswith("mask")
+    sharing = _sharing(tab)
+    words = range(1 << n)
+    generic = CASE_CEILINGS[GENERIC].ceiling(n)
+    limit = min(generic, verify._global_ceiling(n) or generic)
+    for group in ("", "rc"):
+        for x, _, walk, *_ in verify._row_walk(tab, words, [2] * len(words), group):
+            scope = ((1 << (1 << n)) - 1) ^ (1 << x)
+            if not group:
+                scope &= -(2 << x)
+            assert sharing[x] & scope & ~walk == 0, (n, fault, group, x)
+            if fault != "sound":
+                continue
+            near = sum({1 << (x ^ f) for f in verify._near_flips(n)})
+            shifts = sum({1 << y for y in verify._shift_partners(x, n)})
+            planes = verify._count_planes(tab.columns(), tab.elements([x])[0])
+            identity = (near | sharing[x] | verify._count_above(planes, limit)) & scope
+            assert walk == identity == identity | (shifts & scope), (n, group, x)
 
 
 def _reversal(x, n):
@@ -524,7 +572,7 @@ def test_bit_sliced_counts_are_the_shared_ball_sizes():
     n = 7
     tab = verify._Tables(n)
     bm = tab.bmask
-    cols = tab.columns().bmask
+    cols = tab.columns()
     for x in range(1 << n):
         planes = verify._count_planes(cols, verify._bits(bm[x]))
         assert len(planes) == bm[x].bit_count().bit_length()
