@@ -24,9 +24,8 @@ hashes each canonical report.  The bounds and identity cells at n = 10
 also record, from one untimed ``jobs=1`` call that wraps
 ``verify._walk_mask``, how many pairs the row walk sent through the
 per-pair checks; a route that stands for several pairs with one visit
-walks fewer.  Their "pairs" is every pair
-of the sweep, as in the report, so that us per pair compares the trees'
-wall times.  Each structured window cell (n, kind) walks up to four
+walks fewer.  Their "pairs" is every pair of the sweep, as in the report,
+so that us per pair compares the trees' wall times.  Each structured window cell (n, kind) walks up to four
 evenly spaced windows of 64 pairs for every parameter tuple of the family,
 at n = 11 and n = 14, through
 ``verify._structured_chunk(kind, depth, n, params, lo, hi)`` at both check
@@ -47,8 +46,8 @@ first and a warm call, and so ``verify_intersection_bounds(n)`` (kind
 resident set size of that interpreter after the import and after the
 calls (``ru_maxrss``); a bounds cell also records what the row walk's
 columns and strays keep, by ``sys.getsizeof``.  All memory is in MB of
-2^20 bytes.  The two source trees are measured in
-interleaved rounds (``rounds.py``), one timing per cell per round; the
+2^20 bytes.  The two source trees are measured in interleaved rounds
+(``rounds.py``), one timing per cell per round; the
 output keeps, per tree, every round, the median and the minimum, and per
 sweep or code check and length the median over rounds of the jobs=1 over
 jobs=2 time ratio.  It writes
