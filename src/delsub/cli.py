@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -361,10 +362,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run the command argv (default sys.argv[1:]); return its exit status.
+    The parser is built once per process; parsing leaves no state on it."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -8,15 +8,16 @@ intersects the preimage balls of the first two reads only, each built as a
 set of ints by inserting a 0 and a 1 at every position of every word of
 S(z): after one read at most 2n(n+1) candidates survive, after two a few
 dozen (41 at most over all read pairs at n = 9).  Every later read z then
-filters the survivors, keeping x exactly when some deletion of x lies in
-S(z), that is within Hamming distance one of z: against S(z), built once
-per read, while more than two survivors are left, else deletion by
-deletion, which skips building S(z) for most of a long bundle.  Only the
-words left are formatted as strings, sorted, and put to the code's
-membership test.  ``balls.preimage_ball``,
-``balls.ds_ball`` and :func:`decode_by_scan` stay the string oracle of this
-route.  The generator is the stdlib Mersenne Twister, which is
-deterministic and portable across platforms for a fixed seed.
+filters the survivors, keeping x exactly when one of its r(x) run
+deletions (``words._run_dels``: D(x) without repeats, one deletion per run
+of x) lies in S(z), that is within Hamming distance one of z: against
+S(z), built once per read, while more than two survivors are left, else
+deletion by deletion, which skips building S(z) for most of a long bundle.
+Only the words left are formatted as strings, sorted, and put to the
+code's membership test.  ``balls.preimage_ball``, ``balls.ds_ball`` and
+:func:`decode_by_scan` stay the string oracle of this route.  The
+generator is the stdlib Mersenne Twister, which is deterministic and
+portable across platforms for a fixed seed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import TextIO
 
 from .balls import apply_del_sub, ds_ball
 from .codes import CodeSpec, contains, members
-from .words import _del_set, _sub_set, parse_word, read_word_file
+from .words import _run_dels, _sub_set, parse_word, read_word_file
 from .words import decode as to_word
 
 # unused here, but perfbench/tracing.py wraps this name in this module to
@@ -111,8 +112,9 @@ def _int(word: str) -> int:
 
 
 def _ball_size(x: int, n: int) -> int:
-    """|B(x)| for a length-n word x: the union of S(d) over d in D(x)."""
-    return len(set().union(*[_sub_set(d, n - 1) for d in _del_set(x, n)]))
+    """|B(x)| for a length-n word x: the union of S(d) over the r(x) run
+    deletions d of x, which are D(x) without repeats."""
+    return len(set().union(*[_sub_set(d, n - 1) for d in _run_dels(x, n)]))
 
 
 def collect_reads(x: str, count: int, seed: int) -> ReadBundle:
@@ -140,13 +142,13 @@ def decode(cs: CodeSpec, bundle: ReadBundle) -> DecodeResult:
 
     The candidates are the intersection of the first two reads' preimage
     balls; each later read z keeps a candidate x only when z is in B(x),
-    that is when some deletion of x is within Hamming distance one of z;
-    the code test runs on what is left.  Reads, balls and deletions are
-    integers throughout; only the words that pass every read are formatted
-    as strings, for the sort and the code test.  With N distinct reads from
-    a codeword of an (n,N)-reconstruction code the survivor is unique;
-    fewer reads may leave several candidates (AMBIGUOUS) and inconsistent
-    reads leave none (INCONSISTENT).
+    that is when one of the r(x) run deletions of x, one per run, is within
+    Hamming distance one of z; the code test runs on what is left.  Reads,
+    balls and deletions are integers throughout; only the words that pass
+    every read are formatted as strings, for the sort and the code test.
+    With N distinct reads from a codeword of an (n,N)-reconstruction code
+    the survivor is unique; fewer reads may leave several candidates
+    (AMBIGUOUS) and inconsistent reads leave none (INCONSISTENT).
     """
     n = cs.n
     if bundle.n != n:
@@ -159,7 +161,7 @@ def decode(cs: CodeSpec, bundle: ReadBundle) -> DecodeResult:
     if len(zs) > 1:
         survivors &= _preimage(zs[1], n)
     if len(zs) > 2 and survivors:
-        dels = [(x, _del_set(x, n)) for x in survivors]
+        dels = [(x, _run_dels(x, n)) for x in survivors]
         for z in zs[2:]:
             # S(z) costs n set insertions per read, which pays only while
             # several survivors share it; one or two test their deletions'

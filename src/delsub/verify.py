@@ -67,8 +67,8 @@ from .codes import CodeSpec
 from .kernels import _bits, _columns, _count_above, _count_max, _count_planes
 from .reconstruct import ReadBundle, UNIQUE, collect_reads
 from .reconstruct import decode as decode_reads
-from .words import _del_bit, _del_set, _maps_rows, _Orbits, _sub_set, _word_group, _word_maps
-from .words import _word_orbits
+from .words import _del_bit, _del_set, _maps_rows, _Orbits, _run_dels, _sub_set, _word_group
+from .words import _word_maps, _word_orbits
 from .words import decode as to_word
 from .words import max_le2_periodic_length, psi
 
@@ -108,32 +108,14 @@ _FAMILY_PIECE = 1 << 15
 
 # ---------------------------------------------------------------------------
 # integer word helpers (position i of a length-n word is bit n - i); the
-# deletion and substitution sets _del_bit, _del_set and _sub_set are in words
+# deletion and substitution sets _del_bit, _del_set, _run_dels and _sub_set
+# are in words
 
 
 def _runs_int(x: int, n: int) -> int:
     if n == 0:
         return 0
     return 1 + ((x ^ (x >> 1)) & ((1 << (n - 1)) - 1)).bit_count()
-
-
-def _run_dels(x: int, n: int) -> list[int]:
-    """D(x) as one deletion per run of x: its r(x) distinct values, last
-    run first.
-
-    Moving the deletion up across a run boundary keeps the bit of x below
-    the boundary in place of the differing bit above it, so each value is
-    the previous one with that boundary bit flipped.
-    """
-    v = x >> 1
-    out = [v]
-    starts = (x ^ v) & ((1 << (n - 1)) - 1)
-    while starts:
-        low = starts & -starts
-        v ^= low
-        out.append(v)
-        starts ^= low
-    return out
 
 
 @functools.cache

@@ -197,6 +197,25 @@ def _del_set(x: int, n: int) -> set[int]:
     return {_del_bit(x, k) for k in range(n)}
 
 
+def _run_dels(x: int, n: int) -> list[int]:
+    """D(x) as one deletion per run of x: its r(x) distinct values, last
+    run first.
+
+    Moving the deletion up across a run boundary keeps the bit of x below
+    the boundary in place of the differing bit above it, so each value is
+    the previous one with that boundary bit flipped.
+    """
+    v = x >> 1
+    out = [v]
+    starts = (x ^ v) & ((1 << (n - 1)) - 1)
+    while starts:
+        low = starts & -starts
+        v ^= low
+        out.append(v)
+        starts ^= low
+    return out
+
+
 def _sub_set(x: int, n: int) -> set[int]:
     """S(x) for a length-n word x: x and its n single flips."""
     out = {x}

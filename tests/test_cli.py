@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from delsub import cli, codes, verify
+from delsub import balls, cli, codes, verify
 
 
 def run(capsys, *argv):
@@ -409,3 +409,37 @@ def test_code_families_all_reachable(capsys):
         code, out, _ = run(capsys, "code", "size", "--family", family, "--n", "6", *extra)
         assert code == 0, family
         assert json.loads(out) >= 0
+
+
+def test_build_parser_returns_a_fresh_parser_and_run_reuses_one():
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli._parser() is cli._parser()
+
+
+def test_the_reused_parser_gives_what_a_fresh_one_gives(capsys, monkeypatch):
+    # the append lists of --word and the --format default must not carry
+    # over from one run to the next
+    calls = [
+        ("ball", "--word", "0101"),
+        ("ball", "--word", "11", "--format", "text"),
+        ("intersect", "--word", "0101", "--word", "0110"),
+    ]
+    reused = [run(capsys, *argv) for argv in calls]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert reused == [run(capsys, *argv) for argv in calls]
+    assert [code for code, *_ in reused] == [0, 0, 0]
+    assert reused[1][1] == "".join(f"{z}\n" for z in balls.ds_ball("11"))
+
+
+def test_a_usage_error_leaves_the_reused_parser_working(tmp_path, capsys):
+    bundle = tmp_path / "reads.txt"
+    word = "0110100110"
+    code, _, _ = run(capsys, "simulate", "--word", word, "--N", "7", "--seed", "5",
+                     "--format", "text", "--out", str(bundle))
+    assert code == 0
+    code, out, err = run(capsys, "decode", "--bundle", str(bundle), "--family", "nosuch")
+    assert (code, out) == (2, "")
+    assert err.startswith("delsub decode: error: argument --family: invalid choice")
+    code, out, err = run(capsys, "decode", "--bundle", str(bundle), "--family", "full")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"status": "UNIQUE", "candidates": [word]}

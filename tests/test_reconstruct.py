@@ -100,6 +100,21 @@ def test_collect_reads_sizes_the_ball_like_the_string_api():
             assert len(collect_reads(x, ball, seed=0).reads) == ball
 
 
+def test_ball_size_from_run_deletions_is_the_string_ball():
+    for n in range(1, 11):
+        for bits in product("01", repeat=n):
+            x = "".join(bits)
+            ball = len(ds_ball(x))
+            assert reconstruct._ball_size(int(x, 2), n) == ball, x
+            for count in (ball, ball + 1):
+                try:
+                    collect_reads(x, count, seed=n)
+                except BallTooSmallError as err:
+                    assert (count, err.ball_size) == (ball + 1, ball), x
+                else:
+                    assert count == ball, x
+
+
 def test_decode_unique_roundtrip():
     cs = best_coset(INV, 7, m=2)
     x = next(w for w in members(cs) if len(ds_ball(w)) >= 17)

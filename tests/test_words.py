@@ -3,11 +3,15 @@ from itertools import groupby
 import pytest
 from hypothesis import given, strategies as st
 
+from delsub import verify
 from delsub.words import (
     _complement_elements,
+    _del_bit,
+    _del_set,
     _Orbits,
     _reverse,
     _reverse_elements,
+    _run_dels,
     _word_maps,
     _word_orbits,
     common_affixes,
@@ -182,3 +186,22 @@ def test_orbits_of_points_not_closed_under_the_group():
     # complement sends 0 to 7, which is not among the points
     assert not _Orbits(_word_maps(3, "c"), [0, 1, 6]).closed
     assert _Orbits(_word_maps(3, "c"), [0, 1, 6, 7]).closed
+
+
+def test_run_dels_are_the_distinct_deletions_last_run_first():
+    for n in range(1, 13):
+        for x in range(1 << n):
+            word = decode(x, n)
+            dels = _run_dels(x, n)
+            assert len(dels) == len(set(dels)) == run_count(word)
+            assert set(dels) == _del_set(x, n)
+            # the i-th value deletes a bit of the i-th run from the end
+            # (bit 0 is the last position)
+            low = 0
+            for d, (_, run) in zip(dels, groupby(reversed(word))):
+                assert d == _del_bit(x, low), (word, low)
+                low += len(list(run))
+
+
+def test_verify_reads_the_run_deletions_from_words():
+    assert verify._run_dels is _run_dels
