@@ -18,13 +18,14 @@ at n = 2..10.  Each is timed three times in a row: the first call at
 length on its first sweep), then again at ``jobs=1`` and at ``jobs=2``.  The
 worker fills the mask-table cache ``verify._tables(n)``, its bmask columns
 and, where the tree has them, its strays (the words whose deletion or
-substitution row is not the ball's), ``verify._dels_by_position(n)`` and
-the witness summaries ``verify._witness_summaries(n)`` before timing, and
-hashes each canonical report.  The bounds and identity cells at n = 10
-also record, from one untimed ``jobs=1`` call that wraps
-``verify._walk_mask``, how many pairs the row walk sent through the
-per-pair checks; a route that stands for several pairs with one visit
-walks fewer.  Their "pairs" is every pair of the sweep, as in the report,
+substitution row is not the ball's), the deletions by position and the
+witness summaries before timing (module caches ``verify._dels_by_position``
+and ``verify._witness_summaries`` on older trees, tables of ``_Tables`` on
+newer ones), and hashes each canonical report.  The bounds and identity
+cells at n = 10 also record, from one untimed ``jobs=1`` call that wraps
+``_walk_mask`` in the module whose ``_row_walk`` reads it, how many pairs
+the row walk sent through the per-pair checks; a route that stands for
+several pairs with one visit walks fewer.  Their "pairs" is every pair of the sweep, as in the report,
 so that us per pair compares the trees' wall times.  Each structured window cell (n, kind) walks up to four
 evenly spaced windows of 64 pairs for every parameter tuple of the family,
 at n = 11 and n = 14, through
@@ -35,8 +36,9 @@ of the fastest structured cell lasts about 0.1 s or more.  The code-check
 cells (kind: the theorem id) time ``verify_code_theorem(theorem_id, n)``
 whole, the way the sweep cells are timed, for every construction at n =
 11..13: the first call at ``jobs=1``, after the mask-table cache
-``verify._tables`` and any coset-walk cache ``codes._walked`` are
-emptied and ``verify._tables(n)`` alone is built again, so that it pays
+``verify._tables``, the deletion and witness caches beside it where a tree
+has them, and any coset-walk cache ``codes._walked`` are emptied and
+``verify._tables(n)`` alone is built again, so that it pays
 what the check computes lazily per length (such as the coset walk, element
 lists, equivariance verdicts and coset state), then again at ``jobs=1`` and
 at ``jobs=2``.  Their pairs are the pairs inside the cosets, as in the
@@ -123,8 +125,9 @@ def _coset_pairs(verify, theorem_id: str, n: int) -> int:
 
 def _walked_pairs(verify, call) -> int:
     """The pairs call(jobs=1) sends through the per-pair checks of its row
-    walk."""
-    walk_mask = verify._walk_mask
+    walk, counted where the tree's _row_walk reads _walk_mask."""
+    walker = sys.modules[verify._row_walk.__module__]
+    walk_mask = walker._walk_mask
     walked = 0
 
     def counted(*args):
@@ -133,11 +136,11 @@ def _walked_pairs(verify, call) -> int:
         walked += mask.bit_count()
         return mask
 
-    verify._walk_mask = counted
+    walker._walk_mask = counted
     try:
         call(jobs=1)
     finally:
-        verify._walk_mask = walk_mask
+        walker._walk_mask = walk_mask
     return walked
 
 
@@ -195,8 +198,11 @@ def _worker(src: str) -> dict:
         size = 1 << n
         pairs = size * (size - 1) // 2
         _fill(verify, n)
-        verify._dels_by_position(n)
-        verify._witness_summaries(n)
+        if hasattr(verify, "_witness_summaries"):
+            verify._dels_by_position(n)
+            verify._witness_summaries(n)
+        else:
+            verify._tables(n).summaries
         cells += _sweep_cells(verify, "bounds", n, pairs,
                               lambda jobs: verify.verify_intersection_bounds(n, jobs=jobs), digest)
         cells += _sweep_cells(verify, "bad-count", n, pairs,
@@ -221,6 +227,9 @@ def _worker(src: str) -> dict:
     for theorem_id, n in CODE_CELLS:
         pairs = _coset_pairs(verify, theorem_id, n)
         verify._tables.cache_clear()
+        for cache in ("_dels_by_position", "_witness_summaries"):
+            if hasattr(verify, cache):
+                getattr(verify, cache).cache_clear()
         if hasattr(verify.codes, "_walked"):
             verify.codes._walked.cache_clear()
         verify._tables(n)

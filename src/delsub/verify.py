@@ -1,30 +1,5 @@
 """Exhaustive desk-scale verification of the ball algebra and code bounds.
 
-Every verifier returns a :class:`VerificationReport` whose JSON form is
-byte-identical for a fixed input regardless of ``jobs``: pair ranges are
-partitioned the same way no matter how many workers run, partial results
-merge in partition order, and timing is kept out of the canonical output.
-Each task keeps its first 32 counterexamples, and a report keeps the first 32
-of them all in partition order.  A task is a plain (function, *args) tuple
-that carries all of its per-call inputs; the per-length caches _tables(n),
-with its bmask columns and strays, _dels_by_position(n) and the witness
-summaries _witness_summaries(n) are read by the task functions themselves,
-and each verifier fills them before it forks, so workers inherit them
-copy-on-write.  Words travel through the hot loops as big-endian integers;
-the per-length mask tables below make a ball intersection one AND plus a
-popcount.  The all-pairs sweeps of intersection bounds and claim tables go
-row by row with one rule (see _walk_mask): the pairs of a word x that
-share a deletion or substitution by definition, share more than the
-generic or the global ceiling, or hold a stray, a word whose deletion or
-substitution row is not its ball, go through the per-pair checks one by
-one.  Each other pair is generic with a size the checks accept, so they
-would record nothing for it; it is counted in bulk, and its size folded
-into the maxima, from bit-sliced counts over the bmask columns.  So a
-faulty table cannot hide a pair on which a check would fire.  The code
-checks count a large coset a row at a time from its members' bmask element
-lists and columns, built once per length and coset, through the bit-sliced
-kernels (kernels).
-
 Reversal and complement map ds-balls onto ds-balls, so each route they keep
 walks one representative per orbit of its group (words._Orbits), weighted
 with the orbit's size: the all-pairs sweeps on tables that map row by row
@@ -32,23 +7,19 @@ with the orbit's size: the all-pairs sweeps on tables that map row by row
 code checks.  Whether a pair fails a check is the same for its images, so
 each route derives its FAIL report: its failing pairs, closed under the
 group, name the first _CE_CAP of the full route's, and only those go
-through the full route's body (_sweep, _coset_rows).  The full route stays
-for tables that do not map and as the tests' reference.
+through the full route's body (report._sweep, _coset_rows).  The full route
+stays for tables that do not map and as the tests' reference.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
-import multiprocessing
 import random
 import time
-from array import array
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
-from . import codes
+from . import codes, report
 from .balls import (
     ADJACENT_TRANSPOSITION,
     ALTERNATING_BLOCK,
@@ -64,11 +35,13 @@ from .balls import (
     ds_ball,
 )
 from .codes import CodeSpec
-from .kernels import _bits, _columns, _count_above, _count_max, _count_planes
 from .reconstruct import ReadBundle, UNIQUE, collect_reads
 from .reconstruct import decode as decode_reads
-from .words import _del_bit, _del_set, _maps_rows, _Orbits, _run_dels, _sub_set, _word_group
-from .words import _word_maps, _word_orbits
+from .report import VerificationReport, _check_jobs, _finish, _map_tasks, _merge, _Sink, _spans
+from .report import _sweep, _sweep_tasks
+from .tables import _bits, _count_above, _count_max, _count_planes, _global_ceiling, _row_walk
+from .tables import _runs_int, _Tables, _tables
+from .words import _del_bit, _del_set, _Orbits, _run_dels, _sub_set
 from .words import decode as to_word
 from .words import max_le2_periodic_length, psi
 
@@ -100,22 +73,14 @@ DEFAULT_SEED = 2024
 EXHAUSTIVE_LIMIT = 14
 STRUCTURED_LIMIT = 20
 
-_CE_CAP = 32
-# tasks per all-pairs sweep or code check, and pairs per structured task
-_SPAN_PIECES = 64
+# pairs per structured task
 _FAMILY_PIECE = 1 << 15
 
 
 # ---------------------------------------------------------------------------
 # integer word helpers (position i of a length-n word is bit n - i); the
 # deletion and substitution sets _del_bit, _del_set, _run_dels and _sub_set
-# are in words
-
-
-def _runs_int(x: int, n: int) -> int:
-    if n == 0:
-        return 0
-    return 1 + ((x ^ (x >> 1)) & ((1 << (n - 1)) - 1)).bit_count()
+# are in words, the run count _runs_int in tables
 
 
 @functools.cache
@@ -168,349 +133,6 @@ def _has_symbol(v: int, length: int, symbol: int) -> bool:
     if length == 0:
         return False
     return v != 0 if symbol else v != (1 << length) - 1
-
-
-# ---------------------------------------------------------------------------
-# per-length mask tables, shared copy-on-write with forked workers
-
-
-def _sub_mask(x: int, n: int) -> int:
-    """S(x) as a mask over the length-n words."""
-    m = 1 << x
-    for k in range(n):
-        m |= 1 << (x ^ (1 << k))
-    return m
-
-
-class _Tables:
-    """Per word x of length n: its run count, and as masks over words its
-    deletion ball D(x), substitution ball S(x) and ds-ball B(x); prev_smask
-    holds S(z) for the words z of length n - 1.
-
-    What the row walk reads besides (see _walk_mask) is built from these
-    rows on first ask, never here: the bmask columns (columns), the words
-    whose dmask or smask row is not D(x) or S(x) (strays), and the element
-    lists of the bmask rows (elements), which the code checks' row route
-    reads too.  The same holds for the equivariance verdicts of the orbit
-    routes (see equivariant) and the code checks' coset state (coset).  A
-    test that corrupts a row must do so before any of these calls.
-    """
-
-    __slots__ = ("n", "runs", "dmask", "smask", "prev_smask", "bmask",
-                 "_cols", "_strays", "_elems", "_sym", "_cosets")
-
-    # per table: the length of the words indexing its rows, less n, and of
-    # the words in each row's set (None: a row is a plain value)
-    _SHAPES = {
-        "runs": (0, None),
-        "dmask": (0, -1),
-        "smask": (0, 0),
-        "bmask": (0, -1),
-        "prev_smask": (-1, -1),
-        "summaries": (0, -1),
-    }
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.runs = [_runs_int(x, n) for x in range(1 << n)]
-        prev = self.prev_smask = [_sub_mask(z, n - 1) for z in range(1 << (n - 1))]
-        self.smask = [_sub_mask(x, n) for x in range(1 << n)]
-        dmask = self.dmask = []
-        bmask = self.bmask = []
-        for x in range(1 << n):
-            dm = bm = 0
-            for z in _del_set(x, n):
-                dm |= 1 << z
-                bm |= prev[z]
-            dmask.append(dm)
-            bmask.append(bm)
-        self._cols: list[int] | None = None
-        self._strays: int | None = None
-        self._elems: list[array | None] = [None] * (1 << n)
-        self._sym: dict[tuple[str, bool], bool] = {}
-        self._cosets: dict[tuple[int, ...], tuple[_Orbits, list[array], list[int]]] = {}
-
-    def columns(self) -> list[int]:
-        """Per element z, the mask of the words whose bmask row holds z."""
-        if self._cols is None:
-            words = 1 << self.n
-            self._cols = _columns(self.elements(range(words)), words, words >> 1)
-        return self._cols
-
-    def strays(self) -> int:
-        """The mask of the words x whose dmask row is not D(x) or whose
-        smask row is not S(x): 0 on sound tables."""
-        if self._strays is None:
-            n = self.n
-            self._strays = sum(
-                1 << x
-                for x in range(1 << n)
-                if self.dmask[x] != sum(1 << z for z in _del_set(x, n))
-                or self.smask[x] != _sub_mask(x, n)
-            )
-        return self._strays
-
-    def elements(self, words: Iterable[int]) -> list[array]:
-        """The elements of the bmask row of each of words, ascending.  A
-        row's list is extracted on its first ask and kept; its elements are
-        below 2^(n - 1) <= 2^13, so two bytes each, not an int object."""
-        elems = self._elems
-        out = []
-        for x in words:
-            if elems[x] is None:
-                elems[x] = array("H", _bits(self.bmask[x]))
-            out.append(elems[x])
-        return out
-
-    def coset(self, members: list[int]) -> tuple[_Orbits, list[array], list[int]]:
-        """Kept per ascending members: the orbits _coset_rows walks on them,
-        their bmask element lists and the member-rank columns of those."""
-        key = tuple(members)
-        if key not in self._cosets:
-            orbits = _Orbits(_word_maps(self.n, "g"), members)
-            if not (orbits.closed and self.equivariant(("bmask",), "rc")):
-                orbits = _Orbits((), members)
-            rows = self.elements(members)
-            self._cosets[key] = orbits, rows, _columns(rows, len(members), 1 << (self.n - 1))
-        return self._cosets[key]
-
-    def equivariant(self, tables: Iterable[str], group: str) -> str:
-        """The group, "c" or "rc" as in _word_maps, when every named table
-        maps row by row under complement and, for "rc", reversal too
-        (_maps_rows), else "": the group whose orbit route the tables allow.
-        "summaries" names the witness summaries _witness_summaries(n).
-
-        Each table's verdict per map is computed on its first call and
-        kept, like the columns, so the verifiers ask before they fork.
-        """
-        for name in tables:
-            for rev in (False, "r" in group):
-                ok = self._sym.get((name, rev))
-                if ok is None:
-                    rows = _witness_summaries(self.n) if name == "summaries" else getattr(self, name)
-                    ok = self._sym[name, rev] = _maps_rows(rows, self.n, self._SHAPES[name], rev)
-                if not ok:
-                    return ""
-        return group
-
-
-@functools.cache
-def _tables(n: int) -> _Tables:
-    return _Tables(n)
-
-
-@functools.cache
-def _dels_by_position(n: int) -> list[tuple[int, ...]]:
-    """Deletion value per position 1..n, duplicates kept, for witness scans."""
-    return [tuple(_del_bit(x, n - i) for i in range(1, n + 1)) for x in range(1 << n)]
-
-
-# ---------------------------------------------------------------------------
-# reports
-
-
-@dataclass(slots=True)
-class VerificationReport:
-    """Outcome of one verifier run.
-
-    ``counterexamples`` is empty exactly when the run passed; SKIPPED marks
-    a precondition that left nothing to check.  ``elapsed`` is informative
-    only and excluded from the canonical JSON unless explicitly requested.
-    """
-
-    target: str
-    n_range: tuple[int, int]
-    pairs_checked: int
-    bound: int | None
-    extremal_observed: int | None
-    equality_cases: int
-    counterexamples: list[dict[str, Any]]
-    status: str
-    elapsed: float
-    detail: dict[str, Any] | None = None
-
-    def to_dict(self, include_timing: bool = False) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "target": self.target,
-            "status": self.status,
-            "n_range": list(self.n_range),
-            "pairs_checked": self.pairs_checked,
-            "bound": self.bound,
-            "extremal_observed": self.extremal_observed,
-            "equality_cases": self.equality_cases,
-            "detail": self.detail,
-            "counterexamples": self.counterexamples,
-        }
-        if include_timing:
-            out["elapsed"] = round(self.elapsed, 3)
-        return out
-
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), indent=2)
-
-
-def _finish(
-    target: str,
-    n_range: tuple[int, int],
-    pairs: int,
-    bound: int | None,
-    extremal: int | None,
-    eq: int,
-    ces: list[dict[str, Any]],
-    t0: float,
-    detail: dict[str, Any] | None = None,
-    skipped: bool = False,
-) -> VerificationReport:
-    status = "SKIPPED" if skipped else ("FAIL" if ces else "PASS")
-    return VerificationReport(
-        target=target,
-        n_range=n_range,
-        pairs_checked=pairs,
-        bound=bound,
-        extremal_observed=extremal,
-        equality_cases=eq,
-        counterexamples=ces,
-        status=status,
-        elapsed=time.monotonic() - t0,
-        detail=detail,
-    )
-
-
-class _Word(NamedTuple):
-    """A word given as its value and length, for a counterexample field."""
-
-    value: int
-    length: int
-
-
-class _Sink:
-    """The first _CE_CAP counterexamples recorded, for words of length n.
-
-    x and y are words of length n and any _Word field is a word too; words
-    are formatted only for the counterexamples kept.  On the orbit route of
-    a group (_word_maps) fails keeps task(p) instead, p by default, for each
-    image p = (min, max) of the pair: the _CE_CAP first, cut at twice that.
-    """
-
-    __slots__ = ("n", "ces", "fails", "orbits", "task")
-
-    def __init__(self, n: int, group: str = "", task: Callable = tuple) -> None:
-        self.n = n
-        self.ces: list[dict[str, Any]] = []
-        self.fails = set()
-        self.orbits = _word_group(n, group) if group else None
-        self.task = task
-
-    def add(
-        self,
-        x: int | None,
-        y: int | None,
-        check: str,
-        expected: Any,
-        observed: Any,
-        **extra: Any,
-    ) -> None:
-        if self.orbits:
-            self.fails.update(map(self.task, self.orbits.close([(x, y)])))
-            if len(self.fails) > 2 * _CE_CAP:
-                self.fails = set(sorted(self.fails)[:_CE_CAP])
-            return
-        if len(self.ces) >= _CE_CAP:
-            return
-        out: dict[str, Any] = {"n": self.n}
-        if x is not None:
-            out["x"] = to_word(x, self.n)
-        if y is not None:
-            out["y"] = to_word(y, self.n)
-        out["check"] = check
-        out["expected"] = expected
-        out["observed"] = observed
-        out.update(extra)
-        self.ces.append({k: to_word(*v) if isinstance(v, _Word) else v for k, v in out.items()})
-
-    def take(self, ces: list[dict[str, Any]]) -> None:
-        """Keep the leading counterexamples of ces that still fit."""
-        self.ces.extend(ces[: _CE_CAP - len(self.ces)])
-
-
-# ---------------------------------------------------------------------------
-# task fan-out; partitions depend only on the input, never on jobs
-
-
-def _run_task(task: tuple) -> dict[str, Any]:
-    fn, *args = task
-    return fn(*args)
-
-
-def _map_tasks(tasks: list[tuple], jobs: int) -> list[dict[str, Any]]:
-    """Run each task (function, *args), in order, over up to jobs forked workers.
-
-    Tasks carry their inputs; the per-length caches they read must be filled
-    by the caller before this forks, so that workers inherit them.
-    """
-    if jobs <= 1 or len(tasks) <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return [_run_task(t) for t in tasks]
-    with multiprocessing.get_context("fork").Pool(processes=min(jobs, len(tasks))) as pool:
-        return pool.map(_run_task, tasks, chunksize=1)
-
-
-def _merge(parts: list[dict[str, Any]], sink: _Sink) -> tuple[int, int | None, int]:
-    """Pairs, extremal (None when no task saw one) and equality cases of the
-    task results; their counterexamples go to sink in partition order."""
-    for part in parts:
-        sink.take(part["ces"])
-    extremal = max((p["extremal"] for p in parts), default=-1)
-    return (
-        sum(p["pairs"] for p in parts),
-        extremal if extremal >= 0 else None,
-        sum(p["eq"] for p in parts),
-    )
-
-
-def _spans(size: int) -> list[tuple[int, int]]:
-    """At most _SPAN_PIECES contiguous ranges covering range(size)."""
-    step = max(1, -(-size // _SPAN_PIECES))
-    return [(lo, min(lo + step, size)) for lo in range(0, size, step)]
-
-
-def _sweep_tasks(fn: Callable, head: tuple, n: int, group: str = "") -> list[tuple]:
-    """The tasks (fn, *head, rows, weights, group) of an all-pairs sweep
-    over the length-n words, one per span of its rows: one word per orbit
-    of the group (named as in _word_maps) and the orbit's size, or every
-    word with weight 1 on the full route (group "")."""
-    orbits = _word_orbits(n, group)
-    return [(fn, *head, orbits.rows[lo:hi], orbits.weights[lo:hi], group)
-            for lo, hi in _spans(len(orbits.rows))]
-
-
-def _sweep(legs: list[tuple], jobs: int) -> list[dict[str, Any]]:
-    """The parts of the tasks of legs in one fan-out, a leg (make, *args)
-    having the tasks make(*args) of an all-pairs sweep (_sweep_tasks) or a
-    structured walk (_family_tasks), whose fourth argument is its group.
-
-    An orbit-route part lists its failing pairs and their images (_Sink).
-    The _CE_CAP first in full-route order name the full-route tasks, a row
-    or a family pair each, that the leg's report comes from; only they run,
-    here.  One that records nothing shows a fault the group does not keep,
-    and the leg's full route runs here instead.
-    """
-    made = [make(*args) for make, *args in legs]
-    parts = _map_tasks([t for tasks in made for t in tasks], jobs)
-    at = 0
-    for (make, *args), tasks in zip(legs, made):
-        mine = parts[at:at + len(tasks)]
-        at += len(tasks)
-        named = sorted(set().union(*(part["fails"] for part in mine)))[:_CE_CAP]
-        if make is _sweep_tasks:
-            # a sweep lists pairs; the full route walks each row's in order
-            named = [(args[0], *args[1], (x,), (1,), "")
-                     for x in dict.fromkeys(x for x, _ in named)]
-        if named:
-            ces = [_run_task(t)["ces"] for t in named]
-            if not all(ces):
-                ces = [_run_task(t)["ces"] for t in make(*args[:3], "")]
-            mine[0]["ces"] = sum(ces, [])
-    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -582,9 +204,9 @@ def verify_constrained_deletion(n: int) -> VerificationReport:
                     if z == u:
                         has_u = True
             if cnt > 3:
-                sink.add(u, None, "matching deletions", "<= 3", cnt, v=_Word(v, n + 1))
+                sink.add(u, None, "matching deletions", "<= 3", cnt, v=to_word(v, n + 1))
             elif cnt == 3 and not has_u:
-                sink.add(u, None, "three matches include u", True, False, v=_Word(v, n + 1))
+                sink.add(u, None, "three matches include u", True, False, v=to_word(v, n + 1))
     return _finish(
         "constrained-deletion", (n, n), 1 << (2 * n + 1), None, None, 0, sink.ces, t0
     )
@@ -612,100 +234,17 @@ def _case_rows(n: int) -> list[list[Any]]:
     ]
 
 
-def _global_ceiling(n: int) -> int | None:
-    """The transposition ceiling, which bounds every pair from n = 6 on."""
-    return CASE_CEILINGS[ADJACENT_TRANSPOSITION].ceiling(n) if n >= 6 else None
-
-
 def _in_family(ra: int, rb: int, runs: int) -> bool:
     """Equality family: one affix empty, the other of the given run count."""
     return (ra == 0 and rb == runs) or (ra == runs and rb == 0)
 
 
 # ---------------------------------------------------------------------------
-# row walk of the all-pairs sweeps: the close pairs of a row x go through the
-# per-pair body one by one, its generic pairs are counted in bulk.  Reversal
-# and complement keep every quantity the bounds and identity checks read, so
-# those sweeps walk the orbits of the group "rc" (see _row_walk); bad-count,
-# whose "post" bad sets reversal does not keep, pairs up complement orbits
-# of pairs instead (_bad_chunk).
-
-
-@functools.cache
-def _near_flips(n: int) -> tuple[int, ...]:
-    """The masks of one or two bits of a length-n word."""
-    return tuple((1 << i) | (1 << j) for j in range(n) for i in range(j + 1))
-
-
-def _shift_partners(x: int, n: int) -> Iterator[int]:
-    """The y whose window differing from x, of two bits or more, is x's
-    window shifted one step, either way: shift_a or shift_b in
-    _bounds_chunk.  An alternating window's complement (alt_comp) is both
-    shifts.  Some y come twice.
-
-    With shift_a on the window lo..hi, bit i of x ^ y above lo is bit i of x
-    against bit i - 1, bit lo is set, and bit hi must be set too; shift_b
-    mirrors that.
-    """
-    up = x ^ (x << 1)
-    down = x ^ (x >> 1)
-    for hi in range(1, n):
-        if up >> hi & 1:
-            for lo in range(hi):
-                yield x ^ (up & ((2 << hi) - (2 << lo))) ^ (1 << lo)
-    for lo in range(n - 1):
-        if down >> lo & 1:
-            for hi in range(lo + 1, n):
-                yield x ^ (down & ((1 << hi) - (1 << lo))) ^ (1 << hi)
-
-
-def _walk_mask(tab: _Tables, x: int, planes: list[int], limit: int, scope: int) -> int:
-    """The y in the mask scope that the row walk of x sends through the
-    per-pair body.
-
-    All of scope if x is a stray (_Tables.strays); else the y that share a
-    deletion or substitution with x by definition, which are within
-    Hamming distance two or shift partners (_shift_partners), the y whose
-    shared ball, counted in planes, holds more than limit elements, and the
-    strays.  A pair whose dmask or smask rows share an element is one of
-    these, or holds a stray.
-    """
-    strays = tab.strays()
-    if strays >> x & 1:
-        return scope
-    n = tab.n
-    near = bytearray((len(tab.runs) + 7) >> 3)
-    for y in [*_shift_partners(x, n), *(x ^ f for f in _near_flips(n))]:
-        near[y >> 3] |= 1 << (y & 7)
-    return (int.from_bytes(near, "little") | _count_above(planes, limit) | strays) & scope
-
-
-def _row_walk(
-    tab: _Tables, rows: Sequence[int], weights: Sequence[int], group: str
-) -> Iterator[tuple[int, int, int, int, int]]:
-    """Per row x of rows: x, the weight of its pairs, the mask of the
-    partners y to walk (_walk_mask), the number of the other partners, and
-    the largest shared-ball size among those (-1 when there are none).
-
-    The partners of x are the y > x on the full route (group ""), and on
-    an orbit route every y != x: there x stands for its orbit, whose size
-    weights gives, and each pair is seen from both its words, so it weighs
-    half of that.  Each other partner shares no deletion and no
-    substitution with x, by definition and in the tables, and no more
-    elements than the generic and the global ceiling allow.  Both sweeps
-    walk with this one rule and limit.
-    """
-    col_b = tab.columns()
-    full = (1 << len(tab.bmask)) - 1
-    generic = CASE_CEILINGS[GENERIC].ceiling(tab.n)
-    limit = min(generic, _global_ceiling(tab.n) or generic)
-    for x, w, row in zip(rows, weights, tab.elements(rows)):
-        scope = full ^ (1 << x) if group else full & -(2 << x)
-        planes = _count_planes(col_b, row)
-        walk = _walk_mask(tab, x, planes, limit, scope)
-        rest = scope & ~walk
-        yield x, w >> 1 if group else w, walk, rest.bit_count(), _count_max(planes, rest)
-
+# the all-pairs sweeps walk rows (tables._row_walk).  Reversal and complement
+# keep every quantity the bounds and identity checks read, so those sweeps
+# walk the orbits of the group "rc"; bad-count, whose "post" bad sets
+# reversal does not keep, pairs up complement orbits of pairs instead
+# (_bad_chunk).
 
 # the tables each sweep reads, whose equivariance lets it take the orbit route
 _BOUNDS_TABLES = ("runs", "dmask", "smask", "bmask")
@@ -793,7 +332,7 @@ def _bounds_chunk(
             if d == 1:
                 z = _del_bit(x, hi_b) if (span == 1 or shift_a) else _del_bit(x, lo_b)
                 if d_mask != 1 << z:
-                    sink.add(x, y, "shared deletion witness", _Word(z, n - 1), _bits(d_mask))
+                    sink.add(x, y, "shared deletion witness", to_word(z, n - 1), _bits(d_mask))
 
             case, name, ceiling, eq_runs, run_extra, _ = cases[dh][d]
             case_pairs[case] = case_pairs.get(case, 0) + w
@@ -1318,6 +857,7 @@ def verify_intersection_bounds(
     never from both full balls.
     """
     t0 = time.monotonic()
+    _check_jobs(jobs)
     if n < 1:
         raise ValueError("intersection bounds need n >= 1")
     mode = "structured" if structured else "exhaustive"
@@ -1343,8 +883,7 @@ def verify_intersection_bounds(
         cases = sorted({case for part in parts for case in part["case_pairs"]})
         detail["case_pairs"] = {c: sum(p["case_pairs"].get(c, 0) for p in parts) for c in cases}
         detail["case_extremal"] = {c: max(p["case_max"].get(c, -1) for p in parts) for c in cases}
-    sink = _Sink(n)
-    pairs, extremal, eq = _merge(parts, sink)
+    sink, pairs, extremal, eq = _merge(parts, n)
     return _finish(
         "intersection-bounds", (n, n), pairs, bound, extremal, eq, sink.ces, t0, detail
     )
@@ -1459,6 +998,7 @@ def verify_claim_tables(n_max: int, *, jobs: int = 1) -> VerificationReport:
     is every family pair.
     """
     t0 = time.monotonic()
+    _check_jobs(jobs)
     if n_max < 2:
         return _finish("claim-tables", (2, n_max), 0, None, None, 0, [], t0, skipped=True)
     if n_max > STRUCTURED_LIMIT:
@@ -1479,8 +1019,7 @@ def verify_claim_tables(n_max: int, *, jobs: int = 1) -> VerificationReport:
                 (hi - lo) * weight for *_, lo, hi, weight, _ in _family_tasks(kind, "full", n)
             )
     parts = _sweep(legs, jobs)
-    sink = _Sink(n_max)
-    pairs, extremal, eq = _merge(parts, sink)
+    sink, pairs, extremal, eq = _merge(parts, n_max)
     detail = {
         "identity_max_n": id_top,
         "family_pairs": family_counts,
@@ -1515,7 +1054,7 @@ def _outside(i: int, j: int, pos: int | None) -> bool:
 
 def _good(wx: tuple[int, ...], wy: tuple[int, ...], z: int, n: int) -> tuple[bool, bool]:
     """Whether shared element z of x and y, whose deletions by position are
-    wx and wy (_dels_by_position), is good under "pre" and under "post":
+    wx and wy (_Tables.dels), is good under "pre" and under "post":
     some witness pair places a flip strictly outside its deletion interval."""
     ly = _witness_list(wy, z, n)
     good_pre = good_post = False
@@ -1528,57 +1067,6 @@ def _good(wx: tuple[int, ...], wy: tuple[int, ...], z: int, n: int) -> tuple[boo
         if good_pre and good_post:
             break
     return good_pre, good_post
-
-
-@functools.cache
-def _witness_summaries(n: int) -> list[dict[int, tuple[int, ...]]]:
-    """Per word x of length n, per z in B(x): the summary
-    (min i, max i, lo, pre hi, post hi) of the witnesses
-    _witness_list(dels[x], z, n), dels = _dels_by_position(n).
-
-    i runs over the deletion positions that reach z; lo is the least flip
-    index p < i over those witnesses and hi the greatest p > i, n and 0 when
-    there is none.  A flip below the deletion has the same index in pre- and
-    post-deletion coordinates, so one lo serves both conventions.  The
-    positions s..e of one run of x all delete to one word w, which reaches w
-    itself and w with post-deletion position q flipped: p = q < i for the
-    i > q, and p = q + 1 ("pre") or q ("post") is above i for the i <= q
-    ("pre") or i < q ("post").
-    """
-    flips = [(1 << b, n - 1 - b) for b in range(n - 1)]
-    # the tables share one key object per element and one tuple per distinct
-    # summary, which keeps them about four times smaller
-    keys = list(range(1 << (n - 1)))
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-    out = []
-    for dels in _dels_by_position(n):
-        acc: dict[int, list[int]] = {}
-        s = 1
-        for e, w in enumerate(dels, 1):
-            if e < n and dels[e] == w:
-                continue
-            items = [(w ^ f, q if e > q else n, q + 1 if s <= q else 0, q if s < q else 0)
-                     for f, q in flips]
-            items.append((w, n, 0, 0))
-            for z, lo, pre_hi, post_hi in items:
-                cur = acc.get(z)
-                if cur is None:
-                    acc[z] = [s, e, lo, pre_hi, post_hi]
-                    continue
-                cur[1] = e
-                if lo < cur[2]:
-                    cur[2] = lo
-                if pre_hi > cur[3]:
-                    cur[3] = pre_hi
-                if post_hi > cur[4]:
-                    cur[4] = post_hi
-            s = e + 1
-        table = {}
-        for z, v in acc.items():
-            t = tuple(v)
-            table[keys[z]] = shared.setdefault(t, t)
-        out.append(table)
-    return out
 
 
 def _bad_chunk(
@@ -1600,13 +1088,13 @@ def _bad_chunk(
     exactly when x's hi is above y's min j; y's flips are symmetric.  So z
     is good when lo(x) < max j(y), lo(y) < max i(x), hi(x) > min j(y) or
     hi(y) > min i(x), with the hi of the convention: four comparisons of the
-    two words' witness summaries (_witness_summaries), which is what _good
+    two words' witness summaries (_Tables.summaries), which is what _good
     finds by trying every witness pair.  An element of the tables' shared
     ball that no deletion of a word reaches has no witnesses there, so it is
     bad under both conventions.
     """
     tab = _tables(n)
-    summaries = _witness_summaries(n)
+    summaries = tab.summaries
     # the summary of no witnesses: every comparison with it fails
     absent = (n + 1, 0, n, 0, 0)
     dm = tab.dmask
@@ -1691,6 +1179,7 @@ def verify_bad_count(
     so the orbit route pairs up complement orbits of pairs (_bad_chunk).
     """
     t0 = time.monotonic()
+    _check_jobs(jobs)
     if convention not in WITNESS_CONVENTIONS:
         raise ValueError(f"unknown witness convention {convention!r}")
     if n < 1:
@@ -1703,11 +1192,10 @@ def verify_bad_count(
             {"convention": convention}, skipped=True,
         )
     tab = _tables(n)
-    _witness_summaries(n)
+    tab.summaries  # built before the fork
     group = tab.equivariant(_BAD_TABLES, "c")
     parts = _sweep([(_sweep_tasks, _bad_chunk, (convention, n), n, group)], jobs)
-    sink = _Sink(n)
-    pairs, extremal, eq = _merge(parts, sink)
+    sink, pairs, extremal, eq = _merge(parts, n)
     detail = {
         "convention": convention,
         "max_bad": {c: max(p["max_bad"][c] for p in parts) for c in WITNESS_CONVENTIONS},
@@ -1802,9 +1290,9 @@ def _coset_rows(tab: _Tables, members: list[int], bound: int, sink: _Sink) -> tu
         eq2 += w * (_count_above(planes, bound - 1) & scope & ~above).bit_count()
         for j in _bits(above):
             found.append((members[i], members[j]))
-        if len(found) > 2 * _CE_CAP:
-            found = orbits.close(found, _CE_CAP)
-    for x, y in orbits.close(found, _CE_CAP):
+        if len(found) > 2 * report._CE_CAP:
+            found = orbits.close(found, report._CE_CAP)
+    for x, y in orbits.close(found, report._CE_CAP):
         sink.add(x, y, "pairwise ceiling", bound, (tab.bmask[x] & tab.bmask[y]).bit_count())
     return extremal, eq2 >> 1
 
@@ -1820,7 +1308,7 @@ def _code_chunk(theorem_id: str, n: int, cosets: list[list[int]]) -> dict[str, A
     """
     tab = _tables(n)
     bm = tab.bmask
-    dels = _dels_by_position(n) if theorem_id == "cl" else None
+    dels = tab.dels if theorem_id == "cl" else None
     side = WITNESS_CONVENTIONS.index(DEFAULT_WITNESS_CONVENTION)
     bound = CODE_CHECKS[theorem_id].ceiling(n)
     sink = _Sink(n)
@@ -1850,7 +1338,7 @@ def _code_chunk(theorem_id: str, n: int, cosets: list[list[int]]) -> dict[str, A
                 if dels is not None and inter:
                     for z in _bits(inter):
                         if _good(dels[x], dels[y], z, n)[side]:
-                            sink.add(x, y, "shared element must be bad", True, _Word(z, n - 1))
+                            sink.add(x, y, "shared element must be bad", True, to_word(z, n - 1))
         if dels is not None and k >= 3:
             for i, x in enumerate(members):
                 for j in range(i + 1, k):
@@ -1861,7 +1349,7 @@ def _code_chunk(theorem_id: str, n: int, cosets: list[list[int]]) -> dict[str, A
                     for t in members[j + 1:]:
                         triples += 1
                         if common & bm[t]:
-                            sink.add(x, y, "triple intersection", 0, 1, z=_Word(t, n))
+                            sink.add(x, y, "triple intersection", 0, 1, z=to_word(t, n))
     return {"pairs": pairs, "triples": triples, "extremal": extremal, "eq": eq, "ces": sink.ces}
 
 
@@ -1886,6 +1374,7 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
     the weaker reading of its redundancy target alongside the exact one.
     """
     t0 = time.monotonic()
+    _check_jobs(jobs)
     if theorem_id not in CODE_CHECKS:
         raise ValueError(f"unknown construction {theorem_id!r}; pick one of {tuple(CODE_CHECKS)}")
     if n < 2:
@@ -1900,7 +1389,7 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
     best = len(buckets[best_key])
     tab = _tables(n)
     if theorem_id == "cl":
-        _dels_by_position(n)
+        tab.dels  # built before the fork
     else:
         for m in buckets.values():
             if len(m) >= _CODE_ROW_MIN_MEMBERS:
@@ -1910,8 +1399,7 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
          for lo, hi in _spans(len(keys))],
         jobs if pairs_in_cosets >= _CODE_FORK_MIN_PAIRS else 1,
     )
-    sink = _Sink(n)
-    pairs, extremal, eq = _merge(parts, sink)
+    sink, pairs, extremal, eq = _merge(parts, n)
     coset = coset_of(best_key)
     # with the DP's count below, this pins the bucket to the coset
     if not all(codes._contains_int(coset, v) for v in buckets[best_key]):

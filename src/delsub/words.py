@@ -316,12 +316,6 @@ class _Orbits:
 
 
 @functools.cache
-def _word_group(n: int, group: str) -> _Orbits:
-    """The group _word_maps(n, group) alone, which closes pairs of words."""
-    return _Orbits(_word_maps(n, group))
-
-
-@functools.cache
 def _word_orbits(n: int, group: str) -> _Orbits:
     """The orbits of _word_maps(n, group) on the length-n words, each its own position."""
     return _Orbits(_word_maps(n, group), range(1 << n))

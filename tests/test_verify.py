@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from delsub import codes, verify
+import delsub.report
+from delsub import codes, tables, verify
 from delsub.balls import (
     ADJACENT_TRANSPOSITION,
     ALTERNATING_BLOCK,
@@ -29,7 +30,6 @@ from delsub.verify import (
     EXHAUSTIVE_LIMIT,
     STRUCTURED_LIMIT,
     _del_set,
-    _dels_by_position,
     _ds_inter,
     _good,
     _run_dels,
@@ -152,7 +152,7 @@ def test_intersection_bounds_every_ladder_check_fires(monkeypatch):
     for x in (0b00101101, 0b01010101, 0b11100100):
         tab.bmask[x] |= (1 << 128) - 1
     monkeypatch.setattr(verify, "_tables", lambda n: tab if n == 8 else real(n))
-    monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
+    monkeypatch.setattr(delsub.report, "_CE_CAP", 1 << 20)
     report = verify_intersection_bounds(8)
     assert Counter(c["check"] for c in report.counterexamples) == {
         "flip run-sum ceiling": 32,
@@ -196,7 +196,7 @@ def test_shift_partners_are_the_window_shifts():
     for n in range(1, 10):
         for x in range(1 << n):
             want = {y for y in range(1 << n) if y != x and _window_shift(x, y)}
-            assert set(verify._shift_partners(x, n)) == want, (n, x)
+            assert set(tables._shift_partners(x, n)) == want, (n, x)
 
 
 def test_generic_row_is_a_plain_ceiling():
@@ -251,7 +251,7 @@ def test_row_walk_matches_the_every_pair_sweep(monkeypatch, corrupt):
     tab = verify._Tables(8)
     corrupt(tab)
     monkeypatch.setattr(verify, "_tables", lambda n: tab if n == 8 else real(n))
-    monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
+    monkeypatch.setattr(delsub.report, "_CE_CAP", 1 << 20)
 
     def chunks():
         return [fn(*args) for chunk in (verify._bounds_chunk, verify._identity_chunk)
@@ -259,7 +259,7 @@ def test_row_walk_matches_the_every_pair_sweep(monkeypatch, corrupt):
                 for fn, *args in verify._sweep_tasks(chunk, (8,), 8, group)]
 
     walked = chunks()
-    monkeypatch.setattr(verify, "_walk_mask", lambda tab, x, planes, limit, scope: scope)
+    monkeypatch.setattr(tables, "_walk_mask", lambda tab, x, planes, limit, scope: scope)
     assert chunks() == walked
 
 
@@ -308,8 +308,8 @@ def test_row_walk_holds_every_pair_the_tables_share(n, fault):
             assert sharing[x] & scope & ~walk == 0, (n, fault, group, x)
             if fault != "sound":
                 continue
-            near = sum({1 << (x ^ f) for f in verify._near_flips(n)})
-            shifts = sum({1 << y for y in verify._shift_partners(x, n)})
+            near = sum({1 << (x ^ f) for f in tables._near_flips(n)})
+            shifts = sum({1 << y for y in tables._shift_partners(x, n)})
             planes = verify._count_planes(tab.columns(), tab.elements([x])[0])
             identity = (near | sharing[x] | verify._count_above(planes, limit)) & scope
             assert walk == identity == identity | (shifts & scope), (n, group, x)
@@ -463,7 +463,7 @@ def test_orbit_route_finds_symmetric_faults_over_their_orbits(monkeypatch, corru
             assert json.loads(reduced)["status"] == "FAIL"
             assert reduced == full
             assert call(n, jobs=2).to_json() == full
-    monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
+    monkeypatch.setattr(delsub.report, "_CE_CAP", 1 << 20)
     for chunk in (verify._bounds_chunk, verify._identity_chunk):
         found = [
             _orbit_pairs(_task_ces(monkeypatch, verify._sweep_tasks(chunk, (n,), n, group)),
@@ -501,7 +501,7 @@ def test_orbit_route_finds_symmetric_bad_count_faults(monkeypatch, convention):
     reduced, full = _by_route(monkeypatch, lambda: verify_bad_count(n, convention=convention))
     assert json.loads(reduced)["status"] == "FAIL"
     assert reduced == full
-    monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
+    monkeypatch.setattr(delsub.report, "_CE_CAP", 1 << 20)
     found = [
         _orbit_pairs(
             _task_ces(monkeypatch, verify._sweep_tasks(verify._bad_chunk, (convention, n), n, group)),
@@ -536,7 +536,7 @@ def test_derived_fail_reports_rerun_no_sweep(monkeypatch):
     # full route, not from the 2^n rows of a rerun
     rows = _full_route_rows(monkeypatch, "_bad_chunk")
     assert verify_bad_count(10, convention="post").status == "FAIL"
-    assert 0 < len(rows) <= verify._CE_CAP
+    assert 0 < len(rows) <= delsub.report._CE_CAP
     n = 8
     real = verify._tables
     tab = verify._Tables(n)
@@ -545,7 +545,7 @@ def test_derived_fail_reports_rerun_no_sweep(monkeypatch):
     monkeypatch.setattr(verify, "_tables", lambda k: tab if k == n else real(k))
     rows = _full_route_rows(monkeypatch, "_bounds_chunk")
     assert verify_intersection_bounds(n).status == "FAIL"
-    assert 0 < len(rows) <= verify._CE_CAP
+    assert 0 < len(rows) <= delsub.report._CE_CAP
 
 
 def test_asymmetric_tables_take_the_full_route_only(monkeypatch):
@@ -641,7 +641,7 @@ def test_structured_checks_fire_at_both_depths(monkeypatch):
         return out
 
     monkeypatch.setattr(verify, "_ds_inter", add_one)
-    monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
+    monkeypatch.setattr(delsub.report, "_CE_CAP", 1 << 20)
     full = verify_claim_tables(8)
     assert Counter(c["check"] for c in full.counterexamples) == {
         "extra elements": 3080,
@@ -818,7 +818,7 @@ def test_structured_orbit_route_finds_symmetric_faults(monkeypatch):
         reduced, full = _by_walk_route(monkeypatch, call)
         assert json.loads(reduced)["status"] == "FAIL"
         assert reduced == full
-    monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
+    monkeypatch.setattr(delsub.report, "_CE_CAP", 1 << 20)
     fired = Counter()
     for depth, n in (("full", 8), ("ceiling", 9)):
         for kind in verify._FAMILY_KINDS:
@@ -872,7 +872,7 @@ def _claim_tables_with(monkeypatch, corrupt):
     tab = verify._Tables(7)
     corrupt(tab)
     monkeypatch.setattr(verify, "_tables", lambda n: tab if n == 7 else real(n))
-    monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
+    monkeypatch.setattr(delsub.report, "_CE_CAP", 1 << 20)
     report = verify_claim_tables(7)
     x, y = to_word(_GENERIC_X, 7), to_word(_GENERIC_Y, 7)
     return [c for c in report.counterexamples if (c["n"], c["x"], c["y"]) == (7, x, y)]
@@ -926,7 +926,7 @@ def test_bad_count_rejects_unknown_convention():
 
 def test_witness_list_agrees_with_string_witnesses():
     n = 5
-    dels = _dels_by_position(n)
+    dels = verify._tables(n).dels
     for x in all_words(n):
         xi = int(x, 2)
         for z in range(1 << (n - 1)):
@@ -948,7 +948,7 @@ def test_bad_count_agrees_with_is_bad_on_sample_pair():
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_good_agrees_with_is_bad_on_every_generic_pair(n):
-    dels = _dels_by_position(n)
+    dels = verify._tables(n).dels
     for x, y in combinations(all_words(n), 2):
         if sum(a != b for a, b in zip(x, y)) < 3 or set(deletion_ball(x)) & set(deletion_ball(y)):
             continue
@@ -971,8 +971,8 @@ def _summary_of(triples, n):
 
 def test_witness_summaries_are_the_witness_list_extremes():
     for n in range(1, 9):
-        dels = _dels_by_position(n)
-        summaries = verify._witness_summaries(n)
+        dels = verify._tables(n).dels
+        summaries = verify._tables(n).summaries
         bm = verify._tables(n).bmask
         for x in range(1 << n):
             assert sorted(summaries[x]) == verify._bits(bm[x])
@@ -983,8 +983,8 @@ def test_witness_summaries_are_the_witness_list_extremes():
 def test_four_comparisons_decide_goodness_on_every_pair():
     # the _bad_chunk rule, on every pair and shared element, generic or not
     for n in range(2, 8):
-        dels = _dels_by_position(n)
-        summaries = verify._witness_summaries(n)
+        dels = verify._tables(n).dels
+        summaries = verify._tables(n).summaries
         bm = verify._tables(n).bmask
         for x in range(1 << n):
             for y in range(x, 1 << n):
@@ -1001,7 +1001,7 @@ def _bad_chunk_by_pairs(convention, n, rows, weights, orbits):
     # element through _good
     assert not orbits and set(weights) == {1}
     tab = verify._tables(n)
-    dels = _dels_by_position(n)
+    dels = verify._tables(n).dels
     generic = CASE_CEILINGS[GENERIC].ceiling(n)
     side = ("pre", "post").index(convention)
     sink = verify._Sink(n)
@@ -1069,7 +1069,7 @@ def test_bad_count_summaries_match_the_witness_loop_on_faulty_tables(monkeypatch
     for x in range(1, 256, 5):
         tab.bmask[x] |= (1 << 32) - 1
     monkeypatch.setattr(verify, "_tables", lambda n: tab if n == 8 else real(n))
-    monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
+    monkeypatch.setattr(delsub.report, "_CE_CAP", 1 << 20)
     report = json.loads(_check_bad_count_routes(monkeypatch, 8, convention)[0])
     checks = Counter(c["check"] for c in report["counterexamples"])
     assert checks["bad element count"] > 0
@@ -1136,7 +1136,7 @@ def test_code_row_route_matches_the_pair_loop_on_faulty_tables(monkeypatch):
     for x in range(1, 1 << 10, 5):
         tab.bmask[x] |= (1 << 32) - 1
     monkeypatch.setattr(verify, "_tables", lambda n: tab if n == 10 else real(n))
-    monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
+    monkeypatch.setattr(delsub.report, "_CE_CAP", 1 << 20)
     rows, pairs = _code_reports_by_route(monkeypatch, ("vt", "inv", "c2n9", "cn21"), (10,))
     assert rows == pairs
     for report in rows:
@@ -1207,7 +1207,7 @@ def test_code_row_route_matches_the_pair_loop_on_symmetric_faults(monkeypatch, c
             tab.bmask[x] |= extra
     assert bool(tab.equivariant(("bmask",), "rc")) == closed
     monkeypatch.setattr(verify, "_tables", lambda k: tab if k == n else real(k))
-    monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)
+    monkeypatch.setattr(delsub.report, "_CE_CAP", 1 << 20)
     monkeypatch.setattr(verify, "_CODE_ROW_MIN_MEMBERS", 0)
     seen = _row_route_planes(monkeypatch, lambda: verify_code_theorem("inv", n))
     assert seen
@@ -1394,7 +1394,7 @@ def test_small_code_check_stays_in_process(monkeypatch):
     def no_pool(*args):
         raise AssertionError("a fork pool was started")
 
-    monkeypatch.setattr(verify.multiprocessing, "get_context", no_pool)
+    monkeypatch.setattr(delsub.report.multiprocessing, "get_context", no_pool)
     assert verify_code_theorem("cl", 12, jobs=2).status == "PASS"
 
 
@@ -1421,12 +1421,32 @@ def test_failing_chunk_raises_to_the_caller(monkeypatch, chunk, sweep):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda jobs: verify_intersection_bounds(5, jobs=jobs),
+        lambda jobs: verify_bad_count(5, jobs=jobs),
+        lambda jobs: verify_claim_tables(4, jobs=jobs),
+        lambda jobs: verify_code_theorem("vt", 6, jobs=jobs),
+    ],
+    ids=["intersection-bounds", "bad-count", "claim-tables", "code-theorem"],
+)
+def test_fan_out_verifiers_reject_jobs_below_one(monkeypatch, call, jobs):
+    def no_tables(n):
+        raise AssertionError("tables were built")
+
+    monkeypatch.setattr(verify, "_tables", no_tables)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        call(jobs)
+
+
 def test_ceiling_depth_run_sum_reports_its_bound(monkeypatch):
     real = verify._runs_int
     monkeypatch.setattr(
         verify, "_runs_int", lambda x, n: real(x, n) - 3 if n >= 7 else real(x, n)
     )
-    monkeypatch.setattr(verify, "_CE_CAP", 1 << 20)  # keep every counterexample
+    monkeypatch.setattr(delsub.report, "_CE_CAP", 1 << 20)  # keep every counterexample
     report = verify_intersection_bounds(9, structured=True)
     run_sum = [c for c in report.counterexamples if c["check"] == "run-sum ceiling"]
     assert run_sum
