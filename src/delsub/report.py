@@ -9,16 +9,21 @@ of them all in partition order.  A task is a plain (function, *args) tuple
 that carries all of its per-call inputs; the per-length caches, _tables(n)
 and what it builds on first ask, are read by the task functions themselves,
 and each verifier fills them before it forks, so workers inherit them
-copy-on-write.
+copy-on-write.  With jobs > 1 the tasks run over workers forked per call
+with os.fork, fed task indices over a pipe (_map_tasks).
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
+import os
+import pickle
+import signal
 import time
+import traceback
+from contextlib import suppress
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, BinaryIO, Callable, NoReturn
 
 from .words import _Orbits, _word_maps, _word_orbits
 from .words import decode as to_word
@@ -156,16 +161,83 @@ def _run_task(task: tuple) -> dict[str, Any]:
     return fn(*args)
 
 
+def _serve(tasks: list[tuple], feed: BinaryIO, feeder: BinaryIO, into: BinaryIO) -> NoReturn:
+    """A forked worker: run the tasks whose indices it reads from feed until
+    the feed ends or a task raises, then send the pickled list of (index,
+    result) to into, a failed task's result being its exception and
+    traceback.  It leaves only through os._exit."""
+    try:
+        feeder.close()
+        done: list[tuple[int, Any]] = []
+        # an unbuffered read of one record takes it whole: Linux reads a pipe
+        # under its lock, and the parent writes whole records only
+        while index := feed.read(4):
+            i = int.from_bytes(index, "little")
+            try:
+                done.append((i, _run_task(tasks[i])))
+            except Exception as exc:
+                done.append((i, (exc, traceback.format_exc())))
+                break
+        # so that the parent's write of the indices cannot block on workers
+        # that have all stopped reading
+        feed.close()
+        pickle.dump(done, into)
+        into.close()
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
 def _map_tasks(tasks: list[tuple], jobs: int) -> list[dict[str, Any]]:
     """Run each task (function, *args), in order, over up to jobs forked workers.
 
-    Tasks carry their inputs; the per-length caches they read must be filled
-    by the caller before this forks, so that workers inherit them.
+    The caller fills the per-length caches the tasks read before this forks;
+    workers inherit them and the task list, so no task input is pickled.
+    After the fork each task index goes down one pipe as a 4-byte record and
+    an idle worker takes the next (_serve).  Results come in task order.  A
+    worker that dies raises RuntimeError naming its exit status; otherwise
+    the first task exception in task order is re-raised.  Every child is
+    reaped, killed first if it still runs, before this returns or raises.
+    Without os.fork the tasks run in-process.
     """
-    if jobs <= 1 or len(tasks) <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+    if jobs <= 1 or len(tasks) <= 1 or not hasattr(os, "fork"):
         return [_run_task(t) for t in tasks]
-    with multiprocessing.get_context("fork").Pool(processes=min(jobs, len(tasks))) as pool:
-        return pool.map(_run_task, tasks, chunksize=1)
+    r, w = os.pipe()
+    feed, feeder = open(r, "rb", buffering=0), open(w, "wb")
+    workers: dict[int, BinaryIO] = {}  # pid -> read end of its result pipe
+    try:
+        for _ in range(min(jobs, len(tasks))):
+            r, w = os.pipe()
+            results, into = open(r, "rb"), open(w, "wb")
+            if (pid := os.fork()) == 0:
+                _serve(tasks, feed, feeder, into)
+            workers[pid] = results
+            into.close()
+        feed.close()
+        # a broken pipe means every worker failed or died; results tell which
+        with suppress(BrokenPipeError), feeder:
+            feeder.write(b"".join(i.to_bytes(4, "little") for i in range(len(tasks))))
+        parts: list[Any] = [None] * len(tasks)
+        for pid, results in list(workers.items()):
+            with results:
+                data = results.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[pid]
+            if status:
+                raise RuntimeError(f"a fan-out worker exited with status {status}")
+            for i, part in pickle.loads(data):
+                parts[i] = part
+    finally:
+        for pid in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for f in (feed, feeder, *workers.values()):
+            f.close()
+    for part in parts:
+        if isinstance(part, tuple):
+            exc, trace = part
+            raise exc from RuntimeError(f"in a fan-out worker:\n{trace}")
+    return parts
 
 
 def _merge(parts: list[dict[str, Any]], n: int) -> tuple[_Sink, int, int | None, int]:

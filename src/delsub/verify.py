@@ -1244,11 +1244,12 @@ CODE_CHECKS: dict[str, _CodeCheck] = {
 }
 
 
-# below this many pairs inside the cosets a two-worker fork pool costs more
-# than it saves.  jobs=1 over jobs=2 time, medians of 7-9 on 2 cores: 0.54-0.86
-# from 66k to 408k pairs; at 1.05M, 0.70-1.02 for inv 11 (two cosets of about
-# 0.05 s each on the row route) and 0.96-1.40 for c2n9 12; 0.96-1.88 from 1.2M
-# up.  Every cl check up to n = 14 stays in one process.
+# below this many pairs inside the cosets forking two workers loses or gains
+# little.  jobs=1 over jobs=2 time with the fork forced, medians of 9
+# on 2 cores: 0.21-0.88 up to 66k pairs, and 0.42-0.98 for cl at n = 9..13;
+# 0.93-1.67 from 79k to 408k (vt 12 1.67, cn21 12 1.26, c2n9 11 1.10); at
+# 1.05M, 1.34 for inv 11 (two cosets, on the row route) and 0.98 for c2n9 12;
+# 1.20-1.66 from 1.2M up.  Every cl check up to n = 14 stays in one process.
 _CODE_FORK_MIN_PAIRS = 1 << 19
 
 # cosets of at least this many members are counted a row at a time (see

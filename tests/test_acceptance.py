@@ -182,6 +182,9 @@ def test_parallel_reports_are_byte_identical(capsys, monkeypatch):
         lambda jobs: verify.verify_code_theorem("cl", 9, jobs=jobs),
     ):
         assert call(1).to_json() == call(8).to_json()
+        # every forked worker was reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
     outputs = []
     for jobs in ("1", "8"):
         code = cli.main(["verify", "intersection-bounds", "--n", "6", "--jobs", jobs])

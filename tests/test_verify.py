@@ -1,9 +1,12 @@
+import contextlib
 import functools
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from itertools import combinations, product
 from pathlib import Path
@@ -1391,34 +1394,118 @@ def test_report_serialization_shape():
 
 
 def test_small_code_check_stays_in_process(monkeypatch):
-    def no_pool(*args):
-        raise AssertionError("a fork pool was started")
+    def no_fork():
+        raise AssertionError("a worker was forked")
 
-    monkeypatch.setattr(delsub.report.multiprocessing, "get_context", no_pool)
+    monkeypatch.setattr(delsub.report.os, "fork", no_fork)
     assert verify_code_theorem("cl", 12, jobs=2).status == "PASS"
 
 
+class _Deadline(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise _Deadline in the test process once seconds have passed."""
+
+    def expire(signum, frame):
+        raise _Deadline(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_FAILING_CHUNKS = {
+    "intersection-bounds": ("_bounds_chunk", lambda jobs: verify_intersection_bounds(4, jobs=jobs)),
+    "claim-tables": ("_identity_chunk", lambda jobs: verify_claim_tables(4, jobs=jobs)),
+    "bad-count": ("_bad_chunk", lambda jobs: verify_bad_count(4, jobs=jobs)),
+    "code-theorem": ("_code_chunk", lambda jobs: verify_code_theorem("inv", 4, jobs=jobs)),
+}
+
+
 @pytest.mark.parametrize(
-    "chunk, sweep",
+    "chunk, sweep, jobs",
     [
-        ("_bounds_chunk", lambda: verify_intersection_bounds(4, jobs=1)),
-        ("_identity_chunk", lambda: verify_claim_tables(4, jobs=1)),
-        ("_bad_chunk", lambda: verify_bad_count(4, jobs=1)),
-        ("_code_chunk", lambda: verify_code_theorem("inv", 4, jobs=1)),
+        pytest.param(*_FAILING_CHUNKS[name], jobs, id=name if jobs == 1 else f"{name}-jobs{jobs}")
+        for jobs in (1, 2)
+        for name in _FAILING_CHUNKS
     ],
-    ids=["intersection-bounds", "claim-tables", "bad-count", "code-theorem"],
 )
-def test_failing_chunk_raises_to_the_caller(monkeypatch, chunk, sweep):
-    calls = []
+def test_failing_chunk_raises_to_the_caller(monkeypatch, tmp_path, chunk, sweep, jobs):
+    calls = tmp_path / "calls"
 
     def failing_chunk(*args):
-        calls.append(args)
+        with calls.open("a") as log:
+            log.write(f"{os.getpid()}\n")
         raise RuntimeError("task failed")
 
     monkeypatch.setattr(verify, chunk, failing_chunk)
-    with pytest.raises(RuntimeError, match="task failed"):
-        sweep()
-    assert len(calls) == 1
+    # code checks this small stay in one process; force the fork path
+    monkeypatch.setattr(verify, "_CODE_FORK_MIN_PAIRS", 0)
+    with _deadline(60), pytest.raises(RuntimeError, match="^task failed$"):
+        sweep(jobs)
+    _assert_no_child()
+    pids = calls.read_text().split()
+    # each process stops at its first failing task
+    assert 1 <= len(pids) <= jobs
+    assert len(set(pids)) == len(pids)
+    if jobs > 1:
+        assert str(os.getpid()) not in pids
+
+
+def test_a_worker_that_dies_makes_the_call_raise(monkeypatch):
+    caller = os.getpid()
+
+    def dying_chunk(*args):
+        if os.getpid() == caller:
+            raise AssertionError("the chunk ran in the test process")
+        os._exit(3)
+
+    monkeypatch.setattr(verify, "_bounds_chunk", dying_chunk)
+    with _deadline(60), pytest.raises(RuntimeError, match="exited with status 3"):
+        verify_intersection_bounds(4, jobs=2)
+    _assert_no_child()
+
+
+def _fail_large(i):
+    raise ValueError("x" * 200_000)
+
+
+def test_a_fan_out_whose_workers_all_fail_does_not_block():
+    # 80 kB of task indices and 200 kB of result per worker both overfill a
+    # 64 kB pipe: the parent must not block writing indices nobody reads
+    tasks = [(_fail_large, i) for i in range(20_000)]
+    with _deadline(60), pytest.raises(ValueError) as info:
+        delsub.report._map_tasks(tasks, 2)
+    assert str(info.value) == "x" * 200_000
+    _assert_no_child()
+
+
+def test_an_interrupted_fan_out_leaves_no_child(monkeypatch):
+    caller = os.getpid()
+
+    def stuck_chunk(*args):
+        if os.getpid() == caller:
+            raise AssertionError("the chunk ran in the test process")
+        time.sleep(60)
+
+    monkeypatch.setattr(verify, "_bounds_chunk", stuck_chunk)
+    # the parent is blocked reading a worker's result pipe when this fires
+    with pytest.raises(_Deadline):
+        with _deadline(0.5):
+            verify_intersection_bounds(4, jobs=2)
+    _assert_no_child()
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
