@@ -16,12 +16,13 @@ left out (``verify._family_tasks`` returns none), which sweeps every pair
 at n = 2..10.  Each is timed three times in a row: the first call at
 ``jobs=1`` (depth "jobs=1 first", which pays what a tree computes once per
 length on its first sweep), then again at ``jobs=1`` and at ``jobs=2``.  The
-worker fills the mask-table cache ``verify._tables(n)``, its bmask columns
-and, where the tree has them, its strays (the words whose deletion or
-substitution row is not the ball's), the deletions by position and the
-witness summaries before timing (module caches ``verify._dels_by_position``
-and ``verify._witness_summaries`` on older trees, tables of ``_Tables`` on
-newer ones), and hashes each canonical report.  The bounds and identity
+worker fills the mask-table cache ``verify._tables(n)`` before timing: its
+mask tables and run counts, its bmask columns and, where the tree has them,
+its strays (the words whose deletion or substitution row is not the
+ball's), the deletions by position and the witness summaries (module
+caches ``verify._dels_by_position`` and ``verify._witness_summaries`` on
+older trees, tables of ``_Tables`` on newer ones), and hashes each
+canonical report.  The bounds and identity
 cells at n = 10 also record, from one untimed ``jobs=1`` call that wraps
 ``_walk_mask`` in the module whose ``_row_walk`` reads it, how many pairs
 the row walk sent through the per-pair checks; a route that stands for
@@ -32,8 +33,10 @@ at n = 11 and n = 14, through
 ``verify._structured_chunk(kind, depth, n, params, lo, hi)`` at both check
 depths ("full" runs the claim-table checker, "ceiling" the size checks),
 the same windows at both depths, REPEATS times over, so that one timing
-of the fastest structured cell lasts about 0.1 s or more.  The code-check
-cells (kind: the theorem id) time ``verify_code_theorem(theorem_id, n)``
+of the fastest structured cell lasts about 0.1 s or more.  Every timed call
+or batch starts after a ``gc.collect()``, so that no generation-2
+collection, which allocation counts trigger, lands in the same cell every
+round.  The code-check cells (kind: the theorem id) time ``verify_code_theorem(theorem_id, n)``
 whole, the way the sweep cells are timed, for every construction at n =
 11..13: the first call at ``jobs=1``, after the mask-table cache
 ``verify._tables``, the deletion and witness caches beside it where a tree
@@ -41,10 +44,13 @@ has them, and any coset-walk cache ``codes._walked`` are emptied and
 ``verify._tables(n)`` alone is built again, so that it pays
 what the check computes lazily per length (such as the coset walk, element
 lists, equivariance verdicts and coset state), then again at ``jobs=1`` and
-at ``jobs=2``.  Their pairs are the pairs inside the cosets, as in the
-report.  The memory cells run each construction at n = 13 and 14 twice, a
+at ``jobs=2``.  On a tree whose ``_Tables`` builds each table on first
+read, that object holds no table yet, so the first call also pays for the
+bmask and prev_smask tables, and cl's for the deletions by position.
+Their pairs are the pairs inside the cosets, as in the report.  The memory cells run each construction at n = 13 and 14 twice, a
 first and a warm call, and so ``verify_intersection_bounds(n)`` (kind
-"bounds"), in a fresh interpreter per tree and cell, and record the peak
+"bounds") at n = 13 and 14 and ``verify_bad_count(n)`` (kind "bad-count")
+at n = 12, in a fresh interpreter per tree and cell, and record the peak
 resident set size of that interpreter after the import and after the
 calls (``ru_maxrss``); a bounds cell also records what the row walk's
 columns and strays keep, by ``sys.getsizeof``.  All memory is in MB of
@@ -66,6 +72,7 @@ sort them; the script fails if the two trees disagree on one.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -88,7 +95,7 @@ FAIL_LENGTHS = (10, 11)
 ALL_PAIRS_N = 10
 CODE_IDS = ("vt", "inv", "c2n9", "cn21", "cl")
 CODE_CELLS = tuple((theorem_id, n) for n in (11, 12, 13) for theorem_id in CODE_IDS)
-RSS_CELLS = tuple((kind, n) for n in (13, 14) for kind in ("bounds", *CODE_IDS))
+RSS_CELLS = (*((kind, n) for n in (13, 14) for kind in ("bounds", *CODE_IDS)), ("bad-count", 12))
 DEPTHS = ("full", "ceiling")
 # (kind, n, verifier, keywords) of the public structured calls timed whole at
 # jobs=1: the calls of the perfbench structured workload, and the structured
@@ -149,6 +156,7 @@ def _sweep_cells(verify, kind: str, n: int, pairs: int, call, digest) -> list[tu
     walked or None, us per pair) cells, each canonical report hashed."""
     timed = []
     for depth, jobs in (("jobs=1 first", 1), ("jobs=1", 1), ("jobs=2", 2)):
+        gc.collect()
         t0 = time.perf_counter()
         report = call(jobs=jobs)
         seconds = time.perf_counter() - t0
@@ -169,6 +177,7 @@ def _call_cells(verify, digest) -> list[tuple]:
         call = getattr(verify, name)
         report = call(n, **keywords)
         digest.update(report.to_json().encode())
+        gc.collect()
         t0 = time.perf_counter()
         for _ in range(CALL_REPEATS):
             call(n, **keywords)
@@ -178,12 +187,19 @@ def _call_cells(verify, digest) -> list[tuple]:
     return cells
 
 
+def _table(tab, name: str):
+    """The table name of tab: a method on trees that build it on a call,
+    an attribute on trees that build it on its first read."""
+    value = getattr(tab, name)
+    return value() if callable(value) else value
+
+
 def _fill(verify, n: int) -> None:
     """Build what an all-pairs sweep at length n computes once per length."""
     tab = verify._tables(n)
-    tab.columns()
-    if hasattr(tab, "strays"):
-        tab.strays()
+    for name in ("runs", "dmask", "smask", "bmask", "prev_smask", "columns", "strays"):
+        if hasattr(tab, name):
+            _table(tab, name)
 
 
 def _worker(src: str) -> dict:
@@ -241,6 +257,7 @@ def _worker(src: str) -> dict:
             windows = _windows(verify, kind, n) * REPEATS
             pairs = sum(hi - lo for _, lo, hi in windows)
             for depth in DEPTHS:
+                gc.collect()
                 t0 = time.perf_counter()
                 results = [verify._structured_chunk(kind, depth, n, params, lo, hi)
                            for params, lo, hi in windows]
@@ -255,7 +272,8 @@ def _worker(src: str) -> dict:
 def _rss_worker(src: str, kind: str, n: int) -> dict:
     """Peak RSS in MB of this interpreter after importing delsub from src,
     and after a first and a warm verify_intersection_bounds(n) (kind
-    "bounds") or verify_code_theorem(kind, n)."""
+    "bounds"), verify_bad_count(n) (kind "bad-count") or
+    verify_code_theorem(kind, n)."""
     sys.path.insert(0, src)
     from delsub import verify
 
@@ -267,18 +285,20 @@ def _rss_worker(src: str, kind: str, n: int) -> dict:
     for _ in range(2):
         if kind == "bounds":
             report = verify.verify_intersection_bounds(n)
+        elif kind == "bad-count":
+            report = verify.verify_bad_count(n)
         else:
             report = verify.verify_code_theorem(kind, n)
         digest.update(report.to_json().encode())
     cell = {"import_mb": imported, "peak_rss_mb": peak(), "digest": digest.hexdigest()}
     if kind == "bounds":
         tab = verify._tables(n)
-        cols = tab.columns()
+        cols = _table(tab, "columns")
         # a tree may keep a tuple of column sets, one per mask table
         sets = cols if isinstance(cols, tuple) else (cols,)
         kept = sum(sys.getsizeof(c) for col_set in sets for c in (col_set, *col_set))
         if hasattr(tab, "strays"):
-            kept += sys.getsizeof(tab.strays())
+            kept += sys.getsizeof(_table(tab, "strays"))
         cell["columns_mb"] = round(kept / 2**20, 2)
     return cell
 

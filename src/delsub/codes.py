@@ -57,7 +57,6 @@ __all__ = [
     "redundancy",
     "best_coset",
     "cosets",
-    "subcode_check",
 ]
 
 FULL = "full"
@@ -266,12 +265,6 @@ class CodeSpec:
         _check_params(self.family, self.n, given)
         canonical = tuple((k, given[k]) for k in _FAMILIES[self.family].params)
         object.__setattr__(self, "params", canonical)
-
-    def param(self, name: str) -> int:
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise KeyError(name)
 
     def param_dict(self) -> dict[str, int]:
         return dict(self.params)
@@ -564,10 +557,3 @@ def best_coset(
         index, value = divmod(index, mod)
         residues.append(value)
     return coset(tuple(reversed(residues)))
-
-
-def subcode_check(inner: CodeSpec, outer: CodeSpec) -> bool:
-    """True when every member of inner also satisfies outer."""
-    if inner.n != outer.n:
-        raise ValueError("subcode check needs matching lengths")
-    return all(contains(outer, x) for x in members(inner))

@@ -43,7 +43,6 @@ __all__ = [
     "BallTooSmallError",
     "ReadBundle",
     "DecodeResult",
-    "channel_sample",
     "collect_reads",
     "decode",
     "decode_by_scan",
@@ -96,14 +95,6 @@ def _draw(rng: random.Random, n: int) -> tuple[int, int | None]:
     i = rng.randrange(1, n + 1)
     t = rng.randrange(n)
     return i, (None if t == 0 else t)
-
-
-def channel_sample(x: str, seed: int) -> str:
-    """One channel use: delete a uniform position, then maybe flip one bit."""
-    if not x:
-        raise ValueError("cannot transmit the empty word")
-    i, sub = _draw(random.Random(seed), len(x))
-    return apply_del_sub(x, i, sub)
 
 
 def _int(word: str) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 from array import array
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .balls import ADJACENT_TRANSPOSITION, CASE_CEILINGS, GENERIC
 from .words import _del_bit, _del_set, _maps_rows, _Orbits, _word_maps
@@ -125,23 +125,20 @@ def _sub_mask(x: int, n: int) -> int:
 
 
 class _Tables:
-    """Per word x of length n: its run count, and as masks over words its
-    deletion ball D(x), substitution ball S(x) and ds-ball B(x); prev_smask
-    holds S(z) for the words z of length n - 1.
+    """The tables of the length-n words x, each built on its first read and
+    kept (functools.cached_property), so a call keeps only what it reads:
+    run counts (runs); D(x), S(x) and B(x) as masks over words (dmask,
+    smask, bmask) and S(z) of the length-(n - 1) words z (prev_smask); the
+    row walk's bmask columns and strays (see _walk_mask); the deletions by
+    position (dels) and bad-count's witness summaries (summaries).  Kept
+    per key on first ask: element lists, equivariance verdicts and coset
+    state.
 
-    What the row walk reads besides (see _walk_mask) is built from these
-    rows on first ask, never here: the bmask columns (columns), the words
-    whose dmask or smask row is not D(x) or S(x) (strays), and the element
-    lists of the bmask rows (elements), which the code checks' row route
-    reads too.  The same holds for the deletions by position (dels) and
-    the witness summaries of bad-count (summaries), the equivariance
-    verdicts of the orbit routes (see equivariant) and the code checks'
-    coset state (coset).  A test that corrupts a row must do so before any
-    of these calls.
+    dmask and bmask come from words._del_set and prev_smask, never from
+    each other's rows.  A test that corrupts a row does so before it reads
+    what is built from that table: bmask from prev_smask; columns,
+    elements and coset from bmask; strays from dmask and smask.
     """
-
-    __slots__ = ("n", "runs", "dmask", "smask", "prev_smask", "bmask",
-                 "_cols", "_strays", "_elems", "_dels", "_summaries", "_sym", "_cosets")
 
     # per table: the length of the words indexing its rows, less n, and of
     # the words in each row's set (None: a row is a plain value)
@@ -156,45 +153,58 @@ class _Tables:
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.runs = [_runs_int(x, n) for x in range(1 << n)]
-        prev = self.prev_smask = [_sub_mask(z, n - 1) for z in range(1 << (n - 1))]
-        self.smask = [_sub_mask(x, n) for x in range(1 << n)]
-        dmask = self.dmask = []
-        bmask = self.bmask = []
-        for x in range(1 << n):
-            dm = bm = 0
-            for z in _del_set(x, n):
-                dm |= 1 << z
-                bm |= prev[z]
-            dmask.append(dm)
-            bmask.append(bm)
-        self._cols: list[int] | None = None
-        self._strays: int | None = None
         self._elems: list[array | None] = [None] * (1 << n)
-        self._dels: list[tuple[int, ...]] | None = None
-        self._summaries: list[dict[int, tuple[int, ...]]] | None = None
         self._sym: dict[tuple[str, bool], bool] = {}
         self._cosets: dict[tuple[int, ...], tuple[_Orbits, list[array], list[int]]] = {}
 
+    @functools.cached_property
+    def runs(self) -> list[int]:
+        return [_runs_int(x, self.n) for x in range(1 << self.n)]
+
+    @functools.cached_property
+    def prev_smask(self) -> list[int]:
+        return [_sub_mask(z, self.n - 1) for z in range(1 << (self.n - 1))]
+
+    @functools.cached_property
+    def smask(self) -> list[int]:
+        return [_sub_mask(x, self.n) for x in range(1 << self.n)]
+
+    def _over_dels(self, row: Callable[[int], int]) -> list[int]:
+        """Per word x, the union of the masks row(z) over z in D(x)."""
+        n = self.n
+        out = []
+        for x in range(1 << n):
+            acc = 0
+            for z in _del_set(x, n):
+                acc |= row(z)
+            out.append(acc)
+        return out
+
+    @functools.cached_property
+    def dmask(self) -> list[int]:
+        return self._over_dels(lambda z: 1 << z)
+
+    @functools.cached_property
+    def bmask(self) -> list[int]:
+        return self._over_dels(self.prev_smask.__getitem__)
+
+    @functools.cached_property
     def columns(self) -> list[int]:
         """Per element z, the mask of the words whose bmask row holds z."""
-        if self._cols is None:
-            words = 1 << self.n
-            self._cols = _columns(self.elements(range(words)), words, words >> 1)
-        return self._cols
+        words = 1 << self.n
+        return _columns(self.elements(range(words)), words, words >> 1)
 
+    @functools.cached_property
     def strays(self) -> int:
         """The mask of the words x whose dmask row is not D(x) or whose
         smask row is not S(x): 0 on sound tables."""
-        if self._strays is None:
-            n = self.n
-            self._strays = sum(
-                1 << x
-                for x in range(1 << n)
-                if self.dmask[x] != sum(1 << z for z in _del_set(x, n))
-                or self.smask[x] != _sub_mask(x, n)
-            )
-        return self._strays
+        n = self.n
+        return sum(
+            1 << x
+            for x in range(1 << n)
+            if self.dmask[x] != sum(1 << z for z in _del_set(x, n))
+            or self.smask[x] != _sub_mask(x, n)
+        )
 
     def elements(self, words: Iterable[int]) -> list[array]:
         """The elements of the bmask row of each of words, ascending.  A
@@ -208,16 +218,14 @@ class _Tables:
             out.append(elems[x])
         return out
 
-    @property
+    @functools.cached_property
     def dels(self) -> list[tuple[int, ...]]:
         """Per word, its deletion value per position 1..n, duplicates kept,
         for witness scans."""
-        if self._dels is None:
-            n = self.n
-            self._dels = [tuple(_del_bit(x, n - i) for i in range(1, n + 1)) for x in range(1 << n)]
-        return self._dels
+        n = self.n
+        return [tuple(_del_bit(x, n - i) for i in range(1, n + 1)) for x in range(1 << n)]
 
-    @property
+    @functools.cached_property
     def summaries(self) -> list[dict[int, tuple[int, ...]]]:
         """Per word x of length n, per z in B(x): the summary
         (min i, max i, lo, pre hi, post hi) of the witnesses
@@ -232,43 +240,41 @@ class _Tables:
         flipped: p = q < i for the i > q, and p = q + 1 ("pre") or q
         ("post") is above i for the i <= q ("pre") or i < q ("post").
         """
-        if self._summaries is None:
-            n = self.n
-            flips = [(1 << b, n - 1 - b) for b in range(n - 1)]
-            # the tables share one key object per element and one tuple per
-            # distinct summary, which keeps them about four times smaller
-            keys = list(range(1 << (n - 1)))
-            shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-            out = []
-            for dels in self.dels:
-                acc: dict[int, list[int]] = {}
-                s = 1
-                for e, w in enumerate(dels, 1):
-                    if e < n and dels[e] == w:
+        n = self.n
+        flips = [(1 << b, n - 1 - b) for b in range(n - 1)]
+        # the tables share one key object per element and one tuple per
+        # distinct summary, which keeps them about four times smaller
+        keys = list(range(1 << (n - 1)))
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+        out = []
+        for dels in self.dels:
+            acc: dict[int, list[int]] = {}
+            s = 1
+            for e, w in enumerate(dels, 1):
+                if e < n and dels[e] == w:
+                    continue
+                items = [(w ^ f, q if e > q else n, q + 1 if s <= q else 0, q if s < q else 0)
+                         for f, q in flips]
+                items.append((w, n, 0, 0))
+                for z, lo, pre_hi, post_hi in items:
+                    cur = acc.get(z)
+                    if cur is None:
+                        acc[z] = [s, e, lo, pre_hi, post_hi]
                         continue
-                    items = [(w ^ f, q if e > q else n, q + 1 if s <= q else 0, q if s < q else 0)
-                             for f, q in flips]
-                    items.append((w, n, 0, 0))
-                    for z, lo, pre_hi, post_hi in items:
-                        cur = acc.get(z)
-                        if cur is None:
-                            acc[z] = [s, e, lo, pre_hi, post_hi]
-                            continue
-                        cur[1] = e
-                        if lo < cur[2]:
-                            cur[2] = lo
-                        if pre_hi > cur[3]:
-                            cur[3] = pre_hi
-                        if post_hi > cur[4]:
-                            cur[4] = post_hi
-                    s = e + 1
-                table = {}
-                for z, v in acc.items():
-                    t = tuple(v)
-                    table[keys[z]] = shared.setdefault(t, t)
-                out.append(table)
-            self._summaries = out
-        return self._summaries
+                    cur[1] = e
+                    if lo < cur[2]:
+                        cur[2] = lo
+                    if pre_hi > cur[3]:
+                        cur[3] = pre_hi
+                    if post_hi > cur[4]:
+                        cur[4] = post_hi
+                s = e + 1
+            table = {}
+            for z, v in acc.items():
+                t = tuple(v)
+                table[keys[z]] = shared.setdefault(t, t)
+            out.append(table)
+        return out
 
     def coset(self, members: list[int]) -> tuple[_Orbits, list[array], list[int]]:
         """Kept per ascending members: the orbits verify._coset_rows walks
@@ -288,15 +294,17 @@ class _Tables:
         maps row by row under complement and, for "rc", reversal too
         (_maps_rows), else "": the group whose orbit route the tables allow.
 
-        Each table's verdict per map is computed on its first call and
-        kept, like the columns, so the verifiers ask before they fork.
+        Every named table is built before any is judged, so a verifier that
+        asks before it forks has built them all for its tasks, whatever the
+        verdict.  Each table's verdict per map is computed on its first
+        call and kept.
         """
-        for name in tables:
+        rows = {name: getattr(self, name) for name in tables}
+        for name, table in rows.items():
             for rev in (False, "r" in group):
                 ok = self._sym.get((name, rev))
                 if ok is None:
-                    rows = getattr(self, name)
-                    ok = self._sym[name, rev] = _maps_rows(rows, self.n, self._SHAPES[name], rev)
+                    ok = self._sym[name, rev] = _maps_rows(table, self.n, self._SHAPES[name], rev)
                 if not ok:
                     return ""
         return group
@@ -356,11 +364,11 @@ def _walk_mask(tab: _Tables, x: int, planes: list[int], limit: int, scope: int) 
     strays.  A pair whose dmask or smask rows share an element is one of
     these, or holds a stray.
     """
-    strays = tab.strays()
+    strays = tab.strays
     if strays >> x & 1:
         return scope
     n = tab.n
-    near = bytearray((len(tab.runs) + 7) >> 3)
+    near = bytearray(((1 << n) + 7) >> 3)
     for y in [*_shift_partners(x, n), *(x ^ f for f in _near_flips(n))]:
         near[y >> 3] |= 1 << (y & 7)
     return (int.from_bytes(near, "little") | _count_above(planes, limit) | strays) & scope
@@ -381,7 +389,7 @@ def _row_walk(
     elements than the generic and the global ceiling allow.  Both sweeps
     walk with this one rule and limit.
     """
-    col_b = tab.columns()
+    col_b = tab.columns
     full = (1 << len(tab.bmask)) - 1
     generic = CASE_CEILINGS[GENERIC].ceiling(tab.n)
     limit = min(generic, _global_ceiling(tab.n) or generic)

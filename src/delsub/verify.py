@@ -875,8 +875,7 @@ def verify_intersection_bounds(
         parts = _sweep([(_family_tasks, kind, "ceiling", n) for kind in _FAMILY_KINDS], jobs)
     else:
         tab = _tables(n)
-        tab.columns()
-        tab.strays()
+        tab.columns, tab.strays  # with equivariant's tables, what the tasks read, before the fork
         group = tab.equivariant(_BOUNDS_TABLES, "rc")
         parts = _sweep([(_sweep_tasks, _bounds_chunk, (n,), n, group)], jobs)
         # a part counts a case's pairs exactly where it has its maximum
@@ -1007,8 +1006,7 @@ def verify_claim_tables(n_max: int, *, jobs: int = 1) -> VerificationReport:
     legs = []
     for n in range(2, id_top + 1):
         tab = _tables(n)
-        tab.columns()
-        tab.strays()
+        tab.columns, tab.strays  # with equivariant's tables, what the tasks read, before the fork
         group = tab.equivariant(_IDENTITY_TABLES, "rc")
         legs.append((_sweep_tasks, _identity_chunk, (n,), n, group))
     family_counts = dict.fromkeys(sorted(_FAMILY_KINDS), 0)
@@ -1191,9 +1189,8 @@ def verify_bad_count(
             "bad-count", (n, n), 0, 6, None, 0, [], t0,
             {"convention": convention}, skipped=True,
         )
-    tab = _tables(n)
-    tab.summaries  # built before the fork
-    group = tab.equivariant(_BAD_TABLES, "c")
+    # equivariant builds every table the tasks read before the fork
+    group = _tables(n).equivariant(_BAD_TABLES, "c")
     parts = _sweep([(_sweep_tasks, _bad_chunk, (convention, n), n, group)], jobs)
     sink, pairs, extremal, eq = _merge(parts, n)
     detail = {
@@ -1211,37 +1208,27 @@ def verify_bad_count(
 class _CodeCheck(NamedTuple):
     family: str
     ceiling: Callable[[int], int]  # pairwise ball-intersection ceiling at length n
-    redundancy_bound: Callable[[int], float]
-    # "n - log2(best) <= redundancy_bound(n)" for the largest coset size
-    # best, compared in integers where possible so that rounding cannot flip it
-    redundancy_ok: Callable[[int, int], bool]
+    # 2^r(n) for the redundancy target r(n): the largest coset size best
+    # meets it when n - log2(best) <= r(n), checked as best * 2^r(n) >= 2^n,
+    # in integers where 2^r(n) is one, so that rounding cannot flip it
+    target: Callable[[int], float]
 
 
 # one row per construction; its cosets are those of codes.cosets at the
 # defaults, modulus two and period codes.default_period(n).  Each ceiling but
 # cl's is the CASE_CEILINGS ceiling of the structural case named in it.
 CODE_CHECKS: dict[str, _CodeCheck] = {
-    "vt": _CodeCheck(
-        codes.VT, CASE_CEILINGS[GENERIC].ceiling, lambda n: math.log2(n) + 1,
-        lambda n, best: best * 2 * n >= 1 << n,
-    ),
-    "inv": _CodeCheck(
-        codes.INV, CASE_CEILINGS[SINGLE_FLIP].ceiling, lambda n: 1.0,
-        lambda n, best: best * 2 >= 1 << n,
-    ),
-    "c2n9": _CodeCheck(
-        codes.C2N9, CASE_CEILINGS[ALTERNATING_BLOCK].ceiling, lambda n: 2.0,
-        lambda n, best: best * 4 >= 1 << n,
-    ),
-    "cn21": _CodeCheck(
-        codes.CN21, CASE_CEILINGS[SHIFTED_PAIR].ceiling, lambda n: math.log2(math.log2(n)) + 3,
-        lambda n, best: best * 8 * math.log2(n) >= 1 << n,
-    ),
-    "cl": _CodeCheck(
-        codes.CL, lambda n: 6, lambda n: 3 * math.log2(n) + 4,
-        lambda n, best: best * 16 * n ** 3 >= 1 << n,
-    ),
+    "vt": _CodeCheck(codes.VT, CASE_CEILINGS[GENERIC].ceiling, lambda n: 2 * n),
+    "inv": _CodeCheck(codes.INV, CASE_CEILINGS[SINGLE_FLIP].ceiling, lambda n: 2),
+    "c2n9": _CodeCheck(codes.C2N9, CASE_CEILINGS[ALTERNATING_BLOCK].ceiling, lambda n: 4),
+    "cn21": _CodeCheck(codes.CN21, CASE_CEILINGS[SHIFTED_PAIR].ceiling, lambda n: 8 * math.log2(n)),
+    "cl": _CodeCheck(codes.CL, lambda n: 6, lambda n: 16 * n ** 3),
 }
+
+
+def _redundancy_reading(target: float, n: int, best: int) -> tuple[float, bool]:
+    """The bound log2(target) as reports round it, and whether best meets it."""
+    return round(math.log2(target), 6), best * target >= 1 << n
 
 
 # below this many pairs inside the cosets forking two workers loses or gains
@@ -1367,12 +1354,13 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
     inversion number inv(x) to w(n - w) - inv(x) and keep the run count and
     the periodic windows, so their composite keeps every inv and c2n9 coset,
     and every cn21 coset at even n: such a coset walks one row per orbit of
-    the composite (_coset_rows).  The coset walk and each row-route coset's
-    state (_Tables.coset) are kept per length, filled before any fork.  The
-    largest bucket must have the size the code's counting DP gives its
+    the composite (_coset_rows).  The coset walk, the ball masks (and cl's
+    deletions by position) and each row-route coset's state (_Tables.coset)
+    are kept per length, filled before any fork.  The largest bucket must have the size the code's counting DP gives its
     coset.  The parity+VT construction additionally requires empty triple
     intersections and that every shared pair element is bad, and reports
-    the weaker reading of its redundancy target alongside the exact one.
+    the weaker reading of its redundancy target, 2^r(n) = 48n, alongside
+    the exact one.
     """
     t0 = time.monotonic()
     _check_jobs(jobs)
@@ -1389,8 +1377,9 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
     best_key = min(buckets, key=lambda k2: (-len(buckets[k2]), k2))
     best = len(buckets[best_key])
     tab = _tables(n)
+    tab.bmask  # built before the fork, like dels or the coset state below
     if theorem_id == "cl":
-        tab.dels  # built before the fork
+        tab.dels
     else:
         for m in buckets.values():
             if len(m) >= _CODE_ROW_MIN_MEMBERS:
@@ -1408,23 +1397,23 @@ def verify_code_theorem(theorem_id: str, n: int, *, jobs: int = 1) -> Verificati
     counted = codes.size(coset)
     if counted != best:
         sink.add(None, None, "coset size routes", best, counted)
-    red = n - math.log2(best)
-    red_bound = check.redundancy_bound(n)
-    if not check.redundancy_ok(n, best):
-        sink.add(None, None, "redundancy", round(red_bound, 6), round(red, 6))
+    red = round(n - math.log2(best), 6)
+    red_bound, red_ok = _redundancy_reading(check.target(n), n, best)
+    if not red_ok:
+        sink.add(None, None, "redundancy", red_bound, red)
     detail: dict[str, Any] = {
         "construction": theorem_id,
         "cosets": len(buckets),
         "largest_coset": best,
-        "redundancy": round(red, 6),
-        "redundancy_bound": round(red_bound, 6),
+        "redundancy": red,
+        "redundancy_bound": red_bound,
     }
     if theorem_id == "cn21":
         detail["period"] = codes.default_period(n)
     if theorem_id == "cl":
         detail["triples_checked"] = sum(p["triples"] for p in parts)
-        detail["alt_redundancy_bound"] = round(math.log2(3 * n) + 4, 6)
-        detail["alt_bound_satisfied"] = best * 48 * n >= 1 << n
+        detail["alt_redundancy_bound"], detail["alt_bound_satisfied"] = _redundancy_reading(
+            48 * n, n, best)
     return _finish(
         f"code-{theorem_id}", (n, n), pairs, check.ceiling(n), extremal, eq, sink.ces, t0, detail
     )

@@ -28,7 +28,6 @@ from delsub.reconstruct import (
     BallTooSmallError,
     DecodeResult,
     ReadBundle,
-    channel_sample,
     collect_reads,
     decode,
     decode_by_scan,
@@ -38,19 +37,28 @@ from delsub.reconstruct import (
 from delsub.verify import CODE_CHECKS
 
 
+def _sample(x, seed):
+    """One channel use: the first read of a bundle drawn from seed."""
+    (read,) = collect_reads(x, 1, seed=seed).reads
+    return read
+
+
 def test_channel_sample_lands_in_ball():
     for seed in range(50):
-        assert channel_sample("00", seed) in {"0", "1"}
-        assert channel_sample("010101", seed) in set(ds_ball("010101"))
+        assert _sample("00", seed) in {"0", "1"}
+        assert _sample("010101", seed) in set(ds_ball("010101"))
+        assert set(collect_reads("010101", 6, seed=seed).reads) <= set(ds_ball("010101"))
 
 
 def test_channel_sample_deterministic():
-    assert channel_sample("010101", 7) == channel_sample("010101", 7)
+    assert _sample("010101", 7) == _sample("010101", 7)
+    # a longer bundle from the same seed starts with the same channel use
+    assert collect_reads("010101", 6, seed=7).reads[0] == _sample("010101", 7)
 
 
 def test_channel_support_covers_ball():
     x = "0110"
-    support = {channel_sample(x, seed) for seed in range(10_000)}
+    support = {_sample(x, seed) for seed in range(10_000)}
     assert support == set(ds_ball(x))
 
 

@@ -296,9 +296,9 @@ def test_row_walk_holds_every_pair_the_tables_share(n, fault):
     _WALK_FAULTS[fault](tab)
     changed = [(tab.dmask[x], tab.smask[x]) != (sound.dmask[x], sound.smask[x])
                for x in range(1 << n)]
-    assert tab.strays() == sum(1 << x for x, c in enumerate(changed) if c)
+    assert tab.strays == sum(1 << x for x, c in enumerate(changed) if c)
     # runs-and-balls changes no dmask or smask row
-    assert bool(tab.strays()) == fault.endswith("mask")
+    assert bool(tab.strays) == fault.endswith("mask")
     sharing = _sharing(tab)
     words = range(1 << n)
     generic = CASE_CEILINGS[GENERIC].ceiling(n)
@@ -313,7 +313,7 @@ def test_row_walk_holds_every_pair_the_tables_share(n, fault):
                 continue
             near = sum({1 << (x ^ f) for f in tables._near_flips(n)})
             shifts = sum({1 << y for y in tables._shift_partners(x, n)})
-            planes = verify._count_planes(tab.columns(), tab.elements([x])[0])
+            planes = verify._count_planes(tab.columns, tab.elements([x])[0])
             identity = (near | sharing[x] | verify._count_above(planes, limit)) & scope
             assert walk == identity == identity | (shifts & scope), (n, group, x)
 
@@ -575,7 +575,7 @@ def test_bit_sliced_counts_are_the_shared_ball_sizes():
     n = 7
     tab = verify._Tables(n)
     bm = tab.bmask
-    cols = tab.columns()
+    cols = tab.columns
     for x in range(1 << n):
         planes = verify._count_planes(cols, verify._bits(bm[x]))
         assert len(planes) == bm[x].bit_count().bit_length()
@@ -1526,6 +1526,63 @@ def test_fan_out_verifiers_reject_jobs_below_one(monkeypatch, call, jobs):
     monkeypatch.setattr(verify, "_tables", no_tables)
     with pytest.raises(ValueError, match="jobs must be at least 1"):
         call(jobs)
+
+
+_TABLE_NAMES = {"runs", "prev_smask", "smask", "dmask", "bmask", "columns", "strays", "dels",
+                "summaries"}
+_SWEEP_BUILT = {"runs", "prev_smask", "smask", "dmask", "bmask", "columns", "strays"}
+_BAD_BUILT = {"prev_smask", "dmask", "bmask", "dels", "summaries"}
+
+
+def _asymmetric_dmask(tab):
+    # the first table bad-count's verdict judges fails, so it reads no other
+    tab.dmask[0b00010111] |= 1 << 0b1011001
+
+
+_BUILD_CALLS = {
+    "intersection-bounds": (lambda: verify_intersection_bounds(8), {8: _SWEEP_BUILT}, None),
+    "claim-tables": (lambda: verify_claim_tables(9), dict.fromkeys(range(2, 10), _SWEEP_BUILT),
+                     None),
+    **{f"bad-count-{c}": (lambda c=c: verify_bad_count(8, convention=c), {8: _BAD_BUILT}, None)
+       for c in ("pre", "post")},
+    "bad-count-asymmetric": (lambda: verify_bad_count(8), {8: _BAD_BUILT}, _asymmetric_dmask),
+    # inv takes the row route at n = 10, the others go pair by pair
+    **{f"code-{t}": (lambda t=t: verify_code_theorem(t, 10),
+                     {10: {"prev_smask", "bmask"} | ({"dels"} if t == "cl" else set())}, None)
+       for t in CODE_CHECKS},
+}
+
+
+@pytest.mark.parametrize("call, built, fault", list(_BUILD_CALLS.values()), ids=list(_BUILD_CALLS))
+def test_no_task_builds_a_table(monkeypatch, call, built, fault):
+    # every verifier builds what its tasks read before it forks, so that
+    # workers share it; the tasks run here, and no _Tables of any length
+    # may gain a table while they do.  A call keeps only what it reads.
+    made = {}
+
+    def fresh(n):
+        if n not in made:
+            made[n] = verify._Tables(n)
+            if fault:
+                fault(made[n])
+        return made[n]
+
+    def in_process(tasks, jobs):
+        before = {n: set(vars(tab)) for n, tab in made.items()}
+        parts = [delsub.report._run_task(t) for t in tasks]
+        assert {n: set(vars(tab)) for n, tab in made.items()} == before
+        ran.append(len(tasks))
+        return parts
+
+    ran = []
+    monkeypatch.setattr(verify, "_tables", fresh)
+    monkeypatch.setattr(verify, "_map_tasks", in_process)
+    monkeypatch.setattr(delsub.report, "_map_tasks", in_process)
+    call()
+    assert ran
+    assert {n: set(vars(tab)) & _TABLE_NAMES for n, tab in made.items()} == built
+    if fault:
+        assert not made[8].equivariant(verify._BAD_TABLES, "c")
 
 
 def test_ceiling_depth_run_sum_reports_its_bound(monkeypatch):
