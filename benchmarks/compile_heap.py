@@ -8,7 +8,11 @@ for each module of ``src/delsub`` it counts the parser tokens (every token
 but COMMENT and NL), then compiles the file in a fresh ``python -B``
 interpreter, which writes no bytecode, and reads glibc's ``malloc_stats``:
 the main arena's system bytes (the heap) and the system bytes with mmap.
-Standard library only, Linux with glibc:
+The heap moves by a 4 KB page with the path a file is compiled from and
+from one run to the next, so every module, of either tree, is first copied
+to one fixed path under the temporary directory and compiled from there,
+and each figure is the median of several fresh interpreters.  Standard
+library only, Linux with glibc:
 
     python3 benchmarks/compile_heap.py
     python3 benchmarks/compile_heap.py --src PATH/TO/OTHER/src
@@ -18,12 +22,18 @@ from __future__ import annotations
 
 import argparse
 import re
+import shutil
+import statistics
 import subprocess
 import sys
+import tempfile
 import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# every module is compiled from this one path
+SCRATCH = Path(tempfile.gettempdir()) / "delsub-compile-heap" / "module.py"
+RUNS = 5
 
 # compiles the file named by argv[1], then prints glibc's malloc_stats to
 # the C-level stderr
@@ -42,14 +52,21 @@ def tokens(path: Path) -> int:
                    for tok in tokenize.tokenize(f.readline))
 
 
-def compile_heap(path: Path) -> tuple[int, int]:
+def _probe() -> tuple[int, int]:
     """(main-arena system bytes, system bytes with mmap) after compiling
-    path in a fresh interpreter."""
-    done = subprocess.run([sys.executable, "-B", "-c", _PROBE, str(path)],
+    SCRATCH in a fresh interpreter."""
+    done = subprocess.run([sys.executable, "-B", "-c", _PROBE, str(SCRATCH)],
                           capture_output=True, text=True, check=True)
     system = [int(v) for v in re.findall(r"system bytes\s*=\s*(\d+)", done.stderr)]
     # malloc_stats prints one block per arena, then the total with mmap
     return system[0], system[-1]
+
+
+def compile_heap(path: Path) -> tuple[int, int]:
+    """The median of RUNS probes of path's source, compiled from SCRATCH."""
+    shutil.copyfile(path, SCRATCH)
+    runs = [_probe() for _ in range(RUNS)]
+    return statistics.median(h for h, _ in runs), statistics.median(t for _, t in runs)
 
 
 def main() -> int:
@@ -61,9 +78,13 @@ def main() -> int:
     if not modules:
         ap.error(f"{args.src} holds no delsub package")
     print(f"{'module':16} {'tokens':>7} {'heap MB':>8} {'with mmap MB':>13}")
-    for path in modules:
-        heap, total = compile_heap(path)
-        print(f"{path.name:16} {tokens(path):7d} {heap / 1e6:8.2f} {total / 1e6:13.2f}")
+    SCRATCH.parent.mkdir(exist_ok=True)
+    try:
+        for path in modules:
+            heap, total = compile_heap(path)
+            print(f"{path.name:16} {tokens(path):7d} {heap / 1e6:8.2f} {total / 1e6:13.2f}")
+    finally:
+        shutil.rmtree(SCRATCH.parent, ignore_errors=True)
     return 0
 
 

@@ -1,14 +1,14 @@
 """Milliseconds per multi-read decode, per read draw, per CLI decode and per
 coset count, parent tree against this one.
 
-Times ``reconstruct.decode`` on 100 seeded read bundles in each of three
+Times ``reconstruct.decode`` on 100 seeded read bundles in each of four
 settings (cl n = 12 with N = 7 reads and vt n = 14 with N = 31 reads, both
-on the best coset, and the full code at n = 64 with N = 4n - 8 = 248 reads
-from uniform random words, a length past every code check), and the
-``reconstruct.collect_reads`` calls that draw those bundles; the seconds of
-one ``verify_reconstruction(best_coset("cl", 10), 7, trials=1000,
-subset_words=20, subset_trials=100)`` call, the acceptance test's
-reconstruction leg; the milliseconds per call of ten
+on the best coset, and the full code at n = 64 and n = 128 with N = 4n - 8
+= 248 and 504 reads from uniform random words, lengths past every code
+check), and the ``reconstruct.collect_reads`` calls that draw those
+bundles; the seconds of one ``verify_reconstruction(best_coset("cl", 10),
+7, trials=1000, subset_words=20, subset_trials=100)`` call, the acceptance
+test's reconstruction leg; the milliseconds per call of ten
 ``cli.main(["decode", ...])`` calls in one process on the first ten cl
 n = 12 bundles, saved to files, as the perfbench ``codes-decode`` workload
 makes them (the first call included, so a tree that builds its parser once
@@ -17,13 +17,16 @@ per process pays that build once in ten); and the milliseconds per call
 ``best_coset("cl", 16)``, ``best_coset("cn21", 15)`` and
 ``size(spec("run_bounded", 16))``.  Every cell records its wall time and,
 under "cpu", its ``time.process_time()``, which a busy machine disturbs
-less.  The two source trees are measured in interleaved rounds
-(``rounds.py``); the output keeps, per tree, every round and the median,
-to four significant digits.  It writes ``BENCH_decode.json`` at the
-repository root, or the file ``--out`` names.  Standard library only:
+less.  Under "preimage_builds" it records the preimage balls its calls
+built in one round (``reconstruct._preimage`` calls, counted by a wrapper
+in the worker), a work counter that no machine load moves.  The two source
+trees are measured in interleaved rounds (``rounds.py``); the output
+keeps, per tree, every round and the median, to four significant digits.
+It writes ``BENCH_decode.json`` at the repository root, or the file
+``--out`` names.  Standard library only:
 
     python3 benchmarks/decode.py --src PATH/TO/PARENT/src
-    python3 benchmarks/decode.py --src PATH/TO/PARENT/src --out BENCH_decode_rundels.json
+    python3 benchmarks/decode.py --src PATH/TO/PARENT/src --out BENCH_decode_shared.json
 
 The worker also hashes every decode result, every bundle drawn, the CLI
 decodes' exit codes and output, the reconstruction report's canonical JSON
@@ -58,6 +61,7 @@ SETTINGS = (
     ("cl_n12_N7", "cl", 12, 7),
     ("vt_n14_N31", "vt", 14, 31),
     ("full_n64_N248", "full", 64, 248),
+    ("full_n128_N504", "full", 128, 504),
 )
 RECON = {"family": "cl", "n": 10, "N": 7,
          "trials": 1000, "subset_words": 20, "subset_trials": 100}
@@ -72,36 +76,42 @@ CLI_DECODES = 10
 
 
 class _Clock:
-    """Wall and process time per call of the calls timed through it, by
-    cell: a field, whose name ends in its unit (_ms or _s), and a label
-    within it or None."""
+    """Wall and process time per call of the calls timed through it, and
+    the work they did (count() before and after), by cell: a field, whose
+    name ends in its unit (_ms or _s), and a label within it or None."""
 
-    def __init__(self) -> None:
-        self.totals: dict[tuple[str, str | None], list] = {}  # [wall, cpu, calls]
+    def __init__(self, count: Callable[[], int]) -> None:
+        self.count = count
+        # [wall, cpu, calls, work]
+        self.totals: dict[tuple[str, str | None], list] = {}
 
     def __call__(self, field: str, label: str | None, calls: int, fn: Callable[[], Any]) -> Any:
         """fn(), which makes calls calls of the cell."""
+        k0 = self.count()
         w0, c0 = time.perf_counter(), time.process_time()
         result = fn()
         cpu, wall = time.process_time() - c0, time.perf_counter() - w0
-        total = self.totals.setdefault((field, label), [0.0, 0.0, 0])
+        total = self.totals.setdefault((field, label), [0.0, 0.0, 0, 0])
         total[0] += wall
         total[1] += cpu
         total[2] += calls
+        total[3] += self.count() - k0
         return result
 
-    def cells(self) -> dict:
-        """The wall time of each cell, and under "cpu" its process time."""
+    def cells(self, work: str) -> dict:
+        """The wall time per call of each cell, under "cpu" its process time
+        per call, and under work the count summed over its calls."""
         wall: dict = {}
         cpu: dict = {}
-        for (field, label), (*seconds, calls) in self.totals.items():
+        count: dict = {}
+        for (field, label), (*seconds, calls, done) in self.totals.items():
             scale = (1e3 if field.endswith("_ms") else 1.0) / calls
-            for into, value in zip((wall, cpu), seconds):
+            for into, value in zip((wall, cpu, count), (*(s * scale for s in seconds), done)):
                 if label is None:
-                    into[field] = value * scale
+                    into[field] = value
                 else:
-                    into.setdefault(field, {})[label] = value * scale
-        return {**wall, "cpu": cpu}
+                    into.setdefault(field, {})[label] = value
+        return {**wall, "cpu": cpu, work: count}
 
 
 def _worker(src: str) -> dict:
@@ -110,7 +120,15 @@ def _worker(src: str) -> dict:
 
     from delsub import balls, cli, codes, reconstruct, verify
 
-    clock = _Clock()
+    builds = [0]
+    preimage = reconstruct._preimage
+
+    def counted(z: int, n: int) -> set[int]:
+        builds[0] += 1
+        return preimage(z, n)
+
+    reconstruct._preimage = counted
+    clock = _Clock(lambda: builds[0])
     digest = hashlib.sha256()
     rng = random.Random(SEED)
     for label, family, n, N in SETTINGS:
@@ -157,7 +175,8 @@ def _worker(src: str) -> dict:
         results = clock("count_ms", label, COUNT_CALLS,
                         lambda: [call(codes) for _ in range(COUNT_CALLS)])
         digest.update(repr(results).encode())
-    return {**clock.cells(), "status": report.status, "digest": digest.hexdigest()}
+    return {**clock.cells("preimage_builds"), "status": report.status,
+            "digest": digest.hexdigest()}
 
 
 def _sig(value: float) -> float:
@@ -180,7 +199,8 @@ def _summary(runs: list[dict]) -> dict:
 def _describe(run: dict) -> str:
     return " ".join(
         [f"{k} {v:.3f} ms" for k, v in run["decode_ms"].items()]
-        + [f"reconstruction {run['reconstruction_s']:.3f} s",
+        + [f"reconstruction {run['reconstruction_s']:.3f} s"
+           f" ({run['preimage_builds']['reconstruction_s']:.0f} balls)",
            f"cli decode {run['cli_decode_ms']:.2f} ms"]
         + [f"{k} {v:.1f} ms" for k, v in run["count_ms"].items()]
     )

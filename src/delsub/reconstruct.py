@@ -5,9 +5,16 @@ random from [n] x ([n-1] u {none}), so its support is exactly the ds-ball.
 Decoding never scans the code, and it works on integer words (the
 big-endian value of a 0/1 string): each read is converted once.  It
 intersects the preimage balls of the first two reads only, each built as a
-set of ints by inserting a 0 and a 1 at every position of every word of
-S(z): after one read at most 2n(n+1) candidates survive, after two a few
-dozen (41 at most over all read pairs at n = 9).  Every later read z then
+set of ints by inserting into every word w of S(z) the bit opposite to w's
+bit at every position below the top and both bits at the top, the n + 1
+distinct insertions of w: after one read at most n(n + 1) candidates
+survive, after two a few dozen (41 at most over all read pairs at n = 9).
+Each call keeps the balls it builds in a dict from read to ball, fresh per
+call by default; ``verify.verify_reconstruction`` passes one dict to every
+decode of one codeword's bundles and drops it when it moves on to the next
+codeword.  Every read of those bundles lies in that codeword's ds-ball, so
+the dict never holds more balls than the ball has elements, and nothing is
+kept across calls.  Every later read z then
 filters the survivors, keeping x exactly when one of its r(x) run
 deletions (``words._run_dels``: D(x) without repeats, one deletion per run
 of x) lies in S(z), that is within Hamming distance one of z: against
@@ -128,7 +135,9 @@ def collect_reads(x: str, count: int, seed: int) -> ReadBundle:
     return ReadBundle(n=len(x), reads=tuple(seen))
 
 
-def decode(cs: CodeSpec, bundle: ReadBundle) -> DecodeResult:
+def decode(
+    cs: CodeSpec, bundle: ReadBundle, *, _balls: dict[int, set[int]] | None = None
+) -> DecodeResult:
     """Find the codewords whose ds-balls hold every read.
 
     The candidates are the intersection of the first two reads' preimage
@@ -140,6 +149,11 @@ def decode(cs: CodeSpec, bundle: ReadBundle) -> DecodeResult:
     With N distinct reads from a codeword of an (n,N)-reconstruction code
     the survivor is unique; fewer reads may leave several candidates
     (AMBIGUOUS) and inconsistent reads leave none (INCONSISTENT).
+
+    _balls maps a read, as an int, to its preimage ball; the balls this
+    call builds go into it and are never changed.  A caller that decodes
+    several bundles of one word passes one dict to all of them; by default
+    each call gets a fresh one.
     """
     n = cs.n
     if bundle.n != n:
@@ -148,9 +162,13 @@ def decode(cs: CodeSpec, bundle: ReadBundle) -> DecodeResult:
     if not reads:
         return _result(tuple(members(cs)))
     zs = [_int(z) for z in reads]
-    survivors = _preimage(zs[0], n)
+    balls = {} if _balls is None else _balls
+    for z in zs[:2]:
+        if z not in balls:
+            balls[z] = _preimage(z, n)
+    survivors = balls[zs[0]]
     if len(zs) > 1:
-        survivors &= _preimage(zs[1], n)
+        survivors = survivors & balls[zs[1]]
     if len(zs) > 2 and survivors:
         dels = [(x, _run_dels(x, n)) for x in survivors]
         for z in zs[2:]:
@@ -171,18 +189,24 @@ def decode(cs: CodeSpec, bundle: ReadBundle) -> DecodeResult:
 
 def _preimage(z: int, n: int) -> set[int]:
     """``balls.preimage_ball`` on integers: the length-n words x whose ball
-    holds the length-(n - 1) word z, by inserting a 0 and a 1 at every
-    position of every word of S(z)."""
+    holds the length-(n - 1) word z, by every distinct insertion into every
+    word w of S(z).  A bit inserted next to an equal bit gives the same word
+    on either side of it, so the distinct insertions are the bit opposite to
+    w's bit p at each p < n - 1, and both bits at the top."""
     out: set[int] = set()
     add = out.add
     near = _sub_set(z, n - 1)
-    for p in range(n):
+    for p in range(n - 1):
         bit = 1 << p
         high = -bit  # the bits from p up
         for w in near:
-            x = w + (w & high)  # w with a 0 inserted at bit p
-            add(x)
-            add(x | bit)
+            # w's bits from p up move up one, and bit p is the opposite of
+            # w's old bit p
+            add((w + (w & high)) | (bit & ~w))
+    top = 1 << (n - 1)
+    for w in near:
+        add(w)
+        add(w | top)
     return out
 
 

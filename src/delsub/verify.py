@@ -35,7 +35,7 @@ from .balls import (
     ds_ball,
 )
 from .codes import CodeSpec
-from .reconstruct import ReadBundle, UNIQUE, collect_reads
+from .reconstruct import DecodeResult, ReadBundle, UNIQUE, collect_reads
 from .reconstruct import decode as decode_reads
 from .report import VerificationReport, _check_jobs, _finish, _map_tasks, _merge, _Sink, _spans
 from .report import _sweep, _sweep_tasks
@@ -1518,6 +1518,15 @@ def verify_reconstruction(
     element subsets of the first eligible codewords' balls directly.
     Codewords whose ball holds fewer than N elements cannot produce a
     valid bundle and are skipped.
+
+    The decodes of one codeword's bundles share the preimage balls of
+    their reads (``reconstruct.decode``'s ``_balls``), and the dict goes
+    when the leg moves on to the next codeword.  Every read of those
+    bundles lies in that codeword's ds-ball, so the dict holds at most one
+    ball's worth of preimage balls whatever the trial counts.  The channel
+    leg therefore makes every trial's draws first, the codeword and then
+    the seed, decodes the trials codeword by codeword, and reports their
+    failures in trial order, as one decode per trial in turn would.
     """
     t0 = time.monotonic()
     if N < 1:
@@ -1543,20 +1552,33 @@ def verify_reconstruction(
     rng = random.Random(seed)
     sink = _Sink(n)
 
-    def check(w: str, bundle: ReadBundle, label: str) -> None:
-        res = decode_reads(code, bundle)
-        if res.status != UNIQUE or res.candidates != (w,):
-            sink.add(int(w, 2), None, label, UNIQUE, res.status, candidates=list(res.candidates))
+    def failed(w: str, bundle: ReadBundle, balls: dict) -> DecodeResult | None:
+        res = decode_reads(code, bundle, _balls=balls)
+        return None if res.status == UNIQUE and res.candidates == (w,) else res
 
-    checked = 0
-    for _ in range(trials):
-        w = eligible[rng.randrange(len(eligible))]
-        check(w, collect_reads(w, N, seed=rng.randrange(1 << 30)), "channel decode")
-        checked += 1
+    def fail(w: str, res: DecodeResult, label: str) -> None:
+        sink.add(int(w, 2), None, label, UNIQUE, res.status, candidates=list(res.candidates))
+
+    # trial t's seed, grouped by codeword in trial order
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for t in range(trials):
+        i = rng.randrange(len(eligible))
+        groups.setdefault(i, []).append((t, rng.randrange(1 << 30)))
+    fails = []
+    for i, group in groups.items():
+        w, balls = eligible[i], {}
+        for t, s in group:
+            res = failed(w, collect_reads(w, N, seed=s), balls)
+            if res is not None:
+                fails.append((t, w, res))
+    for _, w, res in sorted(fails, key=lambda f: f[0]):
+        fail(w, res, "channel decode")
     for w in eligible[: subset_words]:
-        ball = ds_ball(w)
+        ball, balls = ds_ball(w), {}
         for _ in range(subset_trials):
-            check(w, ReadBundle(n, tuple(sorted(rng.sample(ball, N)))), "subset decode")
-            checked += 1
+            res = failed(w, ReadBundle(n, tuple(sorted(rng.sample(ball, N)))), balls)
+            if res is not None:
+                fail(w, res, "subset decode")
+    checked = trials + len(eligible[: subset_words]) * subset_trials
     return _finish("reconstruction", (n, n), checked, None, None, 0, sink.ces, t0, detail)
 

@@ -147,7 +147,7 @@ def test_decode_rejects_length_mismatch():
 
 
 def test_integer_preimage_matches_the_string_ball():
-    for n in range(1, 11):
+    for n in range(1, 13):
         for bits in product("01", repeat=n - 1):
             z = "".join(bits)
             want = {int(x, 2) for x in preimage_ball(z, n)}

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from itertools import combinations, product
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import delsub.report
-from delsub import codes, tables, verify
+from delsub import codes, reconstruct, tables, verify
 from delsub.balls import (
     ADJACENT_TRANSPOSITION,
     ALTERNATING_BLOCK,
@@ -25,6 +26,7 @@ from delsub.balls import (
     ball_intersection,
     classify_pair,
     deletion_ball,
+    ds_ball,
     is_bad,
     witnesses,
 )
@@ -1372,6 +1374,128 @@ def test_reconstruction_skips_when_balls_too_small():
     report = verify_reconstruction(cs, 5, trials=10)
     assert report.status == "SKIPPED"
     assert report.detail["ineligible_members"] == 4
+
+
+RECONSTRUCTION_SIZES = {"trials": 1000, "subset_words": 20, "subset_trials": 100}
+
+
+def _reconstruction_by_bundle(code, N, *, trials, subset_words, subset_trials):
+    """verify_reconstruction as one plain decode per bundle, in trial
+    order, nothing shared between decodes: the shared route's reference."""
+    t0 = time.monotonic()
+    n = code.n
+    words = list(codes.members(code))
+    eligible = [w for w in words if len(ds_ball(w)) >= N]
+    detail = {
+        "code": {"family": code.family, "n": n, "params": dict(code.params)},
+        "read_count": N,
+        "seed": verify.DEFAULT_SEED,
+        "channel_trials": trials,
+        "subset_words": min(subset_words, len(eligible)),
+        "subset_trials": subset_trials,
+        "ineligible_members": len(words) - len(eligible),
+    }
+    rng = random.Random(verify.DEFAULT_SEED)
+    sink = verify._Sink(n)
+
+    def check(w, bundle, label):
+        res = reconstruct.decode(code, bundle)
+        if res.status != reconstruct.UNIQUE or res.candidates != (w,):
+            sink.add(int(w, 2), None, label, reconstruct.UNIQUE, res.status,
+                     candidates=list(res.candidates))
+
+    checked = 0
+    for _ in range(trials):
+        w = eligible[rng.randrange(len(eligible))]
+        check(w, reconstruct.collect_reads(w, N, seed=rng.randrange(1 << 30)), "channel decode")
+        checked += 1
+    for w in eligible[:subset_words]:
+        ball = ds_ball(w)
+        for _ in range(subset_trials):
+            check(w, reconstruct.ReadBundle(n, tuple(sorted(rng.sample(ball, N)))),
+                  "subset decode")
+            checked += 1
+    return verify._finish("reconstruction", (n, n), checked, None, None, 0, sink.ces, t0, detail)
+
+
+# (code, N, status); the two FAIL cases fill the counterexample cap, so they
+# pin the order in which failures are reported
+RECONSTRUCTION_CASES = [
+    (("cl", 8), 7, "PASS"),
+    (("cl", 9), 7, "PASS"),
+    (("cl", 10), 7, "PASS"),
+    (("vt", 9), 7, "PASS"),
+    (("full", 6), 2, "FAIL"),
+    (("full", 7), 3, "FAIL"),
+]
+
+
+def _spec(family, n):
+    return codes.spec(family, n) if family == codes.FULL else codes.best_coset(family, n)
+
+
+@pytest.mark.parametrize("code, N, status", RECONSTRUCTION_CASES)
+def test_reconstruction_shared_balls_match_one_decode_per_bundle(code, N, status):
+    cs = _spec(*code)
+    report = verify_reconstruction(cs, N, **RECONSTRUCTION_SIZES)
+    assert report.status == status
+    if status == "FAIL":
+        assert len(report.counterexamples) == delsub.report._CE_CAP
+    assert report.to_json() == _reconstruction_by_bundle(cs, N, **RECONSTRUCTION_SIZES).to_json()
+
+
+def test_reconstruction_shared_balls_report_a_faulty_ball_alike(monkeypatch):
+    real = reconstruct._preimage
+
+    def drop_one(z, n):
+        # z with its last bit doubled: every codeword whose last run gives
+        # up the read's deletion is lost
+        ball = real(z, n)
+        ball.discard(z << 1 | z & 1)
+        return ball
+
+    monkeypatch.setattr(reconstruct, "_preimage", drop_one)
+    cs = codes.best_coset(codes.CL, 10)
+    report = verify_reconstruction(cs, 7, **RECONSTRUCTION_SIZES)
+    assert report.status == "FAIL"
+    assert report.to_json() == _reconstruction_by_bundle(cs, 7, **RECONSTRUCTION_SIZES).to_json()
+
+
+@pytest.mark.parametrize("code, N", [(("cl", 10), 7), (("vt", 9), 7)])
+def test_reconstruction_shares_balls_within_one_codeword(monkeypatch, code, N):
+    cs = _spec(*code)
+    real = verify.decode_reads
+    owners = {}  # id of a shared dict -> (the dict, kept alive, and its codeword)
+
+    def decode(code, bundle, *, _balls):
+        res = real(code, bundle, _balls=_balls)
+        (w,) = res.candidates
+        _, owner = owners.setdefault(id(_balls), (_balls, w))
+        assert owner == w
+        assert set(_balls) <= {int(z or "0", 2) for z in ds_ball(w)}
+        return res
+
+    monkeypatch.setattr(verify, "decode_reads", decode)
+    report = verify_reconstruction(cs, N, **RECONSTRUCTION_SIZES)
+    assert report.status == "PASS"
+    words = [w for _, w in owners.values()]
+    eligible = [w for w in codes.members(cs) if len(ds_ball(w)) >= N]
+    k = len(words) - report.detail["subset_words"]
+    # one dict per codeword of the channel leg, then one per subset word
+    assert len(set(words[:k])) == k
+    assert words[k:] == eligible[: report.detail["subset_words"]]
+
+
+def test_reconstruction_memory_is_bounded_by_one_ball():
+    cs = codes.best_coset(codes.CL, 10)
+    verify_reconstruction(cs, 7, **RECONSTRUCTION_SIZES)  # fill the per-length caches
+    tracemalloc.start()
+    try:
+        verify_reconstruction(cs, 7, **RECONSTRUCTION_SIZES)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
 
 
 def test_report_serialization_shape():
