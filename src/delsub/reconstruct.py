@@ -9,22 +9,23 @@ set of ints by inserting into every word w of S(z) the bit opposite to w's
 bit at every position below the top and both bits at the top, the n + 1
 distinct insertions of w: after one read at most n(n + 1) candidates
 survive, after two a few dozen (41 at most over all read pairs at n = 9).
-Each call keeps the balls it builds in a dict from read to ball, fresh per
-call by default; ``verify.verify_reconstruction`` passes one dict to every
-decode of one codeword's bundles and drops it when it moves on to the next
-codeword.  Every read of those bundles lies in that codeword's ds-ball, so
-the dict never holds more balls than the ball has elements, and nothing is
-kept across calls.  Every later read z then
-filters the survivors, keeping x exactly when one of its r(x) run
-deletions (``words._run_dels``: D(x) without repeats, one deletion per run
-of x) lies in S(z), that is within Hamming distance one of z: against
-S(z), built once per read, while more than two survivors are left, else
-deletion by deletion, which skips building S(z) for most of a long bundle.
-Only the words left are formatted as strings, sorted, and put to the
-code's membership test.  ``balls.preimage_ball``, ``balls.ds_ball`` and
-:func:`decode_by_scan` stay the string oracle of this route.  The
-generator is the stdlib Mersenne Twister, which is deterministic and
-portable across platforms for a fixed seed.
+Every later read z then filters the survivors, keeping x exactly when one
+of its r(x) run deletions (``words._run_dels``: D(x) without repeats, one
+deletion per run of x) lies in S(z), that is within Hamming distance one
+of z: against S(z), built once per read, while more than two survivors are
+left, else deletion by deletion, which skips building S(z) for most of a
+long bundle.  Only the words left are formatted as strings, sorted, and
+put to the code's membership test.  ``balls.preimage_ball``,
+``balls.ds_ball`` and :func:`decode_by_scan` stay the string oracle of this
+route.  The generator is the stdlib Mersenne Twister, which is
+deterministic and portable across platforms for a fixed seed.
+
+A decode keeps the preimage balls it builds in a dict from read to ball,
+fresh per call by default.  ``verify.verify_reconstruction`` passes one
+dict to every decode of one codeword's bundles and drops it when it moves
+on to the next codeword.  Every read of those bundles lies in that
+codeword's ds-ball, so the dict never holds more balls than that ball has
+elements, whatever the trial counts, and nothing is kept across calls.
 """
 
 from __future__ import annotations

@@ -1564,7 +1564,7 @@ def verify_reconstruction(
     for t in range(trials):
         i = rng.randrange(len(eligible))
         groups.setdefault(i, []).append((t, rng.randrange(1 << 30)))
-    fails = []
+    fails = []  # (trial, codeword, result)
     for i, group in groups.items():
         w, balls = eligible[i], {}
         for t, s in group:
@@ -1579,6 +1579,6 @@ def verify_reconstruction(
             res = failed(w, ReadBundle(n, tuple(sorted(rng.sample(ball, N)))), balls)
             if res is not None:
                 fail(w, res, "subset decode")
-    checked = trials + len(eligible[: subset_words]) * subset_trials
+    checked = trials + detail["subset_words"] * subset_trials
     return _finish("reconstruction", (n, n), checked, None, None, 0, sink.ces, t0, detail)
 

@@ -1376,10 +1376,7 @@ def test_reconstruction_skips_when_balls_too_small():
     assert report.detail["ineligible_members"] == 4
 
 
-RECONSTRUCTION_SIZES = {"trials": 1000, "subset_words": 20, "subset_trials": 100}
-
-
-def _reconstruction_by_bundle(code, N, *, trials, subset_words, subset_trials):
+def _reconstruction_by_bundle(code, N, *, trials=1000, subset_words=20, subset_trials=100):
     """verify_reconstruction as one plain decode per bundle, in trial
     order, nothing shared between decodes: the shared route's reference."""
     t0 = time.monotonic()
@@ -1437,11 +1434,11 @@ def _spec(family, n):
 @pytest.mark.parametrize("code, N, status", RECONSTRUCTION_CASES)
 def test_reconstruction_shared_balls_match_one_decode_per_bundle(code, N, status):
     cs = _spec(*code)
-    report = verify_reconstruction(cs, N, **RECONSTRUCTION_SIZES)
+    report = verify_reconstruction(cs, N)
     assert report.status == status
     if status == "FAIL":
         assert len(report.counterexamples) == delsub.report._CE_CAP
-    assert report.to_json() == _reconstruction_by_bundle(cs, N, **RECONSTRUCTION_SIZES).to_json()
+    assert report.to_json() == _reconstruction_by_bundle(cs, N).to_json()
 
 
 def test_reconstruction_shared_balls_report_a_faulty_ball_alike(monkeypatch):
@@ -1456,9 +1453,9 @@ def test_reconstruction_shared_balls_report_a_faulty_ball_alike(monkeypatch):
 
     monkeypatch.setattr(reconstruct, "_preimage", drop_one)
     cs = codes.best_coset(codes.CL, 10)
-    report = verify_reconstruction(cs, 7, **RECONSTRUCTION_SIZES)
+    report = verify_reconstruction(cs, 7)
     assert report.status == "FAIL"
-    assert report.to_json() == _reconstruction_by_bundle(cs, 7, **RECONSTRUCTION_SIZES).to_json()
+    assert report.to_json() == _reconstruction_by_bundle(cs, 7).to_json()
 
 
 @pytest.mark.parametrize("code, N", [(("cl", 10), 7), (("vt", 9), 7)])
@@ -1476,7 +1473,7 @@ def test_reconstruction_shares_balls_within_one_codeword(monkeypatch, code, N):
         return res
 
     monkeypatch.setattr(verify, "decode_reads", decode)
-    report = verify_reconstruction(cs, N, **RECONSTRUCTION_SIZES)
+    report = verify_reconstruction(cs, N)
     assert report.status == "PASS"
     words = [w for _, w in owners.values()]
     eligible = [w for w in codes.members(cs) if len(ds_ball(w)) >= N]
@@ -1486,16 +1483,16 @@ def test_reconstruction_shares_balls_within_one_codeword(monkeypatch, code, N):
     assert words[k:] == eligible[: report.detail["subset_words"]]
 
 
-def test_reconstruction_memory_is_bounded_by_one_ball():
+def test_reconstruction_check_peaks_under_one_megabyte():
     cs = codes.best_coset(codes.CL, 10)
-    verify_reconstruction(cs, 7, **RECONSTRUCTION_SIZES)  # fill the per-length caches
+    verify_reconstruction(cs, 7)  # fill the per-length caches
     tracemalloc.start()
     try:
-        verify_reconstruction(cs, 7, **RECONSTRUCTION_SIZES)
+        verify_reconstruction(cs, 7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1 << 20
+    assert peak <= 1e6
 
 
 def test_report_serialization_shape():
