@@ -17,16 +17,22 @@ per process pays that build once in ten); and the milliseconds per call
 ``best_coset("cl", 16)``, ``best_coset("cn21", 15)`` and
 ``size(spec("run_bounded", 16))``.  Every cell records its wall time and,
 under "cpu", its ``time.process_time()``, which a busy machine disturbs
-less.  Under "preimage_builds" it records the preimage balls its calls
-built in one round (``reconstruct._preimage`` calls, counted by a wrapper
-in the worker), a work counter that no machine load moves.  The two source
+less.  Three work counters that no machine load moves record what its
+calls built in one round, each counted by a wrapper in the worker around
+a name that ``reconstruct`` looks up at call time: under
+"preimage_builds" the preimage balls (``reconstruct._preimage`` calls),
+under "run_dels_builds" the run-deletion lists (``reconstruct._run_dels``
+calls, ball sizing included) and under "sub_set_builds" the sets S(z)
+(``reconstruct._sub_set`` calls, those inside ``_preimage`` and the ball
+sizing included).  Both trees' timings include the wrappers' cost, about
+a tenth of a microsecond per counted call.  The two source
 trees are measured in interleaved rounds (``rounds.py``); the output
 keeps, per tree, every round and the median, to four significant digits.
 It writes ``BENCH_decode.json`` at the repository root, or the file
 ``--out`` names.  Standard library only:
 
     python3 benchmarks/decode.py --src PATH/TO/PARENT/src
-    python3 benchmarks/decode.py --src PATH/TO/PARENT/src --out BENCH_decode_shared.json
+    python3 benchmarks/decode.py --src PATH/TO/PARENT/src --out BENCH_decode_memo.json
 
 The worker also hashes every decode result, every bundle drawn, the CLI
 decodes' exit codes and output, the reconstruction report's canonical JSON
@@ -77,41 +83,44 @@ CLI_DECODES = 10
 
 class _Clock:
     """Wall and process time per call of the calls timed through it, and
-    the work they did (count() before and after), by cell: a field, whose
-    name ends in its unit (_ms or _s), and a label within it or None."""
+    the work they did (each counter before and after), by cell: a field,
+    whose name ends in its unit (_ms or _s), and a label within it or None."""
 
-    def __init__(self, count: Callable[[], int]) -> None:
-        self.count = count
-        # [wall, cpu, calls, work]
+    def __init__(self, counters: dict[str, int]) -> None:
+        self.counters = counters
+        # [wall, cpu, calls, {counter: work}]
         self.totals: dict[tuple[str, str | None], list] = {}
 
     def __call__(self, field: str, label: str | None, calls: int, fn: Callable[[], Any]) -> Any:
         """fn(), which makes calls calls of the cell."""
-        k0 = self.count()
+        k0 = dict(self.counters)
         w0, c0 = time.perf_counter(), time.process_time()
         result = fn()
         cpu, wall = time.process_time() - c0, time.perf_counter() - w0
-        total = self.totals.setdefault((field, label), [0.0, 0.0, 0, 0])
+        total = self.totals.setdefault((field, label), [0.0, 0.0, 0, dict.fromkeys(k0, 0)])
         total[0] += wall
         total[1] += cpu
         total[2] += calls
-        total[3] += self.count() - k0
+        for name, before in k0.items():
+            total[3][name] += self.counters[name] - before
         return result
 
-    def cells(self, work: str) -> dict:
+    def cells(self) -> dict:
         """The wall time per call of each cell, under "cpu" its process time
-        per call, and under work the count summed over its calls."""
+        per call, and under each counter's name that count summed over its
+        calls."""
         wall: dict = {}
-        cpu: dict = {}
-        count: dict = {}
-        for (field, label), (*seconds, calls, done) in self.totals.items():
+        per: dict = {"cpu": {}, **{name: {} for name in self.counters}}
+        for (field, label), (wall_s, cpu_s, calls, done) in self.totals.items():
             scale = (1e3 if field.endswith("_ms") else 1.0) / calls
-            for into, value in zip((wall, cpu, count), (*(s * scale for s in seconds), done)):
+            cells = [(wall, wall_s * scale), (per["cpu"], cpu_s * scale)]
+            cells += [(per[name], work) for name, work in done.items()]
+            for into, value in cells:
                 if label is None:
                     into[field] = value
                 else:
                     into.setdefault(field, {})[label] = value
-        return {**wall, "cpu": cpu, work: count}
+        return {**wall, **per}
 
 
 def _worker(src: str) -> dict:
@@ -120,15 +129,18 @@ def _worker(src: str) -> dict:
 
     from delsub import balls, cli, codes, reconstruct, verify
 
-    builds = [0]
-    preimage = reconstruct._preimage
+    builds = {"preimage_builds": 0, "run_dels_builds": 0, "sub_set_builds": 0}
 
-    def counted(z: int, n: int) -> set[int]:
-        builds[0] += 1
-        return preimage(z, n)
+    def counted(counter: str, fn: Callable[[int, int], Any]) -> Callable[[int, int], Any]:
+        def call(x: int, n: int) -> Any:
+            builds[counter] += 1
+            return fn(x, n)
+        return call
 
-    reconstruct._preimage = counted
-    clock = _Clock(lambda: builds[0])
+    for name in ("_preimage", "_run_dels", "_sub_set"):
+        counter = name[1:] + "_builds"
+        setattr(reconstruct, name, counted(counter, getattr(reconstruct, name)))
+    clock = _Clock(builds)
     digest = hashlib.sha256()
     rng = random.Random(SEED)
     for label, family, n, N in SETTINGS:
@@ -175,7 +187,7 @@ def _worker(src: str) -> dict:
         results = clock("count_ms", label, COUNT_CALLS,
                         lambda: [call(codes) for _ in range(COUNT_CALLS)])
         digest.update(repr(results).encode())
-    return {**clock.cells("preimage_builds"), "status": report.status,
+    return {**clock.cells(), "status": report.status,
             "digest": digest.hexdigest()}
 
 
@@ -200,7 +212,9 @@ def _describe(run: dict) -> str:
     return " ".join(
         [f"{k} {v:.3f} ms" for k, v in run["decode_ms"].items()]
         + [f"reconstruction {run['reconstruction_s']:.3f} s"
-           f" ({run['preimage_builds']['reconstruction_s']:.0f} balls)",
+           f" ({run['preimage_builds']['reconstruction_s']:.0f} balls,"
+           f" {run['run_dels_builds']['reconstruction_s']:.0f} run-deletion lists,"
+           f" {run['sub_set_builds']['reconstruction_s']:.0f} sets S(z))",
            f"cli decode {run['cli_decode_ms']:.2f} ms"]
         + [f"{k} {v:.1f} ms" for k, v in run["count_ms"].items()]
     )

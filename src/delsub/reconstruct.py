@@ -20,19 +20,26 @@ put to the code's membership test.  ``balls.preimage_ball``,
 route.  The generator is the stdlib Mersenne Twister, which is
 deterministic and portable across platforms for a fixed seed.
 
-A decode keeps the preimage balls it builds in a dict from read to ball,
-fresh per call by default.  ``verify.verify_reconstruction`` passes one
-dict to every decode of one codeword's bundles and drops it when it moves
-on to the next codeword.  Every read of those bundles lies in that
-codeword's ds-ball, so the dict never holds more balls than that ball has
-elements, whatever the trial counts, and nothing is kept across calls.
+A decode keeps what it builds in a ``_Memo``: three maps, each filled on
+first use and never changed after, from a read (as an int) to its
+preimage ball, from a survivor of the first two reads to its run
+deletions, and from a later read to S(read).  A plain call gets a fresh
+memo.  ``verify.verify_reconstruction`` passes one memo to every decode of
+one codeword's bundles and drops it when it moves on to the next
+codeword.  The read maps are keyed by the reads decoded, all in that
+codeword's ds-ball, and the survivor map by words of the preimage balls
+kept, so a memo holds at most one ball's worth of reads and of preimage
+balls, whatever the trial counts, and nothing is kept across calls.  The
+check draws its bundles with ``_draw_reads``, ``collect_reads`` without
+the word check and the ball sizing, since it has sized every eligible
+codeword's ball with ``ds_ball`` already.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TextIO
 
 from .balls import apply_del_sub, ds_ball
@@ -119,7 +126,9 @@ def _ball_size(x: int, n: int) -> int:
 def collect_reads(x: str, count: int, seed: int) -> ReadBundle:
     """Draw channel outputs until count distinct reads have been seen.
 
-    The ball is sized on integers; the reads are drawn as strings.
+    x is checked to be a nonempty 0/1 word and its ball is sized, on
+    integers, before any draw; a ball of fewer than count elements raises
+    BallTooSmallError.  The reads are drawn as strings by ``_draw_reads``.
     """
     if count < 0:
         raise ValueError("read count must be nonnegative")
@@ -128,6 +137,13 @@ def collect_reads(x: str, count: int, seed: int) -> ReadBundle:
     ball = _ball_size(_int(parse_word(x)), len(x))
     if ball < count:
         raise BallTooSmallError(x, count, ball)
+    return _draw_reads(x, count, seed)
+
+
+def _draw_reads(x: str, count: int, seed: int) -> ReadBundle:
+    """collect_reads without its checks: the caller has made sure that x is
+    a nonempty 0/1 word whose ds-ball holds at least count elements, or
+    this never returns.  Same seed, same draws, same bundle."""
     rng = random.Random(seed)
     seen: dict[str, None] = {}
     while len(seen) < count:
@@ -136,9 +152,21 @@ def collect_reads(x: str, count: int, seed: int) -> ReadBundle:
     return ReadBundle(n=len(x), reads=tuple(seen))
 
 
-def decode(
-    cs: CodeSpec, bundle: ReadBundle, *, _balls: dict[int, set[int]] | None = None
-) -> DecodeResult:
+@dataclass(slots=True)
+class _Memo:
+    """What the decodes of one word's bundles share.  Each entry is built
+    on first use and never changed, so a decode's result does not depend
+    on the memo it is given."""
+
+    # read -> its preimage ball, for the first two reads of a bundle
+    balls: dict[int, set[int]] = field(default_factory=dict)
+    # survivor of the first two reads -> its run deletions
+    dels: dict[int, list[int]] = field(default_factory=dict)
+    # later read -> S(read), the words within one flip of it
+    near: dict[int, set[int]] = field(default_factory=dict)
+
+
+def decode(cs: CodeSpec, bundle: ReadBundle, *, _memo: _Memo | None = None) -> DecodeResult:
     """Find the codewords whose ds-balls hold every read.
 
     The candidates are the intersection of the first two reads' preimage
@@ -151,10 +179,13 @@ def decode(
     the survivor is unique; fewer reads may leave several candidates
     (AMBIGUOUS) and inconsistent reads leave none (INCONSISTENT).
 
-    _balls maps a read, as an int, to its preimage ball; the balls this
-    call builds go into it and are never changed.  A caller that decodes
-    several bundles of one word passes one dict to all of them; by default
-    each call gets a fresh one.
+    _memo keeps the preimage balls, survivors' run deletions and later
+    reads' S(z) this call builds, and hands back those an earlier call
+    built.  A caller that decodes several bundles of one word passes one
+    memo to all of them and drops it with the word: its read maps then
+    hold only reads of the bundles decoded, and its survivor map only
+    words of the preimage balls it holds.  By default each call gets a
+    fresh one.
     """
     n = cs.n
     if bundle.n != n:
@@ -163,7 +194,8 @@ def decode(
     if not reads:
         return _result(tuple(members(cs)))
     zs = [_int(z) for z in reads]
-    balls = {} if _balls is None else _balls
+    memo = _Memo() if _memo is None else _memo
+    balls = memo.balls
     for z in zs[:2]:
         if z not in balls:
             balls[z] = _preimage(z, n)
@@ -171,13 +203,19 @@ def decode(
     if len(zs) > 1:
         survivors = survivors & balls[zs[1]]
     if len(zs) > 2 and survivors:
-        dels = [(x, _run_dels(x, n)) for x in survivors]
+        known, nears = memo.dels, memo.near
+        for x in survivors:
+            if x not in known:
+                known[x] = _run_dels(x, n)
+        dels = [(x, known[x]) for x in survivors]
         for z in zs[2:]:
             # S(z) costs n set insertions per read, which pays only while
             # several survivors share it; one or two test their deletions'
             # distances to z instead (benchmarks/decode.py)
             if len(dels) > 2:
-                near = _sub_set(z, n - 1)
+                if z not in nears:
+                    nears[z] = _sub_set(z, n - 1)
+                near = nears[z]
                 dels = [(x, d) for x, d in dels if not near.isdisjoint(d)]
             else:
                 dels = [(x, d) for x, d in dels if any((u ^ z).bit_count() <= 1 for u in d)]

@@ -35,8 +35,12 @@ from .balls import (
     ds_ball,
 )
 from .codes import CodeSpec
-from .reconstruct import DecodeResult, ReadBundle, UNIQUE, collect_reads
+from .reconstruct import DecodeResult, ReadBundle, UNIQUE, _draw_reads, _Memo
 from .reconstruct import decode as decode_reads
+
+# unused here, but perfbench/tracing.py wraps this name in this module to
+# count calls
+from .reconstruct import collect_reads  # noqa: F401
 from .report import VerificationReport, _check_jobs, _finish, _map_tasks, _merge, _Sink, _spans
 from .report import _sweep, _sweep_tasks
 from .tables import _bits, _count_above, _count_max, _count_planes, _global_ceiling, _row_walk
@@ -1517,16 +1521,22 @@ def verify_reconstruction(
     channel from a seeded random eligible codeword; subset trials sample N
     element subsets of the first eligible codewords' balls directly.
     Codewords whose ball holds fewer than N elements cannot produce a
-    valid bundle and are skipped.
+    valid bundle and are skipped.  That test sizes every ball, so the
+    channel leg draws its bundles with ``reconstruct._draw_reads``, which
+    gives ``collect_reads``' bundle for the same seed without sizing the
+    ball again.
 
-    The decodes of one codeword's bundles share the preimage balls of
-    their reads (``reconstruct.decode``'s ``_balls``), and the dict goes
-    when the leg moves on to the next codeword.  Every read of those
-    bundles lies in that codeword's ds-ball, so the dict holds at most one
-    ball's worth of preimage balls whatever the trial counts.  The channel
-    leg therefore makes every trial's draws first, the codeword and then
-    the seed, decodes the trials codeword by codeword, and reports their
-    failures in trial order, as one decode per trial in turn would.
+    The decodes of one codeword's bundles share one ``reconstruct._Memo``
+    (``reconstruct.decode``'s ``_memo``): the preimage balls of their
+    first two reads, the run deletions of those balls' common words and
+    the S(z) of their later reads.  The memo goes when the leg moves on to
+    the next codeword.  Every read of those bundles lies in that
+    codeword's ds-ball, so the memo holds at most one ball's worth of
+    reads, preimage balls and sets S(z), whatever the trial counts.  The
+    channel leg therefore makes every trial's draws first, the codeword
+    and then the seed, decodes the trials codeword by codeword, and
+    reports their failures in trial order, as one decode per trial in turn
+    would.
     """
     t0 = time.monotonic()
     if N < 1:
@@ -1552,8 +1562,8 @@ def verify_reconstruction(
     rng = random.Random(seed)
     sink = _Sink(n)
 
-    def failed(w: str, bundle: ReadBundle, balls: dict) -> DecodeResult | None:
-        res = decode_reads(code, bundle, _balls=balls)
+    def failed(w: str, bundle: ReadBundle, memo: _Memo) -> DecodeResult | None:
+        res = decode_reads(code, bundle, _memo=memo)
         return None if res.status == UNIQUE and res.candidates == (w,) else res
 
     def fail(w: str, res: DecodeResult, label: str) -> None:
@@ -1566,17 +1576,17 @@ def verify_reconstruction(
         groups.setdefault(i, []).append((t, rng.randrange(1 << 30)))
     fails = []  # (trial, codeword, result)
     for i, group in groups.items():
-        w, balls = eligible[i], {}
+        w, memo = eligible[i], _Memo()
         for t, s in group:
-            res = failed(w, collect_reads(w, N, seed=s), balls)
+            res = failed(w, _draw_reads(w, N, s), memo)
             if res is not None:
                 fails.append((t, w, res))
     for _, w, res in sorted(fails, key=lambda f: f[0]):
         fail(w, res, "channel decode")
     for w in eligible[: subset_words]:
-        ball, balls = ds_ball(w), {}
+        ball, memo = ds_ball(w), _Memo()
         for _ in range(subset_trials):
-            res = failed(w, ReadBundle(n, tuple(sorted(rng.sample(ball, N)))), balls)
+            res = failed(w, ReadBundle(n, tuple(sorted(rng.sample(ball, N)))), memo)
             if res is not None:
                 fail(w, res, "subset decode")
     checked = trials + detail["subset_words"] * subset_trials

@@ -109,6 +109,19 @@ def test_collect_reads_sizes_the_ball_like_the_string_api():
             assert len(collect_reads(x, ball, seed=0).reads) == ball
 
 
+def test_draw_reads_gives_the_bundle_of_collect_reads():
+    # verify_reconstruction draws its channel bundles with _draw_reads, so
+    # they must be the bundles that the public collect_reads gives
+    for n in range(1, 9):
+        for bits in product("01", repeat=n):
+            x = "".join(bits)
+            ball = len(ds_ball(x))
+            for seed in (0, 1, 2):
+                for count in {0, 1, 2, ball // 2, ball - 1, ball} & set(range(ball + 1)):
+                    got = reconstruct._draw_reads(x, count, seed)
+                    assert got == collect_reads(x, count, seed=seed), (x, count, seed)
+
+
 def test_decode_unique_roundtrip():
     cs = best_coset(INV, 7, m=2)
     x = next(w for w in members(cs) if len(ds_ball(w)) >= 17)
@@ -236,6 +249,51 @@ def test_decode_filters_a_foreign_read_after_the_first_two(family, n):
                 assert x not in result.candidates
                 if empties:
                     assert result == DecodeResult(INCONSISTENT, ())
+
+
+@pytest.mark.parametrize("family", [CL, VT, FULL])
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_decode_with_one_memo_per_word_matches_a_fresh_decode(family, n):
+    cs = spec(FULL, n) if family == FULL else best_coset(family, n)
+    rng = random.Random(f"memo-{family}-{n}")
+    words = ["".join(bits) for bits in product("01", repeat=n - 1)]
+    code = list(members(cs))
+    for x in rng.sample(code, min(3, len(code))):
+        own = ds_ball(x)
+        ball = {int(z, 2) for z in own}
+        N = min(_THRESHOLD[family](n), len(own))
+        bundles = [collect_reads(x, count, seed=rng.randrange(1 << 30))
+                   for count in (1, 2, 3, N)]
+        bundles += [ReadBundle(n, tuple(sorted(rng.sample(own, N)))) for _ in range(2)]
+        memo = reconstruct._Memo()
+
+        def check(bundle):
+            result = decode(cs, bundle, _memo=memo)
+            assert result == decode(cs, bundle) == decode_by_scan(cs, bundle), (x, bundle)
+            return result
+
+        for bundle in bundles:
+            assert x in check(bundle).candidates
+        # the reads decoded are x's, and the survivors lie in their balls
+        assert set(memo.balls) <= ball and set(memo.near) <= ball
+        assert set(memo.dels) <= set().union(*memo.balls.values())
+        # a foreign read after the first two: outside every ball the first
+        # two reads leave, or in another survivor's ball only
+        foreign = set()
+        for bundle in bundles:
+            reads = bundle.reads
+            if len(reads) < 2:
+                continue
+            first_two = set(preimage_ball(reads[0], n)) & set(preimage_ball(reads[1], n))
+            covered = set().union(*(ds_ball(y) for y in first_two))
+            for pool in ([z for z in words if z not in covered], sorted(covered - set(own))):
+                if pool:
+                    z = rng.choice(pool)
+                    at = rng.randrange(2, len(reads) + 1)
+                    assert x not in check(ReadBundle(n, reads[:at] + (z,) + reads[at:])).candidates
+                    foreign.add(int(z, 2))
+        assert set(memo.balls) <= ball and set(memo.near) <= ball | foreign
+        assert set(memo.dels) <= set().union(*memo.balls.values())
 
 
 def test_bundle_roundtrip():

@@ -1458,18 +1458,50 @@ def test_reconstruction_shared_balls_report_a_faulty_ball_alike(monkeypatch):
     assert report.to_json() == _reconstruction_by_bundle(cs, 7).to_json()
 
 
+def _drop_first_run(real):
+    def run_dels(x, n):
+        # the deletion in x's first run is lost, unless it is x's only run
+        dels = real(x, n)
+        return dels[:-1] or dels
+
+    return run_dels
+
+
+def _drop_top_flip(real):
+    def sub_set(x, n):
+        out = real(x, n)
+        if n:
+            out.discard(x ^ 1 << (n - 1))
+        return out
+
+    return sub_set
+
+
+@pytest.mark.parametrize("name, fault", [("_run_dels", _drop_first_run), ("_sub_set", _drop_top_flip)])
+def test_reconstruction_memo_reports_a_faulty_kernel_alike(monkeypatch, name, fault):
+    # the memo keeps what the faulty kernel built; the report must still be
+    # the one that a fresh decode per bundle gives
+    monkeypatch.setattr(reconstruct, name, fault(getattr(reconstruct, name)))
+    cs = codes.best_coset(codes.CL, 10)
+    report = verify_reconstruction(cs, 7)
+    assert report.status == "FAIL"
+    assert report.to_json() == _reconstruction_by_bundle(cs, 7).to_json()
+
+
 @pytest.mark.parametrize("code, N", [(("cl", 10), 7), (("vt", 9), 7)])
 def test_reconstruction_shares_balls_within_one_codeword(monkeypatch, code, N):
     cs = _spec(*code)
     real = verify.decode_reads
-    owners = {}  # id of a shared dict -> (the dict, kept alive, and its codeword)
+    owners = {}  # id of a shared memo -> (the memo, kept alive, and its codeword)
 
-    def decode(code, bundle, *, _balls):
-        res = real(code, bundle, _balls=_balls)
+    def decode(code, bundle, *, _memo):
+        res = real(code, bundle, _memo=_memo)
         (w,) = res.candidates
-        _, owner = owners.setdefault(id(_balls), (_balls, w))
+        _, owner = owners.setdefault(id(_memo), (_memo, w))
         assert owner == w
-        assert set(_balls) <= {int(z or "0", 2) for z in ds_ball(w)}
+        ball = {int(z or "0", 2) for z in ds_ball(w)}
+        assert set(_memo.balls) <= ball and set(_memo.near) <= ball
+        assert set(_memo.dels) <= set().union(*_memo.balls.values())
         return res
 
     monkeypatch.setattr(verify, "decode_reads", decode)
@@ -1478,7 +1510,7 @@ def test_reconstruction_shares_balls_within_one_codeword(monkeypatch, code, N):
     words = [w for _, w in owners.values()]
     eligible = [w for w in codes.members(cs) if len(ds_ball(w)) >= N]
     k = len(words) - report.detail["subset_words"]
-    # one dict per codeword of the channel leg, then one per subset word
+    # one memo per codeword of the channel leg, then one per subset word
     assert len(set(words[:k])) == k
     assert words[k:] == eligible[: report.detail["subset_words"]]
 
