@@ -25,11 +25,11 @@ under "run_dels_builds" the run-deletion lists (``reconstruct._run_dels``
 calls, ball sizing included) and under "sub_set_builds" the sets S(z)
 (``reconstruct._sub_set`` calls, those inside ``_preimage`` and the ball
 sizing included).  Both trees' timings include the wrappers' cost, about
-a tenth of a microsecond per counted call.  The two source
-trees are measured in interleaved rounds (``rounds.py``); the output
-keeps, per tree, every round and the median, to four significant digits.
-It writes ``BENCH_decode.json`` at the repository root, or the file
-``--out`` names.  Standard library only:
+a tenth of a microsecond per counted call.  The two source trees are
+measured in interleaved rounds (``rounds.py``); the output keeps, per
+tree, every round and the median, times to four significant digits and
+work counts exact.  It writes ``BENCH_decode.json`` at the repository
+root, or the file ``--out`` names.  Standard library only:
 
     python3 benchmarks/decode.py --src PATH/TO/PARENT/src
     python3 benchmarks/decode.py --src PATH/TO/PARENT/src --out BENCH_decode_memo.json
@@ -192,8 +192,8 @@ def _worker(src: str) -> dict:
 
 
 def _sig(value: float) -> float:
-    """value to four significant digits."""
-    return float(f"{value:.4g}")
+    """value to four significant digits; a whole count stays exact."""
+    return value if isinstance(value, int) else float(f"{value:.4g}")
 
 
 def _median(values: list) -> Any:

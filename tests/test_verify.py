@@ -1477,7 +1477,9 @@ def _drop_top_flip(real):
     return sub_set
 
 
-@pytest.mark.parametrize("name, fault", [("_run_dels", _drop_first_run), ("_sub_set", _drop_top_flip)])
+@pytest.mark.parametrize(
+    "name, fault", [("_run_dels", _drop_first_run), ("_sub_set", _drop_top_flip)]
+)
 def test_reconstruction_memo_reports_a_faulty_kernel_alike(monkeypatch, name, fault):
     # the memo keeps what the faulty kernel built; the report must still be
     # the one that a fresh decode per bundle gives
