@@ -13,9 +13,11 @@ test's reconstruction leg; the milliseconds per call of ten
 n = 12 bundles, saved to files, as the perfbench ``codes-decode`` workload
 makes them (the first call included, so a tree that builds its parser once
 per process pays that build once in ten); and the milliseconds per call
-(mean of three) of the three counting calls of that workload:
+(mean of three) of five counting calls: the three of that workload,
 ``best_coset("cl", 16)``, ``best_coset("cn21", 15)`` and
-``size(spec("run_bounded", 16))``.  Every cell records its wall time and,
+``size(spec("run_bounded", 16))``, and ``best_coset("cl", 20)`` and
+``best_coset("cl", 24)``, where cl's 2n^2 values of its last sum make the
+counting DP's layers widest.  Every cell records its wall time and,
 under "cpu", its ``time.process_time()``, which a busy machine disturbs
 less.  Three work counters that no machine load moves record what its
 calls built in one round, each counted by a wrapper in the worker around
@@ -36,7 +38,7 @@ root, or the file ``--out`` names.  Standard library only:
 
 The worker also hashes every decode result, every bundle drawn, the CLI
 decodes' exit codes and output, the reconstruction report's canonical JSON
-and the three counting results; the script fails if the two trees disagree
+and the five counting results; the script fails if the two trees disagree
 on any of them.
 """
 
@@ -71,11 +73,14 @@ SETTINGS = (
 )
 RECON = {"family": "cl", "n": 10, "N": 7,
          "trials": 1000, "subset_words": 20, "subset_trials": 100}
-# (label, call): the counting calls of the codes-decode workload
+# (label, call): the counting calls of the codes-decode workload, then cl
+# at the lengths past it
 COUNTS = (
     ("best_coset_cl_16", lambda codes: codes.best_coset("cl", 16)),
     ("best_coset_cn21_15", lambda codes: codes.best_coset("cn21", 15)),
     ("size_run_bounded_16", lambda codes: codes.size(codes.spec("run_bounded", 16))),
+    ("best_coset_cl_20", lambda codes: codes.best_coset("cl", 20)),
+    ("best_coset_cl_24", lambda codes: codes.best_coset("cl", 24)),
 )
 COUNT_CALLS = 3
 CLI_DECODES = 10

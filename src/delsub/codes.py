@@ -12,9 +12,10 @@ residue parameters.
 Membership steps a word's bits through the filters' control states and
 the sums, from tables built once per spec.  Enumeration walks the prefixes
 depth first, 0 before 1, so it yields the words in ascending integer order
-in O(n) memory and drops a prefix as soon as a filter rejects it.  Sizes and best cosets come from one transfer DP
-over positions that counts every coset of a family at once, exactly, in time
-polynomial in n rather than 2^n.
+in O(n) memory and drops a prefix as soon as a filter rejects it.  Sizes
+and best cosets come from one transfer DP over positions that counts every
+coset of a family at once, exactly, in time polynomial in n rather than
+2^n, its counts packed into the lanes of a few big ints.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import struct
 from array import array
 from dataclasses import dataclass
 from operator import add
@@ -386,75 +388,66 @@ def _key_index(key: tuple[int, ...], moduli: tuple[int, ...]) -> int:
     return index
 
 
-def _plus(a: list[int], b: list[int]) -> list[int]:
-    return list(map(add, a, b))
-
-
-def _shifted(vec: list[int], sources: list[int], width: int, r: int) -> list[int]:
-    """Block k of the result is the block of vec at offset sources[k],
-    rotated right by r."""
-    cut = width - r
-    out: list[int] = []
-    for start in sources:
-        out += vec[start + cut : start + width]
-        out += vec[start : start + cut]
-    return out
-
-
 def _coset_counts(cs: CodeSpec) -> list[int]:
     """Number of words in every coset of cs's family at cs's n and fixed
     parameters, indexed by :func:`_key_index` of the residues.
 
     One transfer DP over positions.  A layer holds, per live control state
-    (:func:`_control`), one row per value of the last weighted sum, None
-    until some prefix reaches that value; a row is a flat list of counts
-    over the other sums, row-major.  A 0 bit only moves the control state.
-    A 1 bit at position i also adds each sum's weight at i: the last sum
-    moves whole rows, and inside a row the sum before it rotates every
-    block of its width by slicing while the sums before that move blocks.
-    A layer thus costs a few list operations per reached row; cl's last
-    sum, the order-2 VT sum mod 2n^2, reaches its rows only as its raw
-    range i(i+1)(i+2)/6 grows.
+    (:func:`_control`; None while no prefix reaches it), one int per cell,
+    a cell being one value of every sum but the last, in mixed radix.  The
+    int packs that cell's counts over every value of the last sum (its
+    rows) into lanes of a fixed width, row k in lane k; a lane holds 2^n,
+    so none overflows, as a prefix of length i has at most 2^i words.  A 0
+    bit only moves the control state.  A 1 bit at position i adds each
+    sum's weight at i: the states that a 1 bit takes to one next state are
+    summed first, then that sum's cells move by one index list, which takes
+    each cell from the cell its inner sums come from, and every moved int
+    rotates its lanes by the last sum's weight (two shifts, a mask and an
+    or).  Both bits merge into their next state with one int add per cell,
+    so a layer costs a few big-int operations per cell and live state.  The
+    lanes are unpacked once, after the last position, cell by cell, which
+    gives the counts cell-major, the last sum varying fastest.
     """
     filters, sums, key = _coset(cs)[0]
     nxt0, nxt1 = _control(filters)
     *inner, (rows, last) = sums or ((1, lambda i: 0),)
     mods = [mod for mod, _ in inner]
-    width = mods[-1] if mods else 1
-    cells = math.prod(mods)
-    layer: list[list[list[int] | None] | None] = [None] * len(nxt0)
-    layer[0] = [[1] + [0] * (cells - 1)] + [None] * (rows - 1)
+    # a lane is the fewest of 1, 2, 4 or 8 bytes that holds 2^n, unpacked by
+    # struct's "<" formats, whose width and byte order are the same on every
+    # platform; past n = 63 it has n // 8 + 1 bytes, unpacked one at a time
+    width = next((w for w in (1, 2, 4, 8) if 8 * w > cs.n), cs.n // 8 + 1)
+    span = 8 * width * rows
+    mask = (1 << span) - 1
+    layer: list[list[int] | None] = [None] * len(nxt0)
+    layer[0] = [1] + [0] * (math.prod(mods) - 1)
     for i in range(1, cs.n + 1):
         sources = [0]
-        for mod, w in inner[:-1]:
+        for mod, w in inner:
             d = w(i)
             sources = [s * mod + (e - d) % mod for s in sources for e in range(mod)]
-        sources = [s * width for s in sources]
-        r = inner[-1][1](i) % width if inner else 0
-        d = last(i) % rows
-        out: list[list[list[int] | None] | None] = [None] * len(nxt0)
-        for c, table in enumerate(layer):
-            if table is None:
+        up = last(i) % rows * 8 * width
+        down = span - up
+        out: list[list[int] | None] = [None] * len(nxt0)
+        ones: list[list[int] | None] = [None] * len(nxt0)
+        for c, cells in enumerate(layer):
+            if cells is None:
                 continue
-            for to, bit in ((nxt0[c], 0), (nxt1[c], 1)):
-                if to < 0:
-                    continue
-                into = out[to]
-                if into is None:
-                    into = out[to] = [None] * rows
-                for k, vec in enumerate(table):
-                    if vec is None:
-                        continue
-                    if bit:
-                        k = (k + d) % rows
-                        vec = _shifted(vec, sources, width, r) if inner else vec
-                    into[k] = vec if into[k] is None else _plus(into[k], vec)
+            for to, into in ((nxt0[c], out), (nxt1[c], ones)):
+                if to >= 0:
+                    into[to] = cells if into[to] is None else list(map(add, into[to], cells))
+        for to, cells in enumerate(ones):
+            if cells is not None:
+                moved = [v << up & mask | v >> down for v in map(cells.__getitem__, sources)]
+                out[to] = moved if out[to] is None else list(map(add, out[to], moved))
         layer = out
-    by_last: list[list[int]] = []
-    for k in range(rows):
-        reached = [t[k] for t in layer if t is not None and t[k] is not None]
-        by_last.append(functools.reduce(_plus, reached) if reached else [0] * cells)
-    total = list(itertools.chain.from_iterable(zip(*by_last)))
+    live = [cells for cells in layer if cells is not None] or [[0] * math.prod(mods)]
+    packed = (v.to_bytes(width * rows, "little") for v in map(sum, zip(*live)))
+    if width <= 8:
+        lanes = struct.Struct(f"<{rows}" + {1: "B", 2: "H", 4: "I", 8: "Q"}[width]).unpack
+        total = list(itertools.chain.from_iterable(map(lanes, packed)))
+    else:
+        total = [int.from_bytes(b[j : j + width], "little")
+                 for b in packed for j in range(0, len(b), width)]
     if key is None:
         return total
     moduli, residues_of = key
@@ -551,7 +544,7 @@ def best_coset(
         raise ValueError(f"coset search capped at n <= {ENUMERATION_LIMIT}")
     zero, coset = _coset_search(family, n, m, P)
     counts = _coset_counts(zero)
-    index = max(range(len(counts)), key=counts.__getitem__)
+    index = counts.index(max(counts))
     residues = []
     for mod in reversed(_coset(zero)[0].moduli):
         index, value = divmod(index, mod)

@@ -50,6 +50,11 @@ def test_code_size_partitions_space(capsys):
     assert total == 256
 
 
+def test_code_size_of_the_full_code_past_the_widest_fixed_lane(capsys):
+    code, out, err = run(capsys, "code", "size", "--family", "full", "--n", "100")
+    assert (code, out, err) == (0, "1267650600228229401496703205376\n", "")
+
+
 def test_code_list_and_check_agree(capsys):
     code, out, _ = run(capsys, "code", "list", "--family", "vt", "--n", "6", "--a", "0")
     assert code == 0

@@ -133,8 +133,11 @@ def test_residue_partition(family, params):
 
 
 def test_size_and_redundancy_examples():
-    assert size(spec(FULL, 10)) == 1024
-    assert redundancy(spec(FULL, 10)) == 0
+    # the DP packs counts up to 2^n into lanes of 8, 16, 32 or 64 bits,
+    # wider past n = 63: these n sit on each side of every width
+    for n in (7, 8, 10, 15, 16, 31, 32, 33, 63, 64, 65, 128, 300):
+        assert size(spec(FULL, n)) == 1 << n, n
+        assert redundancy(spec(FULL, n)) == 0, n
     assert size(spec(RLL, 8, P=6)) >= 192 == 3 * 2**6
 
 
@@ -360,6 +363,36 @@ def test_counting_dp_matches_scan(family):
                 assert size(coset(k)) == counts[k], (n, fixed, k)
             if residues:
                 assert best_coset(family, n, **fixed) == coset(best), (n, fixed)
+
+
+RESIDUE_FAMILIES = [family for family in FAMILIES if codes._FAMILIES[family].residues]
+
+
+@pytest.mark.parametrize("family", RESIDUE_FAMILIES)
+def test_counting_dp_matches_enumeration_to_sixteen(family):
+    """The zero coset's counts against the bucket sizes of the prefix walk,
+    at the default m and P, past the n <= 12 scan above; and best_coset
+    against the largest bucket where the walk is cheap."""
+    for n in range(1, 17):
+        buckets, coset_of = cosets(family, n)
+        zero = coset_of((0,) * len(codes._FAMILIES[family].residues))
+        counts = {k: len(buckets.get(k, ())) for k in product(*map(range, codes._coset(zero)[0].moduli))}
+        assert codes._coset_counts(zero) == list(counts.values()), n
+        if n <= 10:
+            assert best_coset(family, n) == coset_of(min(counts, key=lambda k: (-counts[k], k))), n
+
+
+def test_counting_dp_keeps_one_int_per_cell():
+    # one int per cell of cl at n = 16 holds 512 lanes; packing a whole
+    # layer into one int would hold 65,536 and its shifted copies
+    cs = best_coset(CL, 16)
+    tracemalloc.start()
+    try:
+        codes._coset_counts(cs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
 
 
 def _subcode(inner, outer):
