@@ -376,7 +376,8 @@ def test_counting_dp_matches_enumeration_to_sixteen(family):
     for n in range(1, 17):
         buckets, coset_of = cosets(family, n)
         zero = coset_of((0,) * len(codes._FAMILIES[family].residues))
-        counts = {k: len(buckets.get(k, ())) for k in product(*map(range, codes._coset(zero)[0].moduli))}
+        moduli = codes._coset(zero)[0].moduli
+        counts = {k: len(buckets.get(k, ())) for k in product(*map(range, moduli))}
         assert codes._coset_counts(zero) == list(counts.values()), n
         if n <= 10:
             assert best_coset(family, n) == coset_of(min(counts, key=lambda k: (-counts[k], k))), n
