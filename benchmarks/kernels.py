@@ -24,9 +24,10 @@ caches ``verify._dels_by_position`` and ``verify._witness_summaries`` on
 older trees, tables of ``_Tables`` on newer ones), and hashes each
 canonical report.  The bounds and identity
 cells at n = 10 also record, from one untimed ``jobs=1`` call that wraps
-``_walk_mask`` in the module whose ``_row_walk`` reads it, how many pairs
-the row walk sent through the per-pair checks; a route that stands for
-several pairs with one visit walks fewer.  Their "pairs" is every pair of the sweep, as in the report,
+``verify._row_walk``, how many pairs the row walk sent through the
+per-pair checks: the walk masks of every item it yields, so the partners
+a row always walks count too; a route that stands for several pairs with
+one visit walks fewer.  Their "pairs" is every pair of the sweep, as in the report,
 so that us per pair compares the trees' wall times.  Each structured window cell (n, kind) walks up to four
 evenly spaced windows of 64 pairs for every parameter tuple of the family,
 at n = 11 and n = 14, through
@@ -132,22 +133,22 @@ def _coset_pairs(verify, theorem_id: str, n: int) -> int:
 
 def _walked_pairs(verify, call) -> int:
     """The pairs call(jobs=1) sends through the per-pair checks of its row
-    walk, counted where the tree's _row_walk reads _walk_mask."""
-    walker = sys.modules[verify._row_walk.__module__]
-    walk_mask = walker._walk_mask
+    walk: the walk masks of every item of verify._row_walk, the name the
+    sweep chunks read, own-orbit partners included."""
+    row_walk = verify._row_walk
     walked = 0
 
     def counted(*args):
         nonlocal walked
-        mask = walk_mask(*args)
-        walked += mask.bit_count()
-        return mask
+        for item in row_walk(*args):
+            walked += item[2].bit_count()
+            yield item
 
-    walker._walk_mask = counted
+    verify._row_walk = counted
     try:
         call(jobs=1)
     finally:
-        walker._walk_mask = walk_mask
+        verify._row_walk = row_walk
     return walked
 
 

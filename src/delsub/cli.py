@@ -118,7 +118,9 @@ def _emit(payload: Any, args: argparse.Namespace, text_override: str | None = No
         sys.stdout.write(rendered)
 
 
-def _code_spec(args: argparse.Namespace, n: int) -> codes.CodeSpec:
+def _code_spec(args: argparse.Namespace, n: int) -> tuple[codes.CodeSpec, int | None]:
+    """The code the flags name at length n and, with --best, its size,
+    which the coset search has counted."""
     if args.family is None:
         raise ValueError("argument --family: required")
     params = {name: getattr(args, name) for name in _PARAM_FLAGS if getattr(args, name) is not None}
@@ -126,8 +128,8 @@ def _code_spec(args: argparse.Namespace, n: int) -> codes.CodeSpec:
         residue = next((name for name in params if name not in ("m", "P")), None)
         if residue is not None:
             raise ValueError(f"argument --{residue}: --best picks the residues itself")
-        return codes.best_coset(args.family, n, **params)
-    return codes.spec(args.family, n, **params)
+        return codes._best(args.family, n, params.get("m"), params.get("P"))
+    return codes.spec(args.family, n, **params), None
 
 
 def _words(args: argparse.Namespace, count: int) -> list[str]:
@@ -162,18 +164,19 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_code_list(args: argparse.Namespace) -> int:
-    _emit(list(codes.members(_code_spec(args, args.n))), args)
+    _emit(list(codes.members(_code_spec(args, args.n)[0])), args)
     return 0
 
 
 def _cmd_code_size(args: argparse.Namespace) -> int:
-    _emit(codes.size(_code_spec(args, args.n)), args)
+    cs, count = _code_spec(args, args.n)
+    _emit(codes.size(cs) if count is None else count, args)
     return 0
 
 
 def _cmd_code_check(args: argparse.Namespace) -> int:
     (x,) = _words(args, 1)
-    member = codes.contains(_code_spec(args, args.n), x)
+    member = codes.contains(_code_spec(args, args.n)[0], x)
     _emit(member, args, text_override=f"{member}\n")
     return 0
 
@@ -195,7 +198,7 @@ class _Target(NamedTuple):
 
 
 def _reconstruction_inputs(args: argparse.Namespace) -> tuple[codes.CodeSpec, int]:
-    spec = _code_spec(args, args.n)
+    spec = _code_spec(args, args.n)[0]
     if args.N is None:
         raise ValueError("argument --N: required for target reconstruction")
     return spec, args.N
@@ -268,7 +271,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         return _fail(f"argument --bundle: {exc}")
     if args.n is not None and args.n != bundle.n:
         return _fail(f"argument --n: bundle carries n={bundle.n}, got {args.n}")
-    result = reconstruct.decode(_code_spec(args, bundle.n), bundle)
+    result = reconstruct.decode(_code_spec(args, bundle.n)[0], bundle)
     _emit({"status": result.status, "candidates": list(result.candidates)}, args)
     return 0
 

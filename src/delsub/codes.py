@@ -540,13 +540,19 @@ def best_coset(
     modulus (default 2) and P the period (default the smallest even value
     >= log2(n) + 3); either is rejected for a family that does not take it.
     """
+    return _best(family, n, m, P)[0]
+
+
+def _best(family: str, n: int, m: int | None, P: int | None) -> tuple[CodeSpec, int]:
+    """best_coset and its size, from one count."""
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"coset search capped at n <= {ENUMERATION_LIMIT}")
     zero, coset = _coset_search(family, n, m, P)
     counts = _coset_counts(zero)
-    index = counts.index(max(counts))
+    largest = max(counts)
+    index = counts.index(largest)
     residues = []
     for mod in reversed(_coset(zero)[0].moduli):
         index, value = divmod(index, mod)
         residues.append(value)
-    return coset(tuple(reversed(residues)))
+    return coset(tuple(reversed(residues))), largest

@@ -21,7 +21,7 @@ from array import array
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .balls import ADJACENT_TRANSPOSITION, CASE_CEILINGS, GENERIC
-from .words import _del_bit, _del_set, _maps_rows, _Orbits, _word_maps
+from .words import _del_bit, _del_set, _maps_rows, _Orbits, _reverse, _reverse_elements, _word_maps
 
 
 def _bits(mask: int) -> list[int]:
@@ -377,25 +377,35 @@ def _walk_mask(tab: _Tables, x: int, planes: list[int], limit: int, scope: int) 
 def _row_walk(
     tab: _Tables, rows: Sequence[int], weights: Sequence[int], group: str
 ) -> Iterator[tuple[int, int, int, int, int]]:
-    """Per row x of rows: x, the weight of its pairs, the mask of the
-    partners y to walk (_walk_mask), the number of the other partners, and
-    the largest shared-ball size among those (-1 when there are none).
+    """Per row x of rows, per set of partners y of x: x, the weight of each
+    pair, the mask of the partners to walk, the number of the other
+    partners, and the largest shared-ball size among those (-1 when there
+    are none).
 
-    The partners of x are the y > x on the full route (group ""), and on
-    an orbit route every y != x: there x stands for its orbit, whose size
-    weights gives, and each pair is seen from both its words, so it weighs
-    half of that.  Each other partner shares no deletion and no
-    substitution with x, by definition and in the tables, and no more
-    elements than the generic and the global ceiling allow.  Both sweeps
-    walk with this one rule and limit.
+    On the full route (group "") the partners of x are the y > x, walked as
+    _walk_mask says.  On the orbit route of "rc" x stands for its orbit,
+    whose size weights gives, and each pair orbit is seen once: first the y
+    whose orbit's least word is above x, at that weight and walked as
+    _walk_mask says, then the other words of x's orbit, all walked, at half
+    of it, as a pair inside the orbit is seen from both its words.  Each
+    other partner shares no deletion and no substitution with x, by
+    definition and in the tables, and no more elements than the generic and
+    the global ceiling allow.  Both sweeps walk with this one rule and limit.
     """
+    n = tab.n
+    top = (1 << n) - 1
     col_b = tab.columns
-    full = (1 << len(tab.bmask)) - 1
-    generic = CASE_CEILINGS[GENERIC].ceiling(tab.n)
-    limit = min(generic, _global_ceiling(tab.n) or generic)
+    generic = CASE_CEILINGS[GENERIC].ceiling(n)
+    limit = min(generic, _global_ceiling(n) or generic)
     for x, w, row in zip(rows, weights, tab.elements(rows)):
-        scope = full ^ (1 << x) if group else full & -(2 << x)
+        scope = -(2 << x) & ((1 << (top - x if group else top + 1)) - 1)
+        if group:
+            # y and its complement above x, then their reversals too
+            scope &= _reverse_elements(scope, n)
         planes = _count_planes(col_b, row)
         walk = _walk_mask(tab, x, planes, limit, scope)
         rest = scope & ~walk
-        yield x, w >> 1 if group else w, walk, rest.bit_count(), _count_max(planes, rest)
+        yield x, w, walk, rest.bit_count(), _count_max(planes, rest)
+        if group:
+            r = _reverse(x, n)
+            yield x, w >> 1, (1 << (x ^ top) | 1 << r | 1 << (r ^ top)) & ~(1 << x), 0, -1

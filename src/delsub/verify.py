@@ -260,7 +260,7 @@ def _bounds_chunk(
     n: int, rows: Sequence[int], weights: Sequence[int], group: str
 ) -> dict[str, Any]:
     """The exhaustive intersection-bounds checks on the pairs of the given
-    rows, each pair's counts weighted by its row's weight (see _row_walk).
+    rows, each pair's counts weighted as its row walk says (_row_walk).
 
     A pair the row walk leaves out is generic with d = 0 = want_d, and the
     generic case has neither a run-sum ceiling nor an equality family; its
@@ -900,8 +900,8 @@ def verify_intersection_bounds(
 def _identity_chunk(
     n: int, rows: Sequence[int], weights: Sequence[int], group: str
 ) -> dict[str, Any]:
-    """The size accounting of the pairs of the given rows, each row's pairs
-    counted with its weight (see _row_walk).
+    """The size accounting of the pairs of the given rows, each pair
+    counted with the weight its row walk gives it (_row_walk).
 
     A pair the row walk leaves out is generic and within the generic and
     global ceilings: both terms are empty, so containment holds and every
@@ -915,14 +915,12 @@ def _identity_chunk(
     sm = tab.smask
     bm = tab.bmask
     prev = tab.prev_smask
-    size = 1 << n
     pairs = 0
     extremal = -1
     sink = _Sink(n, group)
     cases = _case_rows(n)
-    for x, w, walk, _, bulk_max in _row_walk(tab, rows, weights, group):
-        # row x pairs with the size - 1 - x words after it, or all size - 1 others
-        pairs += w * (size - 1 if group else size - 1 - x)
+    for x, w, walk, bulk, bulk_max in _row_walk(tab, rows, weights, group):
+        pairs += w * (bulk + walk.bit_count())
         if bulk_max > extremal:
             extremal = bulk_max
         bx = bm[x]
@@ -936,12 +934,18 @@ def _identity_chunk(
             d_mask = dx & dm[y]
             s_mask = sx & sm[y]
             dh = (x ^ y).bit_count()
+            case, name, ceiling, _, run_extra, extra_cap = cases[dh][d_mask.bit_count()]
+            # on sound tables each mask holds at most two words
             s_term = 0
-            for z in _bits(d_mask):
-                s_term |= prev[z]
+            while d_mask:
+                low = d_mask & -d_mask
+                s_term |= prev[low.bit_length() - 1]
+                d_mask ^= low
             d_term = 0
-            for z in _bits(s_mask):
-                d_term |= dm[z]
+            while s_mask:
+                low = s_mask & -s_mask
+                d_term |= dm[low.bit_length() - 1]
+                s_mask ^= low
             union = s_term | d_term
             if union & ~inter:
                 sink.add(x, y, "term containment", True, False)
@@ -950,7 +954,6 @@ def _identity_chunk(
             d_sz = d_term.bit_count()
             extra = b - union.bit_count()
 
-            case, name, ceiling, _, run_extra, extra_cap = cases[dh][d_mask.bit_count()]
             if case is TWO_FLIPS:
                 # deletion side only
                 if d_sz > 2 * n:
@@ -1266,8 +1269,10 @@ def _coset_rows(tab: _Tables, members: list[int], bound: int, sink: _Sink) -> tu
     maps row by row under reversal and complement; when it does and g maps
     the coset onto itself, one row per orbit of g is walked, else every
     row, each against every other member weighted with its orbit's size, so
-    every pair counts twice.  The above-ceiling pairs found, closed under
-    the group, are every such pair; the _CE_CAP smallest are kept.
+    every pair counts twice: a row costs its full-width planes whatever it
+    reads, so seeing each pair orbit once, as tables._row_walk does, would
+    save nothing.  The above-ceiling pairs found, closed under the group,
+    are every such pair; the _CE_CAP smallest are kept.
     """
     orbits, rows, cols = tab.coset(members)
     full = (1 << len(members)) - 1

@@ -83,6 +83,17 @@ def test_code_best_rejects_parameters_the_family_lacks(capsys):
     assert json.loads(out) == codes.size(codes.best_coset(codes.INV, 6, m=3))
 
 
+def test_code_size_best_counts_the_cosets_once(monkeypatch, capsys):
+    counts = codes._coset_counts
+    calls = []
+    monkeypatch.setattr(codes, "_coset_counts", lambda cs: calls.append(cs) or counts(cs))
+    code, out, _ = run(capsys, "code", "size", "--family", "cl", "--n", "16", "--best")
+    assert code == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert json.loads(out) == codes.size(codes.best_coset(codes.CL, 16))
+
+
 def test_code_best_without_a_period_rejects_zero_length(capsys):
     for family in ("vt", "inv", "cl"):
         code, out, err = run(capsys, "code", "list", "--family", family, "--n", "0", "--best")

@@ -251,7 +251,8 @@ _WALK_FAULTS = {
 def test_row_walk_matches_the_every_pair_sweep(monkeypatch, corrupt):
     # walking every partner is the every-pair sweep; the row walk must give
     # the same chunk results on sound and faulty n = 8 tables, on the full
-    # route (every later word) and on the orbit route (every other word)
+    # route (every later word) and on the orbit route (every word whose
+    # orbit lies above the row's, and the rest of the row's orbit)
     real = verify._tables
     tab = verify._Tables(8)
     corrupt(tab)
@@ -292,7 +293,10 @@ def test_row_walk_holds_every_pair_the_tables_share(n, fault):
     # every pair whose rows share an element is walked on both routes, the
     # strays standing in for the shared elements of a faulty row; on sound
     # tables the walk is the near flips, the shift partners and the pairs
-    # above the limit, and holds nothing more with or without the shifts
+    # above the limit, and holds nothing more with or without the shifts.
+    # Row x's scope is the later words on the full route; on the orbit route
+    # it is the words whose orbit's least word is above x, then the rest of
+    # x's orbit, which is always walked
     sound = verify._tables(n)
     tab = verify._Tables(n)
     _WALK_FAULTS[fault](tab)
@@ -305,11 +309,25 @@ def test_row_walk_holds_every_pair_the_tables_share(n, fault):
     words = range(1 << n)
     generic = CASE_CEILINGS[GENERIC].ceiling(n)
     limit = min(generic, verify._global_ceiling(n) or generic)
+    maps = _group(n)
+    # above[x]: the words whose orbit's least word is above x
+    least = [0] * (1 << n)
+    for y in words:
+        least[min(g(y) for g in maps)] |= 1 << y
+    above = [0] * (1 << n)
+    for x in reversed(words[:-1]):
+        above[x] = above[x + 1] | least[x + 1]
     for group in ("", "rc"):
+        items = {}
         for x, _, walk, *_ in verify._row_walk(tab, words, [2] * len(words), group):
-            scope = ((1 << (1 << n)) - 1) ^ (1 << x)
-            if not group:
-                scope &= -(2 << x)
+            items.setdefault(x, []).append(walk)
+        for x, (walk, *own) in items.items():
+            if group:
+                scope = above[x]
+                assert own == [sum({1 << g(x) for g in maps}) ^ 1 << x], (n, fault, x)
+            else:
+                scope = ((1 << (1 << n)) - 1) & -(2 << x)
+                assert own == [], (n, fault, x)
             assert sharing[x] & scope & ~walk == 0, (n, fault, group, x)
             if fault != "sound":
                 continue
@@ -318,6 +336,35 @@ def test_row_walk_holds_every_pair_the_tables_share(n, fault):
             planes = verify._count_planes(tab.columns, tab.elements([x])[0])
             identity = (near | sharing[x] | verify._count_above(planes, limit)) & scope
             assert walk == identity == identity | (shifts & scope), (n, group, x)
+
+
+def test_orbit_rows_cover_each_pair_orbit_once(monkeypatch):
+    # on the orbit route the representatives' partners, walked whole and
+    # closed under the group, are every pair; each pair orbit is visited
+    # from one row only, at weights that sum to its size (a row whose word a
+    # map fixes meets some pair orbits twice, at half their size each), and
+    # both chunks weigh their pairs to the number of pairs
+    for n in range(1, 10):
+        orbits = delsub.report._word_orbits(n, "rc")
+        tab = verify._tables(n)
+        maps = _group(n)
+        with monkeypatch.context() as m:
+            m.setattr(tables, "_walk_mask", lambda tab, x, planes, limit, scope: scope)
+            visits = [(x, y, w) for x, w, walk, *_ in
+                      verify._row_walk(tab, orbits.rows, orbits.weights, "rc")
+                      for y in verify._bits(walk)]
+        rows, weights, sizes = {}, Counter(), {}
+        for x, y, w in visits:
+            images = {tuple(sorted((g(x), g(y)))) for g in maps}
+            key = min(images)
+            rows.setdefault(key, set()).add(x)
+            weights[key] += w
+            sizes[key] = len(images)
+        assert all(len(r) == 1 for r in rows.values()), n
+        assert weights == sizes, n
+        assert sum(sizes.values()) == (1 << n) * ((1 << n) - 1) // 2, n
+        for chunk in (verify._bounds_chunk, verify._identity_chunk):
+            assert chunk(n, orbits.rows, orbits.weights, "rc")["pairs"] == sum(sizes.values())
 
 
 def _reversal(x, n):
