@@ -392,20 +392,21 @@ def _row_walk(
     definition and in the tables, and no more elements than the generic and
     the global ceiling allow.  Both sweeps walk with this one rule and limit.
     """
-    n = tab.n
-    top = (1 << n) - 1
     col_b = tab.columns
-    generic = CASE_CEILINGS[GENERIC].ceiling(n)
-    limit = min(generic, _global_ceiling(n) or generic)
+    full = (1 << len(tab.bmask)) - 1
+    top = len(tab.bmask) - 1
+    generic = CASE_CEILINGS[GENERIC].ceiling(tab.n)
+    limit = min(generic, _global_ceiling(tab.n) or generic)
     for x, w, row in zip(rows, weights, tab.elements(rows)):
-        scope = -(2 << x) & ((1 << (top - x if group else top + 1)) - 1)
+        scope = full & -(2 << x)
         if group:
             # y and its complement above x, then their reversals too
-            scope &= _reverse_elements(scope, n)
+            scope &= (1 << (top - x)) - 1
+            scope &= _reverse_elements(scope, tab.n)
         planes = _count_planes(col_b, row)
         walk = _walk_mask(tab, x, planes, limit, scope)
         rest = scope & ~walk
         yield x, w, walk, rest.bit_count(), _count_max(planes, rest)
         if group:
-            r = _reverse(x, n)
+            r = _reverse(x, tab.n)
             yield x, w >> 1, (1 << (x ^ top) | 1 << r | 1 << (r ^ top)) & ~(1 << x), 0, -1
