@@ -384,8 +384,8 @@ def _row_walk(
 
     On the full route (group "") the partners of x are the y > x, walked as
     _walk_mask says.  On the orbit route of "rc" x stands for its orbit,
-    whose size weights gives, and each pair orbit is seen once: first the y
-    whose orbit's least word is above x, at that weight and walked as
+    whose size weights gives, and each pair orbit is seen from one row:
+    first the y whose orbit's least word is above x, at that weight, walked as
     _walk_mask says, then the other words of x's orbit, all walked, at half
     of it, as a pair inside the orbit is seen from both its words.  Each
     other partner shares no deletion and no substitution with x, by
