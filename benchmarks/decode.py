@@ -1,5 +1,5 @@
-"""Milliseconds per multi-read decode, per read draw, per CLI decode and per
-coset count, parent tree against this one.
+"""Milliseconds per multi-read decode, per read draw, per CLI decode, per
+coset count and per member listing, parent tree against this one.
 
 Times ``reconstruct.decode`` on 100 seeded read bundles in each of four
 settings (cl n = 12 with N = 7 reads and vt n = 14 with N = 31 reads, both
@@ -17,7 +17,10 @@ per process pays that build once in ten); and the milliseconds per call
 ``best_coset("cl", 16)``, ``best_coset("cn21", 15)`` and
 ``size(spec("run_bounded", 16))``, and ``best_coset("cl", 20)`` and
 ``best_coset("cl", 24)``, where cl's 2n^2 values of its last sum make the
-counting DP's layers widest.  Every cell records its wall time and,
+counting DP's layers widest; and the milliseconds per call (mean of
+three) of ``list(codes.members(cs))`` on the best coset of cl at n = 12,
+16 and 20, vt at n = 14 and 18, inv at n = 14 and cn21 at n = 15 (the
+coset search not timed).  Every cell records its wall time and,
 under "cpu", its ``time.process_time()``, which a busy machine disturbs
 less.  Three work counters that no machine load moves record what its
 calls built in one round, each counted by a wrapper in the worker around
@@ -37,9 +40,9 @@ root, or the file ``--out`` names.  Standard library only:
     python3 benchmarks/decode.py --src PATH/TO/PARENT/src --out BENCH_decode_memo.json
 
 The worker also hashes every decode result, every bundle drawn, the CLI
-decodes' exit codes and output, the reconstruction report's canonical JSON
-and the five counting results; the script fails if the two trees disagree
-on any of them.
+decodes' exit codes and output, the reconstruction report's canonical JSON,
+the five counting results and the seven listings; the script fails if the
+two trees disagree on any of them.
 """
 
 from __future__ import annotations
@@ -83,6 +86,13 @@ COUNTS = (
     ("best_coset_cl_24", lambda codes: codes.best_coset("cl", 24)),
 )
 COUNT_CALLS = 3
+# (label, family, n): member listings of best cosets, cl 12 and vt 14 as the
+# codes-decode workload lists them
+LISTINGS = (
+    ("cl_12", "cl", 12), ("cl_16", "cl", 16), ("cl_20", "cl", 20),
+    ("vt_14", "vt", 14), ("vt_18", "vt", 18), ("inv_14", "inv", 14), ("cn21_15", "cn21", 15),
+)
+LIST_CALLS = 3
 CLI_DECODES = 10
 
 
@@ -192,6 +202,11 @@ def _worker(src: str) -> dict:
         results = clock("count_ms", label, COUNT_CALLS,
                         lambda: [call(codes) for _ in range(COUNT_CALLS)])
         digest.update(repr(results).encode())
+    for label, family, n in LISTINGS:
+        cs = codes.best_coset(family, n)
+        results = clock("members_ms", label, LIST_CALLS,
+                        lambda: [list(codes.members(cs)) for _ in range(LIST_CALLS)])
+        digest.update(repr(results).encode())
     return {**clock.cells(), "status": report.status,
             "digest": digest.hexdigest()}
 
@@ -222,6 +237,7 @@ def _describe(run: dict) -> str:
            f" {run['sub_set_builds']['reconstruction_s']:.0f} sets S(z))",
            f"cli decode {run['cli_decode_ms']:.2f} ms"]
         + [f"{k} {v:.1f} ms" for k, v in run["count_ms"].items()]
+        + [f"members {k} {v:.2f} ms" for k, v in run["members_ms"].items()]
     )
 
 
@@ -251,6 +267,7 @@ def main() -> int:
         "reconstruction": RECON,
         "cli_decodes": CLI_DECODES,
         "count_calls": COUNT_CALLS,
+        "list_calls": LIST_CALLS,
         "trees": {role: {"rev": rounds.rev(src), **_summary(runs[role])}
                   for role, src in trees.items()},
     }

@@ -10,12 +10,14 @@ members are the words every filter accepts whose residues equal the spec's
 residue parameters.
 
 Membership steps a word's bits through the filters' control states and
-the sums, from tables built once per spec.  Enumeration walks the prefixes
-depth first, 0 before 1, so it yields the words in ascending integer order
-in O(n) memory and drops a prefix as soon as a filter rejects it.  Sizes
-and best cosets come from one transfer DP over positions that counts every
-coset of a family at once, exactly, in time polynomial in n rather than
-2^n, its counts packed into the lanes of a few big ints.
+the sums, from tables built once per spec.  Listing meets in the middle:
+the high halves of the words come from a depth-first walk, 0 before 1, and
+each is joined with the low halves that complete it into the coset, looked
+up by their sums in a table built once per control state at the split, so
+the words come out in ascending integer order without walking all 2^n.
+Sizes and best cosets come from one transfer DP over positions that counts
+every coset of a family at once, exactly, in time polynomial in n rather
+than 2^n, its counts packed into the lanes of a few big ints.
 """
 
 from __future__ import annotations
@@ -78,6 +80,8 @@ CL = "cl"
 _Filter = tuple[Any, Callable[[Any, int], Any]]
 # a weighted bit sum: its modulus and the weight of (1-indexed) position i
 _Sum = tuple[int, Callable[[int], int]]
+# the filters' product read one bit at a time (see _control)
+_Control = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class _Counter(NamedTuple):
@@ -241,7 +245,8 @@ def _check_params(family: str, n: int, params: dict[str, int]) -> None:
             raise ValueError("period P must be even and at least 2")
         if params["P"] < 1:
             raise ValueError("period P must be positive")
-    for name, mod in zip(fam.residues, fam.counter(n, params).moduli):
+    counter = _automaton(family, n, tuple(params[name] for name in fam.fixed))[0]
+    for name, mod in zip(fam.residues, counter.moduli):
         if not 0 <= params[name] <= mod - 1:
             raise ValueError(f"parameter {name}={params[name]} outside [0,{mod - 1}]")
 
@@ -276,25 +281,34 @@ def spec(family: str, n: int, **params: int) -> CodeSpec:
     return CodeSpec(family, n, tuple(params.items()))
 
 
-def _coset(cs: CodeSpec) -> tuple[_Counter, tuple[int, ...]]:
-    """The definition of cs's family at cs's n and fixed parameters, and
-    the residue tuple of cs's members."""
+@functools.lru_cache(maxsize=256)
+def _automaton(family: str, n: int, fixed: tuple[int, ...]) -> tuple[_Counter, _Control]:
+    """The definition of a family at length n and its fixed parameters (in
+    the family's order), and its filters' control table (:func:`_control`),
+    built once and shared by membership, listing and counting."""
+    fam = _FAMILIES[family]
+    counter = fam.counter(n, dict(zip(fam.fixed, fixed)))
+    return counter, _control(counter.filters)
+
+
+def _coset(cs: CodeSpec) -> tuple[_Counter, _Control, tuple[int, ...]]:
+    """cs's :func:`_automaton` and the residue tuple of cs's members."""
     fam = _FAMILIES[cs.family]
     params = cs.param_dict()
-    return fam.counter(cs.n, params), tuple(params[name] for name in fam.residues)
+    counter, control = _automaton(cs.family, cs.n, tuple(params[name] for name in fam.fixed))
+    return counter, control, tuple(params[name] for name in fam.residues)
 
 
 @functools.lru_cache(maxsize=256)
 def _membership(cs: CodeSpec) -> tuple[
-    tuple[tuple[int, ...], ...] | None, tuple[tuple[int, ...], ...], _Counter, tuple[int, ...]
+    _Control | None, tuple[tuple[int, ...], ...], _Counter, tuple[int, ...]
 ]:
     """What :func:`contains` reads of cs, built once per spec: the filters'
-    control table (:func:`_control`, None without filters), each sum's
-    :func:`_byte_totals`, the counter and the wanted residues."""
-    counter, wanted = _coset(cs)
-    control = tuple(map(tuple, _control(counter.filters))) if counter.filters else None
+    control table (None without filters), each sum's :func:`_byte_totals`,
+    the counter and the wanted residues."""
+    counter, control, wanted = _coset(cs)
     totals = tuple(_byte_totals(cs.n, w) for _, w in counter.sums)
-    return control, totals, counter, wanted
+    return control if counter.filters else None, totals, counter, wanted
 
 
 def _byte_totals(n: int, w: Callable[[int], int]) -> tuple[int, ...]:
@@ -324,7 +338,7 @@ def _contains_int(cs: CodeSpec, value: int) -> bool:
     return counter.residues([sum(map(t.__getitem__, keys)) for t in totals]) == wanted
 
 
-def _control(filters: tuple[_Filter, ...]) -> tuple[list[int], list[int]]:
+def _control(filters: tuple[_Filter, ...]) -> _Control:
     """The product of the filters, explored from its start into numbered
     states (the start is 0): the next state after a 0 bit and after a 1
     bit, -1 once some filter rejects."""
@@ -342,27 +356,28 @@ def _control(filters: tuple[_Filter, ...]) -> tuple[list[int], list[int]]:
                 number[new] = len(states)
                 states.append(new)
             nxt[bit].append(number[new])
-    return nxt
+    return tuple(nxt[0]), tuple(nxt[1])
 
 
-def _walk(counter: _Counter, n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(value, residues) of every length-n word the filters accept, in
-    ascending order of value.
+def _walk(
+    control: _Control, weights: list[tuple[int, ...]], lo: int, hi: int, state: int
+) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """(value, control state, sums) of every path over positions lo + 1 to
+    hi from the given control state that the filters accept, in ascending
+    order of value.
 
-    A depth-first walk over prefixes in the filters' control states
-    (:func:`_control`): a prefix some filter rejects is dropped with every
-    word below it.  A 0 bit is visited before a 1 bit and the stack holds at
-    most one waiting sibling per position, so memory stays O(n).  A prefix
-    carries its unreduced sums; a 1 bit at position i adds each sum's
-    weight at i.
+    A depth-first walk: a prefix some filter rejects is dropped with every
+    path below it.  A 0 bit is visited before a 1 bit and the stack holds at
+    most one waiting sibling per position, so memory stays O(hi - lo).  The
+    value holds the path's bits alone and the sums start at zero, unreduced;
+    a 1 bit at position i adds weights[i - 1].
     """
-    nxt0, nxt1 = _control(counter.filters)
-    weights = [tuple(w(i) for _, w in counter.sums) for i in range(1, n + 1)]
-    stack = [(0, 0, 0, (0,) * len(counter.sums))]  # (position, value, state, sums)
+    nxt0, nxt1 = control
+    stack = [(lo, 0, state, (0,) * len(weights[0]))]
     while stack:
         i, value, state, sums = stack.pop()
-        if i == n:
-            yield value, counter.residues(sums)
+        if i == hi:
+            yield value, state, sums
             continue
         if nxt1[state] >= 0:
             stack.append((i + 1, value << 1 | 1, nxt1[state], tuple(map(add, sums, weights[i]))))
@@ -370,14 +385,45 @@ def _walk(counter: _Counter, n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
             stack.append((i + 1, value << 1, nxt0[state], sums))
 
 
+def _weights(counter: _Counter, n: int) -> list[tuple[int, ...]]:
+    """Each sum's weight at positions 1 to n, a tuple per position."""
+    return [tuple(w(i) for _, w in counter.sums) for i in range(1, n + 1)]
+
+
 def members(cs: CodeSpec) -> Iterator[str]:
-    """Stream the code in ascending order; capped at the enumeration limit."""
+    """Stream the code in ascending order; capped at the enumeration limit.
+
+    Meets in the middle at h = n // 2.  The high halves (positions 1 to h)
+    come from :func:`_walk`, each with its control state and sums.  Per
+    control state that a high half reaches, the low halves accepted from it
+    (positions h + 1 to n) are walked once per call into lists keyed by
+    their sums reduced by the moduli.  A high half with sums S then reads,
+    for each reduced sum tuple t whose residues are the spec's, the key
+    t - S; the hits are merged, so every word comes out in ascending order.
+    Memory is the tables of about 2^(n/2) low halves each.
+    """
     if cs.n > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration capped at n <= {ENUMERATION_LIMIT}")
-    counter, wanted = _coset(cs)
-    for value, residues in _walk(counter, cs.n):
-        if residues == wanted:
-            yield decode(value, cs.n)
+    counter, control, wanted = _coset(cs)
+    n, h = cs.n, cs.n // 2
+    weights = _weights(counter, n)
+    mods = [mod for mod, _ in counter.sums]
+    # the weights are nonnegative, so a sum never passes their total
+    reach = [range(min(mod, top + 1)) for mod, top in zip(mods, map(sum, zip(*weights)))]
+    targets = [wanted] if counter.key is None else [
+        t for t in itertools.product(*reach) if counter.residues(t) == wanted]
+    tables: dict[int, dict[tuple[int, ...], list[int]]] = {}
+    for high, state, sums in _walk(control, weights, 0, h, 0):
+        lows = tables.get(state)
+        if lows is None:
+            lows = tables[state] = {}
+            for low, _, low_sums in _walk(control, weights, h, n, state):
+                lows.setdefault(tuple(map(int.__mod__, low_sums, mods)), []).append(low)
+        keys = (tuple([(t - s) % m for t, s, m in zip(ts, sums, mods)]) for ts in targets)
+        hits = [lows[k] for k in keys if k in lows]
+        high <<= n - h
+        for low in hits[0] if len(hits) == 1 else sorted(itertools.chain(*hits)):
+            yield decode(high | low, n)
 
 
 def _key_index(key: tuple[int, ...], moduli: tuple[int, ...]) -> int:
@@ -408,8 +454,7 @@ def _coset_counts(cs: CodeSpec) -> list[int]:
     lanes are unpacked once, after the last position, cell by cell, which
     gives the counts cell-major, the last sum varying fastest.
     """
-    filters, sums, key = _coset(cs)[0]
-    nxt0, nxt1 = _control(filters)
+    (_, sums, key), (nxt0, nxt1), _ = _coset(cs)
     *inner, (rows, last) = sums or ((1, lambda i: 0),)
     mods = [mod for mod, _ in inner]
     # a lane is the fewest of 1, 2, 4 or 8 bytes that holds 2^n, unpacked by
@@ -460,7 +505,7 @@ def _coset_counts(cs: CodeSpec) -> list[int]:
 def size(cs: CodeSpec) -> int:
     if cs.family != FULL and cs.n > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration capped at n <= {ENUMERATION_LIMIT}")
-    counter, wanted = _coset(cs)
+    counter, _, wanted = _coset(cs)
     return _coset_counts(cs)[_key_index(wanted, counter.moduli)]
 
 
@@ -522,11 +567,13 @@ def cosets(
 
 @functools.lru_cache(maxsize=16)
 def _walked(zero: CodeSpec) -> tuple[array, array]:
-    """:func:`_walk` of zero's family, n and fixed parameters, packed."""
+    """The value and residues of every length-n word the filters of zero's
+    family accept at zero's fixed parameters, ascending, packed."""
+    counter, control, _ = _coset(zero)
     values, residues = array("L"), array("L")
-    for value, key in _walk(_coset(zero)[0], zero.n):
+    for value, _, sums in _walk(control, _weights(counter, zero.n), 0, zero.n, 0):
         values.append(value)
-        residues.extend(key)
+        residues.extend(counter.residues(sums))
     return values, residues
 
 

@@ -1,5 +1,7 @@
 import argparse
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -64,6 +66,19 @@ def test_code_list_and_check_agree(capsys):
                        "--word", listed[0])
     assert code == 0
     assert json.loads(out) is True
+
+
+def test_code_list_of_the_best_cl_coset_at_twenty(capsys):
+    # listing meets in the middle; walking all 2^20 words took about 2 s
+    start = time.perf_counter()
+    code, out, err = run(capsys, "code", "list", "--family", "cl", "--n", "20", "--best")
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)) == 98
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "60878890143cac88d6c8810e9bc05f792655ae1a49497fd43d64449755be9e35"
+    )
+    assert elapsed < 0.2, elapsed
 
 
 def test_code_rejects_wrong_parameter_set(capsys):

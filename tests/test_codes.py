@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 import tracemalloc
 from itertools import combinations, islice, product
 
@@ -295,8 +296,40 @@ def test_membership_and_cosets_match_definition(family):
                 got, coset_of = cosets(family, n, **fixed)
                 assert got == buckets, (n, fixed)
                 assert all(coset_of(k) == coset(k) for k in buckets)
-            for k in list(buckets)[:3]:
-                assert list(members(coset(k))) == [decode(v, n) for v in buckets[k]]
+            # every coset to n = 10, empty ones included; past it the first
+            # three nonempty ones
+            keys = product(*map(range, _definition(family, n, fixed)[0]))
+            for k in keys if n <= 10 else list(buckets)[:3]:
+                got = list(members(coset(k)))
+                assert got == [decode(v, n) for v in buckets.get(k, ())], (n, fixed, k)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_members_match_definition_on_sampled_cosets_to_fourteen(family):
+    """members against the definition past n = 12, at the default m and P:
+    the largest coset and five seeded random ones, empty ones included."""
+    rng = random.Random(14)
+    residues = codes._FAMILIES[family].residues
+    for n in (13, 14):
+        fixed = {name: {"m": 2, "P": default_period(n)}[name]
+                 for name in codes._FAMILIES[family].fixed}
+        buckets = _scan_buckets(family, n, fixed)
+        keys = list(product(*map(range, _definition(family, n, fixed)[0])))
+        largest = max(keys, key=lambda k: len(buckets.get(k, ())))
+        for k in [largest, *rng.sample(keys, min(5, len(keys)))]:
+            got = list(members(spec(family, n, **fixed, **dict(zip(residues, k)))))
+            assert got == [decode(v, n) for v in buckets.get(k, ())], (n, k)
+
+
+def test_the_control_table_is_explored_once_per_definition(monkeypatch):
+    explored = []
+    control = codes._control
+    monkeypatch.setattr(codes, "_control", lambda filters: explored.append(filters) or control(filters))
+    codes._automaton.cache_clear()
+    cs = best_coset(CN21, 15)
+    assert best_coset(CN21, 15) == cs
+    assert contains(cs, next(members(cs)))
+    assert len(explored) == 1
 
 
 def test_cosets_returns_fresh_containers():
