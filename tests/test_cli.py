@@ -69,7 +69,7 @@ def test_code_list_and_check_agree(capsys):
 
 
 def test_code_list_of_the_best_cl_coset_at_twenty(capsys):
-    # listing meets in the middle; walking all 2^20 words took about 2 s
+    # 98 members among 2^20 words: the budget fails a listing that walks them all
     start = time.perf_counter()
     code, out, err = run(capsys, "code", "list", "--family", "cl", "--n", "20", "--best")
     elapsed = time.perf_counter() - start
